@@ -16,9 +16,10 @@ Run as a script (``python benchmarks/perf_smoke.py``).  Three measurements:
 4. **Lattice pruning + variant cache** — a Table-2-style kmeans TAF
    sub-grid swept full vs ``prune=0.10, order=True``, recording
    points-evaluated on both paths and asserting every surviving record is
-   byte-identical; then the full grid re-swept through a shared
-   :class:`VariantCache`, which must serve every point without
-   re-simulating.
+   byte-identical; the pruned sweep again on a 2-worker pool, recording
+   every dispatched chunk against the points left when it was cut; then
+   the full grid re-swept through a shared :class:`VariantCache`, which
+   must serve every point without re-simulating.
 
 Everything lands in ``BENCH_harness.json``.  Exit status is the CI
 contract:
@@ -32,6 +33,9 @@ contract:
 * nonzero if pruning alters any surviving record, evaluates >= the
   unpruned point count, exceeds 60% of it on this grid, or the
   variant-cache re-sweep misses;
+* nonzero if the 2-worker pruned sweep's records differ from the serial
+  pruned sweep's, or any of its chunks exceeds ``ceil(points left /
+  workers)``;
 * the >= 2x wall-clock criterion applies only on >= 4-core runners (a
   1-core laptop cannot demonstrate it); below that the timing is recorded
   but not enforced.
@@ -73,6 +77,8 @@ PRUNE_GRID = [
     for lvl in ("thread", "warp")
 ]
 PRUNE_BOUND = 0.10
+#: Pool size for the pruned sweep's chunk-cap check.
+PRUNE_WORKERS = 2
 
 
 def _best_dicts(result):
@@ -153,6 +159,23 @@ def main() -> int:
         config=SweepConfig(prune=PRUNE_BOUND, order=True),
     )
     pruned_sweep_seconds = time.monotonic() - t0
+    t0 = time.monotonic()
+    pooled_sweep = run_sweep_parallel(
+        "kmeans", "v100_small", PRUNE_GRID,
+        config=SweepConfig(
+            prune=PRUNE_BOUND, order=True, workers=PRUNE_WORKERS
+        ),
+    )
+    pooled_sweep_seconds = time.monotonic() - t0
+    # (chunk points, points not yet dispatched) per chunk, every wave.
+    chunk_log = pooled_sweep.extra["dispatch_log"]
+    over_cap = [
+        (n, left) for n, left in chunk_log
+        if n > -(-left // PRUNE_WORKERS)
+    ]
+    pooled_identical = [dumps_record(r) for r in pooled_sweep.records] == [
+        dumps_record(r) for r in pruned_sweep.records
+    ]
     full_by_label = {
         json.dumps([r.app, r.technique, r.params, r.level], sort_keys=True):
         dumps_record(r)
@@ -214,6 +237,16 @@ def main() -> int:
             f"pruned sweep evaluated {prune_ratio:.0%} of the full sweep's "
             f"points on the TAF sub-grid (<= 60% required)"
         )
+    if not pooled_identical:
+        failures.append(
+            f"{PRUNE_WORKERS}-worker pruned sweep records differ from the "
+            f"serial pruned sweep's"
+        )
+    if over_cap:
+        failures.append(
+            f"{PRUNE_WORKERS}-worker pruned sweep dispatched chunks over "
+            f"ceil(points left / workers): (points, left) = {over_cap}"
+        )
     if cached_sweep.evaluated != 0 or (
         cached_sweep.extra.get("variant_hits") != len(PRUNE_GRID)
     ):
@@ -272,6 +305,16 @@ def main() -> int:
             "full_seconds": round(full_sweep_seconds, 3),
             "pruned_seconds": round(pruned_sweep_seconds, 3),
             "survivors_identical": survivors_identical,
+            "pool": {
+                "workers": PRUNE_WORKERS,
+                "seconds": round(pooled_sweep_seconds, 3),
+                "chunk_log": [list(entry) for entry in chunk_log],
+                "max_chunk_to_left_ratio": round(
+                    max((n / left for n, left in chunk_log), default=0.0), 4
+                ),
+                "chunks_over_cap": len(over_cap),
+                "records_identical_to_serial": pooled_identical,
+            },
             "variant_cache_hits": cached_sweep.extra.get("variant_hits"),
             "variant_cache_reswept_points": cached_sweep.evaluated,
         },

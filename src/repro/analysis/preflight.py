@@ -13,6 +13,15 @@ unpreflighted one; only the infeasible rows change provenance (note says
 Soundness: only per-region guarantees prune.  A benchmark's regions may
 live in different kernels (LavaMD has two), so an *aggregate* shared-memory
 overflow (HPAC021) is a warning, never a pruning error.
+
+Cost: :func:`preflight_point` runs only the rules that can prune — the
+device-aware region rules (HPAC02x) and HPAC030 on a region-construction
+failure.  The app-level static ApproxSan findings (contract text HPAC21x,
+the stored-baseline check HPAC212, the launch-plan dataflow walk
+HPAC213/214) do not depend on the point and never prune, so they are
+report-only: :func:`preflight_diagnostics` still returns them for the
+``lint`` and ``sanitize`` commands, but a sweep never pays for them per
+point.
 """
 
 from __future__ import annotations
@@ -31,6 +40,23 @@ from repro.harness.sweep import SweepPoint
 PreflightFn = Callable[..., "RunRecord | None"]
 
 
+def _region_diagnostics(
+    app, dev: DeviceSpec, point: SweepPoint, site: str | None
+) -> list[Diagnostic]:
+    """Device-aware region rules for one point (HPAC030 if unbuildable)."""
+    try:
+        regions = app.build_regions(
+            point.technique, level=point.level, site=site, **point.params
+        )
+    except ReproError as exc:
+        return [RULES["HPAC030"].diag(f"{type(exc).__name__}: {exc}")]
+    # The OpenMP layer launches blocks of the app's default num_threads
+    # rounded up to a warp multiple (repro.openmp.runtime.target_teams);
+    # predict against the same geometry the simulator will use.
+    tpb = round_up(app.default_num_threads, dev.warp_size)
+    return lint_regions(regions, dev, tpb)
+
+
 def preflight_diagnostics(
     app_name: str,
     device: str | DeviceSpec,
@@ -38,7 +64,8 @@ def preflight_diagnostics(
     site: str | None = None,
     problems: dict | None = None,
 ) -> list[Diagnostic]:
-    """All device-aware diagnostics for one sweep point."""
+    """All device-aware diagnostics for one sweep point, report-only
+    app-level findings included."""
     from repro.analysis.contracts import lint_contracts
     from repro.analysis.infer import lint_baseline
     from repro.analysis.rules.dataflow import lint_dataflow
@@ -54,17 +81,7 @@ def preflight_diagnostics(
     # contract-dataflow walk over the app's launch plan (HPAC213/214,
     # silent when no plan is declared).
     diags = lint_contracts(app) + lint_baseline(app) + lint_dataflow(app)
-    try:
-        regions = app.build_regions(
-            point.technique, level=point.level, site=site, **point.params
-        )
-    except ReproError as exc:
-        return diags + [RULES["HPAC030"].diag(f"{type(exc).__name__}: {exc}")]
-    # The OpenMP layer launches blocks of the app's default num_threads
-    # rounded up to a warp multiple (repro.openmp.runtime.target_teams);
-    # predict against the same geometry the simulator will use.
-    tpb = round_up(app.default_num_threads, dev.warp_size)
-    return diags + lint_regions(regions, dev, tpb)
+    return diags + _region_diagnostics(app, dev, point, site)
 
 
 def preflight_point(
@@ -74,12 +91,16 @@ def preflight_point(
     site: str | None = None,
     problems: dict | None = None,
 ) -> RunRecord | None:
-    """Infeasible record for a statically doomed point, else ``None``."""
-    diags = preflight_diagnostics(
-        app_name, device, point, site=site, problems=problems
-    )
+    """Infeasible record for a statically doomed point, else ``None``.
+
+    Runs only the pruning rules; the verdict equals the first
+    preflight-flagged error of :func:`preflight_diagnostics`."""
+    from repro.apps import get_benchmark
+
+    dev = get_device(device)
+    app = get_benchmark(app_name, problem=(problems or {}).get(app_name))
     blockers = [
-        d for d in diags
+        d for d in _region_diagnostics(app, dev, point, site)
         if d.severity is Severity.ERROR and RULES[d.code].preflight
     ]
     if not blockers:
@@ -87,7 +108,7 @@ def preflight_point(
     d = blockers[0]
     return RunRecord(
         app=app_name,
-        device=get_device(device).name,
+        device=dev.name,
         technique=point.technique,
         params=dict(point.params),
         level=point.level,

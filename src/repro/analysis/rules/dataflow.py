@@ -31,7 +31,8 @@ declared ``out(...)`` sets forward launch-to-launch:
   produces and that ``plan_inputs`` does not provide.
 
 Both are *pure static* passes joining ``lint --app``, ``sanitize``, and
-the sweep preflight; like every HPAC21x rule they report but never prune.
+``preflight_diagnostics``; like every HPAC21x rule they report but never
+prune, so the per-point sweep preflight skips them.
 Apps without a plan are silent — the plan is opt-in metadata, exactly
 like the inferred baselines.  The checks are name-level first (two
 symbolic sections over one buffer intersect by definition) and refine to

@@ -441,6 +441,10 @@ def search(
             problems=problems,
             checkpoint=checkpoint,
         )
+    if runner is None and engine is not None:
+        # The engine simulates with its own problems and seed.
+        engine.check_matches(request.problems, engine.runner.seed)
+        runner = engine.runner
     runner = runner or ExperimentRunner(problems=request.problems)
     workers = config.workers if config is not None else 1
     order = bool(config.order) if config is not None else False

@@ -115,3 +115,11 @@ class PragmaSemanticError(ReproError):
 
 class HarnessError(ReproError):
     """A design-space-exploration run failed in the harness layer."""
+
+
+class EngineMismatchError(HarnessError, ValueError):
+    """A sweep asked for problems or a seed other than its engine's.
+
+    A :class:`~repro.harness.batch.BatchEngine` simulates with the problems
+    and seed it was built with, so running a request that names different
+    ones would silently return records for the wrong configuration."""

@@ -46,6 +46,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
+from repro.errors import EngineMismatchError
 from repro.gpusim.device import DeviceSpec, get_device
 from repro.harness.config import (
     TARGET_CHUNK_SECONDS,
@@ -662,6 +663,10 @@ class BatchStream:
         for key, job in pending.items():
             self._groups.setdefault((job.app, key[1]), deque()).append((key, job))
         self._total_pending = len(pending)
+        #: Points not yet dispatched, and ``(chunk points, points not yet
+        #: dispatched before it)`` per chunk, in dispatch order.
+        self._undispatched = len(pending)
+        self.dispatch_log: list[tuple[int, int]] = []
 
         self._workers = max(1, int(cfg.workers))
         self._inflight: dict = {}
@@ -731,8 +736,17 @@ class BatchStream:
             return None, []
         group = next(iter(self._groups))
         queue = self._groups[group]
-        size = self.config.chunk_size or self._chunker.next_size(group)
+        size = self.config.chunk_size
+        if not size:
+            size = self._chunker.next_size(group)
+            if self._pool is not None:
+                # Guided self-scheduling: never more than an even share of
+                # what is left, so every worker gets part of a short stream
+                # and the tail shrinks geometrically.
+                size = min(size, -(-self._undispatched // self._workers))
         chunk = [queue.popleft() for _ in range(min(size, len(queue)))]
+        self.dispatch_log.append((len(chunk), self._undispatched))
+        self._undispatched -= len(chunk)
         if queue:
             self._groups.move_to_end(group)
         else:
@@ -874,6 +888,7 @@ class BatchStream:
             ),
             extra={
                 "chunk_log": list(self._chunker.log),
+                "dispatch_log": list(self.dispatch_log),
                 "pool_respawns": self.pool_respawns,
                 "variant_hits": self.variant_hits,
             },
@@ -1043,6 +1058,22 @@ class BatchEngine:
             else None
         )
         self._closed = False
+
+    def check_matches(self, problems: dict | None, seed: int) -> None:
+        """Raise :class:`~repro.errors.EngineMismatchError` unless a sweep's
+        ``problems`` (when given) and ``seed`` are the ones this engine
+        simulates with."""
+        mine = self.runner.problems
+        if problems is not None and dict(problems) != mine:
+            raise EngineMismatchError(
+                f"sweep asks for problems={problems!r} but the engine "
+                f"simulates problems={mine!r}"
+            )
+        if seed != self.runner.seed:
+            raise EngineMismatchError(
+                f"sweep asks for seed={seed!r} but the engine simulates "
+                f"seed={self.runner.seed!r}"
+            )
 
     #: Back-compat: PR-3 callers read ``engine.max_workers``.
     @property
@@ -1268,7 +1299,10 @@ class EngineStream:
                 str(inner.config.checkpoint)
                 if inner.config.checkpoint is not None else None
             ),
-            extra={"pool_respawns": inner.pool_respawns},
+            extra={
+                "pool_respawns": inner.pool_respawns,
+                "dispatch_log": list(inner.dispatch_log),
+            },
         )
 
     def close(self) -> None:

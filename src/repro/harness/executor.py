@@ -132,7 +132,10 @@ def run_sweep_parallel(
     ``engine`` routes the sweep through an existing persistent
     :class:`~repro.harness.batch.BatchEngine` — reusing its warm worker
     pool and session record cache — with this call's ``config`` overlaid
-    on the engine's for the duration of the call.
+    on the engine's for the duration of the call.  The engine simulates
+    with its own problems and seed, so a ``problems`` (when given) or
+    ``seed`` that differs from them raises
+    :class:`~repro.errors.EngineMismatchError`.
 
     ``runner_factory``/``factory_args`` override worker construction (it
     must be a picklable top-level callable); the default builds
@@ -141,6 +144,8 @@ def run_sweep_parallel(
     :class:`ExperimentRunner` at all).
     """
     cfg = resolve_config(config, "run_sweep_parallel", **legacy)
+    if engine is not None:
+        engine.check_matches(problems, seed)
     if cfg.prune:
         # Lattice pruning reorders evaluation into ancestor-first waves —
         # a different driver entirely (see repro.harness.pruning).  The

@@ -201,26 +201,36 @@ class SweepLattice:
 # ---------------------------------------------------------------------------
 # Surrogate regressor
 # ---------------------------------------------------------------------------
+def _model_key(point: SweepPoint) -> tuple:
+    """The surrogate model a point belongs to: points sharing it have
+    equal-length :func:`~repro.harness.sweep.point_features` rows."""
+    return (point.technique, tuple(sorted(point.params)))
+
+
 class Surrogate:
     """Incremental linear surrogate of (error, speedup) over point features.
 
-    One least-squares model per technique, refit lazily whenever new
-    observations have arrived since the last prediction.  Deliberately
-    cheap and deterministic: the surrogate only *orders* work — a wrong
-    prediction costs evaluation order, never correctness — so a linear
-    model over :func:`~repro.harness.sweep.point_features` (which carries
-    log-scale copies of every axis) is plenty.
+    One least-squares model per technique and parameter-key set (a
+    technique's points need not share keys: perforation's small/large
+    patterns carry ``herded``/``skip`` where ini/fini carry
+    ``skip_percent``, so their feature rows differ in length), refit
+    lazily whenever new observations have arrived since the last
+    prediction.  Deliberately cheap and deterministic: the surrogate only
+    *orders* work — a wrong prediction costs evaluation order, never
+    correctness — so a linear model over
+    :func:`~repro.harness.sweep.point_features` (which carries log-scale
+    copies of every axis) is plenty.
     """
 
-    #: Observations a technique needs before its model is trusted.
+    #: Observations a model needs before it is trusted.
     MIN_FIT = 4
 
     def __init__(self) -> None:
-        self._rows: dict[str, list[list[float]]] = {}
-        self._err: dict[str, list[float]] = {}
-        self._spd: dict[str, list[float]] = {}
-        self._coef: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        self._stale: set[str] = set()
+        self._rows: dict[tuple, list[list[float]]] = {}
+        self._err: dict[tuple, list[float]] = {}
+        self._spd: dict[tuple, list[float]] = {}
+        self._coef: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+        self._stale: set[tuple] = set()
         #: Observations accepted (finite, feasible records only).
         self.observed = 0
 
@@ -232,11 +242,11 @@ class Surrogate:
         spd = float(record.reported_speedup)
         if not (np.isfinite(err) and np.isfinite(spd)):
             return
-        t = point.technique
-        self._rows.setdefault(t, []).append(point_features(point))
-        self._err.setdefault(t, []).append(err)
-        self._spd.setdefault(t, []).append(spd)
-        self._stale.add(t)
+        key = _model_key(point)
+        self._rows.setdefault(key, []).append(point_features(point))
+        self._err.setdefault(key, []).append(err)
+        self._spd.setdefault(key, []).append(spd)
+        self._stale.add(key)
         self.observed += 1
 
     def observe_records(self, records: Iterable[RunRecord]) -> int:
@@ -247,25 +257,25 @@ class Surrogate:
             self.observe(SweepPoint.of_record(rec), rec)
         return self.observed - before
 
-    def _model(self, technique: str) -> tuple[np.ndarray, np.ndarray] | None:
-        rows = self._rows.get(technique)
+    def _model(self, key: tuple) -> tuple[np.ndarray, np.ndarray] | None:
+        rows = self._rows.get(key)
         if rows is None or len(rows) < self.MIN_FIT:
             return None
-        if technique in self._stale or technique not in self._coef:
+        if key in self._stale or key not in self._coef:
             X = np.asarray(rows, dtype=np.float64)
             ce, *_ = np.linalg.lstsq(
-                X, np.asarray(self._err[technique]), rcond=None
+                X, np.asarray(self._err[key]), rcond=None
             )
             cs, *_ = np.linalg.lstsq(
-                X, np.asarray(self._spd[technique]), rcond=None
+                X, np.asarray(self._spd[key]), rcond=None
             )
-            self._coef[technique] = (ce, cs)
-            self._stale.discard(technique)
-        return self._coef[technique]
+            self._coef[key] = (ce, cs)
+            self._stale.discard(key)
+        return self._coef[key]
 
     def predict(self, point: SweepPoint) -> tuple[float, float] | None:
         """Predicted ``(error, speedup)``, or None below :data:`MIN_FIT`."""
-        model = self._model(point.technique)
+        model = self._model(_model_key(point))
         if model is None:
             return None
         x = np.asarray(point_features(point), dtype=np.float64)
@@ -273,8 +283,9 @@ class Surrogate:
 
     def score(self, point: SweepPoint, bound: float = DEFAULT_QOI_BOUND) -> float:
         """Paper-style desirability: predicted speedup when predicted under
-        the bound, else the (negative) predicted excess error.  Unfitted
-        techniques score a neutral 0.0, leaving input order untouched."""
+        the bound, else the (negative) predicted excess error.  Points
+        without a fitted model score a neutral 0.0, leaving input order
+        untouched."""
         pred = self.predict(point)
         if pred is None:
             return 0.0
@@ -525,6 +536,8 @@ def run_sweep_pruned(
     owned = engine is None
     if owned:
         engine = BatchEngine(problems=problems, seed=seed, config=wave_cfg)
+    else:
+        engine.check_matches(problems, seed)
     variant_hits0 = engine.stats.variant_hits
 
     surrogate: Surrogate | None = None
@@ -533,6 +546,7 @@ def run_sweep_pruned(
         surrogate.observe_records(decided.values())
 
     evaluated = preflight_pruned = lattice_pruned = waves = 0
+    dispatch_log: list[tuple[int, int]] = []
     try:
         while True:
             undecided = [
@@ -599,6 +613,7 @@ def run_sweep_pruned(
             ).report()
             evaluated += rep.evaluated
             preflight_pruned += rep.pruned
+            dispatch_log += rep.extra.get("dispatch_log", ())
             for pt, rec in zip(wave, rep.records):
                 decided[pt.label()] = rec
                 if writer is not None:
@@ -628,6 +643,7 @@ def run_sweep_pruned(
             "qoi_bound": bound,
             "ordered": bool(cfg.order),
             "variant_hits": variant_hits,
+            "dispatch_log": dispatch_log,
             "surrogate_observations": (
                 surrogate.observed if surrogate is not None else 0
             ),

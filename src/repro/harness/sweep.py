@@ -107,8 +107,9 @@ def point_features(point: SweepPoint) -> list[float]:
     each param key in sorted order its value and ``log1p(|value|)`` (the
     Table-2 axes are geometric, so the log term lets a linear model track
     them), then the hierarchy-level ordinal and ``log2`` of items-per-thread.
-    Points of one technique share a key set, so vectors within a technique
-    are directly comparable.
+    Points with the same technique and key set give vectors of one length
+    (perforation's pattern kinds carry different keys), so the surrogate
+    fits one model per (technique, key set).
     """
     import math
 

@@ -148,6 +148,67 @@ class TestContractDiagnostics:
         ) is None
 
 
+class TestLeanPreflight:
+    """``preflight_point`` runs only the pruning rules; its verdict must be
+    the one the full report-level diagnostics imply."""
+
+    DEVICES = ("v100_small", "amd_small", "mi250x")
+
+    @staticmethod
+    def _space(device):
+        from repro.harness.sweep import table2_space
+
+        return [
+            pt for tech in ("taf", "iact", "perfo")
+            for pt in table2_space(tech, device)
+        ]
+
+    def test_verdict_matches_full_diagnostics(self):
+        from repro.analysis import (
+            RULES, Severity, preflight_diagnostics, preflight_point,
+        )
+        from repro.apps import BENCHMARKS
+
+        pruned = 0
+        for device in self.DEVICES:
+            space = self._space(device)
+            for app in sorted(BENCHMARKS):
+                for pt in space:
+                    blockers = [
+                        d for d in preflight_diagnostics(app, device, pt)
+                        if d.severity is Severity.ERROR
+                        and RULES[d.code].preflight
+                    ]
+                    rec = preflight_point(app, device, pt)
+                    if not blockers:
+                        assert rec is None, (app, device, pt.label())
+                        continue
+                    pruned += 1
+                    d = blockers[0]
+                    assert rec is not None, (app, device, pt.label())
+                    assert rec.note == f"preflight {d.code}: {d.message}"
+                    assert not rec.feasible
+        assert pruned > 0
+
+    def test_report_only_lints_never_called(self, monkeypatch):
+        import repro.analysis.contracts as contracts
+        import repro.analysis.infer as infer
+        import repro.analysis.rules.dataflow as dataflow
+        from repro.analysis import preflight_point
+
+        def boom(*_args, **_kwargs):
+            raise AssertionError("report-only lint ran during preflight")
+
+        monkeypatch.setattr(contracts, "lint_contracts", boom)
+        monkeypatch.setattr(infer, "lint_baseline", boom)
+        monkeypatch.setattr(dataflow, "lint_dataflow", boom)
+        for pt in _points():
+            preflight_point("blackscholes", "v100_small", pt, problems=PROBLEMS)
+        assert preflight_point(
+            "blackscholes", "v100_small", _points()[1], problems=PROBLEMS
+        ).note.startswith("preflight HPAC020:")
+
+
 class TestExecutorIntegration:
     def test_feasible_records_byte_identical(self, baseline):
         report = run_sweep_parallel(

@@ -16,8 +16,10 @@ from repro.harness.batch import (
     AdaptiveChunker,
     BatchEngine,
     BatchJob,
+    BatchStream,
     run_batch,
 )
+from repro.harness.database import dumps_record
 from repro.harness.runner import ExperimentRunner
 from repro.harness.search import evolutionary_search
 from repro.harness.sweep import SweepPoint
@@ -145,6 +147,46 @@ class TestAdaptiveChunker:
         c = AdaptiveChunker()
         c.observe("g", points=0, seconds=1.0)
         assert c.next_size("g") == c.initial
+
+
+class TestChunkCap:
+    """With a pool, an adaptive chunk never exceeds an even share of the
+    points not yet dispatched, so one short stream is split across every
+    worker; a pinned ``chunk_size`` is honoured exactly."""
+
+    SMALL = {"blackscholes": {"num_options": 512, "num_runs": 1}}
+
+    @staticmethod
+    def _group_jobs():
+        from repro.harness.sweep import table2_space
+
+        pts = table2_space("taf", "v100_small")[:50]
+        return [BatchJob("blackscholes", "v100_small", pt) for pt in pts]
+
+    def _stream(self, **cfg):
+        stream = BatchStream(
+            self._group_jobs(), problems=self.SMALL, config=SweepConfig(**cfg)
+        )
+        return stream, [dumps_record(r) for r in stream.records()]
+
+    def test_adaptive_chunks_capped_and_records_identical(self):
+        # A long target makes the controller want the whole group at once
+        # after its first observation: only the cap splits it.
+        pooled, pooled_recs = self._stream(workers=2, target_chunk_seconds=60.0)
+        serial, serial_recs = self._stream(workers=1, target_chunk_seconds=60.0)
+        assert pooled_recs == serial_recs
+        log = pooled.dispatch_log
+        assert sum(n for n, _left in log) == 50
+        assert all(n <= -(-left // 2) for n, left in log)
+        assert max(n for n, _left in log) < 46
+        # The serial path is unchanged: one chunk takes the rest.
+        assert serial.dispatch_log[-1] == (48, 48)
+
+    def test_pinned_chunk_size_used_exactly(self):
+        pinned, recs = self._stream(workers=2, chunk_size=20)
+        assert [n for n, _left in pinned.dispatch_log] == [20, 20, 10]
+        _serial, serial_recs = self._stream(workers=1)
+        assert recs == serial_recs
 
 
 class TestBatchEngine:

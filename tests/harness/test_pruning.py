@@ -28,7 +28,7 @@ from repro.harness.pruning import (
     is_pruned_record,
     pruned_record,
 )
-from repro.harness.runner import ExperimentRunner
+from repro.harness.runner import ExperimentRunner, RunRecord
 from repro.harness.sweep import SweepPoint
 
 PROBLEMS = {"kmeans": {"num_obs": 2048, "max_iters": 8}}
@@ -401,3 +401,50 @@ class TestVariantCache:
             fh.write('{"key": "abc", "record": {tru')
         reloaded = VariantCache(path)
         assert len(reloaded) == 2
+
+
+class TestRaggedFeatureKeys:
+    """Perforation's pattern kinds carry different parameter keys
+    (small/large: herded, kind, skip; ini/fini: kind, skip_percent), so
+    one technique yields feature rows of two lengths."""
+
+    LULESH = {"lulesh": {"mesh": 6, "time_steps": 4}}
+
+    def test_surrogate_fits_each_key_set(self):
+        s = Surrogate()
+        small = [
+            SweepPoint("perfo", {"kind": "small", "skip": k, "herded": True})
+            for k in (2, 3, 4, 5)
+        ]
+        ini = [
+            SweepPoint("perfo", {"kind": "ini", "skip_percent": p})
+            for p in (10, 20, 30, 40)
+        ]
+        for i, pt in enumerate(small + ini):
+            s.observe(pt, RunRecord(
+                app="lulesh", device="v100", technique="perfo",
+                params=dict(pt.params), level=pt.level,
+                items_per_thread=pt.items_per_thread,
+                speedup=1.0 + i, error=0.01 * i,
+            ))
+        assert s.observed == 8
+        assert s.predict(small[0]) is not None
+        assert s.predict(ini[0]) is not None
+        assert len(s.order(small + ini)) == 8
+
+    def test_ordered_lulesh_perfo_sweep_matches_unordered(self):
+        from repro.harness.sweep import table2_space
+
+        points = table2_space("perfo", "v100_small")
+        assert len({tuple(sorted(p.params)) for p in points}) > 1
+        ordered, plain = (
+            run_sweep_parallel(
+                "lulesh", "v100_small", points, problems=self.LULESH,
+                config=SweepConfig(prune=0.1, order=order),
+            )
+            for order in (True, False)
+        )
+        assert ordered.extra["surrogate_observations"] > 0
+        assert [dumps_record(r) for r in ordered.records] == [
+            dumps_record(r) for r in plain.records
+        ]

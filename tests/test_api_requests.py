@@ -9,6 +9,7 @@ import pytest
 
 from repro import api
 from repro.__main__ import main
+from repro.harness.config import SweepConfig
 
 PROBLEMS = {
     "blackscholes": {"num_options": 2048, "num_runs": 2},
@@ -84,6 +85,64 @@ class TestExecuteDispatch:
         payload = res.to_payload()
         assert payload["evaluated"] == res.evaluated
         assert len(payload["records"]) == len(res.records)
+
+    def test_engine_with_other_problems_or_seed_raises(self):
+        from repro.errors import EngineMismatchError
+        from repro.harness.batch import BatchEngine
+
+        pts = api.SweepRequest(app="kmeans", technique="taf").resolve_points()
+        for prune in (False, 0.1):
+            cfg = SweepConfig(prune=prune)
+            with BatchEngine(problems=PROBLEMS, seed=7) as engine:
+                with pytest.raises(EngineMismatchError, match="problems="):
+                    api.execute(
+                        api.SweepRequest(
+                            app="kmeans", points=pts, seed=7,
+                            problems={"kmeans": {"num_obs": 512}},
+                        ),
+                        config=cfg, engine=engine,
+                    )
+                with pytest.raises(ValueError, match="seed=2023"):
+                    api.execute(
+                        api.SweepRequest(
+                            app="kmeans", points=pts, problems=PROBLEMS,
+                        ),
+                        config=cfg, engine=engine,
+                    )
+
+    def test_matching_engine_records_unchanged(self):
+        from repro.harness.batch import BatchEngine
+        from repro.harness.database import dumps_record
+
+        req = api.SweepRequest(
+            app="kmeans", technique="taf", problems=PROBLEMS, seed=7
+        )
+        for cfg in (None, SweepConfig(prune=0.1)):
+            alone = api.execute(req, config=cfg)
+            with BatchEngine(problems=PROBLEMS, seed=7) as engine:
+                shared = api.execute(req, config=cfg, engine=engine)
+            assert [dumps_record(r) for r in shared.records] == [
+                dumps_record(r) for r in alone.records
+            ]
+
+    def test_search_through_engine_uses_its_problems(self):
+        from repro.errors import EngineMismatchError
+        from repro.harness.batch import BatchEngine
+
+        req = api.SearchRequest(
+            app="blackscholes", technique="taf", budget=3, problems=PROBLEMS
+        )
+        alone = api.execute(req)
+        with BatchEngine(problems=PROBLEMS) as engine:
+            shared = api.execute(
+                dataclasses.replace(req, problems=None), engine=engine
+            )
+            with pytest.raises(EngineMismatchError):
+                api.execute(
+                    dataclasses.replace(req, problems={"blackscholes": {}}),
+                    engine=engine,
+                )
+        assert shared.to_payload()["records"] == alone.to_payload()["records"]
 
     def test_execute_search_request(self):
         res = api.execute(
