@@ -3,15 +3,16 @@
 Run as a script (``python benchmarks/perf_smoke.py``).  Three measurements:
 
 1. **Serial vs batched Fig 6** — times the quick-effort Fig 6 grid on the
-   legacy serial path and through a :class:`BatchEngine` at
+   figures' serial runner path and through a :class:`BatchEngine` at
    ``min(4, cpu_count)`` workers, and verifies the outputs are identical.
 2. **Persistent pool across a session** — the same engine then serves
    Fig 7 and Fig 12, i.e. three consecutive figure batches through one
    engine.  ``stats.pool_spawns`` must stay at 1: the whole session pays
    the process-pool spawn cost exactly once.
 3. **Streamed vs blocking consumption** — the same explicit job list runs
-   through ``engine.run_jobs`` (barrier: nothing until everything) and
-   ``engine.submit`` (iterator: records as chunks complete), recording
+   through ``engine.run_jobs`` (a drained ``submit``: nothing until
+   everything) and ``engine.submit`` iterated directly (records as chunks
+   complete), recording
    time-to-first-record against the blocking wall-clock.
 4. **Lattice pruning + variant cache** — a Table-2-style kmeans TAF
    sub-grid swept full vs ``prune=0.10, order=True``, recording
@@ -60,7 +61,7 @@ from repro.harness.figures import (  # noqa: E402
     fig12_kmeans,
 )
 from repro.harness.database import dumps_record  # noqa: E402
-from repro.harness.executor import run_sweep_parallel  # noqa: E402
+from repro.harness.batch import run_sweep_parallel  # noqa: E402
 from repro.harness.pruning import VariantCache, is_pruned_record  # noqa: E402
 from repro.harness.runner import ExperimentRunner  # noqa: E402
 from repro.harness.sweep import SweepPoint  # noqa: E402
@@ -248,11 +249,11 @@ def main() -> int:
             f"ceil(points left / workers): (points, left) = {over_cap}"
         )
     if cached_sweep.evaluated != 0 or (
-        cached_sweep.extra.get("variant_hits") != len(PRUNE_GRID)
+        cached_sweep.variant_hits != len(PRUNE_GRID)
     ):
         failures.append(
             f"variant-cache re-sweep evaluated {cached_sweep.evaluated} "
-            f"points with {cached_sweep.extra.get('variant_hits')} hits "
+            f"points with {cached_sweep.variant_hits} hits "
             f"(expected 0 evaluated, {len(PRUNE_GRID)} hits)"
         )
     speedup = serial_seconds / batched_seconds if batched_seconds else 0.0
@@ -315,7 +316,7 @@ def main() -> int:
                 "chunks_over_cap": len(over_cap),
                 "records_identical_to_serial": pooled_identical,
             },
-            "variant_cache_hits": cached_sweep.extra.get("variant_hits"),
+            "variant_cache_hits": cached_sweep.variant_hits,
             "variant_cache_reswept_points": cached_sweep.evaluated,
         },
         "failures": failures,

@@ -118,7 +118,7 @@ def cmd_run(args) -> int:
         level=args.level, items_per_thread=ipt, site=args.site,
         seed=args.seed,
     )
-    res = api.run_point(request=request, runner=runner)
+    res = api.run_point(request=request, runner=runner).record
     if not res.feasible:
         print(f"{args.technique}: infeasible — {res.note}")
         return 1
@@ -158,7 +158,7 @@ def cmd_sweep(args) -> int:
         prune=(float(args.max_error) if args.prune else False),
         order=args.order, variant_cache=vcache,
     )
-    report = api.execute(request, config=config)
+    report = api.execute(request, config=config).report
     if vcache is not None:
         vcache.save()
     db = ResultsDB()
@@ -166,12 +166,11 @@ def cmd_sweep(args) -> int:
     if (args.parallel > 1 or args.checkpoint or args.preflight
             or args.prune or args.variant_cache):
         lattice = report.extra.get("lattice_pruned", 0)
-        vhits = report.extra.get("variant_hits", 0)
         print(f"evaluated {report.evaluated} points "
               f"({report.skipped} resumed from checkpoint, "
               f"{report.pruned} pruned by preflight, "
               f"{lattice} pruned by the lattice, "
-              f"{vhits} variant-cache hit(s)) "
+              f"{report.variant_hits} variant-cache hit(s)) "
               f"in {report.elapsed:.2f}s with {args.parallel} worker(s)")
     print(format_records_table(db.query(feasible=None),
                                title=f"{args.app} {args.technique} on {args.device}"))
@@ -199,7 +198,7 @@ def cmd_search(args) -> int:
     result = api.execute(
         request,
         config=SweepConfig(workers=max(1, args.parallel), order=args.order),
-    )
+    ).result
     print(format_records_table(
         result.db.query(feasible=None),
         title=(f"{args.strategy} search: {args.app} {args.technique} "
@@ -370,35 +369,38 @@ def cmd_campaign(args) -> int:
             app=args.app, device=args.device, technique=args.technique,
             effort=args.effort, site=args.site, seed=args.seed,
         )
-        result = api.campaign_split(args.dir, spec, shards=args.shards)
+        out = api.campaign_split(args.dir, spec, shards=args.shards)
         if args.json:
-            print(result.render_json())
-            return result.exit_code
+            print(out.render_json())
+            return out.exit_code
+        result = out.result
         print(f"{args.dir}: split {result.points} point(s) into "
               f"{result.shards} shard job(s) "
               f"(spec {result.spec_hash[:12]}…)")
         print("run workers with: python -m repro campaign work "
               f"{args.dir} --owner <name>")
-        return result.exit_code
+        return out.exit_code
     if args.action == "work":
-        result = api.campaign_work(
+        out = api.campaign_work(
             args.dir, args.owner, ttl=args.ttl, max_jobs=args.max_jobs
         )
         if args.json:
-            print(result.render_json())
-            return result.exit_code
-        print(f"{args.owner}: completed {result.jobs_done} job(s) — "
-              f"{result.evaluated} point(s) evaluated, "
-              f"{result.reemitted} re-emitted from a dead worker, "
-              f"{result.leases_lost} lease(s) lost")
-        return result.exit_code
+            print(out.render_json())
+            return out.exit_code
+        report = out.report
+        print(f"{args.owner}: completed {report.jobs_done} job(s) — "
+              f"{report.evaluated} point(s) evaluated, "
+              f"{report.reemitted} re-emitted from a dead worker, "
+              f"{report.leases_lost} lease(s) lost")
+        return out.exit_code
     if args.action == "merge":
-        result = api.campaign_merge(
+        out = api.campaign_merge(
             args.dir, args.output, strict=not args.partial
         )
         if args.json:
-            print(result.render_json())
-            return result.exit_code
+            print(out.render_json())
+            return out.exit_code
+        result = out.result
         s = result.stats
         print(f"{result.output}: merged {result.merged} record(s) from "
               f"{len(result.shards_merged)} shard(s) "
@@ -409,12 +411,13 @@ def cmd_campaign(args) -> int:
             print(f"partial merge: {len(result.shards_skipped)} "
                   f"unfinished shard(s) skipped, "
                   f"{len(result.missing)} label(s) uncovered")
-        return result.exit_code
+        return out.exit_code
     if args.action == "status":
-        result = api.campaign_status(args.dir)
+        out = api.campaign_status(args.dir)
         if args.json:
-            print(result.render_json())
-            return result.exit_code
+            print(out.render_json())
+            return out.exit_code
+        result = out.status
         p = result.progress
         print(f"{args.dir} (spec {result.spec_hash[:12]}…): "
               f"{p['done']} done / {p['leased']} leased / "
@@ -430,7 +433,7 @@ def cmd_campaign(args) -> int:
             if lease:
                 line += f", held by {lease['owner']} (fence {lease['fence']})"
             print(line)
-        return result.exit_code
+        return out.exit_code
     print(f"unknown campaign action {args.action!r}", file=sys.stderr)
     return 2
 

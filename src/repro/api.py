@@ -1,37 +1,28 @@
 """Stable library facade: typed requests in, typed results out.
 
-PR 2 and PR 4 each grew ``python -m repro`` flags the library had no
-single equivalent for; PR 5 gave the facade its first function-per-
-subcommand shape.  This PR restructures it around **frozen, versioned
-request objects** and a uniform response protocol, so the CLI, scripts,
-and the campaign fabric all speak the same vocabulary:
+The CLI, scripts, and the campaign fabric all speak the same vocabulary:
 
 * Requests — :class:`PointRequest`, :class:`SweepRequest`,
   :class:`SearchRequest`, :class:`FiguresRequest`, and (for distributed
   runs) :class:`~repro.harness.campaign.CampaignSpec` — are frozen
   dataclasses carrying a ``version`` stamp.  Build one, pass it to the
   matching function (``sweep(request=...)``) or to :func:`execute`,
-  which dispatches on type.  The loose per-function keywords still work:
-  each function folds them into a request internally, so there is
-  exactly one resolution path.
+  which dispatches on type.  The per-function keywords build the same
+  request internally, so there is exactly one resolution path.
 * Results all implement the :class:`ApiResult` protocol —
   ``.exit_code`` (what the CLI exits with), ``.to_payload()`` (a pure-
-  JSON document), ``.render_json()`` (stable-key-order dump) — while
-  *delegating* unknown attributes to the engine-layer object they wrap,
-  so ``api.sweep(...).records`` and friends read exactly as before.
+  JSON document), ``.render_json()`` (stable-key-order dump) — and carry
+  the engine-layer object they report on as a named field
+  (``PointResult.record``, ``SweepResult.report``, ``SearchResult.result``,
+  ...).
 
 Execution **policy** stays out of requests on purpose: a
 :class:`~repro.harness.config.SweepConfig` (workers, checkpoint,
 preflight, ...) or a persistent :class:`~repro.harness.batch.BatchEngine`
 is passed alongside, because the same request must produce byte-identical
 records under any policy — the invariant the campaign fabric's
-split/merge round-trip is tested against.
-
-Keyword-style calls into the engine layer (``max_workers=`` etc.) remain
-accepted through the single :func:`~repro.harness.config.resolve_config`
-shim with a :class:`DeprecationWarning`; see the README's "Migrating to
-request objects" table.  Everything imports lazily so ``import
-repro.api`` stays cheap and cycle-free.
+split/merge round-trip is tested against.  Everything imports lazily so
+``import repro.api`` stays cheap and cycle-free.
 """
 
 from __future__ import annotations
@@ -41,9 +32,8 @@ from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING, Iterable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.harness.batch import BatchEngine, EngineStats
+    from repro.harness.batch import BatchEngine, BatchReport, EngineStats
     from repro.harness.config import SweepConfig
-    from repro.harness.executor import SweepReport
     from repro.harness.runner import ExperimentRunner, RunRecord
     from repro.harness.sweep import SweepPoint
 
@@ -65,9 +55,7 @@ class ApiResult:
     ``exit_code`` is what the CLI process should exit with (0 unless the
     result itself encodes failure — lint errors, incomplete merges);
     ``to_payload()`` is a pure-JSON document for ``--json`` output;
-    ``render_json()`` is its stable-key-order rendering.  Subclasses
-    wrapping an engine-layer object also delegate unknown attribute reads
-    to it, so the pre-redesign access patterns keep working."""
+    ``render_json()`` is its stable-key-order rendering."""
 
     @property
     def exit_code(self) -> int:
@@ -80,21 +68,6 @@ class ApiResult:
         return json.dumps(
             self.to_payload(), indent=2, sort_keys=True, default=str
         )
-
-
-class _Wraps:
-    """Mixin: fall through to the wrapped object named by ``_inner``."""
-
-    _inner = "inner"
-
-    def __getattr__(self, name: str):
-        try:
-            inner = object.__getattribute__(
-                self, object.__getattribute__(self, "_inner")
-            )
-        except AttributeError:
-            raise AttributeError(name) from None
-        return getattr(inner, name)
 
 
 def _check_version(request) -> None:
@@ -217,10 +190,8 @@ class FiguresRequest:
 # Results.
 # ---------------------------------------------------------------------------
 @dataclass
-class PointResult(_Wraps, ApiResult):
-    """One evaluated configuration; delegates to its :class:`RunRecord`."""
-
-    _inner = "record"
+class PointResult(ApiResult):
+    """One evaluated configuration."""
 
     record: "RunRecord"
     request: PointRequest | None = None
@@ -230,12 +201,10 @@ class PointResult(_Wraps, ApiResult):
 
 
 @dataclass
-class SweepResult(_Wraps, ApiResult):
-    """One finished sweep; delegates to its :class:`SweepReport`."""
+class SweepResult(ApiResult):
+    """One finished sweep."""
 
-    _inner = "report"
-
-    report: "SweepReport"
+    report: "BatchReport"
     request: SweepRequest | None = None
 
     def to_payload(self) -> dict:
@@ -254,12 +223,10 @@ class SweepResult(_Wraps, ApiResult):
 
 
 @dataclass
-class SearchResult(_Wraps, ApiResult):
-    """One finished search; delegates to the engine-layer result
-    (:class:`repro.harness.search.SearchResult`: ``best``, ``db``,
+class SearchResult(ApiResult):
+    """One finished search: ``result`` is the engine-layer
+    :class:`repro.harness.search.SearchResult` (``best``, ``db``,
     ``evaluations``, ``best_speedup``)."""
-
-    _inner = "result"
 
     result: object
     request: SearchRequest | None = None
@@ -314,9 +281,8 @@ def run_point(
 
     Pass a :class:`PointRequest`, a ready
     :class:`~repro.harness.sweep.SweepPoint`, or build one inline from
-    ``technique``/``params``/``level``/``items_per_thread``.  The result
-    delegates to its :class:`~repro.harness.runner.RunRecord`, so
-    ``.feasible`` / ``.to_dict()`` read as before."""
+    ``technique``/``params``/``level``/``items_per_thread``.  The
+    :class:`~repro.harness.runner.RunRecord` is ``result.record``."""
     from repro.harness.runner import ExperimentRunner
 
     if request is None:
@@ -364,9 +330,9 @@ def sweep(
     The *what* lives in ``request`` (or the loose keywords, folded into
     one internally); the *how* — workers, checkpoint, retries, progress,
     preflight — lives in ``config``/``engine`` and never changes the
-    records.  The result delegates to its
-    :class:`~repro.harness.executor.SweepReport`."""
-    from repro.harness.executor import run_sweep_parallel
+    records.  The :class:`~repro.harness.batch.BatchReport` is
+    ``result.report``."""
+    from repro.harness.batch import run_sweep_parallel
 
     if request is None:
         if app is None:
@@ -573,11 +539,9 @@ def execute(
 # Distributed campaigns (see repro.harness.campaign).
 # ---------------------------------------------------------------------------
 @dataclass
-class CampaignSplitResult(_Wraps, ApiResult):
-    """Outcome of :func:`campaign_split`; delegates to the fabric's
+class CampaignSplitResult(ApiResult):
+    """Outcome of :func:`campaign_split`: the fabric's
     :class:`~repro.harness.campaign.SplitResult`."""
-
-    _inner = "result"
 
     result: object
     spec: object = None
@@ -587,11 +551,9 @@ class CampaignSplitResult(_Wraps, ApiResult):
 
 
 @dataclass
-class CampaignWorkResult(_Wraps, ApiResult):
-    """Outcome of :func:`campaign_work`; delegates to the fabric's
+class CampaignWorkResult(ApiResult):
+    """Outcome of :func:`campaign_work`: the fabric's
     :class:`~repro.harness.campaign.WorkerReport`."""
-
-    _inner = "report"
 
     report: object
 
@@ -600,11 +562,9 @@ class CampaignWorkResult(_Wraps, ApiResult):
 
 
 @dataclass
-class CampaignMergeResult(_Wraps, ApiResult):
-    """Outcome of :func:`campaign_merge`; delegates to the fabric's
+class CampaignMergeResult(ApiResult):
+    """Outcome of :func:`campaign_merge`: the fabric's
     :class:`~repro.harness.campaign.MergeResult`."""
-
-    _inner = "result"
 
     result: object
 
@@ -620,11 +580,9 @@ class CampaignMergeResult(_Wraps, ApiResult):
 
 
 @dataclass
-class CampaignStatusResult(_Wraps, ApiResult):
-    """Outcome of :func:`campaign_status`; delegates to the fabric's
+class CampaignStatusResult(ApiResult):
+    """Outcome of :func:`campaign_status`: the fabric's
     :class:`~repro.harness.campaign.CampaignStatus`."""
-
-    _inner = "status"
 
     status: object
 

@@ -13,14 +13,11 @@ from repro.harness.batch import (
     BatchReport,
     BatchStream,
     EngineStats,
-    EngineStream,
-    StreamSession,
     WorkerPool,
-    run_batch,
+    run_sweep_parallel,
 )
-from repro.harness.config import SweepConfig, resolve_config
+from repro.harness.config import SweepConfig
 from repro.harness.database import CheckpointWriter, ResultsDB, compact_checkpoint
-from repro.harness.executor import SweepReport, run_sweep_parallel
 from repro.harness.reporting import format_engine_stats
 from repro.harness.metrics import (
     convergence_speedup,
@@ -54,18 +51,13 @@ __all__ = [
     "BatchStream",
     "CheckpointWriter",
     "EngineStats",
-    "EngineStream",
     "ExperimentRunner",
-    "StreamSession",
     "SweepConfig",
     "WorkerPool",
-    "resolve_config",
     "compact_checkpoint",
     "format_engine_stats",
-    "run_batch",
     "MEMO_ITEMS_PER_THREAD",
     "ResultsDB",
-    "SweepReport",
     "chunk_points",
     "run_sweep_parallel",
     "RunRecord",

@@ -1,44 +1,26 @@
-"""Heterogeneous batch evaluation: one persistent, streaming parallel engine.
+"""Heterogeneous batch evaluation: the one path every job goes through.
 
-PR 1 parallelized *single* sweeps; PR 3 widened the unit of work to
-arbitrary heterogeneous ``device × app × technique × point`` batches with
-parent-resolved baselines and adaptive chunk sizing.  Two costs remained,
-both named in ROADMAP: every ``run_jobs`` call still paid a fresh
-``ProcessPoolExecutor`` spawn, and consumers blocked on the whole batch
-instead of seeing records as chunks landed.  This revision removes both:
-
-* :class:`WorkerPool` keeps one ``ProcessPoolExecutor`` alive for a whole
-  :class:`BatchEngine` session — spawned lazily on first use, reaped after
-  a configurable idle TTL, respawned automatically (with the
-  poisoned-runner rebuild) when a worker process crashes — so a session of
-  generation-sized batches pays the spawn cost once (``stats.pool_spawns``
-  makes "exactly one pool" assertable).
-* :class:`BatchStream` / :meth:`BatchEngine.submit` stream records to the
-  caller as chunks complete, while checkpoint writes, progress callbacks,
-  and the engine cache absorb them in the background.  The blocking
-  :func:`run_batch` / :meth:`BatchEngine.run_jobs` paths are now thin
-  drains of the same stream, so the streamed and blocking record sets are
-  identical by construction.
-* :class:`StreamSession` is the incremental variant — ``put()`` one job at
-  a time, consume results in submission order while later jobs evaluate —
-  feeding the steady-state evolutionary search, and the seam where the
-  ROADMAP's distributed work-stealing queue will plug in.
-
-Execution policy (workers, chunking, checkpoint, retries, progress,
-preflight, sanitize, baseline sharing, idle TTL) lives in one frozen
-:class:`~repro.harness.config.SweepConfig`; the PR-3 loose keywords remain
-accepted through a :class:`DeprecationWarning` shim.
+:meth:`BatchEngine.submit` is the single way jobs get evaluated.  An
+engine holds one parent :class:`~repro.harness.runner.ExperimentRunner`
+(the baseline cache and the in-process executor), one in-memory record
+cache keyed by the checkpoint label space, and — for ``workers > 1`` — one
+kept-alive :class:`WorkerPool`.  ``submit`` returns a :class:`BatchStream`
+that serves every slot it can without simulating (the engine cache, the
+checkpoint, the static preflight, the variant cache, duplicates of an
+earlier slot), then evaluates the rest in adaptively-sized chunks and
+yields records as those chunks complete.  The blocking helpers
+(:meth:`BatchEngine.run_jobs`, :meth:`BatchEngine.run_point`,
+:func:`run_sweep_parallel`) are drains of the same stream, so streamed and
+blocking record sets are identical by construction.
 
 The serial path (``workers <= 1``) runs the same code in-process and
 produces byte-identical records (the simulation is deterministic per
-seed), so every caller keeps a ``parallel=0`` escape hatch that matches
-the old behaviour exactly.
+seed).
 """
 
 from __future__ import annotations
 
 import sys
-import threading
 import time
 from collections import OrderedDict, deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -48,12 +30,7 @@ from typing import Callable, Iterable, Iterator
 
 from repro.errors import EngineMismatchError
 from repro.gpusim.device import DeviceSpec, get_device
-from repro.harness.config import (
-    TARGET_CHUNK_SECONDS,
-    UNSET,
-    SweepConfig,
-    resolve_config,
-)
+from repro.harness.config import SweepConfig
 from repro.harness.database import CheckpointWriter, ResultsDB
 from repro.harness.reporting import SweepProgress, format_progress
 from repro.harness.runner import ExperimentRunner, RunRecord
@@ -64,8 +41,11 @@ from repro.harness.sweep import SweepPoint
 INITIAL_CHUNK_SIZE = 2
 MIN_CHUNK_SIZE = 1
 MAX_CHUNK_SIZE = 64
-#: Pool respawns one batch/session tolerates before recording the affected
-#: jobs as infeasible (a chunk that reliably kills workers must not respawn
+#: Wall-clock one adaptively-sized chunk should cost once a job group's
+#: throughput is known.
+TARGET_CHUNK_SECONDS = 0.8
+#: Pool respawns one stream tolerates before recording the affected jobs
+#: as infeasible (a chunk that reliably kills workers must not respawn
 #: forever).
 MAX_POOL_RESPAWNS = 3
 
@@ -86,14 +66,15 @@ class BatchJob:
 
 @dataclass
 class BatchReport:
-    """Outcome of one :func:`run_batch` invocation."""
+    """Outcome of one drained :class:`BatchStream` (or pruned sweep)."""
 
     #: One record per input job, in job order (checkpointed + fresh; a
     #: deduplicated slot shares its record with the slot it collapsed into).
     records: list[RunRecord]
     #: Points actually simulated by this invocation.
     evaluated: int
-    #: Job slots satisfied from the checkpoint without running.
+    #: Job slots satisfied from the checkpoint or the engine's session
+    #: cache without running.
     skipped: int
     #: Duplicate job slots collapsed within this batch.
     deduped: int = 0
@@ -103,7 +84,7 @@ class BatchReport:
     variant_hits: int = 0
     #: Unique (app, device) baselines computed in the parent for sharing.
     baseline_runs: int = 0
-    #: Baselines computed inside pool workers (0 when sharing is on).
+    #: Baselines computed inside pool workers (0 when sharing works).
     worker_baseline_runs: int = 0
     elapsed: float = 0.0
     checkpoint: str | None = None
@@ -270,7 +251,7 @@ def _worker_baseline_computes() -> int:
     return _BATCH_RETIRED_COMPUTES + getattr(_BATCH_RUNNER, "baseline_computes", 0)
 
 
-def _run_batch_chunk(
+def _run_chunk(
     chunk: list[tuple],
     retries: int,
     baselines: dict | None = None,
@@ -302,12 +283,11 @@ class WorkerPool:
     """A kept-alive ``ProcessPoolExecutor`` for batch workers.
 
     Spawned lazily on the first submission, kept warm between batches so a
-    session of ``run_jobs`` calls pays the interpreter-spawn cost once,
-    reaped after ``idle_ttl`` seconds without work (a daemon timer; the
-    next submission transparently respawns), and replaced wholesale by
-    :meth:`respawn` when a crashed worker breaks the executor.  ``spawns``
-    / ``respawns`` count pool creations so "exactly one pool per session"
-    is assertable rather than assumed.
+    session of ``submit`` calls pays the interpreter-spawn cost once, and
+    replaced wholesale by :meth:`respawn` when a crashed worker breaks the
+    executor.  ``spawns`` / ``respawns`` count pool creations so "exactly
+    one pool per session" is assertable rather than assumed; ``spawns``
+    also names the current executor's generation.
     """
 
     def __init__(
@@ -315,31 +295,19 @@ class WorkerPool:
         max_workers: int,
         factory: Callable = _default_factory,
         args: tuple = (None, 2023),
-        idle_ttl: float | None = None,
     ) -> None:
         self.max_workers = max(1, int(max_workers))
         self.factory = factory
         self.args = args
-        self.idle_ttl = idle_ttl
         self.spawns = 0
         self.respawns = 0
         self._executor: ProcessPoolExecutor | None = None
-        self._lock = threading.RLock()
-        self._timer: threading.Timer | None = None
-        self._active = 0
-        self._last_used = time.monotonic()
 
     @property
     def alive(self) -> bool:
         return self._executor is not None
 
-    def _cancel_timer(self) -> None:
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
-
     def _ensure(self) -> ProcessPoolExecutor:
-        self._cancel_timer()
         if self._executor is None:
             self._executor = ProcessPoolExecutor(
                 max_workers=self.max_workers,
@@ -347,64 +315,31 @@ class WorkerPool:
                 initargs=(self.factory, self.args),
             )
             self.spawns += 1
-        self._last_used = time.monotonic()
         return self._executor
 
     def submit(self, fn, *args):
-        with self._lock:
-            return self._ensure().submit(fn, *args)
+        return self._ensure().submit(fn, *args)
 
-    def acquire(self) -> None:
-        """Mark the pool in-use: suspends idle reaping until released."""
-        with self._lock:
-            self._active += 1
-            self._cancel_timer()
+    def respawn(self, generation: int | None = None) -> bool:
+        """Replace a broken executor with a fresh one (counted).
 
-    def release(self) -> None:
-        """Mark one user done; schedules the idle reap when none remain."""
-        with self._lock:
-            self._active = max(0, self._active - 1)
-            self._last_used = time.monotonic()
-            if self._active == 0 and self.idle_ttl is not None and self.alive:
-                self._cancel_timer()
-                self._timer = threading.Timer(self.idle_ttl, self.reap_idle)
-                self._timer.daemon = True
-                self._timer.start()
-
-    def reap_idle(self, force: bool = False) -> bool:
-        """Shut the executor down if it has sat idle past the TTL.
-
-        Returns True if the pool was reaped.  ``force=True`` reaps an idle
-        pool regardless of elapsed time (deterministic tests)."""
-        with self._lock:
-            if self._executor is None or self._active:
-                return False
-            idle = time.monotonic() - self._last_used
-            # The timer can fire a scheduler tick early; allow 1% slack.
-            if not force and (
-                self.idle_ttl is None or idle < self.idle_ttl * 0.99
-            ):
-                return False
-            self._cancel_timer()
-            self._executor.shutdown(wait=False, cancel_futures=True)
-            self._executor = None
-            return True
-
-    def respawn(self) -> ProcessPoolExecutor:
-        """Replace a broken executor with a fresh one (counted)."""
-        with self._lock:
-            old, self._executor = self._executor, None
-            if old is not None:
-                old.shutdown(wait=False, cancel_futures=True)
-            self.respawns += 1
-            return self._ensure()
+        Several streams can share one pool; a stream passes the
+        ``generation`` its lost chunks were submitted to, so only the first
+        to notice a breakage respawns.  Returns False when that generation
+        has already been replaced."""
+        if generation is not None and generation != self.spawns:
+            return False
+        old, self._executor = self._executor, None
+        if old is not None:
+            old.shutdown(wait=False, cancel_futures=True)
+        self.respawns += 1
+        self._ensure()
+        return True
 
     def shutdown(self) -> None:
-        with self._lock:
-            self._cancel_timer()
-            if self._executor is not None:
-                self._executor.shutdown(wait=False, cancel_futures=True)
-                self._executor = None
+        if self._executor is not None:
+            self._executor.shutdown(wait=False, cancel_futures=True)
+            self._executor = None
 
     def __enter__(self) -> "WorkerPool":
         return self
@@ -414,25 +349,11 @@ class WorkerPool:
 
 
 # ----------------------------------------------------------------------
-def _job_keys(jobs: list[BatchJob], dev_names: dict[str, str]) -> list[tuple]:
-    """Checkpoint-label-space identity per job (device presets memoized)."""
-    keys = []
-    for job in jobs:
-        if isinstance(job.device, DeviceSpec):
-            name = job.device.name
-        else:
-            name = dev_names.get(job.device)
-            if name is None:
-                name = get_device(job.device).name
-                dev_names[job.device] = name
-        keys.append((job.app, name, job.point.label()))
-    return keys
-
-
 def _order_pending(
     pending: "OrderedDict[tuple, BatchJob]",
     order,
     done: dict,
+    key: Callable[[BatchJob], tuple],
     bound: float | None = None,
 ) -> "OrderedDict[tuple, BatchJob]":
     """Reorder the pending frontier per ``SweepConfig.order``.
@@ -444,90 +365,84 @@ def _order_pending(
     entries = list(pending.items())
     if callable(order):
         ordered_jobs = list(order([job for _key, job in entries]))
-        new_keys = _job_keys(ordered_jobs, {})
+        new_keys = [key(job) for job in ordered_jobs]
         if sorted(new_keys) != sorted(pending):
             raise ValueError(
                 "order callable must return a permutation of the pending jobs"
             )
-        return OrderedDict((key, pending[key]) for key in new_keys)
+        return OrderedDict((k, pending[k]) for k in new_keys)
     from repro.harness.pruning import DEFAULT_QOI_BOUND, Surrogate
 
     surrogate = Surrogate()
     surrogate.observe_records(done.values())
     b = bound if bound is not None else DEFAULT_QOI_BOUND
-    scores = {key: surrogate.score(job.point, b) for key, job in entries}
+    scores = {k: surrogate.score(job.point, b) for k, job in entries}
     return OrderedDict(sorted(entries, key=lambda kv: -scores[kv[0]]))
 
 
 class BatchStream:
-    """Iterator over a batch's records, yielded as they become available.
+    """Records of one :meth:`BatchEngine.submit` call, yielded as they land.
 
-    Construction resolves job identities, loads the checkpoint, collapses
-    duplicates, runs the static preflight, and resolves shared baselines;
-    iteration drives the dispatch loop.  Slots satisfied without
-    simulation (checkpoint, preflight prune, duplicate of an earlier slot)
-    yield first, in job order; fresh evaluations yield as their chunks
-    complete — while checkpoint writes and progress callbacks absorb them
-    in the background — so a consumer overlaps its own work with the
+    Construction resolves job identities and serves every slot it can
+    without simulating — the engine's session cache, the checkpoint, the
+    static preflight, the variant cache, and duplicates of an earlier slot
+    — then resolves shared baselines and, on a pool, dispatches the first
+    chunks, so independent streams on one engine overlap.  Those
+    early-resolved slots yield first, in job order; fresh evaluations
+    yield as their chunks complete, while checkpoint writes and progress
+    callbacks absorb them, so a consumer overlaps its own work with the
     pool's.  :meth:`records` / :meth:`report` drain the stream and return
-    the job-ordered result, byte-identical to the blocking path.
+    the job-ordered result, byte-identical to a blocking run.
 
-    With ``pool=None`` and ``config.workers > 1`` the stream owns a
-    transient :class:`WorkerPool` (shut down when the stream finishes);
-    passing a shared pool — what :class:`BatchEngine` does — reuses its
-    warm workers and leaves its lifecycle to the owner.
+    ``config.workers > 1`` runs on the engine's kept-alive pool (or on a
+    transient pool of the stream's own when the engine has none); otherwise
+    jobs run in-process on the engine's runner.
     """
 
     def __init__(
         self,
+        engine: "BatchEngine",
         jobs: Iterable[BatchJob],
-        *,
-        problems: dict | None = None,
-        seed: int = 2023,
-        config: SweepConfig | None = None,
-        pool: WorkerPool | None = None,
-        baseline_source: ExperimentRunner | None = None,
-        serial_runner: ExperimentRunner | None = None,
-        runner_factory: Callable[..., ExperimentRunner] | None = None,
-        factory_args: tuple | None = None,
-        on_result: Callable[[tuple, RunRecord], None] | None = None,
-        on_done: Callable[["BatchStream"], None] | None = None,
-        variant_cache=None,
+        config: SweepConfig,
     ) -> None:
-        cfg = config if config is not None else SweepConfig()
-        self.config = cfg
+        self.config = cfg = config
         self.jobs = list(jobs)
-        self._on_result = on_result
-        self._on_done = on_done
+        self._engine = engine
         self._t0 = time.monotonic()
-        self._factory = runner_factory or _default_factory
-        self._args = factory_args if factory_args is not None else (problems, seed)
-        default_runner = runner_factory is None
+        stock = engine.runner_factory is None
 
-        self._slot_keys = _job_keys(self.jobs, {})
+        self._slot_keys = [engine._key(job) for job in self.jobs]
         self._slots_by_key: dict[tuple, list[int]] = {}
         for idx, key in enumerate(self._slot_keys):
             self._slots_by_key.setdefault(key, []).append(idx)
+        engine.stats.submitted += len(self.jobs)
 
-        # Checkpointed jobs are trusted and never dispatched.
-        self._done: dict[tuple, RunRecord] = {}
+        # Records from earlier calls on this engine, then checkpointed
+        # jobs, are trusted and never dispatched.
+        index: dict[tuple, RunRecord] = {}
         if cfg.checkpoint is not None and Path(cfg.checkpoint).exists():
-            index: dict[tuple, RunRecord] = {}
             for rec in ResultsDB.load(cfg.checkpoint):
                 index[(rec.app, rec.device, SweepPoint.of_record(rec).label())] = rec
-            for key in self._slots_by_key:
-                if key in index:
-                    self._done[key] = index[key]
-        self.skipped = sum(
-            1 for key in self._slot_keys if key in self._done
-        )
+        self._done: dict[tuple, RunRecord] = {}
+        self.cache_hits = self.skipped = 0
+        for key, slots in self._slots_by_key.items():
+            if key in engine._cache:
+                self._done[key] = engine._cache[key]
+                self.cache_hits += len(slots)
+            elif key in index:
+                self._done[key] = index[key]
+                self.skipped += len(slots)
 
         # In-batch dedupe: first job per identity wins, later slots share it.
         pending: OrderedDict[tuple, BatchJob] = OrderedDict()
         for job, key in zip(self.jobs, self._slot_keys):
             if key not in self._done and key not in pending:
                 pending[key] = job
-        self.deduped = (len(self.jobs) - self.skipped) - len(pending)
+        self.deduped = (
+            len(self.jobs) - self.cache_hits - self.skipped - len(pending)
+        )
+        engine.stats.cache_hits += self.cache_hits
+        engine.stats.deduped += self.deduped
 
         # Static preflight: vet pending jobs in the parent (cheap — no
         # simulation) and divert the statically infeasible ones straight to
@@ -538,7 +453,7 @@ class BatchStream:
             if pre is True:
                 from repro.analysis.preflight import make_preflight
 
-                pre = make_preflight(problems)
+                pre = make_preflight(engine.problems)
             survivors: OrderedDict[tuple, BatchJob] = OrderedDict()
             for key, job in pending.items():
                 rec = pre(job.app, job.device, job.point, site=job.site)
@@ -557,10 +472,9 @@ class BatchStream:
         self._vcache = None
         self._vkeys: dict[tuple, str] = {}
         vhits: list[tuple[tuple, RunRecord]] = []
-        if default_runner:
-            if variant_cache is not None:
-                self._vcache = variant_cache
-            elif cfg.variant_cache is not None:
+        if stock:
+            self._vcache = engine.variant_cache
+            if self._vcache is None and cfg.variant_cache is not None:
                 from repro.harness.pruning import resolve_variant_cache
 
                 self._vcache = resolve_variant_cache(cfg.variant_cache)
@@ -569,7 +483,7 @@ class BatchStream:
             for key, job in pending.items():
                 vkey = self._vcache.key_for(
                     job.app, job.device, job.point, site=job.site,
-                    seed=self._args[1], problem=self._args[0],
+                    seed=engine.seed, problem=engine.problems,
                     sanitize=cfg.sanitize,
                 )
                 rec = self._vcache.get(vkey)
@@ -589,6 +503,7 @@ class BatchStream:
                 pending,
                 cfg.order,
                 self._done,
+                engine._key,
                 bound=(
                     float(cfg.prune)
                     if isinstance(cfg.prune, float)
@@ -597,23 +512,22 @@ class BatchStream:
             )
 
         # Baseline pre-resolution: every unique (app, device) among the
-        # pending jobs, computed exactly once, shipped to workers alongside
-        # their chunks (a persistent pool outlives any one batch, so the
-        # old ship-once-via-initializer channel no longer exists).
+        # pending jobs, computed exactly once in the engine's runner and
+        # shipped to workers alongside their chunks (a persistent pool
+        # outlives any one batch).  A custom runner factory may not build
+        # an ExperimentRunner at all, so it gets no shared baselines.
         self.baseline_runs = 0
         self._group_baselines: dict[tuple, dict] = {}
-        src: ExperimentRunner | None = None
-        pairs: OrderedDict[tuple, BatchJob] = OrderedDict()
-        for key, job in pending.items():
-            pairs.setdefault((job.app, key[1]), job)
-        if cfg.share_baselines and default_runner and pending:
-            src = baseline_source or serial_runner or ExperimentRunner(
-                problems=problems, seed=seed
-            )
+        if stock and pending:
+            src = engine.runner
+            pairs: OrderedDict[tuple, BatchJob] = OrderedDict()
+            for key, job in pending.items():
+                pairs.setdefault((job.app, key[1]), job)
             before = src.baseline_computes
-            for (_app, _dev), job in pairs.items():
+            for job in pairs.values():
                 src.baseline(job.app, job.device)
             self.baseline_runs = src.baseline_computes - before
+            engine.stats.baseline_runs += self.baseline_runs
             for cache_key, result in src.export_baselines().items():
                 pair = (cache_key[0], cache_key[1])
                 if pair in pairs:
@@ -658,7 +572,7 @@ class BatchStream:
 
         # Group pending jobs by (app, device): the adaptive controller's
         # unit of throughput, and the worker's unit of app-cache locality.
-        self._chunker = AdaptiveChunker(target_seconds=cfg.target_chunk_seconds)
+        self._chunker = AdaptiveChunker(target_seconds=TARGET_CHUNK_SECONDS)
         self._groups: OrderedDict[tuple, deque] = OrderedDict()
         for key, job in pending.items():
             self._groups.setdefault((job.app, key[1]), deque()).append((key, job))
@@ -673,32 +587,23 @@ class BatchStream:
         self._respawns_left = MAX_POOL_RESPAWNS
         self._pool: WorkerPool | None = None
         self._owns_pool = False
-        self._runner: ExperimentRunner | None = None
+        self._runner = engine.runner
         if self._workers > 1 and pending:
-            if pool is not None:
-                self._pool = pool
-                self._pool.acquire()
-            else:
-                self._pool = WorkerPool(self._workers, self._factory, self._args)
+            self._pool = engine.pool
+            if self._pool is None:
+                self._pool = WorkerPool(
+                    self._workers, engine._factory, engine.factory_args
+                )
                 self._owns_pool = True
-        else:
-            runner = serial_runner or src or self._factory(*self._args)
-            if (
-                self._group_baselines
-                and runner is not src
-                and hasattr(runner, "prime_baselines")
-            ):
-                for entry in self._group_baselines.values():
-                    runner.prime_baselines(entry)
-            self._runner = runner
         self._yielded = 0
         self._finished = False
+        if self._pool is not None:
+            self._fill()
 
     # -- bookkeeping ----------------------------------------------------
     def _notify(self, key: tuple, record: RunRecord) -> None:
         self._ready.extend(self._slots_by_key.get(key, ()))
-        if self._on_result is not None:
-            self._on_result(key, record)
+        self._engine._cache[key] = record
 
     def _absorb(self, keys: list[tuple], records: list[RunRecord]) -> None:
         if self._writer is not None:
@@ -758,30 +663,42 @@ class BatchStream:
         payload = [(job.app, job.device, job.point, job.site) for job in jobs]
         try:
             fut = self._pool.submit(
-                _run_batch_chunk, payload, self.config.retries,
+                _run_chunk, payload, self.config.retries,
                 self._group_baselines.get(group), self.config.sanitize,
             )
         except Exception:  # noqa: BLE001 — broken pool surfaces at submit too
-            self._recover([(group, keys, jobs)])
+            self._recover([(group, keys, jobs, self._pool.spawns)])
             return
-        self._inflight[fut] = (group, keys, jobs)
+        self._inflight[fut] = (group, keys, jobs, self._pool.spawns)
+
+    def _fill(self) -> None:
+        """Dispatch chunks until every worker has one in flight."""
+        while len(self._inflight) < self._workers and self._groups:
+            group, chunk = self._next_chunk()
+            if not chunk:
+                break
+            self._dispatch(
+                group, [key for key, _job in chunk], [job for _key, job in chunk]
+            )
 
     def _recover(self, casualties: list[tuple]) -> None:
-        """Respawn a broken pool and re-run its lost chunks (budgeted)."""
-        casualties = casualties + list(self._inflight.values())
-        self._inflight.clear()
+        """Respawn a broken pool and re-run its lost chunks (budgeted).
+
+        Each casualty carries the pool generation it was submitted to; the
+        pool is replaced only if that generation is still current (another
+        stream on the same pool may already have replaced it)."""
         if self._respawns_left > 0:
             self._respawns_left -= 1
-            self.pool_respawns += 1
-            self._pool.respawn()
-            for group, keys, jobs in casualties:
+            generation = max(gen for *_rest, gen in casualties)
+            self.pool_respawns += self._pool.respawn(generation)
+            for group, keys, jobs, _gen in casualties:
                 self._dispatch(group, keys, jobs)
         else:
             why = (
                 f"process pool broke {MAX_POOL_RESPAWNS + 1} times; "
                 f"chunk abandoned"
             )
-            for _group, keys, jobs in casualties:
+            for _group, keys, jobs, _gen in casualties:
                 self._absorb(keys, [_crash_record(j, why) for j in jobs])
 
     def _pump(self) -> bool:
@@ -792,9 +709,10 @@ class BatchStream:
             group, chunk = self._next_chunk()
             if not chunk:
                 return False
+            engine = self._engine
 
             def rebuild():
-                self._runner = self._factory(*self._args)
+                self._runner = engine._factory(*engine.factory_args)
                 if hasattr(self._runner, "prime_baselines"):
                     for entry in self._group_baselines.values():
                         self._runner.prime_baselines(entry)
@@ -812,23 +730,17 @@ class BatchStream:
             self._chunker.observe(group, len(chunk), time.monotonic() - t_chunk)
             self._absorb([key for key, _job in chunk], records)
             return True
-        while len(self._inflight) < self._workers and self._groups:
-            group, chunk = self._next_chunk()
-            if not chunk:
-                break
-            self._dispatch(
-                group, [key for key, _job in chunk], [job for _key, job in chunk]
-            )
+        self._fill()
         if not self._inflight:
             return False
         finished, _ = wait(self._inflight, return_when=FIRST_COMPLETED)
         casualties = []
         for fut in finished:
-            group, keys, jobs = self._inflight.pop(fut)
+            group, keys, jobs, gen = self._inflight.pop(fut)
             try:
                 records, seconds, computes = fut.result()
             except Exception:  # noqa: BLE001 — a dead worker breaks the pool
-                casualties.append((group, keys, jobs))
+                casualties.append((group, keys, jobs, gen))
                 continue
             self.worker_baseline_runs += computes
             self._chunker.observe(group, len(keys), seconds)
@@ -870,12 +782,15 @@ class BatchStream:
         return [self._done[key] for key in self._slot_keys]
 
     def report(self) -> BatchReport:
-        """Drain the stream into a blocking-path :class:`BatchReport`."""
+        """Drain the stream into a :class:`BatchReport`.
+
+        Engine cache hits count as ``skipped`` — like checkpoint hits, they
+        are slots satisfied without running this call."""
         records = self.records()
         return BatchReport(
             records=records,
             evaluated=self.evaluated,
-            skipped=self.skipped,
+            skipped=self.skipped + self.cache_hits,
             deduped=self.deduped,
             pruned=self.pruned,
             variant_hits=self.variant_hits,
@@ -890,7 +805,6 @@ class BatchStream:
                 "chunk_log": list(self._chunker.log),
                 "dispatch_log": list(self.dispatch_log),
                 "pool_respawns": self.pool_respawns,
-                "variant_hits": self.variant_hits,
             },
         )
 
@@ -915,13 +829,16 @@ class BatchStream:
         self.elapsed = time.monotonic() - self._t0
         if self._writer is not None:
             self._writer.close()
-        if self._pool is not None:
-            if self._owns_pool:
-                self._pool.shutdown()
-            else:
-                self._pool.release()
-        if self._on_done is not None:
-            self._on_done(self)
+        if self._owns_pool:
+            self._pool.shutdown()
+        stats = self._engine.stats
+        stats.executed += self.evaluated
+        stats.skipped += self.skipped
+        stats.pruned += self.pruned
+        stats.variant_hits += self.variant_hits
+        stats.worker_baseline_runs += self.worker_baseline_runs
+        stats.elapsed += self.elapsed
+        self._engine._sync_pool_stats()
 
     def __del__(self) -> None:  # pragma: no cover - GC safety net
         try:
@@ -931,55 +848,6 @@ class BatchStream:
                 self._finish()
         except Exception:
             pass
-
-
-# ----------------------------------------------------------------------
-def run_batch(
-    jobs: list[BatchJob],
-    *,
-    problems: dict | None = None,
-    seed: int = 2023,
-    config: SweepConfig | None = None,
-    pool: WorkerPool | None = None,
-    baseline_source: ExperimentRunner | None = None,
-    serial_runner: ExperimentRunner | None = None,
-    runner_factory: Callable[..., ExperimentRunner] | None = None,
-    factory_args: tuple | None = None,
-    **legacy,
-) -> BatchReport:
-    """Execute heterogeneous ``jobs``, in parallel, resumably, deduplicated.
-
-    Identity of a job is ``(app, device name, point label)`` — the same
-    label space the PR-1 checkpoints use — so duplicate jobs within the
-    batch evaluate once, and ``config.checkpoint`` (a JSONL or
-    ``.jsonl.gz`` file, shared across any mix of apps and devices)
-    satisfies previously-run jobs without simulating.  ``site`` overrides
-    are honoured per job but are *not* part of the identity (records do
-    not store them); do not mix site variants of the same point in one
-    label space.
-
-    Execution policy lives in ``config`` (:class:`SweepConfig`); the PR-3
-    loose keywords (``max_workers``, ``chunk_size``, ...) remain accepted
-    through a :class:`DeprecationWarning` shim.  This is the blocking
-    drain of :class:`BatchStream` — construct the stream directly (or use
-    :meth:`BatchEngine.submit`) to consume records as chunks complete.
-
-    ``pool`` reuses a caller-owned :class:`WorkerPool` (its worker
-    processes stay warm afterwards); without one, ``config.workers > 1``
-    spins up a transient pool for this call only.
-    """
-    cfg = resolve_config(config, "run_batch", **legacy)
-    return BatchStream(
-        jobs,
-        problems=problems,
-        seed=seed,
-        config=cfg,
-        pool=pool,
-        baseline_source=baseline_source,
-        serial_runner=serial_runner,
-        runner_factory=runner_factory,
-        factory_args=factory_args,
-    ).report()
 
 
 # ----------------------------------------------------------------------
@@ -1007,7 +875,7 @@ class EngineStats:
     #: Baselines recomputed inside workers (0 when sharing works).
     worker_baseline_runs: int = 0
     #: Process pools spawned for this engine (1 for a whole session once
-    #: warm; idle reaps and crash respawns add to it).
+    #: warm; crash respawns add to it).
     pool_spawns: int = 0
     #: Pools respawned after a worker crash broke the executor.
     pool_respawns: int = 0
@@ -1015,17 +883,22 @@ class EngineStats:
 
 
 class BatchEngine:
-    """Session-scoped, persistent front-end to the batch layer.
+    """Session-scoped front-end to the batch layer; see :meth:`submit`.
 
     Holds one parent :class:`ExperimentRunner` (the baseline cache and the
-    serial executor), one in-memory record cache keyed by the checkpoint
-    label space — so *independent callers* (Fig 6 and Fig 7, a search and
-    a figure) share overlapping points instead of simulating them twice —
-    and, for ``config.workers > 1``, one kept-alive :class:`WorkerPool`
-    reused by every :meth:`run_jobs` / :meth:`submit` / session call, so
-    consecutive batches amortize the pool spawn (``stats.pool_spawns``
-    asserts it).  ``close()`` (or the context manager) releases the pool;
-    ``config.idle_ttl`` reaps it automatically between bursts.
+    in-process executor), one in-memory record cache keyed by the
+    checkpoint label space — so *independent callers* (Fig 6 and Fig 7, a
+    search and a figure) share overlapping points instead of simulating
+    them twice — and, for ``config.workers > 1``, one kept-alive
+    :class:`WorkerPool` reused by every :meth:`submit`, so consecutive
+    batches amortize the pool spawn (``stats.pool_spawns`` asserts it).
+    ``close()`` (or the context manager) releases the pool.
+
+    ``runner_factory(*factory_args)`` builds the runners (parent and pool
+    workers alike); it must be a picklable top-level callable for a pool.
+    The default builds ``ExperimentRunner(problems=problems, seed=seed)``.
+    A custom factory disables baseline sharing and the variant cache (its
+    runner may not be an :class:`ExperimentRunner` at all).
     """
 
     def __init__(
@@ -1035,10 +908,22 @@ class BatchEngine:
         seed: int = 2023,
         config: SweepConfig | None = None,
         runner: ExperimentRunner | None = None,
-        **legacy,
+        runner_factory: Callable[..., ExperimentRunner] | None = None,
+        factory_args: tuple | None = None,
     ) -> None:
-        self.config = resolve_config(config, "BatchEngine", **legacy)
-        self.runner = runner or ExperimentRunner(problems=problems, seed=seed)
+        self.config = config if config is not None else SweepConfig()
+        if runner is not None:
+            problems, seed = runner.problems, runner.seed
+        #: The problems and seed this engine simulates with.
+        self.problems = problems or {}
+        self.seed = seed
+        self.runner_factory = runner_factory
+        self._factory = runner_factory or _default_factory
+        self.factory_args = (
+            tuple(factory_args) if factory_args is not None
+            else (self.problems, self.seed)
+        )
+        self.runner = runner or self._factory(*self.factory_args)
         self.stats = EngineStats()
         self.variant_cache = None
         if self.config.variant_cache is not None:
@@ -1048,12 +933,7 @@ class BatchEngine:
         self._cache: dict[tuple, RunRecord] = {}
         self._dev_names: dict[str, str] = {}
         self.pool: WorkerPool | None = (
-            WorkerPool(
-                self.config.workers,
-                _default_factory,
-                (self.runner.problems, self.runner.seed),
-                idle_ttl=self.config.idle_ttl,
-            )
+            WorkerPool(self.config.workers, self._factory, self.factory_args)
             if self.config.workers > 1
             else None
         )
@@ -1063,24 +943,19 @@ class BatchEngine:
         """Raise :class:`~repro.errors.EngineMismatchError` unless a sweep's
         ``problems`` (when given) and ``seed`` are the ones this engine
         simulates with."""
-        mine = self.runner.problems
-        if problems is not None and dict(problems) != mine:
+        if problems is not None and dict(problems) != self.problems:
             raise EngineMismatchError(
                 f"sweep asks for problems={problems!r} but the engine "
-                f"simulates problems={mine!r}"
+                f"simulates problems={self.problems!r}"
             )
-        if seed != self.runner.seed:
+        if seed != self.seed:
             raise EngineMismatchError(
                 f"sweep asks for seed={seed!r} but the engine simulates "
-                f"seed={self.runner.seed!r}"
+                f"seed={self.seed!r}"
             )
 
-    #: Back-compat: PR-3 callers read ``engine.max_workers``.
-    @property
-    def max_workers(self) -> int:
-        return self.config.workers
-
     def _key(self, job: BatchJob) -> tuple:
+        """Checkpoint-label-space identity (device presets memoized)."""
         if isinstance(job.device, DeviceSpec):
             name = job.device.name
         else:
@@ -1090,95 +965,32 @@ class BatchEngine:
                 self._dev_names[job.device] = name
         return (job.app, name, job.point.label())
 
-    def _baseline_entries(self, app: str, device: str | DeviceSpec) -> dict:
-        """Resolve (and count) the pair's baseline in the parent runner."""
-        before = self.runner.baseline_computes
-        self.runner.baseline(app, device)
-        self.stats.baseline_runs += self.runner.baseline_computes - before
-        name = get_device(device).name
-        return {
-            k: v for k, v in self.runner.export_baselines().items()
-            if k[0] == app and k[1] == name
-        }
-
     def _sync_pool_stats(self) -> None:
         if self.pool is not None:
             self.stats.pool_spawns = self.pool.spawns
             self.stats.pool_respawns = self.pool.respawns
 
-    def _on_result(self, key: tuple, record: RunRecord) -> None:
-        self._cache[key] = record
-
-    def _on_stream_done(self, stream: BatchStream) -> None:
-        self.stats.executed += stream.evaluated
-        self.stats.skipped += stream.skipped
-        self.stats.pruned += stream.pruned
-        self.stats.variant_hits += stream.variant_hits
-        self.stats.worker_baseline_runs += stream.worker_baseline_runs
-        self.stats.elapsed += stream.elapsed
-        self._sync_pool_stats()
-
     def submit(
-        self, jobs: list[BatchJob], *, config: SweepConfig | None = None
-    ) -> "EngineStream":
+        self, jobs: list[BatchJob], config: SweepConfig | None = None
+    ) -> BatchStream:
         """Start evaluating ``jobs``; returns a stream of their records.
 
-        The stream yields each job slot's :class:`RunRecord` as it becomes
-        available — cache hits immediately, fresh evaluations as their
-        chunks complete — so the caller overlaps consumption with the
-        pool's execution.  ``records()`` on the stream (what
-        :meth:`run_jobs` calls) drains it into the job-ordered list,
-        identical to the blocking path.  ``config`` overlays per-call
-        policy (e.g. a checkpoint) onto the engine's."""
-        cfg = self.config.merged(config)
-        keys = [self._key(job) for job in jobs]
-        self.stats.submitted += len(jobs)
-        fresh: OrderedDict[tuple, BatchJob] = OrderedDict()
-        hits = 0
-        for job, key in zip(jobs, keys):
-            if key in self._cache:
-                hits += 1
-            elif key not in fresh:
-                fresh[key] = job
-        deduped = (len(jobs) - hits) - len(fresh)
-        self.stats.cache_hits += hits
-        self.stats.deduped += deduped
-        inner: BatchStream | None = None
-        if fresh:
-            inner = BatchStream(
-                list(fresh.values()),
-                problems=self.runner.problems,
-                seed=self.runner.seed,
-                config=cfg,
-                pool=self.pool,
-                baseline_source=self.runner,
-                serial_runner=self.runner if cfg.workers <= 1 else None,
-                on_result=self._on_result,
-                on_done=self._on_stream_done,
-                variant_cache=self.variant_cache,
-            )
-            self.stats.baseline_runs += inner.baseline_runs
-        return EngineStream(
-            self, jobs, keys, inner, cache_hits=hits, deduped=deduped
-        )
+        Identity of a job is ``(app, device name, point label)`` — the
+        checkpoint label space — so duplicate jobs evaluate once, records
+        of earlier calls on this engine are reused, and ``checkpoint`` (a
+        JSONL or ``.jsonl.gz`` file, shared across any mix of apps and
+        devices) satisfies previously-run jobs without simulating.
+        ``site`` overrides are honoured per job but are *not* part of the
+        identity (records do not store them).
+
+        ``config`` is the complete policy for this call, used as given;
+        ``None`` means the engine's own.  Callers that overlay a partial
+        policy resolve ``engine.config.merged(theirs)`` first."""
+        return BatchStream(self, jobs, self.config if config is None else config)
 
     def run_jobs(self, jobs: list[BatchJob]) -> list[RunRecord]:
         """Evaluate ``jobs``, returning one record per job in job order."""
         return self.submit(jobs).records()
-
-    def open_stream(self, *, config: SweepConfig | None = None) -> "StreamSession":
-        """Open an incremental submit/consume session on this engine."""
-        return StreamSession(self, config=config)
-
-    def run_sweep(
-        self,
-        app: str,
-        device: str | DeviceSpec,
-        points: list[SweepPoint],
-        site: str | None = None,
-    ) -> list[RunRecord]:
-        """Drop-in for :meth:`ExperimentRunner.run_sweep` through the engine."""
-        return self.run_jobs([BatchJob(app, device, pt, site=site) for pt in points])
 
     def run_point(
         self,
@@ -1206,318 +1018,55 @@ class BatchEngine:
         self.close()
 
 
-class EngineStream:
-    """Records for one :meth:`BatchEngine.submit` call, as they land.
+# ----------------------------------------------------------------------
+def run_sweep_parallel(
+    app: str,
+    device: str | DeviceSpec,
+    points: list[SweepPoint],
+    *,
+    site: str | None = None,
+    problems: dict | None = None,
+    seed: int = 2023,
+    config: SweepConfig | None = None,
+    engine: BatchEngine | None = None,
+) -> BatchReport:
+    """Execute ``points`` for one app/device, in parallel, resumably.
 
-    Yields one :class:`RunRecord` per submitted job slot: slots already in
-    the engine cache (or satisfied by the checkpoint / preflight) first,
-    in job order, then fresh evaluations in completion order — duplicates
-    of the same identity yield together.  ``records()`` drains the stream
-    and returns the job-ordered list, byte-identical to
-    :meth:`BatchEngine.run_jobs`."""
+    ``engine`` runs the sweep on an existing :class:`BatchEngine` — its
+    warm worker pool and session record cache — with ``config`` overlaid
+    on the engine's own policy; the engine simulates with its own problems
+    and seed, so a ``problems`` (when given) or ``seed`` that differs from
+    them raises :class:`~repro.errors.EngineMismatchError`.  Without one, a
+    transient engine is built from ``problems``, ``seed`` and ``config``
+    and closed on return.
 
-    def __init__(
-        self,
-        engine: BatchEngine,
-        jobs: list[BatchJob],
-        keys: list[tuple],
-        inner: BatchStream | None,
-        cache_hits: int = 0,
-        deduped: int = 0,
-    ) -> None:
-        self._engine = engine
-        self._keys = keys
-        self._inner = inner
-        self.cache_hits = cache_hits
-        self.deduped = deduped
-        self._ready: deque[int] = deque()
-        self._waiting: OrderedDict[tuple, list[int]] = OrderedDict()
-        for idx, key in enumerate(keys):
-            if key in engine._cache:
-                self._ready.append(idx)
-            else:
-                self._waiting.setdefault(key, []).append(idx)
-        self._yielded = 0
+    The resolved policy is decided once, here: ``prune`` runs the
+    lattice-pruned driver (:func:`repro.harness.pruning.run_sweep_pruned`;
+    the records of every point it evaluates are byte-identical to an
+    unpruned sweep's); otherwise the points are one
+    :meth:`BatchEngine.submit`.  See :class:`~repro.harness.config.SweepConfig`
+    for the policy fields (workers, checkpoint, retries, progress,
+    preflight, sanitize, order, variant cache)."""
+    owned = engine is None
+    if owned:
+        engine = BatchEngine(problems=problems, seed=seed, config=config)
+    else:
+        engine.check_matches(problems, seed)
+    cfg = engine.config.merged(config)
+    try:
+        if cfg.prune:
+            if engine.runner_factory is not None:
+                raise ValueError(
+                    "SweepConfig(prune=...) requires the stock runner; "
+                    "an engine with a runner_factory is not supported"
+                )
+            from repro.harness import pruning
 
-    def _promote(self) -> None:
-        cache = self._engine._cache
-        for key in [k for k in self._waiting if k in cache]:
-            self._ready.extend(self._waiting.pop(key))
-
-    def __iter__(self) -> Iterator[RunRecord]:
-        return self
-
-    def __next__(self) -> RunRecord:
-        while not self._ready and self._inner is not None:
-            nxt = next(self._inner, None)
-            if nxt is None and self._inner.pending == 0:
-                self._inner = None
-            self._promote()
-        if not self._ready:
-            raise StopIteration
-        idx = self._ready.popleft()
-        self._yielded += 1
-        return self._engine._cache[self._keys[idx]]
-
-    @property
-    def pending(self) -> int:
-        """Job slots not yet yielded."""
-        return len(self._keys) - self._yielded
-
-    def records(self) -> list[RunRecord]:
-        """Drain the stream; all records in job order."""
-        for _ in self:
-            pass
-        cache = self._engine._cache
-        return [cache[key] for key in self._keys]
-
-    def report(self) -> BatchReport:
-        """Drain into a blocking-path :class:`BatchReport`.
-
-        Engine cache hits count as ``skipped`` — like checkpoint hits,
-        they are slots satisfied without running this call."""
-        inner = self._inner
-        records = self.records()
-        if inner is None:
-            return BatchReport(
-                records=records,
-                evaluated=0,
-                skipped=self.cache_hits,
-                deduped=self.deduped,
+            return pruning.run_sweep_pruned(
+                app, device, points, site=site, config=cfg, engine=engine
             )
-        return BatchReport(
-            records=records,
-            evaluated=inner.evaluated,
-            skipped=inner.skipped + self.cache_hits,
-            deduped=inner.deduped + self.deduped,
-            pruned=inner.pruned,
-            variant_hits=inner.variant_hits,
-            baseline_runs=inner.baseline_runs,
-            worker_baseline_runs=inner.worker_baseline_runs,
-            elapsed=inner.elapsed,
-            checkpoint=(
-                str(inner.config.checkpoint)
-                if inner.config.checkpoint is not None else None
-            ),
-            extra={
-                "pool_respawns": inner.pool_respawns,
-                "dispatch_log": list(inner.dispatch_log),
-            },
-        )
-
-    def close(self) -> None:
-        """Stop early; completed work stays absorbed, the rest is dropped."""
-        if self._inner is not None:
-            self._inner.close()
-            self._inner = None
-
-
-class StreamSession:
-    """Incremental submit-one / consume-in-order session on an engine.
-
-    :meth:`put` enqueues one :class:`BatchJob` and returns its integer
-    ticket; iteration yields ``(ticket, record)`` strictly in ticket
-    order, buffering out-of-order completions, while later tickets keep
-    evaluating on the engine's persistent pool.  Because consumption order
-    is submission order — not completion order — an algorithm that decides
-    its next submission from consumed results (the steady-state
-    evolutionary search) behaves identically at any worker count.
-
-    With a serial engine (``workers <= 1``) evaluation happens lazily on
-    consumption, in the same order, producing identical records.  The
-    session shares the engine's record cache, baseline cache, and crash
-    respawn policy; results stream into ``config.checkpoint`` when set
-    (the file is *written*, not consulted — the engine cache is the
-    in-session dedupe).  This is the interface the ROADMAP's distributed
-    work-stealing queue will implement.
-    """
-
-    def __init__(self, engine: BatchEngine, *, config: SweepConfig | None = None):
-        self._engine = engine
-        self._cfg = engine.config.merged(config)
-        self._records: dict[int, RunRecord] = {}
-        self._next_ticket = 0
-        self._next_out = 0
-        self._futures: dict = {}
-        self._queue: deque = deque()
-        self._key_tickets: dict[tuple, list[int]] = {}
-        self._vkeys: dict[tuple, str] = {}
-        self._respawns_left = MAX_POOL_RESPAWNS
-        self._writer = (
-            CheckpointWriter(self._cfg.checkpoint)
-            if self._cfg.checkpoint is not None else None
-        )
-        self._serial_base0 = (
-            engine.runner.baseline_computes if engine.pool is None else None
-        )
-        if engine.pool is not None:
-            engine.pool.acquire()
-        self._closed = False
-
-    # -- submission -----------------------------------------------------
-    def put(self, job: BatchJob) -> int:
-        """Enqueue one job; returns its ticket (yield order is ticket order)."""
-        if self._closed:
-            raise RuntimeError("session is closed")
-        ticket = self._next_ticket
-        self._next_ticket += 1
-        engine = self._engine
-        key = engine._key(job)
-        engine.stats.submitted += 1
-        if key in engine._cache:
-            engine.stats.cache_hits += 1
-            self._records[ticket] = engine._cache[key]
-            return ticket
-        if key in self._key_tickets:
-            engine.stats.deduped += 1
-            self._key_tickets[key].append(ticket)
-            return ticket
-        vcache = engine.variant_cache
-        if vcache is not None:
-            vkey = vcache.key_for(
-                job.app, job.device, job.point, site=job.site,
-                seed=engine.runner.seed, problem=engine.runner.problems,
-                sanitize=self._cfg.sanitize,
-            )
-            rec = vcache.get(vkey)
-            if rec is not None:
-                engine.stats.variant_hits += 1
-                engine._cache[key] = rec
-                if self._writer is not None:
-                    self._writer.write([rec])
-                self._records[ticket] = rec
-                return ticket
-            self._vkeys[key] = vkey
-        if engine.pool is None:
-            self._key_tickets[key] = [ticket]
-            self._queue.append((key, job))
-        else:
-            self._key_tickets[key] = [ticket]
-            self._dispatch(key, job)
-        return ticket
-
-    def _dispatch(self, key: tuple, job: BatchJob) -> None:
-        baselines = (
-            self._engine._baseline_entries(job.app, job.device)
-            if self._cfg.share_baselines else None
-        )
-        payload = [(job.app, job.device, job.point, job.site)]
-        try:
-            fut = self._engine.pool.submit(
-                _run_batch_chunk, payload, self._cfg.retries,
-                baselines, self._cfg.sanitize,
-            )
-        except Exception:  # noqa: BLE001 — broken pool surfaces at submit too
-            self._recover([(key, job)])
-            return
-        self._futures[fut] = (key, job)
-
-    # -- completion -----------------------------------------------------
-    def _settle(self, key: tuple, record: RunRecord) -> None:
-        self._engine._cache[key] = record
-        self._engine.stats.executed += 1
-        vkey = self._vkeys.pop(key, None)
-        if (
-            vkey is not None
-            and self._engine.variant_cache is not None
-            and not (record.note or "").startswith(("WorkerError", "WorkerCrash"))
-        ):
-            self._engine.variant_cache.put(vkey, record)
-        if self._writer is not None:
-            self._writer.write([record])
-        for ticket in self._key_tickets.pop(key, []):
-            self._records[ticket] = record
-
-    def _recover(self, casualties: list[tuple]) -> None:
-        casualties = casualties + list(self._futures.values())
-        self._futures.clear()
-        if self._respawns_left > 0:
-            self._respawns_left -= 1
-            self._engine.pool.respawn()
-            for key, job in casualties:
-                self._dispatch(key, job)
-        else:
-            why = (
-                f"process pool broke {MAX_POOL_RESPAWNS + 1} times; "
-                f"job abandoned"
-            )
-            for key, job in casualties:
-                self._settle(key, _crash_record(job, why))
-
-    def _advance(self) -> None:
-        """Resolve at least one outstanding identity."""
-        engine = self._engine
-        if engine.pool is None:
-            key, job = self._queue.popleft()
-            record = run_point_with_retry(
-                engine.runner, job.app, job.device, job.point, site=job.site,
-                retries=self._cfg.retries, sanitize=self._cfg.sanitize,
-            )
-            self._settle(key, record)
-            return
-        finished, _ = wait(self._futures, return_when=FIRST_COMPLETED)
-        casualties = []
-        for fut in finished:
-            key, job = self._futures.pop(fut)
-            try:
-                records, _seconds, computes = fut.result()
-            except Exception:  # noqa: BLE001 — dead worker broke the pool
-                casualties.append((key, job))
-                continue
-            engine.stats.worker_baseline_runs += computes
-            self._settle(key, records[0])
-        if casualties:
-            self._recover(casualties)
-
-    @property
-    def outstanding(self) -> int:
-        """Tickets submitted but not yet consumed."""
-        return self._next_ticket - self._next_out
-
-    def __iter__(self) -> Iterator[tuple[int, RunRecord]]:
-        return self
-
-    def __next__(self) -> tuple[int, RunRecord]:
-        if self._next_out >= self._next_ticket:
-            raise StopIteration
-        try:
-            while self._next_out not in self._records:
-                self._advance()
-        except BaseException:
-            self.close()
-            raise
-        ticket = self._next_out
-        self._next_out += 1
-        return ticket, self._records.pop(ticket)
-
-    def close(self) -> None:
-        """Absorb in-flight work into the engine cache and release the pool."""
-        if self._closed:
-            return
-        self._closed = True
-        self._queue.clear()
-        while self._futures:
-            self._advance()
-        if self._writer is not None:
-            self._writer.close()
-        if self._engine.pool is not None:
-            self._engine.pool.release()
-        elif self._serial_base0 is not None:
-            self._engine.stats.baseline_runs += (
-                self._engine.runner.baseline_computes - self._serial_base0
-            )
-        self._engine._sync_pool_stats()
-
-    def __enter__(self) -> "StreamSession":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def __del__(self) -> None:  # pragma: no cover - GC safety net
-        try:
-            if not self._closed:
-                self._futures.clear()
-                self.close()
-        except Exception:
-            pass
+        jobs = [BatchJob(app, device, pt, site=site) for pt in points]
+        return engine.submit(jobs, config=cfg).report()
+    finally:
+        if owned:
+            engine.close()

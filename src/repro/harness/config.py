@@ -1,43 +1,17 @@
-"""Unified sweep configuration: one frozen policy object for every executor.
+"""Unified sweep configuration: one frozen policy object for every entry point.
 
-PR 1 and PR 3 grew the sweep entry points organically: by PR 4,
-``ExperimentRunner.run_sweep``, :func:`repro.harness.executor.run_sweep_parallel`,
-:func:`repro.harness.batch.run_batch`, and the CLI each accepted their own
-subset of ~15 loose keyword arguments (``parallel`` vs ``max_workers``,
-``progress`` typed ``bool`` in one place and ``bool | Callable`` in another,
-``sanitize`` reachable from ``run_point`` but not from sweeps).  This module
-collapses that execution policy into one frozen :class:`SweepConfig` that is
-threaded end-to-end — runner, executor, batch layer, engine, CLI — so a
-policy decided once holds everywhere.
-
-The old keywords keep working through :func:`resolve_config`: entry points
-declare them with the :data:`UNSET` sentinel, and any keyword actually
-passed is overlaid onto the config with a :class:`DeprecationWarning`
-naming the replacement field.
+Every way of evaluating work — ``ExperimentRunner.run_sweep``,
+:func:`repro.harness.batch.run_sweep_parallel`,
+:meth:`repro.harness.batch.BatchEngine.submit`, the figures, the searches
+and the CLI — takes its execution policy as one frozen :class:`SweepConfig`,
+so a policy decided once holds everywhere.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Callable
-
-#: Wall-clock one adaptively-sized chunk should cost once a job group's
-#: throughput is known (see :class:`repro.harness.batch.AdaptiveChunker`).
-TARGET_CHUNK_SECONDS = 0.8
-
-
-class _Unset:
-    """Sentinel distinguishing "kwarg not passed" from any real value."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return "UNSET"
-
-
-UNSET = _Unset()
 
 
 @dataclass(frozen=True)
@@ -50,14 +24,12 @@ class SweepConfig:
     several calls cannot drift mid-session.
     """
 
-    #: Process-pool workers; ``<= 1`` runs in-process (byte-identical to
-    #: the legacy serial path).
+    #: Process-pool workers; ``<= 1`` runs in-process (byte-identical
+    #: records either way).
     workers: int = 1
     #: Points per worker chunk; ``None`` sizes chunks adaptively from
     #: observed throughput.
     chunk_size: int | None = None
-    #: Wall-clock target per adaptive chunk.
-    target_chunk_seconds: float = TARGET_CHUNK_SECONDS
     #: JSONL / ``.jsonl.gz`` file records stream into and resume from.
     checkpoint: str | Path | None = None
     #: Retries per point on unexpected worker errors (each on a freshly
@@ -73,12 +45,6 @@ class SweepConfig:
     #: Run every point under ApproxSan, storing the violation report in
     #: ``record.extra["approxsan"]`` (timings unaffected).
     sanitize: bool = False
-    #: Resolve each unique (app, device) baseline once in the parent and
-    #: ship it to workers.
-    share_baselines: bool = True
-    #: Seconds a persistent engine pool may sit idle before its worker
-    #: processes are reaped (``None`` keeps them until ``close()``).
-    idle_ttl: float | None = None
     #: Subsumption-lattice pruning for sweeps: ``True`` prunes un-evaluated
     #: descendants of points violating the default 10% QoI bound; a float
     #: sets the bound.  See :mod:`repro.harness.pruning`.
@@ -106,70 +72,3 @@ class SweepConfig:
             if getattr(other, f.name) != f.default
         }
         return self.replace(**changes) if changes else self
-
-
-#: Legacy keyword -> SweepConfig field, for entry points whose old name
-#: differs from the unified one.
-LEGACY_ALIASES = {"max_workers": "workers", "parallel": "workers"}
-
-#: Every keyword the shimmed entry points may still receive loosely: the
-#: config fields themselves plus the renamed aliases.  ``resolve_config``
-#: rejects anything else, so the ``**legacy`` catch-alls the entry points
-#: now use keep the typo protection their old explicit signatures had.
-LEGACY_KEYWORDS = frozenset(
-    f.name for f in fields(SweepConfig)
-) | frozenset(LEGACY_ALIASES)
-
-#: Appended to every shim warning.  The loose keywords have been
-#: deprecated since PR 5; one release after the typed request/response
-#: facade (PR 10) they go away entirely.
-REMOVAL_NOTE = (
-    "these shims will be removed in repro 2.0 — "
-    "see README \"Migrating to request objects\""
-)
-
-
-def resolve_config(
-    config: SweepConfig | None,
-    caller: str,
-    *,
-    stacklevel: int = 3,
-    **legacy,
-) -> SweepConfig:
-    """Build the effective :class:`SweepConfig` for a shimmed entry point.
-
-    This is the *single* shim path: every entry point that still accepts
-    the PR-1/PR-3/PR-5 loose keywords (``run_batch``, ``BatchEngine``,
-    ``run_sweep_parallel``, ``ExperimentRunner.run_sweep``) forwards its
-    ``**legacy`` catch-all here.  Any keyword actually passed (the entry
-    points' old explicit parameters defaulted to :data:`UNSET`; catch-all
-    callers just pass what they got) is overlaid onto ``config`` (or a
-    default config) after one :class:`DeprecationWarning` naming the
-    replacement field and the removal deadline.  Unknown keywords raise
-    ``TypeError`` exactly like a mistyped parameter name used to.  With no
-    legacy keywords passed, ``config`` is returned as-is (or the default
-    policy when ``None``).
-    """
-    passed = {k: v for k, v in legacy.items() if v is not UNSET}
-    if not passed:
-        return config if config is not None else SweepConfig()
-    unknown = sorted(set(passed) - LEGACY_KEYWORDS)
-    if unknown:
-        raise TypeError(
-            f"{caller}: unexpected keyword argument(s) {', '.join(unknown)}"
-        )
-    renames = {k: LEGACY_ALIASES.get(k, k) for k in passed}
-    hints = ", ".join(
-        f"{old}= (use SweepConfig({new}=...))" for old, new in sorted(renames.items())
-    )
-    warnings.warn(
-        f"{caller}: loose keyword(s) are deprecated — {hints}; "
-        f"pass config=SweepConfig(...) instead ({REMOVAL_NOTE})",
-        DeprecationWarning,
-        stacklevel=stacklevel,
-    )
-    base = config if config is not None else SweepConfig()
-    mapped = {renames[k]: v for k, v in passed.items()}
-    if "workers" in mapped:
-        mapped["workers"] = max(1, int(mapped["workers"] or 1))
-    return base.replace(**mapped)

@@ -480,32 +480,32 @@ def run_sweep_pruned(
     device: str | DeviceSpec,
     points: list[SweepPoint],
     *,
+    config: SweepConfig,
+    engine,
     site: str | None = None,
-    problems: dict | None = None,
-    seed: int = 2023,
-    config: SweepConfig | None = None,
-    engine=None,
 ):
     """Execute ``points`` with lattice pruning (and optional surrogate
-    ordering); returns the same :class:`~repro.harness.executor.SweepReport`
-    shape as :func:`~repro.harness.executor.run_sweep_parallel`.
+    ordering) on ``engine``; returns the same
+    :class:`~repro.harness.batch.BatchReport` shape as
+    :func:`~repro.harness.batch.run_sweep_parallel`, which calls this with
+    its fully resolved ``config``.
 
     The lattice is evaluated in ancestor-first waves.  Before each wave,
     every ready point with a bound-violating evaluated ancestor is recorded
     as a ``pruned`` checkpoint row (never simulated); the surviving wave is
     ordered by the surrogate when ``config.order`` is set and submitted
-    through a :class:`~repro.harness.batch.BatchEngine`.  Records for
-    evaluated points are byte-identical to the unpruned sweep's — pruning
-    only substitutes rows for points it skips.
+    through the engine.  Records for evaluated points are byte-identical to
+    the unpruned sweep's — pruning only substitutes rows for points it
+    skips.
 
     ``config.checkpoint`` is managed *here* (loaded once for resume, each
-    decided row appended in wave order); waves run with the checkpoint
-    stripped from their config so the engine does not double-write.
+    decided row appended in wave order); waves are submitted with the
+    checkpoint stripped from their config so the engine does not
+    double-write.
     """
-    from repro.harness.batch import BatchEngine, BatchJob
-    from repro.harness.executor import SweepReport
+    from repro.harness.batch import BatchJob, BatchReport
 
-    cfg = config if config is not None else SweepConfig(prune=True)
+    cfg = config
     bound = DEFAULT_QOI_BOUND if cfg.prune is True else float(cfg.prune)
     dev_name = get_device(device).name
     t0 = time.monotonic()
@@ -533,11 +533,6 @@ def run_sweep_pruned(
     # Waves run without the checkpoint (managed here) and without prune /
     # order (pruning is this driver; ordering happens on the wave itself).
     wave_cfg = cfg.replace(checkpoint=None, prune=False, order=False)
-    owned = engine is None
-    if owned:
-        engine = BatchEngine(problems=problems, seed=seed, config=wave_cfg)
-    else:
-        engine.check_matches(problems, seed)
     variant_hits0 = engine.stats.variant_hits
 
     surrogate: Surrogate | None = None
@@ -613,7 +608,7 @@ def run_sweep_pruned(
             ).report()
             evaluated += rep.evaluated
             preflight_pruned += rep.pruned
-            dispatch_log += rep.extra.get("dispatch_log", ())
+            dispatch_log += rep.extra["dispatch_log"]
             for pt, rec in zip(wave, rep.records):
                 decided[pt.label()] = rec
                 if writer is not None:
@@ -624,15 +619,13 @@ def run_sweep_pruned(
     finally:
         if writer is not None:
             writer.close()
-        variant_hits = engine.stats.variant_hits - variant_hits0
-        if owned:
-            engine.close()
 
-    return SweepReport(
+    return BatchReport(
         records=[decided[pt.label()] for pt in points],
         evaluated=evaluated,
         skipped=skipped,
         pruned=preflight_pruned,
+        variant_hits=engine.stats.variant_hits - variant_hits0,
         elapsed=time.monotonic() - t0,
         checkpoint=(
             str(cfg.checkpoint) if cfg.checkpoint is not None else None
@@ -642,7 +635,6 @@ def run_sweep_pruned(
             "waves": waves,
             "qoi_bound": bound,
             "ordered": bool(cfg.order),
-            "variant_hits": variant_hits,
             "dispatch_log": dispatch_log,
             "surrogate_observations": (
                 surrogate.observed if surrogate is not None else 0

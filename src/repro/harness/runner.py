@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, field
 from repro.apps.common import AppResult, Benchmark
 from repro.errors import ReproError, SharedMemoryError, UnsupportedApproximationError
 from repro.gpusim.device import DeviceSpec, get_device
-from repro.harness.config import UNSET, SweepConfig, resolve_config
+from repro.harness.config import SweepConfig
 from repro.harness.metrics import convergence_speedup, error, speedup
 from repro.harness.sweep import SweepPoint
 
@@ -201,7 +201,6 @@ class ExperimentRunner:
         *,
         config: "SweepConfig | None" = None,
         engine=None,
-        **legacy,
     ) -> list[RunRecord]:
         """Run a list of sweep points, returning all records in input order.
 
@@ -209,19 +208,19 @@ class ExperimentRunner:
         :class:`~repro.harness.config.SweepConfig`): ``workers > 1`` fans
         the points out across a process pool; ``checkpoint`` streams
         completed records to a JSONL file and skips points already recorded
-        there, so an interrupted sweep resumes where it stopped (see
-        :mod:`repro.harness.executor`); ``preflight`` statically vets each
-        point first (:mod:`repro.analysis.preflight`) and records the
-        provably infeasible ones without simulating them; ``progress`` is
-        ``True`` for a stderr line or a callable receiving
+        there, so an interrupted sweep resumes where it stopped;
+        ``preflight`` statically vets each point first
+        (:mod:`repro.analysis.preflight`) and records the provably
+        infeasible ones without simulating them; ``progress`` is ``True``
+        for a stderr line or a callable receiving
         :class:`~repro.harness.reporting.SweepProgress` — honoured by the
         serial path too.  ``engine`` routes the sweep through a persistent
-        :class:`~repro.harness.batch.BatchEngine`.  The PR-1 loose keywords
-        (``parallel=``, ``checkpoint=``, ...) remain accepted with a
-        :class:`DeprecationWarning`."""
-        cfg = resolve_config(config, "ExperimentRunner.run_sweep", **legacy)
-        if engine is not None or cfg.workers > 1 or cfg.checkpoint is not None or cfg.preflight:
-            from repro.harness.executor import run_sweep_parallel
+        :class:`~repro.harness.batch.BatchEngine`.  Any policy beyond
+        ``progress`` and ``sanitize`` goes through
+        :func:`~repro.harness.batch.run_sweep_parallel`."""
+        cfg = config if config is not None else SweepConfig()
+        if engine is not None or cfg.replace(progress=False, sanitize=False) != SweepConfig():
+            from repro.harness.batch import run_sweep_parallel
 
             report = run_sweep_parallel(
                 app_name,
@@ -234,9 +233,8 @@ class ExperimentRunner:
                 engine=engine,
             )
             return report.records
-        # Serial fast path: byte-identical to the pre-executor loop, but
-        # progress and sanitize are honoured here too (run_sweep used to
-        # silently drop progress callables).
+        # Serial fast path: one point at a time, so progress fires per
+        # point.
         report_progress = None
         if cfg.progress is True:
             from repro.harness.reporting import format_progress

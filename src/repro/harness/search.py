@@ -12,14 +12,14 @@ same :class:`~repro.harness.sweep.SweepPoint` space:
   keep the best configurations under the error budget, mutate one axis at
   a time toward grid neighbours, and resample when stuck.
 
-Both evaluate through the batch layer when given ``max_workers > 1`` or a
-persistent :class:`~repro.harness.batch.BatchEngine`.  The evolutionary
-loop is *streaming*: it keeps ``population`` evaluations in flight on a
-:class:`~repro.harness.batch.StreamSession` and proposes the next
+Both evaluate through :meth:`repro.harness.batch.BatchEngine.submit` — on
+the caller's persistent engine, or on one built around the runner with
+``max_workers`` workers.  The evolutionary loop is *streaming*: it keeps
+``population`` single-job streams in flight and proposes the next
 offspring the moment a result is consumed, instead of barriering per
-generation — and because the session yields results strictly in
-submission order, the evaluated point sequence depends only on the seed,
-so serial and parallel runs produce identical records.
+generation — and because it consumes the streams strictly in submission
+order, the evaluated point sequence depends only on the seed, so serial
+and parallel runs produce identical records.
 
 Both return the full :class:`~repro.harness.database.ResultsDB` so results
 remain queryable exactly like an exhaustive sweep's, plus the best record
@@ -35,6 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.gpusim.device import DeviceSpec
+from repro.harness.batch import BatchEngine, BatchJob, run_sweep_parallel
+from repro.harness.config import SweepConfig
 from repro.harness.database import ResultsDB
 from repro.harness.runner import ExperimentRunner, RunRecord
 from repro.harness.sweep import SweepPoint, table2_space
@@ -74,17 +76,17 @@ def random_search(
     space: list[SweepPoint] | None = None,
     max_workers: int = 1,
     checkpoint: str | None = None,
-    engine: "BatchEngine | None" = None,
+    engine: BatchEngine | None = None,
     order: bool = False,
 ) -> SearchResult:
     """Uniform sampling of the Table-2 grid without replacement.
 
-    The whole sample is known up front, so with ``max_workers > 1`` (or an
-    ``engine``) it is evaluated as one batch through the parallel executor;
-    results are identical to the serial path because the simulation is
-    deterministic per seed.  ``engine`` reuses a persistent
-    :class:`~repro.harness.batch.BatchEngine` — its warm worker pool and
-    session record cache — instead of spawning a pool for this call.
+    The whole sample is known up front, so it is evaluated as one batch
+    (on ``max_workers`` pool workers when > 1); results are identical at
+    any worker count because the simulation is deterministic per seed.
+    ``engine`` reuses a persistent :class:`~repro.harness.batch.BatchEngine`
+    — its warm worker pool and session record cache — instead of building
+    one for this call.
     ``order=True`` ranks the sample with the incremental surrogate
     (:class:`repro.harness.pruning.Surrogate`) before dispatch, so the
     likely-Pareto points evaluate first — the record *set* is unchanged."""
@@ -98,21 +100,17 @@ def random_search(
     rng.shuffle(points)
     sample = points[: int(budget)]
     db = ResultsDB()
-    if engine is not None or max_workers > 1 or checkpoint is not None or order:
-        from repro.harness.config import SweepConfig
-        from repro.harness.executor import run_sweep_parallel
-
-        report = run_sweep_parallel(
+    cfg = SweepConfig(workers=max_workers, checkpoint=checkpoint, order=order)
+    owned = BatchEngine(config=cfg, runner=runner) if engine is None else None
+    try:
+        records = run_sweep_parallel(
             app, device, sample,
             problems=runner.problems, seed=runner.seed,
-            config=SweepConfig(
-                workers=max_workers, checkpoint=checkpoint, order=order
-            ),
-            engine=engine,
-        )
-        records = report.records
-    else:
-        records = [runner.run_point(app, device, pt) for pt in sample]
+            config=cfg, engine=engine or owned,
+        ).records
+    finally:
+        if owned is not None:
+            owned.close()
     best, best_score = None, -float("inf")
     for rec in records:
         db.add(rec)
@@ -151,39 +149,6 @@ def _neighbors(point: SweepPoint, space: list[SweepPoint]) -> list[SweepPoint]:
     return out
 
 
-class _SerialFeed:
-    """Minimal in-process stand-in for a :class:`StreamSession`.
-
-    Jobs queue on ``put`` and evaluate lazily when consumed — the same
-    submission-order semantics the parallel session provides — so the
-    steady-state loop below is one code path at any worker count."""
-
-    def __init__(self, runner: ExperimentRunner) -> None:
-        self._runner = runner
-        self._queue: deque = deque()
-        self._ticket = 0
-
-    def put(self, job) -> int:
-        self._queue.append(job)
-        ticket = self._ticket
-        self._ticket += 1
-        return ticket
-
-    def __iter__(self):
-        return self
-
-    def __next__(self):
-        if not self._queue:
-            raise StopIteration
-        job = self._queue.popleft()
-        record = self._runner.run_point(job.app, job.device, job.point, site=job.site)
-        ticket = self._ticket - len(self._queue) - 1
-        return ticket, record
-
-    def close(self) -> None:
-        self._queue.clear()
-
-
 def evolutionary_search(
     runner: ExperimentRunner,
     app: str,
@@ -195,7 +160,7 @@ def evolutionary_search(
     population: int = 3,
     seed: int = 7,
     space: list[SweepPoint] | None = None,
-    engine: "BatchEngine | None" = None,
+    engine: BatchEngine | None = None,
     max_workers: int = 1,
     order: bool = False,
 ) -> SearchResult:
@@ -207,11 +172,11 @@ def evolutionary_search(
     offspring is proposed immediately — mutated along one grid axis from
     an elite parent, resampling a fresh random point at dead ends — until
     ``budget`` proposals have been made.  There is no per-generation
-    barrier: with ``max_workers > 1`` (or a persistent ``engine``) the
-    proposals ride a :class:`~repro.harness.batch.StreamSession`, whose
-    strict submission-order consumption makes the evaluated point sequence
-    a function of the seed alone — serial and parallel runs produce
-    identical records.
+    barrier: each proposal is one :meth:`~repro.harness.batch.BatchEngine.submit`
+    stream (on a pool, dispatched as soon as it is proposed), and the
+    streams are consumed strictly in submission order, which makes the
+    evaluated point sequence a function of the seed alone — serial and
+    parallel runs produce identical records.
 
     ``order=True`` makes mutation surrogate-guided: once the incremental
     :class:`~repro.harness.pruning.Surrogate` has enough observations, the
@@ -229,10 +194,7 @@ def evolutionary_search(
     db = ResultsDB()
     seen: set[str] = set()
     owned_engine = None
-    if engine is None and max_workers > 1:
-        from repro.harness.batch import BatchEngine
-        from repro.harness.config import SweepConfig
-
+    if engine is None:
         engine = owned_engine = BatchEngine(
             config=SweepConfig(workers=max_workers), runner=runner
         )
@@ -267,12 +229,12 @@ def evolutionary_search(
         seen.add(nxt.label())
         return nxt
 
-    from repro.harness.batch import BatchJob
+    #: (point, single-job stream) per proposal, in submission order.
+    in_flight: deque = deque()
 
-    session = (
-        engine.open_stream() if engine is not None else _SerialFeed(runner)
-    )
-    pending: dict[int, SweepPoint] = {}
+    def submit(pt: SweepPoint) -> None:
+        in_flight.append((pt, engine.submit([BatchJob(app, device, pt)])))
+
     elite: list[tuple[float, SweepPoint, RunRecord]] = []
     proposals = 0
     #: Round-robin parent cursor: consecutive offspring come from different
@@ -287,12 +249,13 @@ def evolutionary_search(
             if pt.label() in seen:
                 continue
             seen.add(pt.label())
-            pending[session.put(BatchJob(app, device, pt))] = pt
+            submit(pt)
             proposals += 1
         # Steady state: consume strictly in submission order; each consumed
         # result funds exactly one new proposal.
-        for ticket, rec in session:
-            pt = pending.pop(ticket)
+        while in_flight:
+            pt, stream = in_flight.popleft()
+            rec = stream.records()[0]
             db.add(rec)
             if surrogate is not None:
                 surrogate.observe(pt, rec)
@@ -304,10 +267,11 @@ def evolutionary_search(
                 child_idx += 1
                 nxt = propose_one(parent)
                 if nxt is not None:
-                    pending[session.put(BatchJob(app, device, nxt))] = nxt
+                    submit(nxt)
                     proposals += 1
     finally:
-        session.close()
+        for _pt, stream in in_flight:
+            stream.close()
         if owned_engine is not None:
             owned_engine.close()
 

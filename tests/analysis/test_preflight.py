@@ -1,6 +1,6 @@
 """Preflight-pruned sweeps: same feasible records, fewer simulations.
 
-The acceptance bar: with ``preflight=`` enabled the executor records every
+The acceptance bar: with ``preflight`` enabled a sweep records every
 statically infeasible point (diagnostic code in the note) without invoking
 the simulator, and the surviving feasible records are byte-identical to a
 preflight-disabled run.
@@ -8,8 +8,9 @@ preflight-disabled run.
 
 import pytest
 
+from repro.harness.batch import BatchEngine, run_sweep_parallel
+from repro.harness.config import SweepConfig
 from repro.harness.database import ResultsDB, dumps_record
-from repro.harness.executor import run_sweep_parallel
 from repro.harness.runner import ExperimentRunner
 from repro.harness.sweep import SweepPoint
 
@@ -47,7 +48,7 @@ def baseline():
     """Preflight-disabled reference records."""
     report = run_sweep_parallel(
         "blackscholes", "v100_small", _points(),
-        problems=PROBLEMS, max_workers=1,
+        problems=PROBLEMS,
     )
     return report.records
 
@@ -213,7 +214,7 @@ class TestExecutorIntegration:
     def test_feasible_records_byte_identical(self, baseline):
         report = run_sweep_parallel(
             "blackscholes", "v100_small", _points(),
-            problems=PROBLEMS, max_workers=1, preflight=True,
+            problems=PROBLEMS, config=SweepConfig(preflight=True),
         )
         assert report.pruned == 2
         ref_feasible = [dumps_record(r) for r in baseline if r.feasible]
@@ -229,20 +230,21 @@ class TestExecutorIntegration:
 
     def test_pruned_points_never_reach_simulator(self):
         _CountingRunner.calls = 0
+        engine = BatchEngine(
+            problems=PROBLEMS, config=SweepConfig(preflight=True),
+            runner_factory=_counting_factory,
+        )
         report = run_sweep_parallel(
-            "blackscholes", "v100_small", _points(),
-            max_workers=1, preflight=True,
-            runner_factory=_counting_factory, factory_args=(PROBLEMS, 2023),
+            "blackscholes", "v100_small", _points(), engine=engine
         )
         assert _CountingRunner.calls == 2  # only the feasible TAF points
         assert report.evaluated == 2 and report.pruned == 2
 
     def test_disabled_preflight_simulates_everything(self):
         _CountingRunner.calls = 0
+        engine = BatchEngine(problems=PROBLEMS, runner_factory=_counting_factory)
         report = run_sweep_parallel(
-            "blackscholes", "v100_small", _points(),
-            max_workers=1, preflight=False,
-            runner_factory=_counting_factory, factory_args=(PROBLEMS, 2023),
+            "blackscholes", "v100_small", _points(), engine=engine
         )
         assert _CountingRunner.calls == len(_points())
         assert report.pruned == 0
@@ -262,7 +264,7 @@ class TestExecutorIntegration:
 
         report = run_sweep_parallel(
             "blackscholes", "v100_small", _points(),
-            problems=PROBLEMS, max_workers=1, preflight=veto_iact,
+            problems=PROBLEMS, config=SweepConfig(preflight=veto_iact),
         )
         assert report.pruned == 2
         assert all(r.note == "preflight STUB"
@@ -270,9 +272,10 @@ class TestExecutorIntegration:
 
     def test_pruned_records_checkpointed(self, tmp_path):
         ck = tmp_path / "sweep.jsonl"
+        cfg = SweepConfig(preflight=True, checkpoint=ck)
         first = run_sweep_parallel(
             "blackscholes", "v100_small", _points(),
-            problems=PROBLEMS, max_workers=1, preflight=True, checkpoint=ck,
+            problems=PROBLEMS, config=cfg,
         )
         assert first.pruned == 2
         db = ResultsDB.load(ck)
@@ -280,7 +283,7 @@ class TestExecutorIntegration:
         # Resume: pruned rows are trusted records, not re-vetted points.
         again = run_sweep_parallel(
             "blackscholes", "v100_small", _points(),
-            problems=PROBLEMS, max_workers=1, preflight=True, checkpoint=ck,
+            problems=PROBLEMS, config=cfg,
         )
         assert again.skipped == len(_points())
         assert again.pruned == 0 and again.evaluated == 0
@@ -288,7 +291,8 @@ class TestExecutorIntegration:
     def test_runner_run_sweep_preflight_kwarg(self, baseline):
         runner = ExperimentRunner(problems=PROBLEMS)
         records = runner.run_sweep(
-            "blackscholes", "v100_small", _points(), preflight=True
+            "blackscholes", "v100_small", _points(),
+            config=SweepConfig(preflight=True),
         )
         assert [dumps_record(r) for r in records if r.feasible] == [
             dumps_record(r) for r in baseline if r.feasible

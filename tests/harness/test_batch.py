@@ -10,15 +10,10 @@ identical results through the engine.
 import numpy as np
 import pytest
 
+from repro.harness import batch
 from repro.harness import figures as F
 from repro.harness.config import SweepConfig
-from repro.harness.batch import (
-    AdaptiveChunker,
-    BatchEngine,
-    BatchJob,
-    BatchStream,
-    run_batch,
-)
+from repro.harness.batch import AdaptiveChunker, BatchEngine, BatchJob
 from repro.harness.database import dumps_record
 from repro.harness.runner import ExperimentRunner
 from repro.harness.search import evolutionary_search
@@ -44,6 +39,15 @@ def _jobs():
     return jobs
 
 
+def _report(jobs, runner_factory=None, **cfg):
+    """Drain one ``submit`` on a fresh engine into its report."""
+    with BatchEngine(
+        problems=PROBLEMS, config=SweepConfig(**cfg),
+        runner_factory=runner_factory,
+    ) as engine:
+        return engine.submit(jobs).report()
+
+
 @pytest.fixture(scope="module")
 def serial_records():
     runner = ExperimentRunner(problems=PROBLEMS)
@@ -54,30 +58,28 @@ def serial_records():
 
 class TestHeterogeneousBatch:
     def test_parallel_matches_serial(self, serial_records):
-        report = run_batch(_jobs(), problems=PROBLEMS, config=SweepConfig(workers=2))
+        report = _report(_jobs(), workers=2)
         assert [r.to_dict() for r in report.records] == [
             r.to_dict() for r in serial_records
         ]
         assert report.evaluated == len(serial_records)
 
     def test_in_process_path_matches_serial(self, serial_records):
-        report = run_batch(_jobs(), problems=PROBLEMS, config=SweepConfig(workers=1))
+        report = _report(_jobs(), workers=1)
         assert [r.to_dict() for r in report.records] == [
             r.to_dict() for r in serial_records
         ]
 
     def test_baselines_resolved_once_in_parent(self):
-        report = run_batch(_jobs(), problems=PROBLEMS, config=SweepConfig(workers=2))
+        report = _report(_jobs(), workers=2)
         # 2 apps × 2 devices among the pending jobs — exactly once each.
         assert report.baseline_runs == 4
         assert report.worker_baseline_runs == 0
 
-    def test_share_baselines_off_recomputes_in_workers(self, serial_records):
-        report = run_batch(
-            _jobs(),
-            problems=PROBLEMS,
-            config=SweepConfig(workers=2, share_baselines=False),
-        )
+    def test_custom_factory_skips_baseline_sharing(self, serial_records):
+        # A custom runner factory may not build an ExperimentRunner, so it
+        # gets no parent-resolved baselines.
+        report = _report(_jobs(), runner_factory=ExperimentRunner, workers=2)
         assert report.baseline_runs == 0
         assert report.worker_baseline_runs >= 4  # every pair, per worker
         assert [r.to_dict() for r in report.records] == [
@@ -86,7 +88,7 @@ class TestHeterogeneousBatch:
 
     def test_duplicate_jobs_collapse(self, serial_records):
         jobs = _jobs()
-        report = run_batch(jobs + jobs, problems=PROBLEMS, config=SweepConfig(workers=2))
+        report = _report(jobs + jobs, workers=2)
         assert report.deduped == len(jobs)
         assert report.evaluated == len(jobs)
         assert [r.to_dict() for r in report.records] == [
@@ -96,23 +98,20 @@ class TestHeterogeneousBatch:
     def test_heterogeneous_checkpoint_resume(self, tmp_path, serial_records):
         ck = tmp_path / "batch.jsonl"
         jobs = _jobs()
-        first = run_batch(jobs[:3], problems=PROBLEMS,
-                          config=SweepConfig(workers=2, checkpoint=ck))
+        first = _report(jobs[:3], workers=2, checkpoint=ck)
         assert first.evaluated == 3
-        rest = run_batch(jobs, problems=PROBLEMS,
-                         config=SweepConfig(workers=2, checkpoint=ck))
+        rest = _report(jobs, workers=2, checkpoint=ck)
         assert rest.skipped == 3
         assert rest.evaluated == len(jobs) - 3
         assert [r.to_dict() for r in rest.records] == [
             r.to_dict() for r in serial_records
         ]
         # Baselines are only resolved for still-pending pairs.
-        again = run_batch(jobs, problems=PROBLEMS,
-                          config=SweepConfig(workers=2, checkpoint=ck))
+        again = _report(jobs, workers=2, checkpoint=ck)
         assert again.evaluated == 0 and again.baseline_runs == 0
 
     def test_empty_batch(self):
-        report = run_batch([], problems=PROBLEMS, config=SweepConfig(workers=2))
+        report = _report([], workers=2)
         assert report.records == [] and report.evaluated == 0
 
 
@@ -164,16 +163,16 @@ class TestChunkCap:
         return [BatchJob("blackscholes", "v100_small", pt) for pt in pts]
 
     def _stream(self, **cfg):
-        stream = BatchStream(
-            self._group_jobs(), problems=self.SMALL, config=SweepConfig(**cfg)
-        )
-        return stream, [dumps_record(r) for r in stream.records()]
+        with BatchEngine(problems=self.SMALL, config=SweepConfig(**cfg)) as eng:
+            stream = eng.submit(self._group_jobs())
+            return stream, [dumps_record(r) for r in stream.records()]
 
-    def test_adaptive_chunks_capped_and_records_identical(self):
+    def test_adaptive_chunks_capped_and_records_identical(self, monkeypatch):
         # A long target makes the controller want the whole group at once
         # after its first observation: only the cap splits it.
-        pooled, pooled_recs = self._stream(workers=2, target_chunk_seconds=60.0)
-        serial, serial_recs = self._stream(workers=1, target_chunk_seconds=60.0)
+        monkeypatch.setattr(batch, "TARGET_CHUNK_SECONDS", 60.0)
+        pooled, pooled_recs = self._stream(workers=2)
+        serial, serial_recs = self._stream(workers=1)
         assert pooled_recs == serial_recs
         log = pooled.dispatch_log
         assert sum(n for n, _left in log) == 50
@@ -208,11 +207,13 @@ class TestBatchEngine:
         engine.run_jobs(_jobs())  # second call reuses them
         assert engine.stats.baseline_runs == 4
 
-    def test_run_point_and_run_sweep_helpers(self):
+    def test_run_point_helper(self):
         engine = BatchEngine(problems=PROBLEMS, config=SweepConfig(workers=1))
         pt = _taf(1, 4, 0.3)
         rec = engine.run_point("blackscholes", "v100_small", pt)
-        recs = engine.run_sweep("blackscholes", "v100_small", [pt, _taf(2, 8, 0.3)])
+        recs = engine.run_jobs(
+            [BatchJob("blackscholes", "v100_small", p) for p in (pt, _taf(2, 8, 0.3))]
+        )
         assert recs[0].to_dict() == rec.to_dict()
         assert engine.stats.cache_hits == 1
 

@@ -13,7 +13,7 @@ from repro.harness.database import (
     ResultsDB,
     compact_checkpoint,
 )
-from repro.harness.executor import run_sweep_parallel
+from repro.harness.batch import run_sweep_parallel
 from repro.harness.runner import RunRecord
 from repro.harness.sweep import SweepPoint
 

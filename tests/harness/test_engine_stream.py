@@ -4,16 +4,18 @@ The acceptance bar from the issue: one engine session running several
 consecutive batches spawns exactly one process pool (counter-asserted),
 streaming yields records before the batch completes while the final
 record set is byte-identical to the blocking path, a crashed worker's
-pool is respawned transparently, and an idle pool is reaped after its
-TTL then respawned on the next use.
+pool is respawned transparently, and single-job streams consumed in
+submission order (the evolutionary search's pattern) return records in
+that order at any worker count.
 """
 
 import os
 import signal
+from collections import deque
 
 import pytest
 
-from repro.harness.batch import BatchEngine, BatchJob, WorkerPool
+from repro.harness.batch import BatchEngine, BatchJob
 from repro.harness.config import SweepConfig
 from repro.harness.runner import ExperimentRunner
 from repro.harness.sweep import SweepPoint
@@ -122,74 +124,71 @@ class TestPersistentPool:
             assert all(r.feasible for r in records)
             assert [r.to_dict() for r in records] == blocking_dicts
 
-    def test_idle_ttl_reaps_then_respawns(self):
+    def test_shared_crashed_pool_respawned_once(self, blocking_dicts):
+        # Both streams dispatch onto the dead pool when built; whichever
+        # notices first respawns it, the other re-runs its chunks on the
+        # replacement instead of respawning again.
+        jobs = _jobs()
         with BatchEngine(
-            problems=PROBLEMS, config=SweepConfig(workers=2, idle_ttl=3600.0)
+            problems=PROBLEMS, config=SweepConfig(workers=2, chunk_size=1)
         ) as eng:
-            eng.run_jobs(_jobs(1))
-            assert eng.pool.alive
-            # Deterministic reap (the timer would fire after idle_ttl).
-            assert eng.pool.reap_idle(force=True)
-            assert not eng.pool.alive
-            # The next batch transparently respawns — same records, one
-            # extra spawn on the counter.
-            records = eng.run_jobs(_jobs(2))
-            assert all(r.feasible for r in records)
-            assert eng.pool.spawns == 2
-            assert eng.stats.pool_spawns == 2
-
-    def test_reap_refuses_while_acquired(self):
-        pool = WorkerPool(2, idle_ttl=0.01)
-        pool.submit(max, 1, 2).result()
-        pool.acquire()
-        try:
-            assert not pool.reap_idle(force=True)
-            assert pool.alive
-        finally:
-            pool.release()
-            pool.shutdown()
+            eng.run_jobs(jobs[:1])  # spawn the pool
+            for pid in list(eng.pool._executor._processes):
+                os.kill(pid, signal.SIGKILL)
+            first, second = eng.submit(jobs[:3]), eng.submit(jobs[3:])
+            records = first.records() + second.records()
+            assert eng.stats.pool_respawns == 1
+        assert [r.to_dict() for r in records] == blocking_dicts
 
 
-class TestStreamSession:
-    def test_tickets_yield_in_submission_order(self):
+def _consume_in_order(eng, jobs, feed_one_at_a_time=False):
+    """The evolutionary search's access pattern: one single-job ``submit``
+    stream per proposal, consumed strictly in submission order."""
+    in_flight = deque()
+    queue = deque(jobs)
+    for _ in range(1 if feed_one_at_a_time else len(queue)):
+        job = queue.popleft()
+        in_flight.append((job, eng.submit([job])))
+    out = []
+    while in_flight:
+        job, stream = in_flight.popleft()
+        out.append((job, stream.records()[0]))
+        if queue:
+            nxt = queue.popleft()
+            in_flight.append((nxt, eng.submit([nxt])))
+    return out
+
+
+class TestInOrderStreams:
+    def test_records_come_back_in_submission_order(self):
+        jobs = _jobs(4)
         with BatchEngine(
             problems=PROBLEMS, config=SweepConfig(workers=2)
         ) as eng:
-            with eng.open_stream() as session:
-                tickets = [session.put(j) for j in _jobs(4)]
-                assert tickets == [0, 1, 2, 3]
-                out = list(session)
-            assert [t for t, _ in out] == tickets
+            out = _consume_in_order(eng, jobs)
+            assert eng.stats.pool_spawns == 1
+        assert [job for job, _ in out] == jobs
+        assert [rec.params for _, rec in out] == [j.point.params for j in jobs]
 
-    def test_serial_and_parallel_sessions_identical(self):
+    def test_serial_and_parallel_consumption_identical(self):
         def drive(workers):
             with BatchEngine(
                 problems=PROBLEMS, config=SweepConfig(workers=workers)
             ) as eng:
-                with eng.open_stream() as session:
-                    for j in _jobs(4):
-                        session.put(j)
-                    return [r.to_dict() for _, r in session]
+                return [r.to_dict() for _, r in _consume_in_order(eng, _jobs(4))]
 
         assert drive(1) == drive(2)
 
-    def test_incremental_put_between_consumes(self):
+    def test_incremental_submit_between_consumes(self):
         # A consumer that decides its next submission from the last
         # result (the steady-state search's access pattern).
         jobs = _jobs(4)
         with BatchEngine(
             problems=PROBLEMS, config=SweepConfig(workers=2)
         ) as eng:
-            with eng.open_stream() as session:
-                session.put(jobs[0])
-                seen = []
-                for ticket, rec in session:
-                    seen.append((ticket, rec.to_dict()))
-                    if len(seen) < len(jobs):
-                        session.put(jobs[len(seen)])
-                assert session.outstanding == 0
-        assert [t for t, _ in seen] == [0, 1, 2, 3]
+            seen = _consume_in_order(eng, jobs, feed_one_at_a_time=True)
+        assert [job for job, _ in seen] == jobs
         serial = ExperimentRunner(problems=PROBLEMS)
-        assert [d for _, d in seen] == [
+        assert [rec.to_dict() for _, rec in seen] == [
             serial.run_point(j.app, j.device, j.point).to_dict() for j in jobs
         ]

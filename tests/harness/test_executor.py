@@ -1,19 +1,20 @@
-"""Parallel, checkpointed sweep executor tests.
+"""Parallel, checkpointed sweep tests (``run_sweep_parallel``).
 
-The issue's acceptance bar: a thinned TAF sweep through the executor with
+The acceptance bar: a thinned TAF sweep through the batch engine with
 ``workers >= 2`` matches the serial path record-for-record, and
 re-running against its checkpoint evaluates zero new points.
 """
 
 import pytest
 
-from repro.harness.config import SweepConfig
-from repro.harness.database import ResultsDB
-from repro.harness.executor import (
-    SweepReport,
+from repro.harness.batch import (
+    BatchEngine,
+    BatchReport,
     run_point_with_retry,
     run_sweep_parallel,
 )
+from repro.harness.config import SweepConfig
+from repro.harness.database import ResultsDB
 from repro.harness.runner import ExperimentRunner, RunRecord
 from repro.harness.sweep import SweepPoint, chunk_points
 
@@ -186,11 +187,13 @@ class TestRetry:
         assert rec.feasible
 
     def test_sweep_survives_worker_exceptions(self, serial_records):
-        report = run_sweep_parallel(
-            "blackscholes", "v100_small", _points(),
-            config=SweepConfig(workers=2, retries=1),
-            runner_factory=_flaky_factory, factory_args=(PROBLEMS, 2023),
-        )
+        with BatchEngine(
+            problems=PROBLEMS, config=SweepConfig(workers=2, retries=1),
+            runner_factory=_flaky_factory,
+        ) as engine:
+            report = run_sweep_parallel(
+                "blackscholes", "v100_small", _points(), engine=engine
+            )
         assert [r.to_dict() for r in report.records] == [
             r.to_dict() for r in serial_records
         ]
@@ -231,10 +234,12 @@ class TestRetry:
         assert not rec.feasible and "WorkerError" in rec.note
 
     def test_no_retries_aborts_into_infeasible_records(self):
-        report = run_sweep_parallel(
-            "blackscholes", "v100_small", _points()[:2],
+        engine = BatchEngine(
             config=SweepConfig(workers=1, retries=0),
             runner_factory=lambda: _FailingRunner(), factory_args=(),
+        )
+        report = run_sweep_parallel(
+            "blackscholes", "v100_small", _points()[:2], engine=engine
         )
         assert report.evaluated == 2
         assert all(not r.feasible for r in report.records)
@@ -272,5 +277,5 @@ class TestChunking:
             "blackscholes", "v100_small", [], problems=PROBLEMS,
             config=SweepConfig(workers=2),
         )
-        assert isinstance(report, SweepReport)
+        assert isinstance(report, BatchReport)
         assert report.records == [] and report.evaluated == 0

@@ -14,10 +14,9 @@ import json
 import numpy as np
 import pytest
 
-from repro.harness.batch import BatchEngine, BatchJob
+from repro.harness.batch import BatchEngine, BatchJob, run_sweep_parallel
 from repro.harness.config import SweepConfig
 from repro.harness.database import ResultsDB, dumps_record, record_status
-from repro.harness.executor import run_sweep_parallel
 from repro.harness.pruning import (
     DEFAULT_QOI_BOUND,
     Surrogate,
@@ -183,12 +182,58 @@ class TestPrunedSweepEquivalence:
         assert rep.extra["qoi_bound"] == DEFAULT_QOI_BOUND
 
     def test_prune_rejects_custom_factory(self, grid):
+        engine = BatchEngine(problems=PROBLEMS, runner_factory=ExperimentRunner)
         with pytest.raises(ValueError, match="stock runner"):
             run_sweep_parallel(
-                "kmeans", "v100_small", grid[:2], problems=PROBLEMS,
-                config=SweepConfig(prune=0.1),
-                runner_factory=ExperimentRunner,
+                "kmeans", "v100_small", grid[:2],
+                config=SweepConfig(prune=0.1), engine=engine,
             )
+
+
+def chain_grid():
+    """12-point kmeans TAF grid: three threshold chains whose least
+    aggressive points all violate a 10% bound (3 evaluated, 9 pruned)."""
+    return [
+        SweepPoint("taf", {"hsize": 1, "psize": ps, "threshold": t})
+        for ps in (4, 8, 16)
+        for t in (0.3, 0.9, 3.0, 20.0)
+    ]
+
+
+class TestEnginePolicy:
+    """A sweep through an engine runs under the engine's policy merged
+    with the call's, resolved once at the sweep entry."""
+
+    def test_engine_prune_applies_to_sweeps_through_it(self):
+        grid = chain_grid()
+        with BatchEngine(
+            problems=PROBLEMS, config=SweepConfig(prune=0.10)
+        ) as engine:
+            rep = run_sweep_parallel("kmeans", "v100_small", grid, engine=engine)
+        assert rep.evaluated == 3
+        assert rep.extra["lattice_pruned"] == 9
+
+    def test_engine_checkpoint_holds_every_pruned_sweep_row(self, tmp_path):
+        ck = str(tmp_path / "ck.jsonl")
+        grid = chain_grid()
+        call = SweepConfig(prune=0.10)
+
+        def sweep():
+            with BatchEngine(
+                problems=PROBLEMS, config=SweepConfig(checkpoint=ck)
+            ) as engine:
+                return run_sweep_parallel(
+                    "kmeans", "v100_small", grid, config=call, engine=engine
+                )
+
+        first = sweep()
+        assert first.evaluated == 3
+        assert len(ResultsDB.load(ck)) == len(grid)
+        again = sweep()
+        assert again.evaluated == 0 and again.skipped == len(grid)
+        assert [dumps_record(r) for r in again.records] == [
+            dumps_record(r) for r in first.records
+        ]
 
 
 class TestPrunedCheckpointResume:
@@ -320,12 +365,12 @@ class TestVariantCache:
         r1 = run_sweep_parallel("kmeans", "v100_small", sub,
                                 problems=PROBLEMS, config=cfg)
         assert r1.evaluated == len(sub)
-        assert r1.extra["variant_hits"] == 0
+        assert r1.variant_hits == 0
         assert cache.misses == len(sub) and cache.stores == len(sub)
         r2 = run_sweep_parallel("kmeans", "v100_small", sub,
                                 problems=PROBLEMS, config=cfg)
         assert r2.evaluated == 0
-        assert r2.extra["variant_hits"] == len(sub)
+        assert r2.variant_hits == len(sub)
         assert cache.hits == len(sub)
         assert [dumps_record(a) for a in r1.records] == [
             dumps_record(b) for b in r2.records
@@ -343,7 +388,7 @@ class TestVariantCache:
         rep = run_sweep_parallel("kmeans", "v100_small", sub,
                                  problems=PROBLEMS,
                                  config=SweepConfig(variant_cache=reloaded))
-        assert rep.evaluated == 0 and rep.extra["variant_hits"] == len(sub)
+        assert rep.evaluated == 0 and rep.variant_hits == len(sub)
 
     def test_key_sensitive_to_inputs(self, grid):
         pt = grid[0]
@@ -362,18 +407,15 @@ class TestVariantCache:
             "kmeans", "v100_small", pt, site=None, seed=2023, problem=None,
             sanitize=False)
 
-    def test_stream_session_consults_cache(self, grid):
+    def test_single_job_stream_consults_cache(self, grid):
         vc = VariantCache()
-        pt = grid[0]
+        job = BatchJob("kmeans", "v100_small", grid[0])
         eng = BatchEngine(
             config=SweepConfig(variant_cache=vc),
             runner=ExperimentRunner(problems=PROBLEMS),
         )
         try:
-            with eng.open_stream() as s:
-                s.put(BatchJob("kmeans", "v100_small", pt))
-                for _ in s:
-                    pass
+            eng.submit([job]).records()
         finally:
             eng.close()
         eng2 = BatchEngine(
@@ -381,9 +423,7 @@ class TestVariantCache:
             runner=ExperimentRunner(problems=PROBLEMS),
         )
         try:
-            with eng2.open_stream() as s:
-                s.put(BatchJob("kmeans", "v100_small", pt))
-                recs = [r for _, r in s]
+            recs = eng2.submit([job]).records()
             assert eng2.stats.variant_hits == 1
             assert eng2.stats.executed == 0
             assert recs[0].feasible

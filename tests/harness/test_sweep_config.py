@@ -1,19 +1,17 @@
-"""Unified SweepConfig tests: frozen policy, legacy shims, progress.
+"""Unified SweepConfig tests: frozen policy, removed shims, progress.
 
-The issue's acceptance bar: one frozen config object threads through
-every entry point; the ~15 old loose keywords still work but warn with
-the replacement field named; and ``progress`` accepts
+One frozen config object threads through every entry point; the old
+loose keywords raise ``TypeError``; and ``progress`` accepts
 ``bool | Callable[[SweepProgress], None]`` uniformly — the serial
-``run_sweep`` path included, which previously only took a bool.
+``run_sweep`` path included.
 """
 
 import dataclasses
 
 import pytest
 
-from repro.harness.batch import BatchEngine, BatchJob, run_batch
-from repro.harness.config import SweepConfig, resolve_config
-from repro.harness.executor import run_sweep_parallel
+from repro.harness.batch import BatchEngine, BatchJob, run_sweep_parallel
+from repro.harness.config import SweepConfig
 from repro.harness.runner import ExperimentRunner
 from repro.harness.sweep import SweepPoint
 
@@ -47,66 +45,35 @@ class TestSweepConfig:
         assert base.merged(None) is base
 
 
-class TestResolveConfig:
-    def test_no_legacy_passes_config_through(self):
-        cfg = SweepConfig(workers=3)
-        assert resolve_config(cfg, "x") is cfg
-        assert resolve_config(None, "x") == SweepConfig()
+class TestRemovedShims:
+    """The 1.x loose keywords are gone: each former shim entry point now
+    rejects them like any mistyped parameter name."""
 
-    def test_legacy_kwarg_warns_and_maps(self):
-        with pytest.warns(DeprecationWarning, match=r"max_workers= \(use SweepConfig\(workers=\.\.\.\)\)"):
-            cfg = resolve_config(None, "x", max_workers=4)
-        assert cfg.workers == 4
-
-    def test_legacy_overlays_onto_config(self):
-        with pytest.warns(DeprecationWarning):
-            cfg = resolve_config(SweepConfig(retries=5), "x", parallel=2)
-        assert cfg.workers == 2 and cfg.retries == 5
-
-    def test_workers_clamped(self):
-        with pytest.warns(DeprecationWarning):
-            assert resolve_config(None, "x", max_workers=0).workers == 1
-
-
-class TestDeprecationShims:
-    """Each entry point's old loose keywords warn but keep working."""
-
-    def test_run_sweep_parallel(self):
-        with pytest.warns(DeprecationWarning, match="run_sweep_parallel"):
-            report = run_sweep_parallel(
-                "blackscholes", "v100_small", _points(),
-                problems=PROBLEMS, max_workers=1,
-            )
-        assert report.evaluated == 3
-
-    def test_run_batch(self):
-        jobs = [BatchJob("blackscholes", "v100_small", p) for p in _points()]
-        with pytest.warns(DeprecationWarning, match="run_batch"):
-            report = run_batch(jobs, problems=PROBLEMS, max_workers=1)
-        assert report.evaluated == 3
-
-    def test_batch_engine(self):
-        with pytest.warns(DeprecationWarning, match="BatchEngine"):
-            engine = BatchEngine(problems=PROBLEMS, max_workers=1)
-        assert engine.config.workers == 1
-        engine.close()
-
-    def test_runner_run_sweep_parallel_kwarg(self):
-        runner = ExperimentRunner(problems=PROBLEMS)
-        with pytest.warns(DeprecationWarning, match=r"parallel= \(use SweepConfig\(workers"):
-            records = runner.run_sweep(
-                "blackscholes", "v100_small", _points(), parallel=1
-            )
-        assert len(records) == 3
-
-    def test_config_and_legacy_compose(self):
-        # config= plus a loose kwarg: the kwarg overlays the config.
-        with pytest.warns(DeprecationWarning):
-            report = run_sweep_parallel(
-                "blackscholes", "v100_small", _points(),
-                problems=PROBLEMS, config=SweepConfig(workers=2), retries=0,
-            )
-        assert report.evaluated == 3
+    @pytest.mark.parametrize(
+        "call",
+        [
+            pytest.param(
+                lambda: BatchEngine(problems=PROBLEMS, max_workers=2),
+                id="BatchEngine",
+            ),
+            pytest.param(
+                lambda: run_sweep_parallel(
+                    "blackscholes", "v100_small", _points(),
+                    problems=PROBLEMS, parallel=2,
+                ),
+                id="run_sweep_parallel",
+            ),
+            pytest.param(
+                lambda: ExperimentRunner(problems=PROBLEMS).run_sweep(
+                    "blackscholes", "v100_small", _points(), checkpoint="ck.jsonl"
+                ),
+                id="runner.run_sweep",
+            ),
+        ],
+    )
+    def test_loose_kwarg_raises(self, call):
+        with pytest.raises(TypeError):
+            call()
 
 
 class TestProgressUnification:

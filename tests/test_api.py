@@ -28,7 +28,7 @@ class TestRunPoint:
             params={"hsize": 1, "psize": 4, "threshold": 0.3},
             items_per_thread=2,
             problems=PROBLEMS,
-        )
+        ).record
         assert rec.feasible and rec.technique == "taf"
 
     def test_explicit_point_matches_runner(self):
@@ -36,7 +36,7 @@ class TestRunPoint:
             "taf", {"hsize": 1, "psize": 4, "threshold": 0.3}, "thread", 2
         )
         runner = ExperimentRunner(problems=PROBLEMS)
-        rec = api.run_point("blackscholes", point=pt, runner=runner)
+        rec = api.run_point("blackscholes", point=pt, runner=runner).record
         assert rec.to_dict() == runner.run_point(
             "blackscholes", "v100_small", pt
         ).to_dict()
@@ -51,7 +51,7 @@ class TestSweep:
         report = api.sweep(
             "kmeans", technique="taf", problems=PROBLEMS,
             config=SweepConfig(workers=1),
-        )
+        ).report
         assert report.evaluated == len(report.records) > 0
 
     def test_explicit_points_through_engine(self):
@@ -61,10 +61,10 @@ class TestSweep:
             for p in (4, 8)
         ]
         with BatchEngine(problems=PROBLEMS) as eng:
-            report = api.sweep("blackscholes", points=pts, engine=eng)
+            report = api.sweep("blackscholes", points=pts, engine=eng).report
             assert report.evaluated == 2
             # Same sweep again: served entirely from the engine cache.
-            again = api.sweep("blackscholes", points=pts, engine=eng)
+            again = api.sweep("blackscholes", points=pts, engine=eng).report
         assert again.evaluated == 0 and again.skipped == 2
         assert [r.to_dict() for r in again.records] == [
             r.to_dict() for r in report.records
@@ -79,7 +79,7 @@ class TestSearch:
     def test_random(self):
         res = api.search(
             "blackscholes", technique="taf", budget=3, problems=PROBLEMS
-        )
+        ).result
         assert res.evaluations == 3
 
     def test_evolutionary_parallel_matches_serial(self):
@@ -87,10 +87,10 @@ class TestSearch:
             technique="taf", strategy="evolutionary", budget=6,
             population=2, problems=PROBLEMS,
         )
-        serial = api.search("blackscholes", **kwargs)
+        serial = api.search("blackscholes", **kwargs).result
         par = api.search(
             "blackscholes", config=SweepConfig(workers=2), **kwargs
-        )
+        ).result
         assert [r.to_dict() for r in par.db] == [
             r.to_dict() for r in serial.db
         ]

@@ -58,7 +58,7 @@ class TestExecuteDispatch:
         res = api.execute(req)
         assert isinstance(res, api.PointResult)
         assert res.request is req
-        assert res.feasible  # delegated to the RunRecord
+        assert res.record.feasible
         assert res.exit_code == 0
         assert res.to_payload()["technique"] == "taf"
 
@@ -74,17 +74,17 @@ class TestExecuteDispatch:
             params={"hsize": 1, "psize": 4, "threshold": 0.3},
             items_per_thread=2, problems=PROBLEMS,
         )
-        assert via_request.to_dict() == via_kwargs.to_dict()
+        assert via_request.record.to_dict() == via_kwargs.record.to_dict()
 
     def test_execute_sweep_request(self):
         res = api.execute(
             api.SweepRequest(app="kmeans", technique="taf", problems=PROBLEMS)
         )
         assert isinstance(res, api.SweepResult)
-        assert res.evaluated == len(res.records) > 0
+        assert res.report.evaluated == len(res.report.records) > 0
         payload = res.to_payload()
-        assert payload["evaluated"] == res.evaluated
-        assert len(payload["records"]) == len(res.records)
+        assert payload["evaluated"] == res.report.evaluated
+        assert len(payload["records"]) == len(res.report.records)
 
     def test_engine_with_other_problems_or_seed_raises(self):
         from repro.errors import EngineMismatchError
@@ -121,8 +121,8 @@ class TestExecuteDispatch:
             alone = api.execute(req, config=cfg)
             with BatchEngine(problems=PROBLEMS, seed=7) as engine:
                 shared = api.execute(req, config=cfg, engine=engine)
-            assert [dumps_record(r) for r in shared.records] == [
-                dumps_record(r) for r in alone.records
+            assert [dumps_record(r) for r in shared.report.records] == [
+                dumps_record(r) for r in alone.report.records
             ]
 
     def test_search_through_engine_uses_its_problems(self):
@@ -152,7 +152,7 @@ class TestExecuteDispatch:
             )
         )
         assert isinstance(res, api.SearchResult)
-        assert res.evaluations == 3  # delegated to the engine-layer result
+        assert res.result.evaluations == 3
         assert len(res.to_payload()["records"]) == 3
 
     def test_execute_rejects_non_requests(self):
@@ -202,14 +202,14 @@ class TestCampaignFacade:
             app="blackscholes", technique="taf", problems=PROBLEMS
         )
         split = api.campaign_split(str(camp), spec, shards=2)
-        assert split.exit_code == 0 and split.shards == 2
+        assert split.exit_code == 0 and split.result.shards == 2
         work = api.campaign_work(str(camp), "tester")
-        assert work.jobs_done == 2 and work.exit_code == 0
+        assert work.report.jobs_done == 2 and work.exit_code == 0
         merged = api.campaign_merge(str(camp))
-        assert merged.exit_code == 0 and merged.complete
+        assert merged.exit_code == 0 and merged.result.complete
         status = api.campaign_status(str(camp))
         assert status.exit_code == 0
-        assert status.progress["done"] == 2
+        assert status.status.progress["done"] == 2
         json.loads(merged.render_json())
 
     def test_partial_merge_exits_nonzero(self, tmp_path):
@@ -223,7 +223,7 @@ class TestCampaignFacade:
         )
         api.campaign_work(str(camp), "tester", max_jobs=1)
         partial = api.campaign_merge(str(camp), strict=False)
-        assert partial.exit_code == 1 and not partial.complete
+        assert partial.exit_code == 1 and not partial.result.complete
 
 
 class TestCampaignCLI:
@@ -254,7 +254,7 @@ class TestCampaignCLI:
         assert main(["campaign", "merge", camp]) == 0
         capsys.readouterr()
         merged = ResultsDB.load(tmp_path / "camp" / "merged.jsonl")
-        report = api.sweep("kmeans", technique="taf")
+        report = api.sweep("kmeans", technique="taf").report
         assert [r.to_dict() for r in merged] == [
             r.to_dict() for r in report.records
         ]
