@@ -20,7 +20,9 @@ Run as a script (``python benchmarks/perf_smoke.py``).  Three measurements:
    byte-identical; the pruned sweep again on a 2-worker pool, recording
    every dispatched chunk against the points left when it was cut; then
    the full grid re-swept through a shared :class:`VariantCache`, which
-   must serve every point without re-simulating.
+   must serve every point without re-simulating.  Every record the serial
+   pruned sweep served by threshold reuse (a threshold sibling's record,
+   see ``BatchReport.reused``) is re-simulated directly and must match.
 
 Everything lands in ``BENCH_harness.json``.  Exit status is the CI
 contract:
@@ -37,6 +39,8 @@ contract:
 * nonzero if the 2-worker pruned sweep's records differ from the serial
   pruned sweep's, or any of its chunks exceeds ``ceil(points left /
   workers)``;
+* nonzero if any record served by threshold reuse differs from a direct
+  ``runner.run_point`` of the same point;
 * the >= 2x wall-clock criterion applies only on >= 4-core runners (a
   1-core laptop cannot demonstrate it); below that the timing is recorded
   but not enforced.
@@ -87,6 +91,21 @@ def _best_dicts(result):
         f"{dkey}/{app}/{tech}": (rec.to_dict() if rec is not None else None)
         for (dkey, app, tech), rec in result.best.items()
     }
+
+
+def _capture_reuse(engine: BatchEngine) -> list:
+    """Collect every (point, record) the engine's threshold memo serves."""
+    served = []
+    get = engine.threshold_memo.get
+
+    def capture(key, point):
+        rec = get(key, point)
+        if rec is not None:
+            served.append((point, rec))
+        return rec
+
+    engine.threshold_memo.get = capture
+    return served
 
 
 def _stream_jobs() -> list[BatchJob]:
@@ -154,12 +173,22 @@ def main() -> int:
         "kmeans", "v100_small", PRUNE_GRID, config=SweepConfig()
     )
     full_sweep_seconds = time.monotonic() - t0
-    t0 = time.monotonic()
-    pruned_sweep = run_sweep_parallel(
-        "kmeans", "v100_small", PRUNE_GRID,
-        config=SweepConfig(prune=PRUNE_BOUND, order=True),
-    )
-    pruned_sweep_seconds = time.monotonic() - t0
+    with BatchEngine() as reuse_engine:
+        served = _capture_reuse(reuse_engine)
+        t0 = time.monotonic()
+        pruned_sweep = run_sweep_parallel(
+            "kmeans", "v100_small", PRUNE_GRID,
+            config=SweepConfig(prune=PRUNE_BOUND, order=True),
+            engine=reuse_engine,
+        )
+        pruned_sweep_seconds = time.monotonic() - t0
+    # Threshold reuse is exact: each served record equals simulating it.
+    direct = ExperimentRunner()
+    reuse_mismatches = [
+        pt.label() for pt, rec in served
+        if dumps_record(rec)
+        != dumps_record(direct.run_point("kmeans", "v100_small", pt))
+    ]
     t0 = time.monotonic()
     pooled_sweep = run_sweep_parallel(
         "kmeans", "v100_small", PRUNE_GRID,
@@ -248,6 +277,11 @@ def main() -> int:
             f"{PRUNE_WORKERS}-worker pruned sweep dispatched chunks over "
             f"ceil(points left / workers): (points, left) = {over_cap}"
         )
+    if reuse_mismatches:
+        failures.append(
+            f"threshold reuse served records that differ from direct "
+            f"simulation: {reuse_mismatches}"
+        )
     if cached_sweep.evaluated != 0 or (
         cached_sweep.variant_hits != len(PRUNE_GRID)
     ):
@@ -306,6 +340,9 @@ def main() -> int:
             "full_seconds": round(full_sweep_seconds, 3),
             "pruned_seconds": round(pruned_sweep_seconds, 3),
             "survivors_identical": survivors_identical,
+            "full_points_reused": full_sweep.reused,
+            "pruned_points_reused": pruned_sweep.reused,
+            "reused_mismatches": len(reuse_mismatches),
             "pool": {
                 "workers": PRUNE_WORKERS,
                 "seconds": round(pooled_sweep_seconds, 3),
@@ -315,6 +352,7 @@ def main() -> int:
                 ),
                 "chunks_over_cap": len(over_cap),
                 "records_identical_to_serial": pooled_identical,
+                "points_reused": pooled_sweep.reused,
             },
             "variant_cache_hits": cached_sweep.variant_hits,
             "variant_cache_reswept_points": cached_sweep.evaluated,

@@ -167,7 +167,8 @@ def cmd_sweep(args) -> int:
             or args.prune or args.variant_cache):
         lattice = report.extra.get("lattice_pruned", 0)
         print(f"evaluated {report.evaluated} points "
-              f"({report.skipped} resumed from checkpoint, "
+              f"({report.reused} served by threshold reuse; "
+              f"{report.skipped} resumed from checkpoint, "
               f"{report.pruned} pruned by preflight, "
               f"{lattice} pruned by the lattice, "
               f"{report.variant_hits} variant-cache hit(s)) "

@@ -211,8 +211,12 @@ class SweepResult(ApiResult):
         return _json_safe(
             {
                 "evaluated": self.report.evaluated,
+                "reused": self.report.reused,
                 "skipped": self.report.skipped,
+                "deduped": self.report.deduped,
                 "pruned": self.report.pruned,
+                "lattice_pruned": self.report.extra.get("lattice_pruned", 0),
+                "variant_hits": self.report.variant_hits,
                 "feasible": self.report.feasible,
                 "infeasible": self.report.infeasible,
                 "elapsed": self.report.elapsed,

@@ -23,6 +23,8 @@ import enum
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.errors import ConfigurationError
 
 
@@ -176,11 +178,67 @@ class NoiseParams:
 
 
 @dataclass
+class ThresholdWindow:
+    """The thresholds under which a run makes exactly the same decisions.
+
+    A TAF or iACT threshold enters the simulation at one comparison: TAF
+    arms a lane when ``rsd < rsd_threshold``, iACT lets an active lane with
+    a table entry approximate when ``nearest_d2 <= threshold**2``.  Every
+    comparison evaluated narrows the window to its tightest margins:
+
+    * TAF: ``lo < t <= hi`` on ``t = float(threshold)``; ``lo`` is the
+      largest RSD that armed, ``hi`` the smallest that did not;
+    * iACT: ``lo <= t**2 < hi``; ``lo`` is the largest squared distance
+      that approximated, ``hi`` the smallest that did not.
+
+    NaN compares False under every threshold, so it never narrows.  A
+    threshold inside the window leaves every comparison's outcome, and by
+    induction the whole run, unchanged.
+    """
+
+    lo: float = -math.inf
+    hi: float = math.inf
+
+    def narrow(self, values, taken, rest) -> None:
+        """Fold in one comparison over ``values``: ``taken`` masks the
+        lanes where it came out True, ``rest`` the lanes where it came out
+        False (NaN lanes there are skipped)."""
+        lo = float(np.max(values, where=taken, initial=-np.inf))
+        hi = float(np.fmin.reduce(values, where=rest, initial=np.inf))
+        if lo > self.lo:
+            self.lo = lo
+        if hi < self.hi:
+            self.hi = hi
+
+    def intersect(self, other: "ThresholdWindow") -> "ThresholdWindow":
+        return ThresholdWindow(max(self.lo, other.lo), min(self.hi, other.hi))
+
+    def admits(self, technique: str, threshold) -> bool:
+        """Whether ``threshold`` reproduces the run this window came from.
+
+        The threshold is converted exactly as the simulator converts it
+        (``float``, then ``** 2`` for iACT); a value that cannot be (an
+        overflowing square, say) is not admitted."""
+        t = float(threshold)
+        if technique == "taf":
+            return self.lo < t <= self.hi
+        if technique == "iact":
+            try:
+                t2 = t**2
+            except OverflowError:
+                return False
+            return self.lo <= t2 < self.hi
+        return False
+
+
+@dataclass
 class RegionStats:
     """Per-region dynamic statistics collected during a launch.
 
     ``approximated / invocations`` is the "% of calculations approximated"
-    colour scale of Fig 8c.
+    colour scale of Fig 8c.  ``window`` holds the TAF/iACT threshold
+    margins (:class:`ThresholdWindow`); it is not part of :meth:`snapshot`,
+    so records never carry it.
     """
 
     invocations: int = 0  # lane-level region entries
@@ -189,6 +247,9 @@ class RegionStats:
     denied: int = 0  # lanes accurate against their own criterion
     skipped: int = 0  # lane-iterations dropped by perforation
     fallback_accurate: int = 0  # group said approximate but lane had no value
+    window: ThresholdWindow = field(
+        default_factory=ThresholdWindow, compare=False, repr=False
+    )
 
     @property
     def approx_fraction(self) -> float:

@@ -37,6 +37,9 @@ from repro.approx.replacement import make_policy
 from repro.errors import UnsupportedApproximationError
 from repro.gpusim.context import GridContext
 
+#: Writer-election sentinel: a lane index no real lane can have.
+INT64_MAX = np.iinfo(np.int64).max
+
 
 @dataclass
 class IACTState:
@@ -299,7 +302,14 @@ def iact_invoke(
         np.logical_and(m, has_entry, out=want)
         tmpb = arena.buf("iact_tmpb", lanes, np.bool_)
         np.less_equal(nearest_d2, params.threshold**2, out=tmpb)
+        if stats is not None:
+            # Margins over the lanes that compared: active, with an entry.
+            rest = arena.buf("iact_rest", lanes, np.bool_)
+            np.logical_not(tmpb, out=rest)
+            np.logical_and(want, rest, out=rest)
         np.logical_and(want, tmpb, out=want)
+        if stats is not None:
+            stats.window.narrow(nearest_d2, want, rest)
         dec = decide(ctx, want, spec.level, m)
 
         approx = arena.buf("iact_approx", lanes, np.bool_)
@@ -332,7 +342,14 @@ def iact_invoke(
         nearest_d2 = dist2[np.arange(total), nearest_slot]
         has_entry = np.isfinite(nearest_d2)
 
-        want = np.logical_and.reduce([m, has_entry, nearest_d2 <= params.threshold**2])
+        close = nearest_d2 <= params.threshold**2
+        want = np.logical_and.reduce([m, has_entry, close])
+        if stats is not None:
+            stats.window.narrow(
+                nearest_d2,
+                want,
+                np.logical_and.reduce([m, has_entry, np.logical_not(close)]),
+            )
         dec = decide(ctx, want, spec.level, m)
 
         approx = np.logical_and(dec.approx_mask, has_entry)
@@ -396,9 +413,9 @@ def iact_invoke(
             np.equal(score, gathered, out=cand)
             np.logical_and(accurate, cand, out=cand)
             winner = arena.buf("iact_winner", (ntab,), np.int64)
-            winner.fill(np.iinfo(np.int64).max)
+            winner.fill(INT64_MAX)
             lane_masked = arena.buf("iact_lanem", lanes, np.int64)
-            lane_masked.fill(np.iinfo(np.int64).max)
+            lane_masked.fill(INT64_MAX)
             np.copyto(lane_masked, lane_idx, where=cand)
             np.minimum.at(winner, tid, lane_masked)
             wgather = arena.buf("iact_wing", lanes, np.int64)
@@ -411,7 +428,7 @@ def iact_invoke(
             best = np.full(ntab, -np.inf)
             np.maximum.at(best, tid[accurate], score[accurate])
             cand = np.logical_and(accurate, score == best[tid])
-            winner = np.full(ntab, np.iinfo(np.int64).max, dtype=np.int64)
+            winner = np.full(ntab, INT64_MAX, dtype=np.int64)
             np.minimum.at(winner, tid[cand], lane_idx[cand])
             writer = np.logical_and(cand, lane_idx == winner[tid])
         ctx._charge_intrinsic(float(np.log2(ctx.warp_size)), m)  # election scan

@@ -26,6 +26,7 @@ from repro.approx.base import (
     RegionSpec,
     RegionStats,
     Technique,
+    ThresholdWindow,
 )
 from repro.approx.iact import iact_invoke
 from repro.approx.noise import noise_invoke
@@ -86,6 +87,15 @@ class ApproxRuntime:
 
     def stats_snapshot(self) -> dict[str, dict]:
         return {name: s.snapshot() for name, s in self.stats.items()}
+
+    def threshold_window(self) -> ThresholdWindow:
+        """Intersection of every region's :class:`ThresholdWindow`: the
+        thresholds that reproduce every decision since the last reset.
+        Meaningful when the TAF/iACT regions share one technique."""
+        window = ThresholdWindow()
+        for s in self.stats.values():
+            window = window.intersect(s.window)
+        return window
 
     # ------------------------------------------------------------------
     def region(

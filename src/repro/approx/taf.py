@@ -286,7 +286,10 @@ def taf_invoke(
                     params.history_size,
                     mode=spec.meta.get("rsd_mode", "components"),
                 )
-                arm_idx = idx[rsd_sel < params.rsd_threshold]
+                below = rsd_sel < params.rsd_threshold
+                if stats is not None:
+                    stats.window.narrow(rsd_sel, below, ~below)
+                arm_idx = idx[below]
                 if arm_idx.size:
                     st.state[arm_idx] = STABLE
                     st.pred_left[arm_idx] = params.prediction_size
@@ -317,7 +320,12 @@ def taf_invoke(
                     params.history_size,
                     mode=spec.meta.get("rsd_mode", "components"),
                 )
-                arm = np.logical_and(ready, rsd < params.rsd_threshold)
+                below = rsd < params.rsd_threshold
+                arm = np.logical_and(ready, below)
+                if stats is not None:
+                    stats.window.narrow(
+                        rsd, arm, np.logical_and(ready, np.logical_not(below))
+                    )
                 if arm.any():
                     st.state[arm] = STABLE
                     st.pred_left[arm] = params.prediction_size

@@ -33,6 +33,7 @@ from repro.approx.base import (
     RegionSpec,
     TAFParams,
     Technique,
+    ThresholdWindow,
 )
 from repro.approx.runtime import ApproxRuntime
 from repro.errors import ConfigurationError, UnsupportedApproximationError
@@ -75,6 +76,9 @@ class AppResult:
     timing: ProgramTiming
     region_stats: dict[str, dict]
     extra: dict[str, Any] = field(default_factory=dict)
+    #: Thresholds that reproduce this run exactly (see
+    #: :class:`~repro.approx.base.ThresholdWindow`).
+    threshold_window: ThresholdWindow | None = None
 
     @property
     def seconds(self) -> float:
@@ -281,6 +285,7 @@ class Benchmark(abc.ABC):
         nthreads = num_threads or self.default_num_threads
         result = self._execute(prog, rt, nthreads, int(items_per_thread))
         result.region_stats = rt.stats_snapshot()
+        result.threshold_window = rt.threshold_window()
         if sanitizer is not None:
             result.extra["approxsan"] = sanitizer.finish()
         return result

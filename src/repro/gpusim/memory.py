@@ -22,6 +22,9 @@ import numpy as np
 from repro.errors import GlobalMemoryError
 from repro.gpusim.device import MEMORY_SEGMENT_BYTES, DeviceSpec
 
+#: Inactive-lane segment sentinel of :func:`coalesced_transactions`.
+INT64_MAX = np.int64(np.iinfo(np.int64).max)
+
 
 @dataclass
 class DeviceBuffer:
@@ -289,13 +292,13 @@ def coalesced_transactions(
     # Inactive lanes get the int64-max sentinel: after the per-row sort they
     # collapse into one run at the top, and the `real` mask below keeps that
     # run from ever counting as a distinct segment.
-    sentinel = np.where(act, segs, np.int64(np.iinfo(np.int64).max))
+    sentinel = np.where(act, segs, INT64_MAX)
     sorted_segs = np.sort(sentinel, axis=1)
     first = act.any(axis=1).astype(np.int64)
     diffs = sorted_segs[:, 1:] != sorted_segs[:, :-1]
     # A diff at position j counts a new segment only if lane j+1 is a real
     # (non-sentinel) value; sentinel runs collapse because they are equal.
-    real = sorted_segs[:, 1:] != np.iinfo(np.int64).max
+    real = sorted_segs[:, 1:] != INT64_MAX
     counts = first + np.count_nonzero(diffs & real, axis=1)
     if out is not None:
         out[:] = counts

@@ -20,6 +20,7 @@ seed).
 
 from __future__ import annotations
 
+import copy
 import sys
 import time
 from collections import OrderedDict, deque
@@ -28,6 +29,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
+from repro.approx.base import ThresholdWindow
+from repro.apps.common import make_params
 from repro.errors import EngineMismatchError
 from repro.gpusim.device import DeviceSpec, get_device
 from repro.harness.config import SweepConfig
@@ -71,7 +74,8 @@ class BatchReport:
     #: One record per input job, in job order (checkpointed + fresh; a
     #: deduplicated slot shares its record with the slot it collapsed into).
     records: list[RunRecord]
-    #: Points actually simulated by this invocation.
+    #: Points evaluated by this invocation: simulated, or served by
+    #: threshold reuse (``reused`` of them).
     evaluated: int
     #: Job slots satisfied from the checkpoint or the engine's session
     #: cache without running.
@@ -82,6 +86,9 @@ class BatchReport:
     pruned: int = 0
     #: Job slots served from the content-hash variant cache.
     variant_hits: int = 0
+    #: Evaluated points served from a threshold sibling's record instead
+    #: of simulated (see :class:`ThresholdMemo`); a subset of ``evaluated``.
+    reused: int = 0
     #: Unique (app, device) baselines computed in the parent for sharing.
     baseline_runs: int = 0
     #: Baselines computed inside pool workers (0 when sharing works).
@@ -200,6 +207,15 @@ def run_point_with_retry(
     )
 
 
+def _window(runner) -> ThresholdWindow | None:
+    """The threshold window of ``runner``'s last ``run_point``.
+
+    Read after :func:`run_point_with_retry` from the runner it left in
+    place (a retry may have rebuilt it).  ``run_point`` resets the window
+    first, so a failed attempt never leaves a stale one behind."""
+    return getattr(runner, "last_window", None)
+
+
 def _crash_record(job: BatchJob, why: str) -> RunRecord:
     """Infeasible record for a job lost to repeated pool crashes."""
     return RunRecord(
@@ -256,8 +272,9 @@ def _run_chunk(
     retries: int,
     baselines: dict | None = None,
     sanitize: bool = False,
-) -> tuple[list, float, int]:
-    """Run one heterogeneous chunk; returns (records, seconds, baseline runs).
+) -> tuple[list, float, int, list]:
+    """Run one heterogeneous chunk; returns (records, seconds, baseline
+    runs, threshold windows).
 
     ``seconds`` is measured in the worker so the adaptive controller sees
     compute time, not queue wait."""
@@ -268,14 +285,17 @@ def _run_chunk(
             _BATCH_RUNNER.prime_baselines(baselines)
     before = _worker_baseline_computes()
     t0 = time.monotonic()
-    records = [
-        run_point_with_retry(
+    records, windows = [], []
+    for app, device, point, site in chunk:
+        records.append(run_point_with_retry(
             _BATCH_RUNNER, app, device, point, site=site,
             retries=retries, rebuild=_rebuild_batch_runner, sanitize=sanitize,
-        )
-        for app, device, point, site in chunk
-    ]
-    return records, time.monotonic() - t0, _worker_baseline_computes() - before
+        ))
+        windows.append(_window(_BATCH_RUNNER))
+    return (
+        records, time.monotonic() - t0, _worker_baseline_computes() - before,
+        windows,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -349,6 +369,70 @@ class WorkerPool:
 
 
 # ----------------------------------------------------------------------
+class ThresholdMemo:
+    """Exact threshold-window reuse across a TAF/iACT threshold chain.
+
+    A chain is the set of points that differ only in ``threshold``; its
+    key is (app, device name, technique, the other params, level, items
+    per thread, site, sanitize) — the engine fixes problems and seed.  The
+    threshold enters a run at one comparison per technique, and the run's
+    :class:`~repro.approx.base.ThresholdWindow` holds every threshold that
+    gives each of those comparisons the same outcome.  A point whose
+    threshold lies inside the window would make every decision of the
+    stored run, so its record is the stored record with its own
+    ``params``.
+
+    Only the latest window per chain is kept: chains ascend in threshold,
+    and a window that missed ``t2`` also misses every ``t3 > t2``.  Only
+    feasible records without a note are stored, and a threshold that fails
+    :func:`~repro.apps.common.make_params` validation is never served.
+    """
+
+    def __init__(self) -> None:
+        self._chains: dict[tuple, tuple[ThresholdWindow, RunRecord]] = {}
+
+    def __len__(self) -> int:
+        return len(self._chains)
+
+    @staticmethod
+    def key(job: BatchJob, device_name: str, sanitize: bool) -> tuple | None:
+        """The job's chain, or ``None`` for points without a threshold."""
+        pt = job.point
+        if pt.technique not in ("taf", "iact") or "threshold" not in pt.params:
+            return None
+        others = repr(sorted(
+            (k, v) for k, v in pt.params.items() if k != "threshold"
+        ))
+        return (
+            job.app, device_name, pt.technique, others, pt.level,
+            pt.items_per_thread, job.site, bool(sanitize),
+        )
+
+    def get(self, key: tuple, point: SweepPoint) -> RunRecord | None:
+        """The chain's stored record re-labelled for ``point``, when
+        ``point``'s threshold lies inside the stored window."""
+        entry = self._chains.get(key)
+        if entry is None:
+            return None
+        window, record = entry
+        try:
+            make_params(point.technique, **point.params)
+            if not window.admits(point.technique, point.params["threshold"]):
+                return None
+        except Exception:  # noqa: BLE001 — an invalid point simulates (and fails) as usual
+            return None
+        served = copy.deepcopy(record)
+        served.params = dict(point.params)
+        return served
+
+    def put(
+        self, key: tuple, record: RunRecord, window: ThresholdWindow | None
+    ) -> None:
+        if window is not None and record.feasible and not record.note:
+            self._chains[key] = (window, record)
+
+
+# ----------------------------------------------------------------------
 def _order_pending(
     pending: "OrderedDict[tuple, BatchJob]",
     order,
@@ -387,7 +471,10 @@ class BatchStream:
     without simulating — the engine's session cache, the checkpoint, the
     static preflight, the variant cache, and duplicates of an earlier slot
     — then resolves shared baselines and, on a pool, dispatches the first
-    chunks, so independent streams on one engine overlap.  Those
+    chunks, so independent streams on one engine overlap.  A job taken for
+    dispatch is first looked up in the engine's :class:`ThresholdMemo`
+    (stock runner only) and served from a threshold sibling when its
+    threshold cannot change a single decision.  Those
     early-resolved slots yield first, in job order; fresh evaluations
     yield as their chunks complete, while checkpoint writes and progress
     callbacks absorb them, so a consumer overlaps its own work with the
@@ -570,6 +657,17 @@ class BatchStream:
                 self._done[key] = rec
                 self._notify(key, rec)
 
+        # Threshold reuse is exact only for the content-deterministic
+        # stock runner, like the variant cache.
+        self.reused = 0
+        self._memo = engine.threshold_memo if stock else None
+        self._memo_keys: dict[tuple, tuple] = {}
+        if self._memo is not None:
+            for key, job in pending.items():
+                mkey = ThresholdMemo.key(job, key[1], cfg.sanitize)
+                if mkey is not None:
+                    self._memo_keys[key] = mkey
+
         # Group pending jobs by (app, device): the adaptive controller's
         # unit of throughput, and the worker's unit of app-cache locality.
         self._chunker = AdaptiveChunker(target_seconds=TARGET_CHUNK_SECONDS)
@@ -601,6 +699,20 @@ class BatchStream:
             self._fill()
 
     # -- bookkeeping ----------------------------------------------------
+    def _reuse(self, key: tuple, job: BatchJob) -> RunRecord | None:
+        """The job's record served by threshold reuse, or ``None``."""
+        mkey = self._memo_keys.get(key)
+        rec = None if mkey is None else self._memo.get(mkey, job.point)
+        self.reused += rec is not None
+        return rec
+
+    def _remember(
+        self, key: tuple, record: RunRecord, window: ThresholdWindow | None
+    ) -> None:
+        mkey = self._memo_keys.get(key)
+        if mkey is not None:
+            self._memo.put(mkey, record, window)
+
     def _notify(self, key: tuple, record: RunRecord) -> None:
         self._ready.extend(self._slots_by_key.get(key, ()))
         self._engine._cache[key] = record
@@ -636,7 +748,11 @@ class BatchStream:
             )
 
     def _next_chunk(self) -> tuple[tuple | None, list]:
-        """Pop the next chunk, round-robin across groups for fair mixing."""
+        """Pop the next chunk, round-robin across groups for fair mixing.
+
+        On a pool, popped jobs that threshold reuse can serve are absorbed
+        here instead of dispatched (in-process, each job is checked right
+        before it runs, so siblings within one chunk are served too)."""
         if not self._groups:
             return None, []
         group = next(iter(self._groups))
@@ -649,9 +765,20 @@ class BatchStream:
                 # what is left, so every worker gets part of a short stream
                 # and the tail shrinks geometrically.
                 size = min(size, -(-self._undispatched // self._workers))
-        chunk = [queue.popleft() for _ in range(min(size, len(queue)))]
-        self.dispatch_log.append((len(chunk), self._undispatched))
-        self._undispatched -= len(chunk)
+        chunk: list = []
+        served: list = []
+        while queue and len(chunk) < size:
+            key, job = queue.popleft()
+            rec = self._reuse(key, job) if self._pool is not None else None
+            if rec is None:
+                chunk.append((key, job))
+            else:
+                served.append((key, rec))
+        if chunk:
+            self.dispatch_log.append((len(chunk), self._undispatched))
+        self._undispatched -= len(chunk) + len(served)
+        if served:
+            self._absorb([key for key, _rec in served], [rec for _key, rec in served])
         if queue:
             self._groups.move_to_end(group)
         else:
@@ -675,11 +802,10 @@ class BatchStream:
         """Dispatch chunks until every worker has one in flight."""
         while len(self._inflight) < self._workers and self._groups:
             group, chunk = self._next_chunk()
-            if not chunk:
-                break
-            self._dispatch(
-                group, [key for key, _job in chunk], [job for _key, job in chunk]
-            )
+            if chunk:
+                self._dispatch(
+                    group, [key for key, _job in chunk], [job for _key, job in chunk]
+                )
 
     def _recover(self, casualties: list[tuple]) -> None:
         """Respawn a broken pool and re-run its lost chunks (budgeted).
@@ -719,14 +845,17 @@ class BatchStream:
                 return self._runner
 
             t_chunk = time.monotonic()
-            records = [
-                run_point_with_retry(
-                    self._runner, job.app, job.device, job.point, site=job.site,
-                    retries=self.config.retries, rebuild=rebuild,
-                    sanitize=self.config.sanitize,
-                )
-                for _key, job in chunk
-            ]
+            records = []
+            for key, job in chunk:
+                rec = self._reuse(key, job)
+                if rec is None:
+                    rec = run_point_with_retry(
+                        self._runner, job.app, job.device, job.point,
+                        site=job.site, retries=self.config.retries,
+                        rebuild=rebuild, sanitize=self.config.sanitize,
+                    )
+                    self._remember(key, rec, _window(self._runner))
+                records.append(rec)
             self._chunker.observe(group, len(chunk), time.monotonic() - t_chunk)
             self._absorb([key for key, _job in chunk], records)
             return True
@@ -738,10 +867,12 @@ class BatchStream:
         for fut in finished:
             group, keys, jobs, gen = self._inflight.pop(fut)
             try:
-                records, seconds, computes = fut.result()
+                records, seconds, computes, windows = fut.result()
             except Exception:  # noqa: BLE001 — a dead worker breaks the pool
                 casualties.append((group, keys, jobs, gen))
                 continue
+            for key, rec, window in zip(keys, records, windows):
+                self._remember(key, rec, window)
             self.worker_baseline_runs += computes
             self._chunker.observe(group, len(keys), seconds)
             self._absorb(keys, records)
@@ -794,6 +925,7 @@ class BatchStream:
             deduped=self.deduped,
             pruned=self.pruned,
             variant_hits=self.variant_hits,
+            reused=self.reused,
             baseline_runs=self.baseline_runs,
             worker_baseline_runs=self.worker_baseline_runs,
             elapsed=self.elapsed,
@@ -836,6 +968,7 @@ class BatchStream:
         stats.skipped += self.skipped
         stats.pruned += self.pruned
         stats.variant_hits += self.variant_hits
+        stats.reused += self.reused
         stats.worker_baseline_runs += self.worker_baseline_runs
         stats.elapsed += self.elapsed
         self._engine._sync_pool_stats()
@@ -857,8 +990,11 @@ class EngineStats:
 
     #: Job slots requested through the engine.
     submitted: int = 0
-    #: Points actually simulated.
+    #: Points evaluated: simulated, or served by threshold reuse.
     executed: int = 0
+    #: Evaluated points served from a threshold sibling's record without
+    #: simulating (see :class:`ThresholdMemo`); a subset of ``executed``.
+    reused: int = 0
     #: Slots served from the engine's session cache (cross-call dedupe).
     cache_hits: int = 0
     #: Duplicate slots collapsed inside single calls.
@@ -931,6 +1067,8 @@ class BatchEngine:
 
             self.variant_cache = resolve_variant_cache(self.config.variant_cache)
         self._cache: dict[tuple, RunRecord] = {}
+        #: Threshold windows of this engine's simulated TAF/iACT points.
+        self.threshold_memo = ThresholdMemo()
         self._dev_names: dict[str, str] = {}
         self.pool: WorkerPool | None = (
             WorkerPool(self.config.workers, self._factory, self.factory_args)

@@ -533,14 +533,14 @@ def run_sweep_pruned(
     # Waves run without the checkpoint (managed here) and without prune /
     # order (pruning is this driver; ordering happens on the wave itself).
     wave_cfg = cfg.replace(checkpoint=None, prune=False, order=False)
-    variant_hits0 = engine.stats.variant_hits
 
     surrogate: Surrogate | None = None
     if cfg.order and not callable(cfg.order):
         surrogate = Surrogate()
         surrogate.observe_records(decided.values())
 
-    evaluated = preflight_pruned = lattice_pruned = waves = 0
+    evaluated = preflight_pruned = lattice_pruned = variant_hits = 0
+    reused = waves = 0
     dispatch_log: list[tuple[int, int]] = []
     try:
         while True:
@@ -607,7 +607,10 @@ def run_sweep_pruned(
                 config=wave_cfg,
             ).report()
             evaluated += rep.evaluated
+            reused += rep.reused
+            skipped += rep.skipped
             preflight_pruned += rep.pruned
+            variant_hits += rep.variant_hits
             dispatch_log += rep.extra["dispatch_log"]
             for pt, rec in zip(wave, rep.records):
                 decided[pt.label()] = rec
@@ -624,8 +627,10 @@ def run_sweep_pruned(
         records=[decided[pt.label()] for pt in points],
         evaluated=evaluated,
         skipped=skipped,
+        deduped=len(points) - len(unique),
         pruned=preflight_pruned,
-        variant_hits=engine.stats.variant_hits - variant_hits0,
+        variant_hits=variant_hits,
+        reused=reused,
         elapsed=time.monotonic() - t0,
         checkpoint=(
             str(cfg.checkpoint) if cfg.checkpoint is not None else None

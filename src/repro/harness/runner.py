@@ -19,6 +19,7 @@ import time
 from dataclasses import asdict, dataclass, field
 
 from repro.apps.common import AppResult, Benchmark
+from repro.approx.base import ThresholdWindow
 from repro.errors import ReproError, SharedMemoryError, UnsupportedApproximationError
 from repro.gpusim.device import DeviceSpec, get_device
 from repro.harness.config import SweepConfig
@@ -76,6 +77,10 @@ class ExperimentRunner:
         #: (cache hits and primed entries excluded) — the batch layer's
         #: "each baseline computed exactly once" counter.
         self.baseline_computes = 0
+        #: Threshold window of the last :meth:`run_point` that simulated
+        #: (``None`` otherwise).  Kept beside the record, never in it, so
+        #: record bytes do not depend on it.
+        self.last_window: ThresholdWindow | None = None
 
     # ------------------------------------------------------------------
     def _problem_key(self, app_name: str) -> str:
@@ -138,7 +143,10 @@ class ExperimentRunner:
         ``sanitize=True`` runs the point under ApproxSan and stores the
         violation report under ``record.extra["approxsan"]`` (dict form).
         Simulated timings — and therefore speedups — are unaffected.
+        A simulated point leaves its threshold window in
+        :attr:`last_window`.
         """
+        self.last_window = None
         dev = get_device(device)
         app = self.app(app_name)
         record = RunRecord(
@@ -190,6 +198,7 @@ class ExperimentRunner:
                 record.extra["convergence_speedup"] = convergence_speedup(
                     base.extra["iterations"], result.extra["iterations"]
                 )
+        self.last_window = result.threshold_window
         return record
 
     def run_sweep(

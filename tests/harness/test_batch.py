@@ -175,7 +175,8 @@ class TestChunkCap:
         serial, serial_recs = self._stream(workers=1)
         assert pooled_recs == serial_recs
         log = pooled.dispatch_log
-        assert sum(n for n, _left in log) == 50
+        # Points served by threshold reuse are never dispatched.
+        assert sum(n for n, _left in log) + pooled.reused == 50
         assert all(n <= -(-left // 2) for n, left in log)
         assert max(n for n, _left in log) < 46
         # The serial path is unchanged: one chunk takes the rest.
@@ -183,7 +184,11 @@ class TestChunkCap:
 
     def test_pinned_chunk_size_used_exactly(self):
         pinned, recs = self._stream(workers=2, chunk_size=20)
-        assert [n for n, _left in pinned.dispatch_log] == [20, 20, 10]
+        sizes = [n for n, _left in pinned.dispatch_log]
+        # Every chunk but the last is full; threshold reuse serves the
+        # points that are not dispatched.
+        assert sizes[:2] == [20, 20] and all(n == 20 for n in sizes[:-1])
+        assert sum(sizes) + pinned.reused == 50
         _serial, serial_recs = self._stream(workers=1)
         assert recs == serial_recs
 

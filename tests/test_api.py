@@ -74,6 +74,36 @@ class TestSweep:
         with pytest.raises(ValueError):
             api.sweep("kmeans")
 
+    @pytest.mark.parametrize("prune", [0.10, False])
+    def test_payload_accounts_for_every_record(self, prune, tmp_path):
+        pts = [
+            SweepPoint("taf", {"hsize": h, "psize": p, "threshold": t}, lvl, 2)
+            for h in (1, 2)
+            for p in (4, 8)
+            for t in (0.3, 3.0, 20.0)
+            for lvl in ("thread", "warp")
+        ]
+        pts.append(pts[0])  # a duplicate slot
+        parts = ("evaluated", "skipped", "pruned", "lattice_pruned",
+                 "variant_hits", "deduped")
+        cfg = SweepConfig(prune=prune, preflight=True,
+                          checkpoint=str(tmp_path / "ck.jsonl"))
+        with BatchEngine(problems=PROBLEMS) as eng:
+            first = api.sweep("kmeans", points=pts, engine=eng, config=cfg)
+            # Again on the same engine: served from its session cache.
+            cached = api.sweep("kmeans", points=pts, engine=eng,
+                               config=cfg.replace(checkpoint=None))
+        # Again on a fresh engine: every row resumes from the checkpoint.
+        with BatchEngine(problems=PROBLEMS) as eng:
+            again = api.sweep("kmeans", points=pts, engine=eng, config=cfg)
+        for result in (first, cached, again):
+            payload = result.to_payload()
+            assert sum(payload[k] for k in parts) == len(payload["records"])
+            assert payload["reused"] <= payload["evaluated"]
+        assert first.to_payload()["deduped"] == 1
+        if prune:
+            assert first.to_payload()["lattice_pruned"] > 0
+
 
 class TestSearch:
     def test_random(self):
