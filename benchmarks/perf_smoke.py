@@ -21,8 +21,12 @@ Run as a script (``python benchmarks/perf_smoke.py``).  Three measurements:
    every dispatched chunk against the points left when it was cut; then
    the full grid re-swept through a shared :class:`VariantCache`, which
    must serve every point without re-simulating.  Every record the serial
-   pruned sweep served by threshold reuse (a threshold sibling's record,
+   pruned sweep served by sibling reuse (a threshold sibling's record,
    see ``BatchReport.reused``) is re-simulated directly and must match.
+5. **Launch-geometry reuse** — one kmeans TAF point at the default problem
+   size and items per thread 256, 512 (one team each) and 64 (four teams)
+   on one engine: exactly the 512 point is served, and its record must
+   equal a direct ``runner.run_point``.
 
 Everything lands in ``BENCH_harness.json``.  Exit status is the CI
 contract:
@@ -39,8 +43,9 @@ contract:
 * nonzero if the 2-worker pruned sweep's records differ from the serial
   pruned sweep's, or any of its chunks exceeds ``ceil(points left /
   workers)``;
-* nonzero if any record served by threshold reuse differs from a direct
-  ``runner.run_point`` of the same point;
+* nonzero if any record served by sibling reuse differs from a direct
+  ``runner.run_point`` of the same point, or the geometry check serves
+  other than exactly one record;
 * the >= 2x wall-clock criterion applies only on >= 4-core runners (a
   1-core laptop cannot demonstrate it); below that the timing is recorded
   but not enforced.
@@ -82,6 +87,9 @@ PRUNE_GRID = [
     for lvl in ("thread", "warp")
 ]
 PRUNE_BOUND = 0.10
+#: Items per thread for the geometry check: kmeans's 16384 observations on
+#: 64-thread teams launch 1, 1 and 4 teams.
+GEOMETRY_ITEMS = (256, 512, 64)
 #: Pool size for the pruned sweep's chunk-cap check.
 PRUNE_WORKERS = 2
 
@@ -94,7 +102,7 @@ def _best_dicts(result):
 
 
 def _capture_reuse(engine: BatchEngine) -> list:
-    """Collect every (point, record) the engine's threshold memo serves."""
+    """Collect every (point, record) the engine's sibling memo serves."""
     served = []
     get = engine.threshold_memo.get
 
@@ -228,6 +236,23 @@ def main() -> int:
         config=SweepConfig(variant_cache=vcache),
     )
 
+    # Launch-geometry reuse: items per thread 512 replays the 256 run.
+    geometry_points = [
+        SweepPoint("taf", {"hsize": 2, "psize": 8, "threshold": 0.9},
+                   items_per_thread=ipt)
+        for ipt in GEOMETRY_ITEMS
+    ]
+    with BatchEngine() as geometry_engine:
+        geometry_served = _capture_reuse(geometry_engine)
+        geometry_engine.submit(
+            [BatchJob("kmeans", "v100_small", pt) for pt in geometry_points]
+        ).records()
+    geometry_mismatches = [
+        pt.label() for pt, rec in geometry_served
+        if dumps_record(rec)
+        != dumps_record(direct.run_point("kmeans", "v100_small", pt))
+    ]
+
     failures = []
     if engine.stats.executed > serial_points:
         failures.append(
@@ -281,6 +306,17 @@ def main() -> int:
         failures.append(
             f"threshold reuse served records that differ from direct "
             f"simulation: {reuse_mismatches}"
+        )
+    if [pt.items_per_thread for pt, _rec in geometry_served] != [512]:
+        failures.append(
+            f"geometry reuse served items per thread "
+            f"{[pt.items_per_thread for pt, _rec in geometry_served]} of "
+            f"{list(GEOMETRY_ITEMS)} (expected exactly [512])"
+        )
+    if geometry_mismatches:
+        failures.append(
+            f"geometry reuse served records that differ from direct "
+            f"simulation: {geometry_mismatches}"
         )
     if cached_sweep.evaluated != 0 or (
         cached_sweep.variant_hits != len(PRUNE_GRID)
@@ -356,6 +392,11 @@ def main() -> int:
             },
             "variant_cache_hits": cached_sweep.variant_hits,
             "variant_cache_reswept_points": cached_sweep.evaluated,
+        },
+        "geometry_reuse": {
+            "items_per_thread": list(GEOMETRY_ITEMS),
+            "served": [pt.items_per_thread for pt, _rec in geometry_served],
+            "mismatches": len(geometry_mismatches),
         },
         "failures": failures,
     }

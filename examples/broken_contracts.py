@@ -159,7 +159,6 @@ class BrokenContracts(Benchmark):
         prog: OffloadProgram,
         rt: ApproxRuntime,
         num_threads: int,
-        items_per_thread: int,
     ) -> AppResult:
         xs = np.arange(N, dtype=np.float64)
         ys = np.zeros(N)

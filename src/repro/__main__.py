@@ -167,7 +167,7 @@ def cmd_sweep(args) -> int:
             or args.prune or args.variant_cache):
         lattice = report.extra.get("lattice_pruned", 0)
         print(f"evaluated {report.evaluated} points "
-              f"({report.reused} served by threshold reuse; "
+              f"({report.reused} served by sibling reuse; "
               f"{report.skipped} resumed from checkpoint, "
               f"{report.pruned} pruned by preflight, "
               f"{lattice} pruned by the lattice, "

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.openmp.runtime import teams_needed
 
 
 class Technique(enum.Enum):
@@ -179,7 +180,8 @@ class NoiseParams:
 
 @dataclass
 class ThresholdWindow:
-    """The thresholds under which a run makes exactly the same decisions.
+    """The thresholds and items per thread under which a run makes exactly
+    the same decisions.
 
     A TAF or iACT threshold enters the simulation at one comparison: TAF
     arms a lane when ``rsd < rsd_threshold``, iACT lets an active lane with
@@ -194,10 +196,17 @@ class ThresholdWindow:
     NaN compares False under every threshold, so it never narrows.  A
     threshold inside the window leaves every comparison's outcome, and by
     induction the whole run, unchanged.
+
+    Items per thread enters a run only through
+    :meth:`~repro.openmp.OffloadProgram.teams_for`, whose calls ``grids``
+    records as ``(n, divisor, teams)``.  Another value that resolves every
+    call to the same ``teams`` launches the same grids, so it reproduces
+    the run too; with no calls, every value does.
     """
 
     lo: float = -math.inf
     hi: float = math.inf
+    grids: tuple[tuple[int, int, int], ...] = ()
 
     def narrow(self, values, taken, rest) -> None:
         """Fold in one comparison over ``values``: ``taken`` masks the
@@ -211,24 +220,40 @@ class ThresholdWindow:
             self.hi = hi
 
     def intersect(self, other: "ThresholdWindow") -> "ThresholdWindow":
-        return ThresholdWindow(max(self.lo, other.lo), min(self.hi, other.hi))
+        return ThresholdWindow(
+            max(self.lo, other.lo), min(self.hi, other.hi), self.grids + other.grids
+        )
 
-    def admits(self, technique: str, threshold) -> bool:
+    def admits(self, technique: str, threshold=None) -> bool:
         """Whether ``threshold`` reproduces the run this window came from.
 
         The threshold is converted exactly as the simulator converts it
         (``float``, then ``** 2`` for iACT); a value that cannot be (an
-        overflowing square, say) is not admitted."""
+        overflowing square, say) is not admitted.  Techniques without a
+        threshold admit anything."""
+        if technique not in ("taf", "iact"):
+            return True
         t = float(threshold)
         if technique == "taf":
             return self.lo < t <= self.hi
-        if technique == "iact":
-            try:
-                t2 = t**2
-            except OverflowError:
-                return False
-            return self.lo <= t2 < self.hi
-        return False
+        try:
+            t2 = t**2
+        except OverflowError:
+            return False
+        return self.lo <= t2 < self.hi
+
+    def admits_items(self, items_per_thread) -> bool:
+        """Whether ``items_per_thread`` launches the grids of this run.
+
+        Converted as :meth:`~repro.apps.common.Benchmark.run` converts it
+        (``int``); a value ``teams_for`` would reject is not admitted."""
+        try:
+            ipt = int(items_per_thread)
+        except (TypeError, ValueError, OverflowError):
+            return False
+        return ipt > 0 and all(
+            teams_needed(n, divisor, ipt) == teams for n, divisor, teams in self.grids
+        )
 
 
 @dataclass

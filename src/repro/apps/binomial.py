@@ -121,14 +121,13 @@ class BinomialOptions(Benchmark):
         prog: OffloadProgram,
         rt: ApproxRuntime,
         num_threads: int,
-        items_per_thread: int,
     ) -> AppResult:
         opts = self._generate()
         n = len(opts)
         steps = int(self.problem["steps"])
         prices = np.zeros(n)
         # One option per block at a time: items_per_thread options per block.
-        num_teams = max(1, (n + items_per_thread - 1) // items_per_thread)
+        num_teams = prog.teams_for(n)
         capture_inputs = rt.needs_inputs("option_price")
 
         def kernel(ctx, dopts, dprices):

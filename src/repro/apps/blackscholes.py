@@ -117,12 +117,11 @@ class Blackscholes(Benchmark):
         prog: OffloadProgram,
         rt: ApproxRuntime,
         num_threads: int,
-        items_per_thread: int,
     ) -> AppResult:
         opts = self._generate()
         n = len(opts)
         prices = np.zeros(n)
-        num_teams = prog.teams_for(n, num_threads, items_per_thread)
+        num_teams = prog.teams_for(n, num_threads)
         capture_inputs = rt.needs_inputs("price")
         num_runs = int(self.problem["num_runs"])
 

@@ -76,8 +76,8 @@ class AppResult:
     timing: ProgramTiming
     region_stats: dict[str, dict]
     extra: dict[str, Any] = field(default_factory=dict)
-    #: Thresholds that reproduce this run exactly (see
-    #: :class:`~repro.approx.base.ThresholdWindow`).
+    #: Thresholds and items per thread that reproduce this run exactly
+    #: (see :class:`~repro.approx.base.ThresholdWindow`).
     threshold_window: ThresholdWindow | None = None
 
     @property
@@ -178,9 +178,14 @@ class Benchmark(abc.ABC):
         prog: OffloadProgram,
         rt: ApproxRuntime,
         num_threads: int,
-        items_per_thread: int,
     ) -> AppResult:
-        """Run the benchmark against a prepared program + runtime."""
+        """Run the benchmark against a prepared program + runtime.
+
+        Items per thread is ``prog.items_per_thread``; size launches with
+        :meth:`~repro.openmp.OffloadProgram.teams_for` rather than reading
+        it directly, so the knob reaches the simulation only through the
+        launch grids the run records (see
+        :class:`~repro.approx.base.ThresholdWindow`)."""
 
     # ------------------------------------------------------------------
     def site(self, name: str) -> SiteInfo:
@@ -277,15 +282,18 @@ class Benchmark(abc.ABC):
                 for s in self.sites():
                     if s.contract:
                         sanitizer.register_contract(s.name, s.contract)
-        prog = OffloadProgram(dev, sanitizer=sanitizer)
+        prog = OffloadProgram(
+            dev, sanitizer=sanitizer, items_per_thread=int(items_per_thread)
+        )
         rt = ApproxRuntime(
             regions if regions is not None else self.build_regions(),
             sanitizer=sanitizer,
         )
         nthreads = num_threads or self.default_num_threads
-        result = self._execute(prog, rt, nthreads, int(items_per_thread))
+        result = self._execute(prog, rt, nthreads)
         result.region_stats = rt.stats_snapshot()
         result.threshold_window = rt.threshold_window()
+        result.threshold_window.grids = tuple(prog.grids)
         if sanitizer is not None:
             result.extra["approxsan"] = sanitizer.finish()
         return result

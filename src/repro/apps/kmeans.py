@@ -107,14 +107,13 @@ class KMeans(Benchmark):
         prog: OffloadProgram,
         rt: ApproxRuntime,
         num_threads: int,
-        items_per_thread: int,
     ) -> AppResult:
         p = self.problem
         obs = self._generate()
         n, d, k = len(obs), int(p["dim"]), int(p["k"])
         tol_changes = p["tol"] * n
         assignments = np.full(n, -1, dtype=np.float64)
-        num_teams = prog.teams_for(n, num_threads, items_per_thread)
+        num_teams = prog.teams_for(n, num_threads)
         capture_inputs = rt.needs_inputs("distances")
 
         def kernel(ctx, dobs, dassign, dcent):

@@ -137,7 +137,6 @@ class LavaMD(Benchmark):
         prog: OffloadProgram,
         rt: ApproxRuntime,
         num_threads: int,
-        items_per_thread: int,
     ) -> AppResult:
         p = self.problem
         pos, charge, nb_arr, centers = self._generate()
@@ -150,7 +149,7 @@ class LavaMD(Benchmark):
         region_is_whole_force = rt.spec("neighbor_force").technique is not Technique.IACT
 
         forces = np.zeros((nboxes, ppb, 4))
-        num_teams = max(1, (nboxes + items_per_thread - 1) // items_per_thread)
+        num_teams = prog.teams_for(nboxes)  # one box per block at a time
 
         def contrib_of(ctx, dpos, am, safe_box, j):
             """Pair-loop contributions of neighbour slot ``j`` (active blocks)."""

@@ -115,7 +115,6 @@ class Leukocyte(Benchmark):
         prog: OffloadProgram,
         rt: ApproxRuntime,
         num_threads: int,
-        items_per_thread: int,
     ) -> AppResult:
         p = self.problem
         frames, _true = self._generate()

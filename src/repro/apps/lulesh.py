@@ -120,7 +120,6 @@ class Lulesh(Benchmark):
         prog: OffloadProgram,
         rt: ApproxRuntime,
         num_threads: int,
-        items_per_thread: int,
     ) -> AppResult:
         p = self.problem
         n = int(p["mesh"])
@@ -129,7 +128,7 @@ class Lulesh(Benchmark):
         e[0] = float(p["e0"])  # Sedov point deposit at the origin corner
         kappa = float(p["kappa"])
         dt = float(p["dt"])
-        num_teams = prog.teams_for(nel, num_threads, items_per_thread)
+        num_teams = prog.teams_for(nel, num_threads)
         cap_hgc = rt.needs_inputs("hourglass_control")
         cap_fbh = rt.needs_inputs("fb_hourglass")
 

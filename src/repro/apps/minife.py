@@ -104,14 +104,13 @@ class MiniFE(Benchmark):
         prog: OffloadProgram,
         rt: ApproxRuntime,
         num_threads: int,
-        items_per_thread: int,
     ) -> AppResult:
         p = self.problem
         A = poisson_csr(int(p["nx"]), int(p["ny"]), int(p["nz"]))
         n = A.shape[0]
         b = np.ones(n)
         x = np.zeros(n)
-        num_teams = prog.teams_for(n, num_threads, items_per_thread)
+        num_teams = prog.teams_for(n, num_threads)
         nnz_per_row = np.diff(A.indptr)
         # Per-row column indices, -1 padded to the widest row: the ragged
         # element payload behind the streamed xvec gather hint below.

@@ -20,7 +20,6 @@ seed).
 
 from __future__ import annotations
 
-import copy
 import sys
 import time
 from collections import OrderedDict, deque
@@ -75,7 +74,7 @@ class BatchReport:
     #: deduplicated slot shares its record with the slot it collapsed into).
     records: list[RunRecord]
     #: Points evaluated by this invocation: simulated, or served by
-    #: threshold reuse (``reused`` of them).
+    #: sibling reuse (``reused`` of them).
     evaluated: int
     #: Job slots satisfied from the checkpoint or the engine's session
     #: cache without running.
@@ -86,8 +85,9 @@ class BatchReport:
     pruned: int = 0
     #: Job slots served from the content-hash variant cache.
     variant_hits: int = 0
-    #: Evaluated points served from a threshold sibling's record instead
-    #: of simulated (see :class:`ThresholdMemo`); a subset of ``evaluated``.
+    #: Evaluated points served from a threshold or items-per-thread
+    #: sibling's record instead of simulated (see :class:`ThresholdMemo`);
+    #: a subset of ``evaluated``.
     reused: int = 0
     #: Unique (app, device) baselines computed in the parent for sharing.
     baseline_runs: int = 0
@@ -274,7 +274,7 @@ def _run_chunk(
     sanitize: bool = False,
 ) -> tuple[list, float, int, list]:
     """Run one heterogeneous chunk; returns (records, seconds, baseline
-    runs, threshold windows).
+    runs, windows).
 
     ``seconds`` is measured in the worker so the adaptive controller sees
     compute time, not queue wait."""
@@ -370,66 +370,99 @@ class WorkerPool:
 
 # ----------------------------------------------------------------------
 class ThresholdMemo:
-    """Exact threshold-window reuse across a TAF/iACT threshold chain.
+    """Exact reuse across points that provably replay the same run.
 
-    A chain is the set of points that differ only in ``threshold``; its
-    key is (app, device name, technique, the other params, level, items
-    per thread, site, sanitize) — the engine fixes problems and seed.  The
-    threshold enters a run at one comparison per technique, and the run's
+    A chain is the set of points that differ only in ``threshold`` and
+    ``items_per_thread``; its key is (app, device name, technique, the
+    other params, level, site, sanitize) — the engine fixes problems and
+    seed.  TAF, iACT and perforation points have chains; perforation has
+    no threshold, so its chains vary in items per thread alone.  A run's
     :class:`~repro.approx.base.ThresholdWindow` holds every threshold that
-    gives each of those comparisons the same outcome.  A point whose
-    threshold lies inside the window would make every decision of the
-    stored run, so its record is the stored record with its own
-    ``params``.
+    gives each TAF/iACT comparison the same outcome, and every items per
+    thread that resolves each ``teams_for`` call to the same team count.
+    A point admitted on both would make every decision of the stored run
+    on the same launch grids, so its record is the stored record with its
+    own ``params`` and ``items_per_thread``.
 
-    Only the latest window per chain is kept: chains ascend in threshold,
-    and a window that missed ``t2`` also misses every ``t3 > t2``.  Only
-    feasible records without a note are stored, and a threshold that fails
+    The latest entry is kept per (chain, launch grids): chains ascend in
+    threshold, and a window that missed ``t2`` also misses every
+    ``t3 > t2`` on the same grids.  That is one entry per distinct grid.
+    Only feasible records without a note are stored, and a point that fails
     :func:`~repro.apps.common.make_params` validation is never served.
     """
 
     def __init__(self) -> None:
-        self._chains: dict[tuple, tuple[ThresholdWindow, RunRecord]] = {}
+        self._chains: dict[tuple, dict[tuple, tuple[ThresholdWindow, RunRecord]]] = {}
 
     def __len__(self) -> int:
-        return len(self._chains)
+        return sum(len(entries) for entries in self._chains.values())
 
     @staticmethod
     def key(job: BatchJob, device_name: str, sanitize: bool) -> tuple | None:
-        """The job's chain, or ``None`` for points without a threshold."""
+        """The job's chain, or ``None`` for points that have none."""
         pt = job.point
-        if pt.technique not in ("taf", "iact") or "threshold" not in pt.params:
+        if pt.technique in ("taf", "iact"):
+            if "threshold" not in pt.params:
+                return None
+            others = [(k, v) for k, v in pt.params.items() if k != "threshold"]
+        elif pt.technique == "perfo":
+            others = list(pt.params.items())
+        else:
             return None
-        others = repr(sorted(
-            (k, v) for k, v in pt.params.items() if k != "threshold"
-        ))
         return (
-            job.app, device_name, pt.technique, others, pt.level,
-            pt.items_per_thread, job.site, bool(sanitize),
+            job.app, device_name, pt.technique, repr(sorted(others)), pt.level,
+            job.site, bool(sanitize),
         )
 
     def get(self, key: tuple, point: SweepPoint) -> RunRecord | None:
-        """The chain's stored record re-labelled for ``point``, when
-        ``point``'s threshold lies inside the stored window."""
-        entry = self._chains.get(key)
-        if entry is None:
+        """A stored record of the chain re-labelled for ``point``, when
+        ``point``'s threshold and items per thread lie inside its window."""
+        entries = self._chains.get(key)
+        if not entries:
             return None
-        window, record = entry
         try:
             make_params(point.technique, **point.params)
-            if not window.admits(point.technique, point.params["threshold"]):
-                return None
+            threshold = point.params.get("threshold")
+            for window, record in entries.values():
+                if window.admits(point.technique, threshold) and window.admits_items(
+                    point.items_per_thread
+                ):
+                    return _relabel(record, point)
         except Exception:  # noqa: BLE001 — an invalid point simulates (and fails) as usual
-            return None
-        served = copy.deepcopy(record)
-        served.params = dict(point.params)
-        return served
+            pass
+        return None
 
     def put(
         self, key: tuple, record: RunRecord, window: ThresholdWindow | None
     ) -> None:
         if window is not None and record.feasible and not record.note:
-            self._chains[key] = (window, record)
+            self._chains.setdefault(key, {})[window.grids] = (window, record)
+
+
+def _relabel(record: RunRecord, point: SweepPoint) -> RunRecord:
+    """A new record carrying ``point``'s ``params`` and
+    ``items_per_thread`` and ``record``'s results.
+
+    It gets its own ``params``, ``region_stats`` and ``extra`` dicts.  The
+    dicts nested in those (per-region snapshots, an ApproxSan report) are
+    read-only results, shared with ``record`` to keep a sweep's served
+    records small."""
+    return RunRecord(
+        app=record.app,
+        device=record.device,
+        technique=record.technique,
+        params=dict(point.params),
+        level=record.level,
+        items_per_thread=point.items_per_thread,
+        feasible=record.feasible,
+        note=record.note,
+        speedup=record.speedup,
+        kernel_speedup=record.kernel_speedup,
+        error=record.error,
+        approx_fraction=record.approx_fraction,
+        region_stats=dict(record.region_stats),
+        extra=dict(record.extra),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -473,8 +506,8 @@ class BatchStream:
     — then resolves shared baselines and, on a pool, dispatches the first
     chunks, so independent streams on one engine overlap.  A job taken for
     dispatch is first looked up in the engine's :class:`ThresholdMemo`
-    (stock runner only) and served from a threshold sibling when its
-    threshold cannot change a single decision.  Those
+    (stock runner only) and served from a sibling when its threshold and
+    items per thread cannot change a single decision.  Those
     early-resolved slots yield first, in job order; fresh evaluations
     yield as their chunks complete, while checkpoint writes and progress
     callbacks absorb them, so a consumer overlaps its own work with the
@@ -657,7 +690,7 @@ class BatchStream:
                 self._done[key] = rec
                 self._notify(key, rec)
 
-        # Threshold reuse is exact only for the content-deterministic
+        # Sibling reuse is exact only for the content-deterministic
         # stock runner, like the variant cache.
         self.reused = 0
         self._memo = engine.threshold_memo if stock else None
@@ -700,7 +733,7 @@ class BatchStream:
 
     # -- bookkeeping ----------------------------------------------------
     def _reuse(self, key: tuple, job: BatchJob) -> RunRecord | None:
-        """The job's record served by threshold reuse, or ``None``."""
+        """The job's record served by sibling reuse, or ``None``."""
         mkey = self._memo_keys.get(key)
         rec = None if mkey is None else self._memo.get(mkey, job.point)
         self.reused += rec is not None
@@ -750,7 +783,7 @@ class BatchStream:
     def _next_chunk(self) -> tuple[tuple | None, list]:
         """Pop the next chunk, round-robin across groups for fair mixing.
 
-        On a pool, popped jobs that threshold reuse can serve are absorbed
+        On a pool, popped jobs that sibling reuse can serve are absorbed
         here instead of dispatched (in-process, each job is checked right
         before it runs, so siblings within one chunk are served too)."""
         if not self._groups:
@@ -990,10 +1023,10 @@ class EngineStats:
 
     #: Job slots requested through the engine.
     submitted: int = 0
-    #: Points evaluated: simulated, or served by threshold reuse.
+    #: Points evaluated: simulated, or served by sibling reuse.
     executed: int = 0
-    #: Evaluated points served from a threshold sibling's record without
-    #: simulating (see :class:`ThresholdMemo`); a subset of ``executed``.
+    #: Evaluated points served from a sibling's record without simulating
+    #: (see :class:`ThresholdMemo`); a subset of ``executed``.
     reused: int = 0
     #: Slots served from the engine's session cache (cross-call dedupe).
     cache_hits: int = 0
@@ -1067,7 +1100,7 @@ class BatchEngine:
 
             self.variant_cache = resolve_variant_cache(self.config.variant_cache)
         self._cache: dict[tuple, RunRecord] = {}
-        #: Threshold windows of this engine's simulated TAF/iACT points.
+        #: Windows of this engine's simulated TAF/iACT/perforation points.
         self.threshold_memo = ThresholdMemo()
         self._dev_names: dict[str, str] = {}
         self.pool: WorkerPool | None = (

@@ -73,9 +73,19 @@ def _decode(obj):
     return obj
 
 
+_RECORD_FIELDS = tuple(f.name for f in fields(RunRecord))
+
+
 def dumps_record(record: RunRecord) -> str:
-    """One strict-JSON line for a record (non-finite floats sentinelled)."""
-    return json.dumps(_encode(record.to_dict()), allow_nan=False)
+    """One strict-JSON line for a record (non-finite floats sentinelled).
+
+    Encodes straight from the fields: the same bytes as encoding
+    :meth:`~repro.harness.runner.RunRecord.to_dict`, without its deep
+    copy."""
+    return json.dumps(
+        {name: _encode(getattr(record, name)) for name in _RECORD_FIELDS},
+        allow_nan=False,
+    )
 
 
 def loads_record(line: str) -> RunRecord:

@@ -27,7 +27,7 @@ from repro.harness.metrics import convergence_speedup, error, speedup
 from repro.harness.sweep import SweepPoint
 
 
-@dataclass
+@dataclass(slots=True)
 class RunRecord:
     """One row of the results database."""
 
@@ -50,6 +50,15 @@ class RunRecord:
     #: Per-region stats snapshots.
     region_stats: dict = field(default_factory=dict)
     extra: dict = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        # A sweep holds thousands of records whose device names and notes
+        # repeat (a pruning ancestor's note, a preflight diagnostic): keep
+        # one string object per value.
+        if type(self.device) is str:
+            self.device = sys.intern(self.device)
+        if type(self.note) is str:
+            self.note = sys.intern(self.note)
 
     @property
     def reported_speedup(self) -> float:
@@ -77,9 +86,10 @@ class ExperimentRunner:
         #: (cache hits and primed entries excluded) — the batch layer's
         #: "each baseline computed exactly once" counter.
         self.baseline_computes = 0
-        #: Threshold window of the last :meth:`run_point` that simulated
-        #: (``None`` otherwise).  Kept beside the record, never in it, so
-        #: record bytes do not depend on it.
+        #: Threshold and items-per-thread window of the last
+        #: :meth:`run_point` that simulated (``None`` otherwise).  Kept
+        #: beside the record, never in it, so record bytes do not depend on
+        #: it.
         self.last_window: ThresholdWindow | None = None
 
     # ------------------------------------------------------------------
@@ -143,8 +153,7 @@ class ExperimentRunner:
         ``sanitize=True`` runs the point under ApproxSan and stores the
         violation report under ``record.extra["approxsan"]`` (dict form).
         Simulated timings — and therefore speedups — are unaffected.
-        A simulated point leaves its threshold window in
-        :attr:`last_window`.
+        A simulated point leaves its window in :attr:`last_window`.
         """
         self.last_window = None
         dev = get_device(device)

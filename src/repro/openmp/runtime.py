@@ -38,8 +38,15 @@ class OffloadProgram:
         *,
         ac_shared_bytes: int | None = None,
         sanitizer=None,
+        items_per_thread: int = 1,
     ) -> None:
         self.device = get_device(device)
+        #: The paper's *Items per Thread* knob (Table 2).  It reaches the
+        #: launches only through :meth:`teams_for`.
+        self.items_per_thread = items_per_thread
+        #: ``(n, divisor, teams)`` of every :meth:`teams_for` call, in order:
+        #: the launch geometry the knob resolved to.
+        self.grids: list[tuple[int, int, int]] = []
         self.memory = DeviceMemory(self.device)
         self.transfers = TransferModel(self.device)
         self.timing = ProgramTiming()
@@ -145,14 +152,29 @@ class OffloadProgram:
         """
         self.timing.add_host(seconds)
 
-    def teams_for(self, n: int, num_threads: int, items_per_thread: int = 1) -> int:
+    def teams_for(self, n: int, num_threads: int | None = None) -> int:
         """Teams needed so each thread handles ``items_per_thread`` items.
 
         This is the knob behind the paper's *Items per Thread* parameter
-        (Table 2): ``num_teams = ceil(n / (num_threads*items_per_thread))``.
+        (Table 2): ``num_teams = ceil(n / (num_threads*items_per_thread))``,
+        with ``num_threads`` rounded up to a warp multiple.  The per-team
+        form (``num_threads=None``) is for kernels whose whole team works
+        on one item at a time: ``num_teams = ceil(n / items_per_thread)``.
+        Each call is recorded in :attr:`grids`.
         """
-        if items_per_thread <= 0:
+        if self.items_per_thread <= 0:
             raise ConfigurationError("items_per_thread must be positive")
-        tpb = round_up(num_threads, self.device.warp_size)
-        per_team = tpb * items_per_thread
-        return max(1, (int(n) + per_team - 1) // per_team)
+        divisor = (
+            1 if num_threads is None
+            else round_up(num_threads, self.device.warp_size)
+        )
+        teams = teams_needed(int(n), divisor, self.items_per_thread)
+        self.grids.append((int(n), divisor, teams))
+        return teams
+
+
+def teams_needed(n: int, divisor: int, items_per_thread: int) -> int:
+    """``max(1, ceil(n / (divisor * items_per_thread)))``: the team count
+    :meth:`OffloadProgram.teams_for` resolves ``items_per_thread`` to."""
+    per_team = divisor * items_per_thread
+    return max(1, (n + per_team - 1) // per_team)

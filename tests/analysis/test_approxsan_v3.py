@@ -413,7 +413,7 @@ class SeededGather(Benchmark):
         return [SiteInfo(name="gather", in_width=0, out_width=1,
                          techniques=("taf",), contract=None)]
 
-    def _execute(self, prog, rt, num_threads, items_per_thread):
+    def _execute(self, prog, rt, num_threads):
         n = self.N
         pool = n + 6 * self.BLOCK
         xs = np.arange(pool, dtype=float)
@@ -422,7 +422,7 @@ class SeededGather(Benchmark):
         cols = np.full((n, 2), -1, dtype=np.int64)
         cols[:, 0] = np.arange(n)
         cols[1:, 1] = lo + np.arange(1, n)
-        num_teams = prog.teams_for(n, num_threads, items_per_thread)
+        num_teams = prog.teams_for(n, num_threads)
 
         def kernel(ctx, xvec, yvec):
             for _step, idx, m in ctx.team_chunk_stride(n):

@@ -215,3 +215,14 @@ class TestRunRecord:
         import json
 
         json.dumps(_rec().to_dict())
+
+    def test_dumps_record_matches_encoding_to_dict(self):
+        import json
+
+        from repro.harness.database import _encode, dumps_record
+
+        r = _rec(err=float("inf"))
+        r.params = {"hsize": 2, "threshold": float("nan")}
+        r.region_stats = {"r": {"invocations": 4, "approx_fraction": 0.25}}
+        r.extra = {"approxsan": {"codes": ("HPAC201",), "nested": [{"x": -float("inf")}]}}
+        assert dumps_record(r) == json.dumps(_encode(r.to_dict()), allow_nan=False)

@@ -173,9 +173,14 @@ class TestWindowExactness:
         record.note = "WorkerError after 2 attempts: boom"
         memo.put(key, record, ThresholdWindow())
         assert len(memo) == 0
+        # Perforation chains vary in items per thread alone; accurate
+        # points have no chain.
+        perfo = SweepPoint("perfo", {"kind": "small", "skip": 2})
         assert ThresholdMemo.key(
-            BatchJob("kmeans", "v100_small", SweepPoint("perfo", {"kind": "small", "skip": 2})),
-            "v100_small", False,
+            BatchJob("lulesh", "v100_small", perfo), "v100_small", False
+        ) is not None
+        assert ThresholdMemo.key(
+            BatchJob("lulesh", "v100_small", SweepPoint("none", {})), "v100_small", False
         ) is None
 
 
@@ -236,7 +241,8 @@ class TestMargins:
         assert w.admits("taf", 0.7) and not w.admits("taf", 0.3)
         assert w.admits("iact", math.sqrt(0.3) + 1e-9)
         assert not w.admits("iact", math.sqrt(0.7) + 1e-9)
-        assert not w.admits("perfo", 0.5)
+        # Perforation has no threshold: its threshold part admits anything.
+        assert w.admits("perfo")
 
 
 # ----------------------------------------------------------------------

@@ -78,18 +78,32 @@ class TestTeamsFor:
         ],
     )
     def test_teams_math(self, n, threads, ipt, expected):
-        prog = OffloadProgram("v100")
-        assert prog.teams_for(n, threads, ipt) == expected
+        prog = OffloadProgram("v100", items_per_thread=ipt)
+        assert prog.teams_for(n, threads) == expected
 
     def test_rounds_threads_to_warp_first(self):
         prog = OffloadProgram("v100")
         # 100 threads → 128; 1024/128 = 8 teams.
-        assert prog.teams_for(1024, 100, 1) == 8
+        assert prog.teams_for(1024, 100) == 8
+
+    def test_per_team_form(self):
+        # One item per team at a time: ceil(n / items_per_thread).
+        prog = OffloadProgram("v100", items_per_thread=8)
+        assert prog.teams_for(100) == 13
+        assert prog.teams_for(0) == 1
+
+    def test_calls_are_recorded(self):
+        prog = OffloadProgram("v100", items_per_thread=2)
+        prog.teams_for(1024, 100)
+        prog.teams_for(9)
+        assert prog.grids == [(1024, 128, 4), (9, 1, 5)]
 
     def test_invalid_items_per_thread(self):
-        prog = OffloadProgram("v100")
+        prog = OffloadProgram("v100", items_per_thread=0)
         with pytest.raises(ConfigurationError):
-            prog.teams_for(100, 128, 0)
+            prog.teams_for(100, 128)
+        with pytest.raises(ConfigurationError):
+            prog.teams_for(100)
 
 
 class TestHostWork:
