@@ -41,6 +41,10 @@ MATRIX_PARAMS = {
 
 TECHNIQUES = ("taf", "iact", "perfo")
 LEVELS = ("thread", "warp", "team")
+#: 32-wide warps (V100) and 64-wide wavefronts (MI250X).
+DEVICES = ("v100", "mi250x")
+#: One sanitizer-attached cell per stateful technique, run on every device.
+SAN_CELLS = (("blackscholes", "taf", "warp"), ("kmeans", "iact", "warp"))
 
 #: Exceptions that mean "this app/technique/level combination does not
 #: exist" (ragged iACT inputs, shared-memory overflow, loop-only
@@ -82,7 +86,14 @@ def pick_site(bench, tech: str, level: str) -> str | None:
     return None
 
 
-def run_combo(name: str, tech: str, level: str, fast: bool, sanitize: bool = False) -> str:
+def run_combo(
+    name: str,
+    tech: str,
+    level: str,
+    fast: bool,
+    sanitize: bool = False,
+    device: str = "v100",
+) -> str:
     """Run one matrix cell on the requested path; returns its digest.
 
     Raises one of :data:`SKIP_ERRORS` when the combination is unsupported.
@@ -96,9 +107,21 @@ def run_combo(name: str, tech: str, level: str, fast: bool, sanitize: bool = Fal
                 f"{name} has no {tech}/{level} site"
             )
         regions = bench.build_regions(tech, level, site, **MATRIX_PARAMS[tech])
-        return digest_result(bench.run(regions=regions, sanitize=sanitize))
+        return digest_result(
+            bench.run(device=device, regions=regions, sanitize=sanitize)
+        )
     finally:
         set_fast_path_default(old)
+
+
+def golden_key(device: str, name: str, tech: str, level: str, sanitize: bool = False) -> str:
+    """Key of one cell in ``goldens/equivalence.json``.
+
+    The original V100 cells keep their unprefixed keys; every other device
+    is prefixed with its name (``mi250x/kmeans/iact/warp``).
+    """
+    key = f"{name}/{tech}/{level}" + ("+san" if sanitize else "")
+    return key if device == "v100" else f"{device}/{key}"
 
 
 def iter_matrix():

@@ -21,7 +21,10 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "src"))
 sys.path.insert(0, str(Path(__file__).resolve().parents[2]))
 
 from tests.approx.equivalence_util import (  # noqa: E402
+    DEVICES,
+    SAN_CELLS,
     SKIP_ERRORS,
+    golden_key,
     iter_matrix,
     run_combo,
 )
@@ -31,20 +34,22 @@ GOLDEN_PATH = Path(__file__).resolve().parent / "goldens" / "equivalence.json"
 
 def main() -> int:
     goldens: dict[str, str] = {}
-    for name, tech, level in iter_matrix():
-        try:
-            d = run_combo(name, tech, level, fast=False)
-        except SKIP_ERRORS as e:
-            print(f"{name:12s} {tech:5s} {level:6s} skip ({type(e).__name__})")
-            continue
-        goldens[f"{name}/{tech}/{level}"] = d
-        print(f"{name:12s} {tech:5s} {level:6s} {d[:16]}")
-    # One sanitizer-attached cell per technique: the sanitizer must observe
-    # without perturbing a single byte, and its report must be stable too.
-    for name, tech, level in (("blackscholes", "taf", "warp"), ("kmeans", "iact", "warp")):
-        d = run_combo(name, tech, level, fast=False, sanitize=True)
-        goldens[f"{name}/{tech}/{level}+san"] = d
-        print(f"{name:12s} {tech:5s} {level:6s} +san {d[:16]}")
+    for device in DEVICES:
+        for name, tech, level in iter_matrix():
+            try:
+                d = run_combo(name, tech, level, fast=False, device=device)
+            except SKIP_ERRORS as e:
+                print(f"{device:6s} {name:12s} {tech:5s} {level:6s} skip ({type(e).__name__})")
+                continue
+            goldens[golden_key(device, name, tech, level)] = d
+            print(f"{device:6s} {name:12s} {tech:5s} {level:6s} {d[:16]}")
+        # One sanitizer-attached cell per technique: the sanitizer must
+        # observe without perturbing a single byte, and its report must be
+        # stable too.
+        for name, tech, level in SAN_CELLS:
+            d = run_combo(name, tech, level, fast=False, sanitize=True, device=device)
+            goldens[golden_key(device, name, tech, level, sanitize=True)] = d
+            print(f"{device:6s} {name:12s} {tech:5s} {level:6s} +san {d[:16]}")
     GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
     GOLDEN_PATH.write_text(json.dumps(goldens, indent=2, sort_keys=True) + "\n")
     print(f"wrote {len(goldens)} goldens to {GOLDEN_PATH}")

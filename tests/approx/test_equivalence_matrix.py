@@ -1,4 +1,4 @@
-"""Fast-path equivalence matrix: 7 apps × {taf, iact, perfo} × levels.
+"""Fast-path equivalence matrix: 7 apps × {taf, iact, perfo} × levels × devices.
 
 The fast simulator core must be **byte-identical** to the original
 implementation on every full application run — same QoI bytes, same kernel
@@ -6,7 +6,9 @@ timings, same counters, same region stats, same ApproxSan report.  Each
 supported cell runs through both paths in one process and both digests must
 match the committed seed golden
 (``tests/approx/goldens/equivalence.json``, written by
-``record_equivalence_goldens.py`` against the slow path).
+``record_equivalence_goldens.py`` against the slow path).  Every cell runs
+on the V100 (32-wide warps) and on the MI250X (64-wide wavefronts); V100
+cells keep their original ids, MI250X ids carry a ``mi250x-`` prefix.
 """
 
 from __future__ import annotations
@@ -17,7 +19,10 @@ from pathlib import Path
 import pytest
 
 from tests.approx.equivalence_util import (
+    DEVICES,
+    SAN_CELLS,
     SKIP_ERRORS,
+    golden_key,
     iter_matrix,
     run_combo,
 )
@@ -25,14 +30,23 @@ from tests.approx.equivalence_util import (
 GOLDEN_PATH = Path(__file__).resolve().parent / "goldens" / "equivalence.json"
 GOLDENS = json.loads(GOLDEN_PATH.read_text())
 
-MATRIX = list(iter_matrix())
+
+def _cells(cells):
+    return [
+        pytest.param(
+            device, *cell,
+            id="-".join(cell) if device == "v100" else "-".join((device, *cell)),
+        )
+        for device in DEVICES
+        for cell in cells
+    ]
 
 
-@pytest.mark.parametrize("name,tech,level", MATRIX, ids=lambda v: str(v))
-def test_fast_and_slow_match_golden(name, tech, level):
-    key = f"{name}/{tech}/{level}"
+@pytest.mark.parametrize("device,name,tech,level", _cells(iter_matrix()))
+def test_fast_and_slow_match_golden(device, name, tech, level):
+    key = golden_key(device, name, tech, level)
     try:
-        slow = run_combo(name, tech, level, fast=False)
+        slow = run_combo(name, tech, level, fast=False, device=device)
     except SKIP_ERRORS:
         assert key not in GOLDENS, f"{key} was recorded but now raises"
         pytest.skip(f"{key} unsupported")
@@ -41,26 +55,26 @@ def test_fast_and_slow_match_golden(name, tech, level):
         f"record_equivalence_goldens.py"
     )
     assert slow == GOLDENS[key], f"slow path drifted from seed golden for {key}"
-    fast = run_combo(name, tech, level, fast=True)
+    fast = run_combo(name, tech, level, fast=True, device=device)
     assert fast == GOLDENS[key], f"fast path not byte-identical for {key}"
 
 
-@pytest.mark.parametrize(
-    "name,tech,level",
-    [("blackscholes", "taf", "warp"), ("kmeans", "iact", "warp")],
-)
-def test_sanitizer_attached_is_still_identical(name, tech, level):
+@pytest.mark.parametrize("device,name,tech,level", _cells(SAN_CELLS))
+def test_sanitizer_attached_is_still_identical(device, name, tech, level):
     """ApproxSan only observes: attaching it must not change a byte on
     either path, and its own report must be identical across paths."""
-    key = f"{name}/{tech}/{level}+san"
-    slow = run_combo(name, tech, level, fast=False, sanitize=True)
+    key = golden_key(device, name, tech, level, sanitize=True)
+    slow = run_combo(name, tech, level, fast=False, sanitize=True, device=device)
     assert slow == GOLDENS[key], f"slow+sanitizer drifted for {key}"
-    fast = run_combo(name, tech, level, fast=True, sanitize=True)
+    fast = run_combo(name, tech, level, fast=True, sanitize=True, device=device)
     assert fast == GOLDENS[key], f"fast+sanitizer not byte-identical for {key}"
 
 
 def test_matrix_coverage_has_not_silently_shrunk():
-    """At least 20 cells must actually execute — if a refactor starts
-    raising skip-class errors everywhere, the matrix would silently pass
-    while testing nothing."""
-    assert len(GOLDENS) >= 20
+    """At least 20 cells per device must actually execute — if a refactor
+    starts raising skip-class errors everywhere, the matrix would silently
+    pass while testing nothing."""
+    for device in DEVICES:
+        prefix = "" if device == "v100" else f"{device}/"
+        cells = [k for k in GOLDENS if k.startswith(prefix) and k.count("/") == 2 + bool(prefix)]
+        assert len(cells) >= 20, device
