@@ -31,10 +31,10 @@ from repro.gpusim.context import GridContext
 class Decision:
     """Outcome of a hierarchical activation decision.
 
-    On a fast-path context the four masks are **borrowed** arena buffers:
-    they stay valid until the next ``decide`` call on the same context.
-    Every in-tree consumer (taf/iact invoke, the runtime, region stats)
-    reads them within the same invocation.
+    The four masks are **borrowed** arena buffers: they stay valid until
+    the next ``decide`` call on the same context.  Every in-tree consumer
+    (taf/iact invoke, the runtime, region stats) reads them within the
+    same invocation.
     """
 
     #: Lanes that take the approximate execution path.
@@ -47,16 +47,21 @@ class Decision:
     denied: np.ndarray
 
 
-def _decide_fast(
+def decide(
     ctx: GridContext,
     want_approx: np.ndarray,
     level: HierarchyLevel,
-    mask: np.ndarray | None,
+    mask: np.ndarray | None = None,
 ) -> Decision:
-    """Fast-path ``decide``: group votes are resolved at group granularity
-    (O(warps) / O(blocks)) and expanded once, with every temporary in the
-    context arena.  Charges and results are byte-identical to the slow
-    path (the per-lane comparison it replaces is constant per group)."""
+    """Resolve per-lane wishes into a group decision at ``level``.
+
+    ``mask`` bounds the active lanes; inactive lanes neither vote nor
+    execute.  Majority is strict ("majority-rules", §3.3): the group
+    approximates iff more than half of its active lanes wish to.  Group
+    votes are resolved at group granularity (O(warps) / O(blocks)) and
+    expanded once, with every temporary in the context arena; the charges
+    are those of ``ballot`` (warp) or ``block_count`` (team).
+    """
     arena = ctx.arena
     lanes = (ctx.total_threads,)
     m = ctx._combined_mask(mask)
@@ -116,42 +121,4 @@ def _decide_fast(
     np.logical_not(want, out=notwant)
     forced = arena.buf("dec_forced", lanes, np.bool_)
     np.logical_and(approx, notwant, out=forced)
-    return Decision(approx_mask=approx, accurate_mask=accurate, forced=forced, denied=denied)
-
-
-def decide(
-    ctx: GridContext,
-    want_approx: np.ndarray,
-    level: HierarchyLevel,
-    mask: np.ndarray | None = None,
-) -> Decision:
-    """Resolve per-lane wishes into a group decision at ``level``.
-
-    ``mask`` bounds the active lanes; inactive lanes neither vote nor
-    execute.  Majority is strict ("majority-rules", §3.3): the group
-    approximates iff more than half of its active lanes wish to.
-    """
-    if ctx.fast:
-        return _decide_fast(ctx, want_approx, level, mask)
-    m = ctx.mask if mask is None else np.logical_and(ctx.mask, mask)
-    want = np.logical_and(np.asarray(want_approx, dtype=bool), m)
-
-    if level is HierarchyLevel.THREAD:
-        approx = want
-    elif level is HierarchyLevel.WARP:
-        votes = ctx.ballot(want, m)
-        active = ctx.warp_active_count(m)
-        approve = votes * 2 > active
-        approx = np.logical_and(approve, m)
-    elif level is HierarchyLevel.TEAM:
-        votes = ctx.block_count(want, m)
-        active = ctx.block_active_count(m)
-        approve = votes * 2 > active
-        approx = np.logical_and(approve, m)
-    else:  # pragma: no cover - exhaustive enum
-        raise ValueError(f"unknown hierarchy level {level!r}")
-
-    accurate = np.logical_and(m, np.logical_not(approx))
-    forced = np.logical_and(approx, np.logical_not(want))
-    denied = np.logical_and(want, np.logical_not(approx))
     return Decision(approx_mask=approx, accurate_mask=accurate, forced=forced, denied=denied)

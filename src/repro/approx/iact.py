@@ -54,13 +54,14 @@ class IACTState:
     #: True while every input vector seen so far was finite.  Finite inputs
     #: can never put a NaN into the distance matrix (the float32 key cast
     #: saturates to ±inf, and inf−finite, overflow, and squaring all stay
-    #: ±inf), which licenses the fast nearest-entry sweep in the read phase.
+    #: ±inf), which licenses the strict-< nearest-entry sweep in the read
+    #: phase.
     finite_inputs: bool = True
     #: Lazily-built float64 mirror of the width-1 keys, laid out
     #: (slot, table) so per-slot scans are contiguous.  Holds exactly
     #: ``float64(float32 key)`` — the value the mixed-dtype subtract of the
-    #: generic path would promote to — and is kept in sync by the fast
-    #: write phase.
+    #: generic path would promote to — and is kept in sync by the write
+    #: phase.
     keys64T: np.ndarray | None = None
     #: True when ``table_of_lane`` is ``repeat(arange(ntab), lanes_per_table)``
     #: — the warp-major layout ``allocate_state`` builds — so per-table
@@ -168,214 +169,175 @@ def iact_invoke(
     total = ctx.total_threads
     lanes = (total,)
 
-    if ctx.fast:
-        # Arena buffers below are rewritten every invocation under stable
-        # ids; drop any per-warp active vectors cached against them.
-        ctx.invalidate_mask_cache()
-        arena = ctx.arena
-        m = ctx._combined_mask(mask)
+    # Arena buffers below are rewritten every invocation under stable
+    # ids; drop any per-warp active vectors cached against them.
+    ctx.invalidate_mask_cache()
+    arena = ctx.arena
+    m = ctx._combined_mask(mask)
 
-        # --------------------------------------------------------------
-        # Read phase: every lane scans its table for the nearest valid
-        # entry.  Paid on every invocation — iACT's unavoidable decision
-        # cost.  Same float64 promotion order as the slow path.
-        # --------------------------------------------------------------
-        ctx.shared_access(float(params.table_size * spec.in_width), m)
-        ctx.flops(3.0 * params.table_size * spec.in_width, m)
-        tsize = params.table_size
-        nearest_slot = arena.buf("iact_nearest", lanes, np.intp)
-        nearest_d2 = arena.buf("iact_nd2", lanes, np.float64)
-        if st.finite_inputs:
-            xfin = arena.buf(("iact_xfin", spec.name), x.shape, np.bool_)
-            np.isfinite(x, out=xfin)
-            if not bool(xfin.all()):
-                # A ±inf/NaN input can seed the tables with values whose
-                # distances go NaN, and NaN orders differently under the
-                # sweep below than under argmin — fall back permanently.
-                st.finite_inputs = False
-        all_valid = bool(st.valid.all())
-        if spec.in_width == 1 and st.finite_inputs:
-            # Transposed scan for the width-1 case: a float64 mirror of the
-            # keys laid out (slot, table) makes every per-slot gather,
-            # subtract, square, and sweep pass contiguous, and skips the
-            # buffered float32→float64 cast of the generic path.  The
-            # mirror holds exactly float64(float32 key), the same value the
-            # mixed-dtype subtract would promote to.
-            if st.keys64T is None:
-                st.keys64T = np.ascontiguousarray(
-                    st.keys[:, :, 0].T, dtype=np.float64
-                )
-            kT = arena.buf(("iact_kT", spec.name), (tsize, total), np.float64)
-            ntab = st.keys.shape[0]
+    # --------------------------------------------------------------
+    # Read phase: every lane scans its table for the nearest valid
+    # entry.  Paid on every invocation — iACT's unavoidable decision
+    # cost.  float32 keys are promoted to float64 before subtracting.
+    # --------------------------------------------------------------
+    ctx.shared_access(float(params.table_size * spec.in_width), m)
+    ctx.flops(3.0 * params.table_size * spec.in_width, m)
+    tsize = params.table_size
+    nearest_slot = arena.buf("iact_nearest", lanes, np.intp)
+    nearest_d2 = arena.buf("iact_nd2", lanes, np.float64)
+    if st.finite_inputs:
+        xfin = arena.buf(("iact_xfin", spec.name), x.shape, np.bool_)
+        np.isfinite(x, out=xfin)
+        if not bool(xfin.all()):
+            # A ±inf/NaN input can seed the tables with values whose
+            # distances go NaN, and NaN orders differently under the
+            # sweep below than under argmin — fall back permanently.
+            st.finite_inputs = False
+    all_valid = bool(st.valid.all())
+    if spec.in_width == 1 and st.finite_inputs:
+        # Transposed scan for the width-1 case: a float64 mirror of the
+        # keys laid out (slot, table) makes every per-slot gather,
+        # subtract, square, and sweep pass contiguous, and skips the
+        # buffered float32→float64 cast of the generic path.  The
+        # mirror holds exactly float64(float32 key), the same value the
+        # mixed-dtype subtract would promote to.
+        if st.keys64T is None:
+            st.keys64T = np.ascontiguousarray(
+                st.keys[:, :, 0].T, dtype=np.float64
+            )
+        kT = arena.buf(("iact_kT", spec.name), (tsize, total), np.float64)
+        ntab = st.keys.shape[0]
+        if st.repeat_layout:
+            # Lanes of a table are contiguous, so the gather is a
+            # broadcast duplication of each table's row.
+            kT3 = kT.reshape(tsize, ntab, total // ntab)
+            np.copyto(kT3, st.keys64T[:, :, None])
+        else:
+            for k in range(tsize):
+                np.take(st.keys64T[k], tid, out=kT[k])
+        x0 = x[:, 0]
+        np.subtract(kT, x0[None, :], out=kT)
+        np.multiply(kT, kT, out=kT)  # kT is now dist2 transposed
+        if all_valid:
+            rows = kT
+        else:
+            vT = arena.buf(("iact_vT", spec.name), (tsize, st.valid.shape[0]), np.bool_)
+            vT[:] = st.valid.T
+            vgT = arena.buf(("iact_vgT", spec.name), (tsize, total), np.bool_)
             if st.repeat_layout:
-                # Lanes of a table are contiguous, so the gather is a
-                # broadcast duplication of each table's row.
-                kT3 = kT.reshape(tsize, ntab, total // ntab)
-                np.copyto(kT3, st.keys64T[:, :, None])
+                vgT3 = vgT.reshape(tsize, ntab, total // ntab)
+                np.copyto(vgT3, vT[:, :, None])
             else:
                 for k in range(tsize):
-                    np.take(st.keys64T[k], tid, out=kT[k])
-            x0 = x[:, 0]
-            np.subtract(kT, x0[None, :], out=kT)
-            np.multiply(kT, kT, out=kT)  # kT is now dist2 transposed
-            if all_valid:
-                rows = kT
-            else:
-                vT = arena.buf(("iact_vT", spec.name), (tsize, st.valid.shape[0]), np.bool_)
-                vT[:] = st.valid.T
-                vgT = arena.buf(("iact_vgT", spec.name), (tsize, total), np.bool_)
-                if st.repeat_layout:
-                    vgT3 = vgT.reshape(tsize, ntab, total // ntab)
-                    np.copyto(vgT3, vT[:, :, None])
-                else:
-                    for k in range(tsize):
-                        np.take(vT[k], tid, out=vgT[k])
-                rows = arena.buf(("iact_d2mT", spec.name), (tsize, total), np.float64)
-                rows.fill(np.inf)
-                np.copyto(rows, kT, where=vgT)
-            # First-occurrence argmin as tsize-1 strict-< sweeps.  Finite
-            # inputs keep the distances NaN-free (see
-            # IACTState.finite_inputs), so ties and ±inf resolve exactly as
-            # np.argmin does — and the running minimum is nearest_d2.
-            nearest_d2[:] = rows[0]
+                    np.take(vT[k], tid, out=vgT[k])
+            rows = arena.buf(("iact_d2mT", spec.name), (tsize, total), np.float64)
+            rows.fill(np.inf)
+            np.copyto(rows, kT, where=vgT)
+        # First-occurrence argmin as tsize-1 strict-< sweeps.  Finite
+        # inputs keep the distances NaN-free (see
+        # IACTState.finite_inputs), so ties and ±inf resolve exactly as
+        # np.argmin does — and the running minimum is nearest_d2.
+        nearest_d2[:] = rows[0]
+        nearest_slot.fill(0)
+        lt = arena.buf("iact_lt", lanes, np.bool_)
+        itmp = arena.buf("iact_itmp", lanes, np.intp)
+        for k in range(1, tsize):
+            row = rows[k]
+            np.less(row, nearest_d2, out=lt)
+            # Branchless select: masked copyto degrades badly on dense
+            # random masks, while min + xor-select stay vectorized.
+            np.minimum(nearest_d2, row, out=nearest_d2)
+            np.bitwise_xor(nearest_slot, k, out=itmp)
+            np.multiply(itmp, lt, out=itmp)
+            np.bitwise_xor(nearest_slot, itmp, out=nearest_slot)
+    else:
+        tshape = (total, tsize, spec.in_width)
+        keys_g = arena.buf(("iact_keys", spec.name), tshape, np.float32)
+        np.take(st.keys, tid, axis=0, out=keys_g)
+        diffs = arena.buf(("iact_diffs", spec.name), tshape, np.float64)
+        np.subtract(keys_g, x[:, None, :], out=diffs)
+        dist2 = arena.buf(("iact_dist2", spec.name), (total, tsize), np.float64)
+        if spec.in_width == 1:
+            # Width-1 contraction is a plain square — no accumulation,
+            # so this is trivially bit-identical to the einsum and
+            # skips its setup cost.
+            d0 = diffs[:, :, 0]
+            np.multiply(d0, d0, out=dist2)
+        else:
+            np.einsum("lti,lti->lt", diffs, diffs, out=dist2)
+        if all_valid:
+            # Steady state: every entry valid, the +inf masking is the
+            # identity, and the (lanes, tsize) gather/fill/copy
+            # disappears.
+            d2m = dist2
+        else:
+            valid_g = arena.buf(("iact_valid", spec.name), (total, tsize), np.bool_)
+            np.take(st.valid, tid, axis=0, out=valid_g)
+            d2m = arena.buf(("iact_d2m", spec.name), (total, tsize), np.float64)
+            d2m.fill(np.inf)
+            np.copyto(d2m, dist2, where=valid_g)
+        if st.finite_inputs:
+            # Same strict-< sweep as above, over strided columns.
+            nearest_d2[:] = d2m[:, 0]
             nearest_slot.fill(0)
             lt = arena.buf("iact_lt", lanes, np.bool_)
             itmp = arena.buf("iact_itmp", lanes, np.intp)
             for k in range(1, tsize):
-                row = rows[k]
-                np.less(row, nearest_d2, out=lt)
-                # Branchless select: masked copyto degrades badly on dense
-                # random masks, while min + xor-select stay vectorized.
-                np.minimum(nearest_d2, row, out=nearest_d2)
+                col = d2m[:, k]
+                np.less(col, nearest_d2, out=lt)
+                np.minimum(nearest_d2, col, out=nearest_d2)
                 np.bitwise_xor(nearest_slot, k, out=itmp)
                 np.multiply(itmp, lt, out=itmp)
                 np.bitwise_xor(nearest_slot, itmp, out=nearest_slot)
         else:
-            tshape = (total, tsize, spec.in_width)
-            keys_g = arena.buf(("iact_keys", spec.name), tshape, np.float32)
-            np.take(st.keys, tid, axis=0, out=keys_g)
-            diffs = arena.buf(("iact_diffs", spec.name), tshape, np.float64)
-            np.subtract(keys_g, x[:, None, :], out=diffs)
-            dist2 = arena.buf(("iact_dist2", spec.name), (total, tsize), np.float64)
-            if spec.in_width == 1:
-                # Width-1 contraction is a plain square — no accumulation,
-                # so this is trivially bit-identical to the einsum and
-                # skips its setup cost.
-                d0 = diffs[:, :, 0]
-                np.multiply(d0, d0, out=dist2)
-            else:
-                np.einsum("lti,lti->lt", diffs, diffs, out=dist2)
-            if all_valid:
-                # Steady state: every entry valid, the +inf masking is the
-                # identity, and the (lanes, tsize) gather/fill/copy
-                # disappears.
-                d2m = dist2
-            else:
-                valid_g = arena.buf(("iact_valid", spec.name), (total, tsize), np.bool_)
-                np.take(st.valid, tid, axis=0, out=valid_g)
-                d2m = arena.buf(("iact_d2m", spec.name), (total, tsize), np.float64)
-                d2m.fill(np.inf)
-                np.copyto(d2m, dist2, where=valid_g)
-            if st.finite_inputs:
-                # Same strict-< sweep as above, over strided columns.
-                nearest_d2[:] = d2m[:, 0]
-                nearest_slot.fill(0)
-                lt = arena.buf("iact_lt", lanes, np.bool_)
-                itmp = arena.buf("iact_itmp", lanes, np.intp)
-                for k in range(1, tsize):
-                    col = d2m[:, k]
-                    np.less(col, nearest_d2, out=lt)
-                    np.minimum(nearest_d2, col, out=nearest_d2)
-                    np.bitwise_xor(nearest_slot, k, out=itmp)
-                    np.multiply(itmp, lt, out=itmp)
-                    np.bitwise_xor(nearest_slot, itmp, out=nearest_slot)
-            else:
-                np.argmin(d2m, axis=1, out=nearest_slot)
-                flatidx = arena.buf("iact_flat", lanes, np.intp)
-                np.multiply(ctx.thread_id, tsize, out=flatidx)
-                np.add(flatidx, nearest_slot, out=flatidx)
-                np.take(d2m.reshape(-1), flatidx, out=nearest_d2)
-        has_entry = arena.buf("iact_has", lanes, np.bool_)
-        np.isfinite(nearest_d2, out=has_entry)
+            np.argmin(d2m, axis=1, out=nearest_slot)
+            flatidx = arena.buf("iact_flat", lanes, np.intp)
+            np.multiply(ctx.thread_id, tsize, out=flatidx)
+            np.add(flatidx, nearest_slot, out=flatidx)
+            np.take(d2m.reshape(-1), flatidx, out=nearest_d2)
+    has_entry = arena.buf("iact_has", lanes, np.bool_)
+    np.isfinite(nearest_d2, out=has_entry)
 
-        want = arena.buf("iact_want", lanes, np.bool_)
-        np.logical_and(m, has_entry, out=want)
-        tmpb = arena.buf("iact_tmpb", lanes, np.bool_)
-        np.less_equal(nearest_d2, params.threshold**2, out=tmpb)
-        if stats is not None:
-            # Margins over the lanes that compared: active, with an entry.
-            rest = arena.buf("iact_rest", lanes, np.bool_)
-            np.logical_not(tmpb, out=rest)
-            np.logical_and(want, rest, out=rest)
-        np.logical_and(want, tmpb, out=want)
-        if stats is not None:
-            stats.window.narrow(nearest_d2, want, rest)
-        dec = decide(ctx, want, spec.level, m)
+    want = arena.buf("iact_want", lanes, np.bool_)
+    np.logical_and(m, has_entry, out=want)
+    tmpb = arena.buf("iact_tmpb", lanes, np.bool_)
+    np.less_equal(nearest_d2, params.threshold**2, out=tmpb)
+    if stats is not None:
+        # Margins over the lanes that compared: active, with an entry.
+        rest = arena.buf("iact_rest", lanes, np.bool_)
+        np.logical_not(tmpb, out=rest)
+        np.logical_and(want, rest, out=rest)
+    np.logical_and(want, tmpb, out=want)
+    if stats is not None:
+        stats.window.narrow(nearest_d2, want, rest)
+    dec = decide(ctx, want, spec.level, m)
 
-        approx = arena.buf("iact_approx", lanes, np.bool_)
-        np.logical_and(dec.approx_mask, has_entry, out=approx)
-        np.logical_not(has_entry, out=tmpb)
-        fallback = arena.buf("iact_fallback", lanes, np.bool_)
-        np.logical_and(dec.approx_mask, tmpb, out=fallback)
-        accurate = arena.buf("iact_accurate", lanes, np.bool_)
-        np.logical_or(dec.accurate_mask, fallback, out=accurate)
+    approx = arena.buf("iact_approx", lanes, np.bool_)
+    np.logical_and(dec.approx_mask, has_entry, out=approx)
+    np.logical_not(has_entry, out=tmpb)
+    fallback = arena.buf("iact_fallback", lanes, np.bool_)
+    np.logical_and(dec.approx_mask, tmpb, out=fallback)
+    accurate = arena.buf("iact_accurate", lanes, np.bool_)
+    np.logical_or(dec.accurate_mask, fallback, out=accurate)
 
-        values = arena.buf(("iact_values", spec.name), (total, ow), np.float64)
-        if m is not ctx._base_mask:
-            # approx ∪ accurate == m, so under a full mask every row is
-            # overwritten below and the zero prefill would be dead stores.
-            values.fill(0.0)
-    else:
-        m = ctx.mask if mask is None else np.logical_and(ctx.mask, mask)
-
-        # --------------------------------------------------------------
-        # Read phase: every lane scans its table for the nearest valid
-        # entry.  Paid on every invocation — iACT's unavoidable decision
-        # cost.
-        # --------------------------------------------------------------
-        ctx.shared_access(float(params.table_size * spec.in_width), m)
-        ctx.flops(3.0 * params.table_size * spec.in_width, m)
-        diffs = st.keys[tid].astype(np.float64) - x[:, None, :]
-        dist2 = np.einsum("lti,lti->lt", diffs, diffs)
-        dist2 = np.where(st.valid[tid], dist2, np.inf)
-        nearest_slot = np.argmin(dist2, axis=1)
-        nearest_d2 = dist2[np.arange(total), nearest_slot]
-        has_entry = np.isfinite(nearest_d2)
-
-        close = nearest_d2 <= params.threshold**2
-        want = np.logical_and.reduce([m, has_entry, close])
-        if stats is not None:
-            stats.window.narrow(
-                nearest_d2,
-                want,
-                np.logical_and.reduce([m, has_entry, np.logical_not(close)]),
-            )
-        dec = decide(ctx, want, spec.level, m)
-
-        approx = np.logical_and(dec.approx_mask, has_entry)
-        fallback = np.logical_and(dec.approx_mask, np.logical_not(has_entry))
-        accurate = np.logical_or(dec.accurate_mask, fallback)
-
-        values = np.zeros((total, ow), dtype=np.float64)
+    values = arena.buf(("iact_values", spec.name), (total, ow), np.float64)
+    if m is not ctx._base_mask:
+        # approx ∪ accurate == m, so under a full mask every row is
+        # overwritten below and the zero prefill would be dead stores.
+        values.fill(0.0)
 
     # --- approximate path: return the nearest cached output ---------------
     if approx.any():
         ctx.shared_access(float(ow), approx)
-        if ctx.fast:
-            # Gather every lane's nearest entry (indices are always valid)
-            # and copy only the approximating lanes — identical elements,
-            # identical float32→float64 cast.
-            arena = ctx.arena
-            vidx = arena.buf("iact_vidx", lanes, np.intp)
-            np.multiply(tid, params.table_size, out=vidx)
-            np.add(vidx, nearest_slot, out=vidx)
-            vgath = arena.buf(("iact_vgath", spec.name), (total, ow), np.float32)
-            np.take(st.vals.reshape(-1, st.vals.shape[2]), vidx, axis=0, out=vgath)
-            np.copyto(values, vgath, where=approx[:, None])
-            if getattr(st.policy, "tracks_hits", True):
-                st.policy.on_hit(tid[approx], nearest_slot[approx])
-        else:
-            values[approx] = st.vals[tid[approx], nearest_slot[approx]]
+        # Gather every lane's nearest entry (indices are always valid)
+        # and copy only the approximating lanes.
+        vidx = arena.buf("iact_vidx", lanes, np.intp)
+        np.multiply(tid, params.table_size, out=vidx)
+        np.add(vidx, nearest_slot, out=vidx)
+        vgath = arena.buf(("iact_vgath", spec.name), (total, ow), np.float32)
+        np.take(st.vals.reshape(-1, st.vals.shape[2]), vidx, axis=0, out=vgath)
+        np.copyto(values, vgath, where=approx[:, None])
+        if getattr(st.policy, "tracks_hits", True):
             st.policy.on_hit(tid[approx], nearest_slot[approx])
 
     # --- accurate path + write phase ---------------------------------------
@@ -393,78 +355,54 @@ def iact_invoke(
         # with empty tables have +inf distance and always win.
         lane_idx = ctx.thread_id
         ntab = st.keys.shape[0]
-        if ctx.fast:
-            # Masked full-array reductions: non-accurate lanes carry -inf
-            # (never the maximum) and non-candidate lanes carry INT64_MAX
-            # (never the minimum), so no boolean gathers are needed.
-            arena = ctx.arena
-            score = arena.buf("iact_score", lanes, np.float64)
-            tmpf = arena.buf("iact_tmpf", lanes, np.float64)
-            tmpf.fill(np.inf)
-            np.copyto(tmpf, nearest_d2, where=has_entry)
-            score.fill(-np.inf)
-            np.copyto(score, tmpf, where=accurate)
-            best = arena.buf("iact_best", (ntab,), np.float64)
-            best.fill(-np.inf)
-            np.maximum.at(best, tid, score)
-            gathered = arena.buf("iact_bestg", lanes, np.float64)
-            np.take(best, tid, out=gathered)
-            cand = arena.buf("iact_cand", lanes, np.bool_)
-            np.equal(score, gathered, out=cand)
-            np.logical_and(accurate, cand, out=cand)
-            winner = arena.buf("iact_winner", (ntab,), np.int64)
-            winner.fill(INT64_MAX)
-            lane_masked = arena.buf("iact_lanem", lanes, np.int64)
-            lane_masked.fill(INT64_MAX)
-            np.copyto(lane_masked, lane_idx, where=cand)
-            np.minimum.at(winner, tid, lane_masked)
-            wgather = arena.buf("iact_wing", lanes, np.int64)
-            np.take(winner, tid, out=wgather)
-            writer = arena.buf("iact_writer", lanes, np.bool_)
-            np.equal(lane_idx, wgather, out=writer)
-            np.logical_and(cand, writer, out=writer)
-        else:
-            score = np.where(accurate, np.where(has_entry, nearest_d2, np.inf), -np.inf)
-            best = np.full(ntab, -np.inf)
-            np.maximum.at(best, tid[accurate], score[accurate])
-            cand = np.logical_and(accurate, score == best[tid])
-            winner = np.full(ntab, INT64_MAX, dtype=np.int64)
-            np.minimum.at(winner, tid[cand], lane_idx[cand])
-            writer = np.logical_and(cand, lane_idx == winner[tid])
+        # Masked full-array reductions: non-accurate lanes carry -inf
+        # (never the maximum) and non-candidate lanes carry INT64_MAX
+        # (never the minimum), so no boolean gathers are needed.
+        score = arena.buf("iact_score", lanes, np.float64)
+        tmpf = arena.buf("iact_tmpf", lanes, np.float64)
+        tmpf.fill(np.inf)
+        np.copyto(tmpf, nearest_d2, where=has_entry)
+        score.fill(-np.inf)
+        np.copyto(score, tmpf, where=accurate)
+        best = arena.buf("iact_best", (ntab,), np.float64)
+        best.fill(-np.inf)
+        np.maximum.at(best, tid, score)
+        gathered = arena.buf("iact_bestg", lanes, np.float64)
+        np.take(best, tid, out=gathered)
+        cand = arena.buf("iact_cand", lanes, np.bool_)
+        np.equal(score, gathered, out=cand)
+        np.logical_and(accurate, cand, out=cand)
+        winner = arena.buf("iact_winner", (ntab,), np.int64)
+        winner.fill(INT64_MAX)
+        lane_masked = arena.buf("iact_lanem", lanes, np.int64)
+        lane_masked.fill(INT64_MAX)
+        np.copyto(lane_masked, lane_idx, where=cand)
+        np.minimum.at(winner, tid, lane_masked)
+        wgather = arena.buf("iact_wing", lanes, np.int64)
+        np.take(winner, tid, out=wgather)
+        writer = arena.buf("iact_writer", lanes, np.bool_)
+        np.equal(lane_idx, wgather, out=writer)
+        np.logical_and(cand, writer, out=writer)
         ctx._charge_intrinsic(float(np.log2(ctx.warp_size)), m)  # election scan
 
-        if ctx.fast:
-            # One boolean scan, then integer gathers over the (sparse)
-            # writer set instead of three boolean-masked passes.
-            widx = np.flatnonzero(writer)
-            if widx.size:
-                wtabs = tid[widx]
-                slots = st.policy.choose_slots(wtabs)
-                st.keys[wtabs, slots] = x[widx].astype(np.float32)
-                if st.keys64T is not None:
-                    # Mirror the rounded float32 value, not the raw input.
-                    st.keys64T[slots, wtabs] = st.keys[wtabs, slots, 0]
-                st.vals[wtabs, slots] = computed[widx].astype(np.float32)
-                st.valid[wtabs, slots] = True
-                ctx.shared_table_write(
-                    spec.name,
-                    tid,
-                    writer,
-                    accesses=float(spec.in_width + ow) + st.policy.cost_accesses(),
-                )
-        else:
-            wtabs = tid[writer]
-            if len(wtabs):
-                slots = st.policy.choose_slots(wtabs)
-                st.keys[wtabs, slots] = x[writer].astype(np.float32)
-                st.vals[wtabs, slots] = computed[writer].astype(np.float32)
-                st.valid[wtabs, slots] = True
-                ctx.shared_table_write(
-                    spec.name,
-                    tid,
-                    writer,
-                    accesses=float(spec.in_width + ow) + st.policy.cost_accesses(),
-                )
+        # One boolean scan, then integer gathers over the (sparse)
+        # writer set.
+        widx = np.flatnonzero(writer)
+        if widx.size:
+            wtabs = tid[widx]
+            slots = st.policy.choose_slots(wtabs)
+            st.keys[wtabs, slots] = x[widx].astype(np.float32)
+            if st.keys64T is not None:
+                # Mirror the rounded float32 value, not the raw input.
+                st.keys64T[slots, wtabs] = st.keys[wtabs, slots, 0]
+            st.vals[wtabs, slots] = computed[widx].astype(np.float32)
+            st.valid[wtabs, slots] = True
+            ctx.shared_table_write(
+                spec.name,
+                tid,
+                writer,
+                accesses=float(spec.in_width + ow) + st.policy.cost_accesses(),
+            )
 
     if stats is not None:
         stats.invocations += int(m.sum())

@@ -106,10 +106,10 @@ def perforated_grid_stride(
                     stats.skipped += int(mask.sum())
                 continue
             yield step, idx, mask
-        elif ctx.fast:
-            # Same computation, arena-backed: the divergent skip masks are
-            # rewritten in place each step, so per-warp vectors cached
-            # against their ids are dropped first.
+        else:
+            # The divergent skip masks are arena buffers rewritten in place
+            # each step, so per-warp vectors cached against their ids are
+            # dropped first.
             ctx.invalidate_mask_cache()
             arena = ctx.arena
             M = params.skip_factor
@@ -127,15 +127,6 @@ def perforated_grid_stride(
             exec_mask = arena.buf("perfo_exec", idx.shape, np.bool_)
             np.logical_not(drop, out=exec_mask)
             np.logical_and(mask, exec_mask, out=exec_mask)
-            # The perforation check itself costs a modulo + compare per
-            # encounter (the runtime counter of §3.3).
-            ctx.flops(2.0, mask)
-            yield step, idx, exec_mask
-        else:
-            drop = np.logical_and(mask, skip_iteration_mask(params, idx))
-            if stats is not None:
-                stats.skipped += int(drop.sum())
-            exec_mask = np.logical_and(mask, np.logical_not(drop))
             # The perforation check itself costs a modulo + compare per
             # encounter (the runtime counter of §3.3).
             ctx.flops(2.0, mask)

@@ -155,180 +155,108 @@ def taf_invoke(
     params: TAFParams = spec.params  # type: ignore[assignment]
     ow = max(spec.out_width, 1)
     st = get_state(ctx, spec)
-    if ctx.fast:
-        # The arena-backed masks below are rewritten every invocation under
-        # stable ids; drop any per-warp active vectors cached against them.
-        ctx.invalidate_mask_cache()
-        arena = ctx.arena
-        lanes = (ctx.total_threads,)
-        m = ctx._combined_mask(mask)
+    # The arena-backed masks below are rewritten every invocation under
+    # stable ids; drop any per-warp active vectors cached against them.
+    ctx.invalidate_mask_cache()
+    arena = ctx.arena
+    lanes = (ctx.total_threads,)
+    m = ctx._combined_mask(mask)
 
-        # Activation function: read the per-thread state machine (shared
-        # memory) and evaluate the criterion.
-        ctx.shared_access(1.0, m)
-        ctx.flops(2.0, m)
-        want = arena.buf("taf_want", lanes, np.bool_)
-        np.equal(st.state, STABLE, out=want)
-        np.logical_and(m, want, out=want)
-        tmp = arena.buf("taf_tmp", lanes, np.bool_)
-        np.greater(st.pred_left, 0, out=tmp)
-        np.logical_and(want, tmp, out=want)
-        dec = decide(ctx, want, spec.level, m)
+    # Activation function: read the per-thread state machine (shared
+    # memory) and evaluate the criterion.
+    ctx.shared_access(1.0, m)
+    ctx.flops(2.0, m)
+    want = arena.buf("taf_want", lanes, np.bool_)
+    np.equal(st.state, STABLE, out=want)
+    np.logical_and(m, want, out=want)
+    tmp = arena.buf("taf_tmp", lanes, np.bool_)
+    np.greater(st.pred_left, 0, out=tmp)
+    np.logical_and(want, tmp, out=want)
+    dec = decide(ctx, want, spec.level, m)
 
-        # Lanes the group forces to approximate can only comply if they have
-        # a replayable value; warm-up lanes fall back to the accurate path.
-        can = arena.buf("taf_can", lanes, np.bool_)
-        np.greater(st.hist_len, 0, out=can)
-        approx = arena.buf("taf_approx", lanes, np.bool_)
-        np.logical_and(dec.approx_mask, can, out=approx)
-        np.logical_not(can, out=tmp)
-        fallback = arena.buf("taf_fallback", lanes, np.bool_)
-        np.logical_and(dec.approx_mask, tmp, out=fallback)
-        accurate = arena.buf("taf_accurate", lanes, np.bool_)
-        np.logical_or(dec.accurate_mask, fallback, out=accurate)
+    # Lanes the group forces to approximate can only comply if they have
+    # a replayable value; warm-up lanes fall back to the accurate path.
+    can = arena.buf("taf_can", lanes, np.bool_)
+    np.greater(st.hist_len, 0, out=can)
+    approx = arena.buf("taf_approx", lanes, np.bool_)
+    np.logical_and(dec.approx_mask, can, out=approx)
+    np.logical_not(can, out=tmp)
+    fallback = arena.buf("taf_fallback", lanes, np.bool_)
+    np.logical_and(dec.approx_mask, tmp, out=fallback)
+    accurate = arena.buf("taf_accurate", lanes, np.bool_)
+    np.logical_or(dec.accurate_mask, fallback, out=accurate)
 
-        values = arena.buf(("taf_values", spec.name), (ctx.total_threads, ow), np.float64)
-        if m is not ctx._base_mask:
-            # approx ∪ accurate == m, so under a full mask every row is
-            # overwritten below and the zero prefill would be dead stores.
-            values.fill(0.0)
-    else:
-        m = ctx.mask if mask is None else np.logical_and(ctx.mask, mask)
-
-        # Activation function: read the per-thread state machine (shared
-        # memory) and evaluate the criterion.
-        ctx.shared_access(1.0, m)
-        ctx.flops(2.0, m)
-        want = np.logical_and.reduce(
-            [m, st.state == STABLE, st.pred_left > 0]
-        )
-        dec = decide(ctx, want, spec.level, m)
-
-        # Lanes the group forces to approximate can only comply if they have
-        # a replayable value; warm-up lanes fall back to the accurate path.
-        can = st.hist_len > 0
-        approx = np.logical_and(dec.approx_mask, can)
-        fallback = np.logical_and(dec.approx_mask, np.logical_not(can))
-        accurate = np.logical_or(dec.accurate_mask, fallback)
-
-        values = np.zeros((ctx.total_threads, ow), dtype=np.float64)
+    values = arena.buf(("taf_values", spec.name), (ctx.total_threads, ow), np.float64)
+    if m is not ctx._base_mask:
+        # approx ∪ accurate == m, so under a full mask every row is
+        # overwritten below and the zero prefill would be dead stores.
+        values.fill(0.0)
 
     # --- approximate path: replay the last accurate output ---------------
     if approx.any():
         ctx.shared_access(float(ow), approx)
-        if ctx.fast:
-            # Single-pass masked ops replace the boolean gather/scatter
-            # pairs: same elements touched, same casts, same results.
-            np.copyto(values, st.last, where=approx[:, None])
-            np.subtract(st.pred_left, 1, out=st.pred_left, where=approx)
-            done = ctx.arena.buf("taf_done", (ctx.total_threads,), np.bool_)
-            np.less_equal(st.pred_left, 0, out=done)
-            np.logical_and(approx, done, out=done)
-            if done.any():
-                # Prediction budget exhausted: flush and re-monitor.
-                np.copyto(st.state, ACCUMULATING, where=done)
-                np.copyto(st.hist_len, 0, where=done)
-        else:
-            values[approx] = st.last[approx]
-            st.pred_left[approx] -= 1
-            done = np.logical_and(approx, st.pred_left <= 0)
-            if done.any():
-                # Prediction budget exhausted: flush the window and
-                # re-monitor.
-                st.state[done] = ACCUMULATING
-                st.hist_len[done] = 0
+        # Single-pass masked ops: each lane's last output and prediction
+        # budget are touched only where it approximates.
+        np.copyto(values, st.last, where=approx[:, None])
+        np.subtract(st.pred_left, 1, out=st.pred_left, where=approx)
+        done = arena.buf("taf_done", lanes, np.bool_)
+        np.less_equal(st.pred_left, 0, out=done)
+        np.logical_and(approx, done, out=done)
+        if done.any():
+            # Prediction budget exhausted: flush and re-monitor.
+            np.copyto(st.state, ACCUMULATING, where=done)
+            np.copyto(st.hist_len, 0, where=done)
 
     # --- accurate path: execute the region and update the window ---------
     if accurate.any():
         computed = np.asarray(compute(accurate), dtype=np.float64)
         if computed.ndim == 1:
             computed = computed[:, None]
-        if ctx.fast:
-            arena = ctx.arena
-            lanes = (ctx.total_threads,)
-            np.copyto(values, computed, where=accurate[:, None])
+        np.copyto(values, computed, where=accurate[:, None])
 
-            # Append to the sliding window (shift when full).
-            full = arena.buf("taf_full", lanes, np.bool_)
-            np.greater_equal(st.hist_len, params.history_size, out=full)
-            shift = arena.buf("taf_shift", lanes, np.bool_)
-            np.logical_and(accurate, full, out=shift)
-            if shift.any():
-                w = shift[:, None]
-                # Left-shift via per-column masked copies: column i reads
-                # i+1 before iteration i+1 overwrites it, exactly the
-                # gather-then-scatter of the boolean-indexed assignment.
-                for i in range(params.history_size - 1):
-                    np.copyto(st.history[:, i], st.history[:, i + 1], where=w)
-                np.copyto(st.history[:, -1], computed, where=w)
-            np.logical_not(full, out=full)
-            grow = arena.buf("taf_grow", lanes, np.bool_)
-            np.logical_and(accurate, full, out=grow)
-            if grow.any():
-                st.history[grow, st.hist_len[grow]] = computed[grow]
-                np.add(st.hist_len, 1, out=st.hist_len, where=grow)
-            np.copyto(st.last, computed, where=accurate[:, None])
-            ctx.shared_access(float(ow) + 1.0, accurate)
+        # Append to the sliding window (shift when full).
+        full = arena.buf("taf_full", lanes, np.bool_)
+        np.greater_equal(st.hist_len, params.history_size, out=full)
+        shift = arena.buf("taf_shift", lanes, np.bool_)
+        np.logical_and(accurate, full, out=shift)
+        if shift.any():
+            w = shift[:, None]
+            # Left-shift via per-column masked copies: column i reads
+            # i+1 before iteration i+1 overwrites it.
+            for i in range(params.history_size - 1):
+                np.copyto(st.history[:, i], st.history[:, i + 1], where=w)
+            np.copyto(st.history[:, -1], computed, where=w)
+        np.logical_not(full, out=full)
+        grow = arena.buf("taf_grow", lanes, np.bool_)
+        np.logical_and(accurate, full, out=grow)
+        if grow.any():
+            st.history[grow, st.hist_len[grow]] = computed[grow]
+            np.add(st.hist_len, 1, out=st.hist_len, where=grow)
+        np.copyto(st.last, computed, where=accurate[:, None])
+        ctx.shared_access(float(ow) + 1.0, accurate)
 
-            # Windows that just became full evaluate the RSD criterion —
-            # computed on the ready subset only (per-lane independent, so
-            # the armed set is identical to the full-array evaluation).
-            ready = arena.buf("taf_ready", lanes, np.bool_)
-            np.greater_equal(st.hist_len, params.history_size, out=ready)
-            np.logical_and(accurate, ready, out=ready)
-            if ready.any():
-                ctx.flops(3.0 * params.history_size * ow, ready)
-                ctx.sfu(2.0, ready)  # sqrt for sigma, divide for sigma/mu
-                idx = np.flatnonzero(ready)
-                rsd_sel = window_rsd(
-                    st.history[idx],
-                    st.hist_len[idx],
-                    params.history_size,
-                    mode=spec.meta.get("rsd_mode", "components"),
-                )
-                below = rsd_sel < params.rsd_threshold
-                if stats is not None:
-                    stats.window.narrow(rsd_sel, below, ~below)
-                arm_idx = idx[below]
-                if arm_idx.size:
-                    st.state[arm_idx] = STABLE
-                    st.pred_left[arm_idx] = params.prediction_size
-        else:
-            values[accurate] = computed[accurate]
-
-            # Append to the sliding window (shift when full).
-            full = st.hist_len >= params.history_size
-            shift = np.logical_and(accurate, full)
-            if shift.any():
-                st.history[shift, :-1] = st.history[shift, 1:]
-                st.history[shift, -1] = computed[shift]
-            grow = np.logical_and(accurate, np.logical_not(full))
-            if grow.any():
-                st.history[grow, st.hist_len[grow]] = computed[grow]
-                st.hist_len[grow] += 1
-            st.last[accurate] = computed[accurate]
-            ctx.shared_access(float(ow) + 1.0, accurate)
-
-            # Windows that just became full evaluate the RSD criterion.
-            ready = np.logical_and(accurate, st.hist_len >= params.history_size)
-            if ready.any():
-                ctx.flops(3.0 * params.history_size * ow, ready)
-                ctx.sfu(2.0, ready)  # sqrt for sigma, divide for sigma/mu
-                rsd = window_rsd(
-                    st.history,
-                    st.hist_len,
-                    params.history_size,
-                    mode=spec.meta.get("rsd_mode", "components"),
-                )
-                below = rsd < params.rsd_threshold
-                arm = np.logical_and(ready, below)
-                if stats is not None:
-                    stats.window.narrow(
-                        rsd, arm, np.logical_and(ready, np.logical_not(below))
-                    )
-                if arm.any():
-                    st.state[arm] = STABLE
-                    st.pred_left[arm] = params.prediction_size
+        # Windows that just became full evaluate the RSD criterion,
+        # computed on the ready subset only (it is per-lane independent).
+        ready = arena.buf("taf_ready", lanes, np.bool_)
+        np.greater_equal(st.hist_len, params.history_size, out=ready)
+        np.logical_and(accurate, ready, out=ready)
+        if ready.any():
+            ctx.flops(3.0 * params.history_size * ow, ready)
+            ctx.sfu(2.0, ready)  # sqrt for sigma, divide for sigma/mu
+            idx = np.flatnonzero(ready)
+            rsd_sel = window_rsd(
+                st.history[idx],
+                st.hist_len[idx],
+                params.history_size,
+                mode=spec.meta.get("rsd_mode", "components"),
+            )
+            below = rsd_sel < params.rsd_threshold
+            if stats is not None:
+                stats.window.narrow(rsd_sel, below, ~below)
+            arm_idx = idx[below]
+            if arm_idx.size:
+                st.state[arm_idx] = STABLE
+                st.pred_left[arm_idx] = params.prediction_size
 
     if stats is not None:
         stats.invocations += int(m.sum())

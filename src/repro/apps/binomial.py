@@ -157,7 +157,7 @@ class BinomialOptions(Benchmark):
                     # charged in bulk.
                     ctx.barrier(am)
                     extra = (steps - 1) * ctx.device.barrier_cycles
-                    warps = ctx._warp_any(am)
+                    warps = ctx._active_info(am)[0]
                     ctx.charge_warps(extra, warps)
                     ctx.counters.barrier_cycles += extra * int(warps.sum())
                     ctx.counters.barriers += steps - 1

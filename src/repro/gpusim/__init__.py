@@ -13,7 +13,7 @@ substitution argument).  Public surface:
 * the occupancy and memory analysis helpers used by the figure benches.
 """
 
-from repro.gpusim.arena import ScratchArena, fast_path_default, set_fast_path_default
+from repro.gpusim.arena import ScratchArena
 from repro.gpusim.context import GridContext
 from repro.gpusim.cost import CycleCounters
 from repro.gpusim.device import (
@@ -60,7 +60,6 @@ __all__ = [
     "amd_mi250x",
     "blocks_resident_per_sm",
     "coalesced_transactions",
-    "fast_path_default",
     "get_device",
     "global_memory_fraction_for_tables",
     "hiding_efficiency",
@@ -71,7 +70,6 @@ __all__ = [
     "occupancy",
     "per_thread_table_bytes",
     "round_up",
-    "set_fast_path_default",
     "time_kernel",
     "validate_launch",
 ]

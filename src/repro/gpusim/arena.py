@@ -1,11 +1,12 @@
-"""Scratch-buffer arena for the simulator fast path.
+"""Scratch-buffer arena for the simulator's per-launch temporaries.
 
 A steady-state region invocation issues dozens of small NumPy ops whose
 temporaries all have launch-constant shapes (``total_threads`` lanes,
 ``num_warps`` warps, ``num_blocks`` blocks, ``(total_threads, out_width)``
 value planes).  Allocating those temporaries fresh on every call is the
-single largest per-invocation cost in the interpreter, so the fast path
-routes every such temporary through a :class:`ScratchArena` owned by the
+single largest per-invocation cost in the interpreter, so the context
+primitives and the approximation runtimes route every such temporary
+through a :class:`ScratchArena` owned by the
 :class:`~repro.gpusim.context.GridContext`: buffers are keyed by
 ``(tag, shape, dtype)`` and reused in place via ``out=`` ufunc variants.
 
@@ -23,49 +24,11 @@ growing (asserted by ``benchmarks/perf_micro.py``).
 
 from __future__ import annotations
 
-import os
 from typing import Any, Dict, Tuple
 
 import numpy as np
 
-__all__ = [
-    "ScratchArena",
-    "fast_path_default",
-    "set_fast_path_default",
-]
-
-#: Environment switch for the module-wide default.  The fast path is the
-#: default; set ``REPRO_SIM_FASTPATH=0`` to fall back to the original
-#: (byte-identical, slower) implementation everywhere.
-_ENV_VAR = "REPRO_SIM_FASTPATH"
-
-_FALSY = {"0", "false", "no", "off", ""}
-
-
-def _env_default() -> bool:
-    return os.environ.get(_ENV_VAR, "1").strip().lower() not in _FALSY
-
-
-_fast_default = _env_default()
-
-
-def fast_path_default() -> bool:
-    """Module-wide default for ``GridContext(fast_path=None)``."""
-
-    return _fast_default
-
-
-def set_fast_path_default(enabled: bool) -> bool:
-    """Override the module-wide fast-path default; returns the old value.
-
-    Used by equivalence tests and ``benchmarks/perf_micro.py`` to run the
-    same workload through both implementations in one process.
-    """
-
-    global _fast_default
-    old = _fast_default
-    _fast_default = bool(enabled)
-    return old
+__all__ = ["ScratchArena"]
 
 
 class ScratchArena:

@@ -18,8 +18,9 @@ The context exposes:
 * identity vectors (``thread_id``, ``block_id``, ``lane_in_warp``, ...);
 * cost-charging primitives (``flops``, ``sfu``, ``global_read/write``,
   ``shared_access``, ``barrier``, ``atomic``);
-* warp collectives (``ballot``, ``warp_sum``, ``warp_max``, ``warp_any``) and
-  a block reduction built from the ballot+atomic pattern of §3.3;
+* warp collectives (``ballot``, ``warp_active_count``, ``warp_reduce``) and
+  block counts built from the ballot+atomic pattern of §3.3
+  (``block_count``, ``block_active_count``);
 * shared-memory allocation through :class:`~repro.gpusim.shared.SharedMemoryPool`;
 * a grid-stride loop helper matching OpenMP
   ``target teams distribute parallel for`` scheduling.
@@ -30,25 +31,20 @@ barrier under block-divergent masks raises
 :class:`~repro.errors.SimulatedDeadlockError`, reproducing the deadlock
 hazard of §3.1.2 instead of hanging.
 
-Fast path
----------
+Steady-state cost
+-----------------
 
-Every charging primitive has two implementations selected by
-``GridContext(fast_path=...)`` (default: :func:`repro.gpusim.arena.fast_path_default`,
-i.e. on unless ``REPRO_SIM_FASTPATH=0``):
+The primitives do near-zero allocations in steady state: temporaries live
+in a per-launch :class:`~repro.gpusim.arena.ScratchArena`, the per-warp
+active vector of a given mask object is identity-cached, the depth-1
+all-true mask short-circuits every reshape-reduce, and counter
+accumulation is journaled per call and folded into :class:`CycleCounters`
+lazily on ``ctx.counters`` access (finalized once per launch).  Their
+results are pinned by recorded digests:
+``tests/gpusim/goldens/primitives.json`` (randomized primitive programs)
+and ``tests/approx/goldens/equivalence.json`` (full application runs).
 
-* the **slow path** is the original, allocation-heavy formulation, kept
-  verbatim as the in-process byte-identity reference;
-* the **fast path** produces bit-identical ``warp_cycles``, counters,
-  collectives, and memory traffic while doing near-zero allocations in
-  steady state: temporaries live in a per-launch
-  :class:`~repro.gpusim.arena.ScratchArena`, the per-warp active vector of
-  a given mask object is identity-cached, the depth-1 all-true mask
-  short-circuits every reshape-reduce, and counter accumulation is
-  journaled per call and folded into :class:`CycleCounters` lazily on
-  ``ctx.counters`` access (finalized once per launch).
-
-Fast-path invariants callers must respect:
+Invariants callers must respect:
 
 * arrays returned by collectives (``ballot``, ``warp_active_count``,
   ``warp_reduce``, ``block_count``, ``block_active_count``) are **borrowed**
@@ -67,7 +63,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from repro.errors import ConfigurationError, SimulatedDeadlockError
-from repro.gpusim.arena import ScratchArena, fast_path_default
+from repro.gpusim.arena import ScratchArena
 from repro.gpusim.cost import CycleCounters
 from repro.gpusim.device import MEMORY_SEGMENT_BYTES, DeviceSpec
 from repro.gpusim.memory import DeviceMemory, coalesced_transactions
@@ -91,7 +87,6 @@ class GridContext:
         memory: DeviceMemory | None = None,
         shared_capacity: int | None = None,
         sanitizer=None,
-        fast_path: bool | None = None,
     ) -> None:
         if num_blocks <= 0 or threads_per_block <= 0:
             raise ConfigurationError("grid and block sizes must be positive")
@@ -146,10 +141,8 @@ class GridContext:
         #: keep region state across invocations.
         self.region_state: dict = {}
 
-        #: Fast-path state.  ``fast`` selects the implementation; the arena
-        #: holds every steady-state temporary; the journal holds deferred
-        #: ``(counter_field, delta)`` contributions in call order.
-        self.fast = fast_path_default() if fast_path is None else bool(fast_path)
+        #: The arena holds every steady-state temporary; the journal holds
+        #: deferred ``(counter_field, delta)`` contributions in call order.
         self.arena = ScratchArena()
         self._journal: list[tuple[str, float]] = []
         self._base_mask = self._mask_stack[0]
@@ -165,8 +158,8 @@ class GridContext:
     def counters(self) -> CycleCounters:
         """Public cycle counters.
 
-        On the fast path, per-call contributions are journaled and folded
-        in **in call order** here — bit-identical to eager accumulation,
+        Per-call contributions are journaled and folded in **in call
+        order** here — bit-identical to eager accumulation,
         because the same floats are added in the same sequence.  Reading
         mid-kernel (as Binomial's barrier-elision adjustment does) flushes
         everything journaled so far, so direct mutation of the returned
@@ -222,19 +215,12 @@ class GridContext:
         """
         self._active_cache.clear()
 
-    def _warp_any(self, mask: np.ndarray | None = None) -> np.ndarray:
-        """Bool per warp: does any lane of the warp execute?"""
-        if self.fast:
-            return self._active_info(mask)[0]
-        m = self.mask if mask is None else np.logical_and(self.mask, mask)
-        return m.reshape(self.num_warps, self.warp_size).any(axis=1)
-
-    # -- fast-path mask helpers ----------------------------------------
+    # -- mask helpers ---------------------------------------------------
     def _combined_mask(self, mask) -> np.ndarray:
         """Effective bool mask = divergence-stack top AND ``mask``.
 
         Returns the base all-true mask object itself when nothing masks,
-        which downstream fast paths test by identity to short-circuit.
+        which the primitives below test by identity to short-circuit.
         """
         if mask is None:
             return self._mask_stack[-1]
@@ -245,8 +231,9 @@ class GridContext:
         return np.logical_and(self._mask_stack[-1], mask)
 
     def _active_info(self, mask) -> tuple[np.ndarray, int]:
-        """Per-warp active vector + number of active warps, cached by the
-        identity of the combined mask object (borrowed; do not mutate)."""
+        """Per-warp active vector (does any lane of the warp execute?) plus
+        the number of active warps, cached by the identity of the combined
+        mask object (borrowed; do not mutate)."""
         if mask is None:
             m = self._mask_stack[-1]
         elif len(self._mask_stack) == 1:
@@ -304,16 +291,10 @@ class GridContext:
         SIMD semantics: a warp with at least one active lane pays the full
         ``n * alu_cycles``; fully inactive warps pay nothing.
         """
-        if self.fast:
-            active, count = self._active_info(mask)
-            cyc = float(n) * self.device.alu_cycles
-            self._charge_warps_counted(cyc, active, count)
-            self._journal.append(("alu_cycles", cyc * count))
-            return
-        active = self._warp_any(mask)
+        active, count = self._active_info(mask)
         cyc = float(n) * self.device.alu_cycles
-        self.charge_warps(cyc, active)
-        self.counters.alu_cycles += cyc * int(active.sum())
+        self._charge_warps_counted(cyc, active, count)
+        self._journal.append(("alu_cycles", cyc * count))
 
     def flops_per_lane(self, n_per_lane: np.ndarray, mask: np.ndarray | None = None) -> None:
         """Charge a per-lane variable FLOP count; warps pay their max lane.
@@ -321,68 +302,29 @@ class GridContext:
         Models per-lane loops with data-dependent trip counts (e.g. LavaMD
         neighbour loops): SIMD warps run as long as their slowest lane.
         """
-        if self.fast:
-            m = self._combined_mask(mask)
-            arena = self.arena
-            lanes = arena.buf("fpl_lanes", (self.total_threads,), np.float64)
-            lanes.fill(0.0)
-            np.copyto(lanes, n_per_lane, where=m)
-            per_warp = arena.buf("fpl_warp", (self.num_warps,), np.float64)
-            lanes.reshape(self.num_warps, self.warp_size).max(axis=1, out=per_warp)
-            cyc = arena.buf("fpl_cyc", (self.num_warps,), np.float64)
-            np.multiply(per_warp, self.device.alu_cycles, out=cyc)
-            self.warp_cycles += cyc
-            self._journal.append(("alu_cycles", float(cyc.sum())))
-            return
-        m = self.mask if mask is None else np.logical_and(self.mask, mask)
-        lanes = np.where(m, np.asarray(n_per_lane, dtype=np.float64), 0.0)
-        per_warp = lanes.reshape(self.num_warps, self.warp_size).max(axis=1)
-        cyc = per_warp * self.device.alu_cycles
+        m = self._combined_mask(mask)
+        arena = self.arena
+        lanes = arena.buf("fpl_lanes", (self.total_threads,), np.float64)
+        lanes.fill(0.0)
+        np.copyto(lanes, n_per_lane, where=m)
+        per_warp = arena.buf("fpl_warp", (self.num_warps,), np.float64)
+        lanes.reshape(self.num_warps, self.warp_size).max(axis=1, out=per_warp)
+        cyc = arena.buf("fpl_cyc", (self.num_warps,), np.float64)
+        np.multiply(per_warp, self.device.alu_cycles, out=cyc)
         self.warp_cycles += cyc
-        self.counters.alu_cycles += float(cyc.sum())
+        self._journal.append(("alu_cycles", float(cyc.sum())))
 
     def sfu(self, n: float, mask: np.ndarray | None = None) -> None:
         """Charge ``n`` special-function ops (exp/log/sqrt/...) per lane."""
-        if self.fast:
-            active, count = self._active_info(mask)
-            cyc = float(n) * self.device.sfu_cycles
-            self._charge_warps_counted(cyc, active, count)
-            self._journal.append(("sfu_cycles", cyc * count))
-            return
-        active = self._warp_any(mask)
+        active, count = self._active_info(mask)
         cyc = float(n) * self.device.sfu_cycles
-        self.charge_warps(cyc, active)
-        self.counters.sfu_cycles += cyc * int(active.sum())
+        self._charge_warps_counted(cyc, active, count)
+        self._journal.append(("sfu_cycles", cyc * count))
 
     # ------------------------------------------------------------------
     # global memory
     # ------------------------------------------------------------------
-    def _charge_global(self, byte_addresses: np.ndarray, mask: np.ndarray | None) -> None:
-        if self.fast:
-            m = self._combined_mask(mask)
-            self._charge_global_fast(
-                np.asarray(byte_addresses, dtype=np.int64), m, m is self._base_mask
-            )
-            return
-        m = self.mask if mask is None else np.logical_and(self.mask, mask)
-        # full_mask=False pins the sort-based reference path: the slow
-        # context is the in-process baseline the fast path is measured
-        # against, so it must not silently inherit the analytic shortcut.
-        txns = coalesced_transactions(
-            np.asarray(byte_addresses, dtype=np.int64),
-            m,
-            self.warp_size,
-            full_mask=False,
-        )
-        cyc = txns * self.device.mem_txn_cycles
-        self.warp_cycles += cyc
-        ntx = int(txns.sum())
-        self.counters.mem_cycles += float(cyc.sum())
-        self.counters.global_transactions += ntx
-        self.counters.dram_bytes += ntx * MEMORY_SEGMENT_BYTES
-        self.counters.global_accesses += 1
-
-    def _charge_global_fast(self, addr: np.ndarray, m: np.ndarray, uniform: bool) -> None:
+    def _charge_global(self, addr: np.ndarray, m: np.ndarray, uniform: bool) -> None:
         arena = self.arena
         txns = coalesced_transactions(
             addr,
@@ -417,34 +359,26 @@ class GridContext:
         outside the mask return 0 and issue no memory request.  The returned
         array is always freshly allocated (it escapes to application code).
         """
-        if self.fast:
-            m = self._combined_mask(mask)
-            uniform = m is self._base_mask
-            arena = self.arena
-            safe = arena.buf("gmem_safe", (self.total_threads,), np.int64)
-            if uniform:
-                np.copyto(safe, idx, casting="unsafe")
-            else:
-                safe.fill(0)
-                np.copyto(safe, idx, where=m, casting="unsafe")
-            addr = arena.buf("gmem_addr", (self.total_threads,), np.int64)
-            np.multiply(safe, arr.itemsize, out=addr)
-            self._charge_global_fast(addr, m, uniform)
-            if self.sanitizer is not None:
-                self.sanitizer.on_global_read(arr, safe, m)
-            flat = arr.reshape(-1)
-            gathered = arena.buf("gmem_gather", (self.total_threads,), flat.dtype)
-            np.take(flat, safe, out=gathered)
-            if uniform:
-                return gathered.copy()
-            return np.where(m, gathered, np.zeros((), dtype=arr.dtype))
-        m = self.mask if mask is None else np.logical_and(self.mask, mask)
-        safe = np.where(m, idx, 0)
-        self._charge_global(safe * arr.itemsize, m)
+        m = self._combined_mask(mask)
+        uniform = m is self._base_mask
+        arena = self.arena
+        safe = arena.buf("gmem_safe", (self.total_threads,), np.int64)
+        if uniform:
+            np.copyto(safe, idx, casting="unsafe")
+        else:
+            safe.fill(0)
+            np.copyto(safe, idx, where=m, casting="unsafe")
+        addr = arena.buf("gmem_addr", (self.total_threads,), np.int64)
+        np.multiply(safe, arr.itemsize, out=addr)
+        self._charge_global(addr, m, uniform)
         if self.sanitizer is not None:
             self.sanitizer.on_global_read(arr, safe, m)
-        out = arr.reshape(-1)[safe]
-        return np.where(m, out, np.zeros((), dtype=arr.dtype))
+        flat = arr.reshape(-1)
+        gathered = arena.buf("gmem_gather", (self.total_threads,), flat.dtype)
+        np.take(flat, safe, out=gathered)
+        if uniform:
+            return gathered.copy()
+        return np.where(m, gathered, np.zeros((), dtype=arr.dtype))
 
     def global_write(
         self,
@@ -454,34 +388,25 @@ class GridContext:
         mask: np.ndarray | None = None,
     ) -> None:
         """Write ``values`` to ``arr[idx]`` per lane with coalescing cost."""
-        if self.fast:
-            m = self._combined_mask(mask)
-            uniform = m is self._base_mask
-            arena = self.arena
-            safe = arena.buf("gmem_safe", (self.total_threads,), np.int64)
-            if uniform:
-                np.copyto(safe, idx, casting="unsafe")
-            else:
-                safe.fill(0)
-                np.copyto(safe, idx, where=m, casting="unsafe")
-            addr = arena.buf("gmem_addr", (self.total_threads,), np.int64)
-            np.multiply(safe, arr.itemsize, out=addr)
-            self._charge_global_fast(addr, m, uniform)
-            if self.sanitizer is not None:
-                self.sanitizer.on_global_write(arr, safe, m, self)
-            flat = arr.reshape(-1)
-            if uniform:
-                flat[safe] = np.asarray(values) if np.ndim(values) else values
-            else:
-                flat[safe[m]] = np.asarray(values)[m] if np.ndim(values) else values
-            return
-        m = self.mask if mask is None else np.logical_and(self.mask, mask)
-        safe = np.where(m, idx, 0)
-        self._charge_global(safe * arr.itemsize, m)
+        m = self._combined_mask(mask)
+        uniform = m is self._base_mask
+        arena = self.arena
+        safe = arena.buf("gmem_safe", (self.total_threads,), np.int64)
+        if uniform:
+            np.copyto(safe, idx, casting="unsafe")
+        else:
+            safe.fill(0)
+            np.copyto(safe, idx, where=m, casting="unsafe")
+        addr = arena.buf("gmem_addr", (self.total_threads,), np.int64)
+        np.multiply(safe, arr.itemsize, out=addr)
+        self._charge_global(addr, m, uniform)
         if self.sanitizer is not None:
             self.sanitizer.on_global_write(arr, safe, m, self)
         flat = arr.reshape(-1)
-        flat[safe[m]] = np.asarray(values)[m] if np.ndim(values) else values
+        if uniform:
+            flat[safe] = np.asarray(values) if np.ndim(values) else values
+        else:
+            flat[safe[m]] = np.asarray(values)[m] if np.ndim(values) else values
 
     def charge_global_streamed(
         self,
@@ -518,59 +443,34 @@ class GridContext:
         for both, so transactions and bytes can never disagree.  Integral
         ``elements`` are unaffected.
         """
-        if self.fast:
-            if self.sanitizer is not None and (buffers or writes):
-                m = self._combined_mask(mask)
-                self.sanitizer.on_streamed_read(
-                    buffers, indices=indices, mask=m, writes=writes)
-            active, count = self._active_info(mask)
-            txns_per_warp = float(elements) * np.ceil(
-                self.warp_size * itemsize / MEMORY_SEGMENT_BYTES
-            )
-            ntx_warp = int(round(txns_per_warp))
-            cyc = txns_per_warp * self.device.mem_txn_cycles
-            self._charge_warps_counted(cyc, active, count)
-            j = self._journal
-            j.append(("mem_cycles", cyc * count))
-            j.append(("global_transactions", ntx_warp * count))
-            j.append(("dram_bytes", ntx_warp * count * MEMORY_SEGMENT_BYTES))
-            j.append(("global_accesses", 1))
-            return
         if self.sanitizer is not None and (buffers or writes):
-            m = self.mask if mask is None else np.logical_and(self.mask, mask)
+            m = self._combined_mask(mask)
             self.sanitizer.on_streamed_read(
                 buffers, indices=indices, mask=m, writes=writes)
-        active = self._warp_any(mask)
+        active, count = self._active_info(mask)
         txns_per_warp = float(elements) * np.ceil(
             self.warp_size * itemsize / MEMORY_SEGMENT_BYTES
         )
         ntx_warp = int(round(txns_per_warp))
         cyc = txns_per_warp * self.device.mem_txn_cycles
-        self.charge_warps(cyc, active)
-        nwarps = int(active.sum())
-        self.counters.mem_cycles += cyc * nwarps
-        self.counters.global_transactions += ntx_warp * nwarps
-        self.counters.dram_bytes += ntx_warp * nwarps * MEMORY_SEGMENT_BYTES
-        self.counters.global_accesses += 1
+        self._charge_warps_counted(cyc, active, count)
+        j = self._journal
+        j.append(("mem_cycles", cyc * count))
+        j.append(("global_transactions", ntx_warp * count))
+        j.append(("dram_bytes", ntx_warp * count * MEMORY_SEGMENT_BYTES))
+        j.append(("global_accesses", 1))
 
     # ------------------------------------------------------------------
     # shared memory traffic
     # ------------------------------------------------------------------
     def shared_access(self, n: float = 1.0, mask: np.ndarray | None = None) -> None:
         """Charge ``n`` conflict-free shared-memory accesses per lane."""
-        if self.fast:
-            active, count = self._active_info(mask)
-            cyc = float(n) * self.device.shared_cycles
-            self._charge_warps_counted(cyc, active, count)
-            j = self._journal
-            j.append(("shared_cycles", cyc * count))
-            j.append(("shared_accesses", 1))
-            return
-        active = self._warp_any(mask)
+        active, count = self._active_info(mask)
         cyc = float(n) * self.device.shared_cycles
-        self.charge_warps(cyc, active)
-        self.counters.shared_cycles += cyc * int(active.sum())
-        self.counters.shared_accesses += 1
+        self._charge_warps_counted(cyc, active, count)
+        j = self._journal
+        j.append(("shared_cycles", cyc * count))
+        j.append(("shared_accesses", 1))
 
     def shared_table_write(
         self,
@@ -592,32 +492,22 @@ class GridContext:
         """
         self.shared_access(float(accesses), mask)
         if self.sanitizer is not None:
-            if self.fast:
-                m = self._combined_mask(mask)
-            else:
-                m = self.mask if mask is None else np.logical_and(self.mask, mask)
+            m = self._combined_mask(mask)
             self.sanitizer.on_table_write(region, np.asarray(table_ids), m, self)
 
     # ------------------------------------------------------------------
     # warp collectives / intrinsics
     # ------------------------------------------------------------------
     def _charge_intrinsic(self, n: float = 1.0, mask: np.ndarray | None = None) -> None:
-        if self.fast:
-            active, count = self._active_info(mask)
-            cyc = float(n) * self.device.intrinsic_cycles
-            self._charge_warps_counted(cyc, active, count)
-            j = self._journal
-            j.append(("intrinsic_cycles", cyc * count))
-            j.append(("intrinsics", 1))
-            return
-        active = self._warp_any(mask)
+        active, count = self._active_info(mask)
         cyc = float(n) * self.device.intrinsic_cycles
-        self.charge_warps(cyc, active)
-        self.counters.intrinsic_cycles += cyc * int(active.sum())
-        self.counters.intrinsics += 1
+        self._charge_warps_counted(cyc, active, count)
+        j = self._journal
+        j.append(("intrinsic_cycles", cyc * count))
+        j.append(("intrinsics", 1))
 
     def _ballot_counts(self, pred: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
-        """Fast-path ballot without the per-lane broadcast: per-warp counts
+        """Ballot without the per-lane broadcast: per-warp counts
         of active predicate-true lanes (borrowed buffer).  Charges exactly
         like :meth:`ballot`."""
         m = self._combined_mask(mask)
@@ -640,16 +530,10 @@ class GridContext:
     def ballot(self, pred: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
         """``__ballot_sync`` + ``popc``: per-lane broadcast of the number of
         active lanes in the lane's warp whose predicate is true."""
-        if self.fast:
-            counts = self._ballot_counts(pred, mask)
-            out = self.arena.buf("ballot_lanes", (self.total_threads,), np.int64)
-            out.reshape(self.num_warps, self.warp_size)[:] = counts[:, None]
-            return out
-        m = self.mask if mask is None else np.logical_and(self.mask, mask)
-        p = np.logical_and(np.asarray(pred, dtype=bool), m)
-        counts = p.reshape(self.num_warps, self.warp_size).sum(axis=1)
-        self._charge_intrinsic(1.0, mask)
-        return np.repeat(counts, self.warp_size)
+        counts = self._ballot_counts(pred, mask)
+        out = self.arena.buf("ballot_lanes", (self.total_threads,), np.int64)
+        out.reshape(self.num_warps, self.warp_size)[:] = counts[:, None]
+        return out
 
     def _warp_counts(self, m: np.ndarray) -> np.ndarray:
         """Per-warp active-lane counts of an already-combined mask
@@ -663,19 +547,10 @@ class GridContext:
 
     def warp_active_count(self, mask: np.ndarray | None = None) -> np.ndarray:
         """Per-lane broadcast of the number of active lanes in its warp."""
-        if self.fast:
-            m = self._combined_mask(mask)
-            counts = self.arena.buf("wac_counts", (self.num_warps,), np.int64)
-            if m is self._base_mask:
-                counts.fill(self.warp_size)
-            else:
-                m.reshape(self.num_warps, self.warp_size).sum(axis=1, out=counts)
-            out = self.arena.buf("wac_lanes", (self.total_threads,), np.int64)
-            out.reshape(self.num_warps, self.warp_size)[:] = counts[:, None]
-            return out
-        m = self.mask if mask is None else np.logical_and(self.mask, mask)
-        counts = m.reshape(self.num_warps, self.warp_size).sum(axis=1)
-        return np.repeat(counts, self.warp_size)
+        counts = self._warp_counts(self._combined_mask(mask))
+        out = self.arena.buf("wac_lanes", (self.total_threads,), np.int64)
+        out.reshape(self.num_warps, self.warp_size)[:] = counts[:, None]
+        return out
 
     def warp_reduce(
         self, values: np.ndarray, op: str = "sum", mask: np.ndarray | None = None
@@ -685,69 +560,36 @@ class GridContext:
         Charges log2(warp_size) shuffle intrinsics, like the shfl.down tree
         a real implementation would use.
         """
-        if self.fast:
-            m = self._combined_mask(mask)
-            arena = self.arena
-            if op == "sum":
-                ident = 0.0
-            elif op == "max":
-                ident = -np.inf
-            elif op == "min":
-                ident = np.inf
-            else:
-                raise ValueError(f"unknown warp reduction {op!r}")
-            if m is self._base_mask:
-                grid = np.asarray(values, dtype=np.float64).reshape(
-                    self.num_warps, self.warp_size
-                )
-            else:
-                tmp = arena.buf("wred_vals", (self.total_threads,), np.float64)
-                tmp.fill(ident)
-                np.copyto(tmp, values, where=m)
-                grid = tmp.reshape(self.num_warps, self.warp_size)
-            red = arena.buf("wred_red", (self.num_warps,), np.float64)
-            if op == "sum":
-                grid.sum(axis=1, out=red)
-            elif op == "max":
-                grid.max(axis=1, out=red)
-            else:
-                grid.min(axis=1, out=red)
-            self._charge_intrinsic(float(np.log2(self.warp_size)), mask)
-            out = arena.buf("wred_lanes", (self.total_threads,), np.float64)
-            out.reshape(self.num_warps, self.warp_size)[:] = red[:, None]
-            return out
-        m = self.mask if mask is None else np.logical_and(self.mask, mask)
-        v = np.asarray(values, dtype=np.float64)
-        grid = v.reshape(self.num_warps, self.warp_size)
-        act = m.reshape(self.num_warps, self.warp_size)
+        m = self._combined_mask(mask)
+        arena = self.arena
         if op == "sum":
-            red = np.where(act, grid, 0.0).sum(axis=1)
+            ident = 0.0
         elif op == "max":
-            red = np.where(act, grid, -np.inf).max(axis=1)
+            ident = -np.inf
         elif op == "min":
-            red = np.where(act, grid, np.inf).min(axis=1)
+            ident = np.inf
         else:
             raise ValueError(f"unknown warp reduction {op!r}")
+        if m is self._base_mask:
+            grid = np.asarray(values, dtype=np.float64).reshape(
+                self.num_warps, self.warp_size
+            )
+        else:
+            tmp = arena.buf("wred_vals", (self.total_threads,), np.float64)
+            tmp.fill(ident)
+            np.copyto(tmp, values, where=m)
+            grid = tmp.reshape(self.num_warps, self.warp_size)
+        red = arena.buf("wred_red", (self.num_warps,), np.float64)
+        if op == "sum":
+            grid.sum(axis=1, out=red)
+        elif op == "max":
+            grid.max(axis=1, out=red)
+        else:
+            grid.min(axis=1, out=red)
         self._charge_intrinsic(float(np.log2(self.warp_size)), mask)
-        return np.repeat(red, self.warp_size)
-
-    def warp_argmax(self, values: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
-        """Per-lane bool: is this lane its warp's argmax among active lanes?
-
-        Used for iACT's single-writer election (§3.3: the writer is the
-        thread with the largest euclidean distance from any table value).
-        Ties resolve to the lowest lane id, as a real ballot scan would.
-        """
-        m = self.mask if mask is None else np.logical_and(self.mask, mask)
-        v = np.where(m, np.asarray(values, dtype=np.float64), -np.inf)
-        grid = v.reshape(self.num_warps, self.warp_size)
-        win = np.argmax(grid, axis=1)
-        out = np.zeros((self.num_warps, self.warp_size), dtype=bool)
-        rows = np.arange(self.num_warps)
-        has_active = m.reshape(self.num_warps, self.warp_size).any(axis=1)
-        out[rows[has_active], win[has_active]] = True
-        self._charge_intrinsic(float(np.log2(self.warp_size)), mask)
-        return out.reshape(-1)
+        out = arena.buf("wred_lanes", (self.total_threads,), np.float64)
+        out.reshape(self.num_warps, self.warp_size)[:] = red[:, None]
+        return out
 
     # ------------------------------------------------------------------
     # block-level operations
@@ -759,72 +601,45 @@ class GridContext:
         threads reach the barrier while others were masked off by divergent
         control flow — the hang scenario of §3.1.2.
         """
-        if self.fast:
-            m = self._combined_mask(mask)
-            if m is self._base_mask:
-                active, count = self._uniform_active, self.num_warps
-            else:
-                per_block = m.reshape(self.num_blocks, self.threads_per_block)
-                arena = self.arena
-                some = arena.buf("bar_some", (self.num_blocks,), np.bool_)
-                per_block.any(axis=1, out=some)
-                diverged = arena.buf("bar_div", (self.num_blocks,), np.bool_)
-                per_block.all(axis=1, out=diverged)
-                np.logical_not(diverged, out=diverged)
-                np.logical_and(some, diverged, out=diverged)
-                if diverged.any():
-                    bad = int(np.argmax(diverged))
-                    raise SimulatedDeadlockError(
-                        f"barrier reached under divergent control flow in block {bad}: "
-                        f"{int(per_block[bad].sum())}/{self.threads_per_block} threads arrived"
-                    )
-                active, count = self._active_info(mask)
-            cyc = self.device.barrier_cycles
-            self._charge_warps_counted(cyc, active, count)
-            j = self._journal
-            j.append(("barrier_cycles", cyc * count))
-            j.append(("barriers", 1))
-            if self.sanitizer is not None:
-                self.sanitizer.on_barrier()
-            return
-        m = self.mask if mask is None else np.logical_and(self.mask, mask)
-        per_block = m.reshape(self.num_blocks, self.threads_per_block)
-        some = per_block.any(axis=1)
-        all_ = per_block.all(axis=1)
-        divergent = np.logical_and(some, np.logical_not(all_))
-        if divergent.any():
-            bad = int(np.argmax(divergent))
-            raise SimulatedDeadlockError(
-                f"barrier reached under divergent control flow in block {bad}: "
-                f"{int(per_block[bad].sum())}/{self.threads_per_block} threads arrived"
-            )
-        active = self._warp_any(mask)
+        m = self._combined_mask(mask)
+        if m is self._base_mask:
+            active, count = self._uniform_active, self.num_warps
+        else:
+            per_block = m.reshape(self.num_blocks, self.threads_per_block)
+            arena = self.arena
+            some = arena.buf("bar_some", (self.num_blocks,), np.bool_)
+            per_block.any(axis=1, out=some)
+            diverged = arena.buf("bar_div", (self.num_blocks,), np.bool_)
+            per_block.all(axis=1, out=diverged)
+            np.logical_not(diverged, out=diverged)
+            np.logical_and(some, diverged, out=diverged)
+            if diverged.any():
+                bad = int(np.argmax(diverged))
+                raise SimulatedDeadlockError(
+                    f"barrier reached under divergent control flow in block {bad}: "
+                    f"{int(per_block[bad].sum())}/{self.threads_per_block} threads arrived"
+                )
+            active, count = self._active_info(mask)
         cyc = self.device.barrier_cycles
-        self.charge_warps(cyc, active)
-        self.counters.barrier_cycles += cyc * int(active.sum())
-        self.counters.barriers += 1
+        self._charge_warps_counted(cyc, active, count)
+        j = self._journal
+        j.append(("barrier_cycles", cyc * count))
+        j.append(("barriers", 1))
         if self.sanitizer is not None:
             # Synchronizing boundary: the race detector opens a new epoch.
             self.sanitizer.on_barrier()
 
     def atomic_shared(self, n: float = 1.0, mask: np.ndarray | None = None) -> None:
         """Charge ``n`` shared-memory atomic ops (one per active warp)."""
-        if self.fast:
-            active, count = self._active_info(mask)
-            cyc = float(n) * self.device.atomic_cycles
-            self._charge_warps_counted(cyc, active, count)
-            j = self._journal
-            j.append(("atomic_cycles", cyc * count))
-            j.append(("atomics", 1))
-            return
-        active = self._warp_any(mask)
+        active, count = self._active_info(mask)
         cyc = float(n) * self.device.atomic_cycles
-        self.charge_warps(cyc, active)
-        self.counters.atomic_cycles += cyc * int(active.sum())
-        self.counters.atomics += 1
+        self._charge_warps_counted(cyc, active, count)
+        j = self._journal
+        j.append(("atomic_cycles", cyc * count))
+        j.append(("atomics", 1))
 
     def _block_counts(self, pred: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
-        """Fast-path :meth:`block_count` without the per-lane broadcast:
+        """:meth:`block_count` without the per-lane broadcast:
         per-block counts (borrowed buffer), charging the identical §3.3
         sequence (ballot+popc, leader atomic, full barrier, readback)."""
         m = self._combined_mask(mask)
@@ -849,22 +664,10 @@ class GridContext:
         first lane of each warp atomically adding into shared memory, a
         barrier, then every thread reading the total.
         """
-        if self.fast:
-            per_block = self._block_counts(pred, mask)
-            out = self.arena.buf("bc_lanes", (self.total_threads,), np.int64)
-            out.reshape(self.num_blocks, self.threads_per_block)[:] = per_block[:, None]
-            return out
-        m = self.mask if mask is None else np.logical_and(self.mask, mask)
-        p = np.logical_and(np.asarray(pred, dtype=bool), m)
-        per_block = p.reshape(self.num_blocks, self.threads_per_block).sum(axis=1)
-        self._charge_intrinsic(1.0, mask)  # ballot + popc
-        self.atomic_shared(1.0, mask)  # leader atomicAdd
-        # The barrier is block-wide: ``mask`` selects who *votes*, not who
-        # reaches the synchronization point — every converged thread of the
-        # block arrives (a ragged tail still synchronizes on real hardware).
-        self.barrier()
-        self.shared_access(1.0, mask)  # read back the total
-        return np.repeat(per_block, self.threads_per_block)
+        per_block = self._block_counts(pred, mask)
+        out = self.arena.buf("bc_lanes", (self.total_threads,), np.int64)
+        out.reshape(self.num_blocks, self.threads_per_block)[:] = per_block[:, None]
+        return out
 
     def _block_active_counts(self, m: np.ndarray) -> np.ndarray:
         """Per-block active-lane counts of an already-combined mask
@@ -878,15 +681,10 @@ class GridContext:
 
     def block_active_count(self, mask: np.ndarray | None = None) -> np.ndarray:
         """Active threads per block (no cost — a compile-time constant)."""
-        if self.fast:
-            m = self._combined_mask(mask)
-            counts = self._block_active_counts(m)
-            out = self.arena.buf("bac_lanes", (self.total_threads,), np.int64)
-            out.reshape(self.num_blocks, self.threads_per_block)[:] = counts[:, None]
-            return out
-        m = self.mask if mask is None else np.logical_and(self.mask, mask)
-        counts = m.reshape(self.num_blocks, self.threads_per_block).sum(axis=1)
-        return np.repeat(counts, self.threads_per_block)
+        counts = self._block_active_counts(self._combined_mask(mask))
+        out = self.arena.buf("bac_lanes", (self.total_threads,), np.int64)
+        out.reshape(self.num_blocks, self.threads_per_block)[:] = counts[:, None]
+        return out
 
     # ------------------------------------------------------------------
     # loop scheduling
@@ -908,7 +706,7 @@ class GridContext:
         base = start + self.thread_id
         while start + step * stride < n:
             idx = base + step * stride
-            if self.fast and len(self._mask_stack) == 1:
+            if len(self._mask_stack) == 1:
                 # Full steps (every lane live) yield the base mask object,
                 # which downstream charging recognizes by identity.
                 if start + (step + 1) * stride <= n:
@@ -931,7 +729,7 @@ class GridContext:
         step = 0
         while step * self.num_blocks < n:
             item = self.block_id + step * self.num_blocks
-            if self.fast and len(self._mask_stack) == 1:
+            if len(self._mask_stack) == 1:
                 if (step + 1) * self.num_blocks <= n:
                     yield step, item, self._base_mask
                 else:
@@ -961,7 +759,7 @@ class GridContext:
         step = 0
         while step * self.threads_per_block < chunk:
             idx = base + step * self.threads_per_block
-            if self.fast and len(self._mask_stack) == 1:
+            if len(self._mask_stack) == 1:
                 # Full step: the last lane of the last block stays in its
                 # chunk and inside the iteration space.
                 if (step + 1) * self.threads_per_block <= chunk and (
@@ -992,7 +790,7 @@ class GridContext:
         step = 0
         while step < chunk:
             item = self.block_id * chunk + step
-            if self.fast and len(self._mask_stack) == 1:
+            if len(self._mask_stack) == 1:
                 if (self.num_blocks - 1) * chunk + step < n:
                     yield step, item, self._base_mask
                 else:

@@ -76,7 +76,7 @@ class CycleCounters:
     def apply_journal(self, entries) -> None:
         """Fold deferred ``(field, delta)`` contributions, in order.
 
-        The fast-path context journals each charge instead of touching the
+        The context journals each charge instead of touching the
         counter fields eagerly; replaying the journal in append order adds
         the exact same floats in the exact same sequence, so the result is
         bit-identical to eager accumulation (float addition is

@@ -92,7 +92,6 @@ def launch(
     shared_capacity: int | None = None,
     params: dict | None = None,
     sanitizer=None,
-    fast_path: bool | None = None,
     nowait: bool = False,
 ) -> KernelResult:
     """Execute ``fn`` as a kernel on a simulated grid and time it.
@@ -101,11 +100,9 @@ def launch(
     keyword arguments; its return value is surfaced on the result.  When a
     ``sanitizer`` (ApproxSan) is attached it observes the launch through the
     context; the timing and counter paths are identical with or without it.
-    ``fast_path`` selects the context implementation (None = module
-    default); both produce byte-identical results.  ``nowait`` marks the
-    launch asynchronous for the sanitizer's cross-launch happens-before
-    engine (the simulator still executes launches serially; timing and
-    counters are unaffected).
+    ``nowait`` marks the launch asynchronous for the sanitizer's
+    cross-launch happens-before engine (the simulator still executes
+    launches serially; timing and counters are unaffected).
     """
     validate_launch(device, num_blocks, threads_per_block, shared_capacity)
     ctx = GridContext(
@@ -115,7 +112,6 @@ def launch(
         memory=memory,
         shared_capacity=shared_capacity,
         sanitizer=sanitizer,
-        fast_path=fast_path,
     )
     kname = name or getattr(fn, "__name__", "kernel")
     if sanitizer is not None:
@@ -126,7 +122,7 @@ def launch(
             sanitizer.end_launch()
     else:
         value = fn(ctx, **(params or {}))
-    # ``ctx.counters`` finalizes the fast path's deferred journal: every
+    # ``ctx.counters`` finalizes the context's deferred journal: every
     # per-call contribution folds into the public counters here, once per
     # launch, in call order (bit-identical to eager accumulation).
     counters = ctx.counters

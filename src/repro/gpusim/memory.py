@@ -257,7 +257,7 @@ def coalesced_transactions(
         Optional preallocated int64 ``(num_warps,)`` result buffer.
     scratch:
         Optional :class:`~repro.gpusim.arena.ScratchArena` for the affine
-        check's temporaries (fast-path contexts pass their arena).
+        check's temporaries (the context passes its arena).
 
     Returns
     -------

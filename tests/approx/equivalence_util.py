@@ -1,11 +1,11 @@
-"""Shared machinery for the fast/slow equivalence matrix.
+"""Shared machinery for the full-application equivalence matrix.
 
-The fast-path simulator core (scratch arena, uniform-mask short-circuits,
-analytic coalescing, deferred counter finalization) promises **byte
-identity**: every QoI array, kernel timing, counter, and region-stat it
-produces must equal the original implementation bit for bit.  This module
-digests a full application run into one hash so the matrix test and the
-golden recorder agree on exactly what "identical" means.
+The simulator core (scratch arena, uniform-mask short-circuits, analytic
+coalescing, deferred counter finalization) promises **byte identity** with
+the recorded goldens: every QoI array, kernel timing, counter, and
+region-stat it produces must equal the recorded run bit for bit.  This
+module digests a full application run into one hash so the matrix test and
+the golden recorder agree on exactly what "identical" means.
 
 The digest covers:
 
@@ -28,7 +28,6 @@ from repro.errors import (
     SharedMemoryError,
     UnsupportedApproximationError,
 )
-from repro.gpusim import set_fast_path_default
 
 #: Region parameters per technique — mid-range values that exercise both the
 #: approximate and accurate branches (TAF re-arms, iACT reads and writes,
@@ -90,28 +89,19 @@ def run_combo(
     name: str,
     tech: str,
     level: str,
-    fast: bool,
     sanitize: bool = False,
     device: str = "v100",
 ) -> str:
-    """Run one matrix cell on the requested path; returns its digest.
+    """Run one matrix cell; returns its digest.
 
     Raises one of :data:`SKIP_ERRORS` when the combination is unsupported.
     """
-    old = set_fast_path_default(fast)
-    try:
-        bench = get_benchmark(name, None)
-        site = pick_site(bench, tech, level)
-        if site is None:
-            raise UnsupportedApproximationError(
-                f"{name} has no {tech}/{level} site"
-            )
-        regions = bench.build_regions(tech, level, site, **MATRIX_PARAMS[tech])
-        return digest_result(
-            bench.run(device=device, regions=regions, sanitize=sanitize)
-        )
-    finally:
-        set_fast_path_default(old)
+    bench = get_benchmark(name, None)
+    site = pick_site(bench, tech, level)
+    if site is None:
+        raise UnsupportedApproximationError(f"{name} has no {tech}/{level} site")
+    regions = bench.build_regions(tech, level, site, **MATRIX_PARAMS[tech])
+    return digest_result(bench.run(device=device, regions=regions, sanitize=sanitize))
 
 
 def golden_key(device: str, name: str, tech: str, level: str, sanitize: bool = False) -> str:

@@ -1,12 +1,14 @@
-"""Record the seed-implementation digests for the equivalence matrix.
+"""Record the digests for the full-application equivalence matrix.
 
-Runs every supported (app, technique, level) cell on the **slow path**
-(the original, pre-fast-path implementation, which is kept verbatim as the
-reference) and writes the digests to ``tests/approx/goldens/equivalence.json``.
-``tests/approx/test_equivalence_matrix.py`` then asserts that both the slow
-and the fast path still reproduce these bytes exactly.
+Runs every supported (app, technique, level) cell on every device of the
+matrix and writes the digests to ``tests/approx/goldens/equivalence.json``.
+``tests/approx/test_equivalence_matrix.py`` then asserts that the simulator
+still reproduces these bytes exactly.  The committed goldens were recorded
+from the original reference implementation, and every later optimisation
+has been held to them.
 
-Re-run only when an *intentional* behavior change invalidates the goldens:
+Re-run only when an *intentional* behavior change invalidates the goldens
+(and say so in the change that does it):
 
     PYTHONPATH=src python tests/approx/record_equivalence_goldens.py
 """
@@ -37,7 +39,7 @@ def main() -> int:
     for device in DEVICES:
         for name, tech, level in iter_matrix():
             try:
-                d = run_combo(name, tech, level, fast=False, device=device)
+                d = run_combo(name, tech, level, device=device)
             except SKIP_ERRORS as e:
                 print(f"{device:6s} {name:12s} {tech:5s} {level:6s} skip ({type(e).__name__})")
                 continue
@@ -47,7 +49,7 @@ def main() -> int:
         # observe without perturbing a single byte, and its report must be
         # stable too.
         for name, tech, level in SAN_CELLS:
-            d = run_combo(name, tech, level, fast=False, sanitize=True, device=device)
+            d = run_combo(name, tech, level, sanitize=True, device=device)
             goldens[golden_key(device, name, tech, level, sanitize=True)] = d
             print(f"{device:6s} {name:12s} {tech:5s} {level:6s} +san {d[:16]}")
     GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)

@@ -1,12 +1,14 @@
 """Record the randomized primitive-vector digests.
 
 Runs every ``(seed, device)`` program of
-``tests/gpusim/primitive_vectors.py`` on the slow path and writes the
-digests to ``tests/gpusim/goldens/primitives.json``, which
-``tests/gpusim/test_primitive_goldens.py`` then holds both paths to.
+``tests/gpusim/primitive_vectors.py`` and writes the digests to
+``tests/gpusim/goldens/primitives.json``, which
+``tests/gpusim/test_primitive_goldens.py`` then holds the simulator to.
+The committed goldens were recorded from the original reference
+implementation of every primitive.
 
 Re-run only when an *intentional* change to the cost model or a runtime's
-semantics invalidates the goldens:
+semantics invalidates the goldens (and say so in the change that does it):
 
     PYTHONPATH=src python tests/approx/record_primitive_goldens.py
 """
@@ -29,7 +31,7 @@ GOLDEN_PATH = (
 
 def main() -> int:
     goldens = {
-        f"{device}/{seed}": run_vector(seed, device, fast=False)
+        f"{device}/{seed}": run_vector(seed, device)
         for device in DEVICES
         for seed in SEEDS
     }

@@ -236,7 +236,7 @@ class _Program:
     def op_block_active_count(self):
         self.d.array(self.ctx.block_active_count(self.mask()))
 
-    def _loop(self, it, n):
+    def _loop(self, it):
         arr = self.arrays[1]
         for step, idx, m in it:
             self.d.tag("step", step)
@@ -259,7 +259,7 @@ class _Program:
         else:
             it = ctx.block_chunk_stride(int(rng.integers(1, 16)))
         self.d.tag("loop", which)
-        self._loop(it, n)
+        self._loop(it)
 
     def op_perforation(self):
         ctx, rng = self.ctx, self.rng
@@ -277,7 +277,7 @@ class _Program:
         )
         stats = RegionStats()
         n = int(rng.integers(1, 4 * ctx.total_threads))
-        self._loop(perforated_grid_stride(ctx, spec, n, stats=stats), n)
+        self._loop(perforated_grid_stride(ctx, spec, n, stats=stats))
         self.stats("perfo", stats)
 
     def op_decide(self):
@@ -365,9 +365,8 @@ class _Program:
             getattr(self, f"op_{name}")()
 
 
-def run_vector(seed: int, device: str, fast: bool | None = None) -> str:
-    """Digest of the random program for ``(seed, device)``; ``fast``
-    selects the context implementation (None = module default)."""
+def run_vector(seed: int, device: str) -> str:
+    """Digest of the random program for ``(seed, device)``."""
     rng = np.random.default_rng([seed, list(DEVICES).index(device)])
     dev = DEVICES[device]()
     num_blocks = int(rng.integers(1, 4))
@@ -378,7 +377,7 @@ def run_vector(seed: int, device: str, fast: bool | None = None) -> str:
         with np.errstate(all="ignore"):
             _Program(ctx, rng, d).run()
 
-    result = launch(kernel, dev, num_blocks, tpb, fast_path=fast)
+    result = launch(kernel, dev, num_blocks, tpb)
     ctx = result.context
     d.array(ctx.warp_cycles)
     d.tag(sorted(

@@ -184,15 +184,6 @@ class TestWarpCollectives:
         with pytest.raises(ValueError):
             ctx.warp_reduce(np.ones(512), "median")
 
-    def test_warp_argmax_one_winner_per_warp(self, ctx):
-        win = ctx.warp_argmax(ctx.lane_in_warp.astype(float))
-        assert win.sum() == ctx.num_warps
-        assert (ctx.lane_in_warp[win] == 31).all()
-
-    def test_warp_argmax_tie_breaks_to_lowest_lane(self, ctx):
-        win = ctx.warp_argmax(np.ones(ctx.total_threads))
-        assert (ctx.lane_in_warp[win] == 0).all()
-
     def test_collectives_charge_intrinsics(self, ctx):
         ctx.ballot(np.ones(512, bool))
         assert ctx.counters.intrinsics == 1

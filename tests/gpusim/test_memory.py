@@ -371,16 +371,16 @@ class TestStreamedFractionalAccounting:
 
     ELEMENTS = 0.3125  # x 8 txns/element = 2.5 txns/warp: exercises rounding
 
-    def _run(self, fast):
+    def _run(self):
         from repro.gpusim import launch
 
         def kernel(ctx):
             ctx.charge_global_streamed(self.ELEMENTS, itemsize=8)
 
-        return launch(kernel, nvidia_v100(), 2, 64, fast_path=fast)
+        return launch(kernel, nvidia_v100(), 2, 64)
 
     def test_round_once_half_to_even(self):
-        r = self._run(fast=True)
+        r = self._run()
         c = r.counters
         nwarps = 4
         txns_exact = self.ELEMENTS * 8  # 2.5 per warp
@@ -392,9 +392,3 @@ class TestStreamedFractionalAccounting:
         assert c.mem_cycles == pytest.approx(
             txns_exact * dev.mem_txn_cycles * nwarps
         )
-
-    def test_fast_and_slow_agree(self):
-        rf = self._run(fast=True)
-        rs = self._run(fast=False)
-        assert vars(rf.counters) == vars(rs.counters)
-        assert np.array_equal(rf.context.warp_cycles, rs.context.warp_cycles)

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.gpusim.context import GridContext
-from repro.gpusim.device import MEMORY_SEGMENT_BYTES, nvidia_v100
+from repro.gpusim.device import MEMORY_SEGMENT_BYTES, amd_mi250x, nvidia_v100
 from repro.gpusim.memory import coalesced_transactions
 
 DEV = nvidia_v100()
@@ -73,33 +73,45 @@ def test_loop_schedules_partition_iteration_space(n, blocks, warps):
         assert (seen == 1).all(), scheduler.__name__
 
 
+DEVICES = st.sampled_from([nvidia_v100(), amd_mi250x()])
+
+
 @given(
     pred_seed=st.integers(0, 2**31),
     blocks=st.integers(1, 4),
+    dev=DEVICES,
 )
 @settings(max_examples=50, deadline=None)
-def test_ballot_matches_numpy_count(pred_seed, blocks):
-    ctx = GridContext(DEV, blocks, 64)
+def test_ballot_matches_numpy_count(pred_seed, blocks, dev):
+    """Per-lane broadcast of each warp's active predicate-true count,
+    under a random partial mask."""
+    ctx = GridContext(dev, blocks, 2 * dev.warp_size)
     rng = np.random.default_rng(pred_seed)
     pred = rng.random(ctx.total_threads) < 0.5
-    counts = ctx.ballot(pred)
-    expected = pred.reshape(ctx.num_warps, 32).sum(axis=1)
-    assert (counts.reshape(ctx.num_warps, 32) == expected[:, None]).all()
+    m = rng.random(ctx.total_threads) < rng.random()
+    counts = ctx.ballot(pred, m)
+    expected = (pred & m).reshape(ctx.num_warps, ctx.warp_size).sum(axis=1)
+    assert (counts.reshape(ctx.num_warps, ctx.warp_size) == expected[:, None]).all()
 
 
 @given(
     vals_seed=st.integers(0, 2**31),
     op=st.sampled_from(["sum", "max", "min"]),
+    dev=DEVICES,
 )
 @settings(max_examples=50, deadline=None)
-def test_warp_reduce_matches_numpy(vals_seed, op):
-    ctx = GridContext(DEV, 2, 64)
+def test_warp_reduce_matches_numpy(vals_seed, op, dev):
+    """Reduction over each warp's active lanes under a random partial
+    mask; a warp with no active lane yields the operation's identity."""
+    ctx = GridContext(dev, 2, 2 * dev.warp_size)
     rng = np.random.default_rng(vals_seed)
     vals = rng.standard_normal(ctx.total_threads)
-    out = ctx.warp_reduce(vals, op)
-    grid = vals.reshape(ctx.num_warps, 32)
+    m = rng.random(ctx.total_threads) < rng.random()
+    out = ctx.warp_reduce(vals, op, m)
+    ident = {"sum": 0.0, "max": -np.inf, "min": np.inf}[op]
+    grid = np.where(m, vals, ident).reshape(ctx.num_warps, ctx.warp_size)
     expected = {"sum": grid.sum, "max": grid.max, "min": grid.min}[op](axis=1)
-    assert np.allclose(out.reshape(ctx.num_warps, 32), expected[:, None])
+    assert np.allclose(out.reshape(ctx.num_warps, ctx.warp_size), expected[:, None])
 
 
 @given(data=st.data())

@@ -24,7 +24,6 @@ from repro.approx.base import (
 )
 from repro.approx.iact import iact_invoke
 from repro.approx.taf import taf_invoke
-from repro.gpusim.arena import set_fast_path_default
 from repro.gpusim.context import GridContext
 from repro.gpusim.device import get_device, nvidia_v100
 from repro.harness.batch import (
@@ -137,19 +136,6 @@ class TestWindowExactness:
             direct.run_point("kmeans", "amd_small", pt)
         )
 
-    @pytest.mark.parametrize("app,tech", sorted(CASES))
-    def test_fast_and_slow_paths_record_the_same_window(self, app, tech):
-        windows = []
-        for fast in (True, False):
-            old = set_fast_path_default(fast)
-            try:
-                runner = ExperimentRunner(problems=PROBLEMS)
-                runner.run_point(app, "v100_small", _point(app, tech, CASES[(app, tech)][2][0]))
-                windows.append(runner.last_window)
-            finally:
-                set_fast_path_default(old)
-        assert windows[0] == windows[1]
-
     def test_invalid_or_overflowing_threshold_never_served(self):
         window = ThresholdWindow()  # admits every float
         memo = ThresholdMemo()
@@ -184,20 +170,19 @@ class TestWindowExactness:
         ) is None
 
 
-def _ctx(fast):
-    return GridContext(nvidia_v100(), 1, 64, fast_path=fast)
+def _ctx():
+    return GridContext(nvidia_v100(), 1, 64)
 
 
-@pytest.mark.parametrize("fast", [True, False])
 class TestMargins:
     """What narrows a window and what must not."""
 
-    def test_nan_rsd_never_narrows(self, fast):
+    def test_nan_rsd_never_narrows(self):
         spec = RegionSpec("r", Technique.TAF, TAFParams(2, 3, 0.5),
                           HierarchyLevel.THREAD, out_width=1)
 
         def run(values):
-            ctx, stats = _ctx(fast), RegionStats()
+            ctx, stats = _ctx(), RegionStats()
             with np.errstate(invalid="ignore"):
                 for _ in range(3):
                     taf_invoke(ctx, spec, lambda am: values[:, None].copy(), stats=stats)
@@ -208,7 +193,7 @@ class TestMargins:
         assert run(half_nan) == run(np.ones(64)) == ThresholdWindow(0.0, math.inf)
         assert run(np.full(64, np.inf)) == ThresholdWindow()
 
-    def test_iact_lane_without_entry_never_narrows(self, fast):
+    def test_iact_lane_without_entry_never_narrows(self):
         spec = RegionSpec("r", Technique.IACT, IACTParams(2, 0.5, 32),
                           HierarchyLevel.THREAD, in_width=1, out_width=1)
         # Thread-private tables: lane i's table holds only lane i's writes.
@@ -216,7 +201,7 @@ class TestMargins:
         close = np.where(lane % 2 == 0, 0.3, 1.0)[:, None]  # d2 0.09 or 1.0
 
         def run(first_mask, second_mask):
-            ctx, stats = _ctx(fast), RegionStats()
+            ctx, stats = _ctx(), RegionStats()
             out = lambda am: np.ones((64, 1))  # noqa: E731
             iact_invoke(ctx, spec, np.zeros((64, 1)), out, mask=first_mask, stats=stats)
             assert stats.window == ThresholdWindow()  # empty tables
@@ -232,7 +217,7 @@ class TestMargins:
         # Inactive lanes do not compare either.
         assert run(everyone, lane % 2 == 0) == ThresholdWindow(0.3 * 0.3, math.inf)
 
-    def test_window_unit_semantics(self, fast):
+    def test_window_unit_semantics(self):
         w = ThresholdWindow()
         w.narrow(np.array([np.nan, 0.3, 0.7, 0.1]),
                  np.array([False, True, False, True]),
