@@ -245,9 +245,26 @@ SMALL_PROBLEMS = {
 }
 
 
+class _RunPointEngine:
+    """The figures' reference: a plain ``run_point`` loop on ``runner``.
+
+    Figures touch only ``engine.runner`` and ``engine.run_jobs``, so this
+    stub evaluates every job with one direct simulation — no dedupe, no
+    session cache, no sibling reuse."""
+
+    def __init__(self, runner):
+        self.runner = runner
+
+    def run_jobs(self, jobs):
+        return [
+            self.runner.run_point(j.app, j.device, j.point, site=j.site)
+            for j in jobs
+        ]
+
+
 @pytest.fixture(scope="module")
-def fig_runner():
-    return ExperimentRunner(problems=SMALL_PROBLEMS)
+def fig_reference():
+    return _RunPointEngine(ExperimentRunner(problems=SMALL_PROBLEMS))
 
 
 @pytest.fixture(scope="module")
@@ -262,8 +279,8 @@ def _scatter_dicts(scatter):
 
 
 class TestFigureEquivalence:
-    def test_fig6(self, fig_runner, fig_engine):
-        serial = F.fig6_best_speedup(runner=fig_runner)
+    def test_fig6(self, fig_reference, fig_engine):
+        serial = F.fig6_best_speedup(engine=fig_reference)
         batched = F.fig6_best_speedup(engine=fig_engine)
         assert serial.geomean == batched.geomean
         assert set(serial.best) == set(batched.best)
@@ -274,34 +291,34 @@ class TestFigureEquivalence:
             else:
                 assert rec.to_dict() == other.to_dict()
 
-    def test_fig7_dedupes_against_fig6(self, fig_runner, fig_engine):
+    def test_fig7_dedupes_against_fig6(self, fig_reference, fig_engine):
         # Fig 7 re-sweeps the LULESH grid Fig 6 already evaluated: through
         # the shared engine it costs zero new simulations.  (Free if
         # test_fig6 already populated the cache; self-contained otherwise.)
         F.fig6_best_speedup(engine=fig_engine)
         executed_before = fig_engine.stats.executed
-        serial = F.fig7_lulesh(runner=fig_runner)
+        serial = F.fig7_lulesh(engine=fig_reference)
         batched = F.fig7_lulesh(engine=fig_engine)
         assert _scatter_dicts(serial) == _scatter_dicts(batched)
         assert fig_engine.stats.executed == executed_before
         assert fig_engine.stats.cache_hits > 0
 
-    def test_fig8(self, fig_runner, fig_engine):
-        serial = F.fig8_binomial(runner=fig_runner)
+    def test_fig8(self, fig_reference, fig_engine):
+        serial = F.fig8_binomial(engine=fig_reference)
         batched = F.fig8_binomial(engine=fig_engine)
         assert _scatter_dicts(serial.scatter) == _scatter_dicts(batched.scatter)
         assert serial.items_sweep == batched.items_sweep
 
-    def test_fig9(self, fig_runner, fig_engine):
-        serial = F.fig9_leukocyte_minife(runner=fig_runner)
+    def test_fig9(self, fig_reference, fig_engine):
+        serial = F.fig9_leukocyte_minife(engine=fig_reference)
         batched = F.fig9_leukocyte_minife(engine=fig_engine)
         assert _scatter_dicts(serial.leukocyte) == _scatter_dicts(batched.leukocyte)
         assert [r.to_dict() for r in serial.minife_records] == [
             r.to_dict() for r in batched.minife_records
         ]
 
-    def test_fig10(self, fig_runner, fig_engine):
-        serial = F.fig10_blackscholes(runner=fig_runner)
+    def test_fig10(self, fig_reference, fig_engine):
+        serial = F.fig10_blackscholes(engine=fig_reference)
         batched = F.fig10_blackscholes(engine=fig_engine)
         assert _scatter_dicts(serial.scatter) == _scatter_dicts(batched.scatter)
         assert set(serial.threshold_study) == set(batched.threshold_study)
@@ -311,14 +328,14 @@ class TestFigureEquivalence:
             assert row["approx_fraction"] == other["approx_fraction"]
             assert np.array_equal(row["price_quantiles"], other["price_quantiles"])
 
-    def test_fig11(self, fig_runner, fig_engine):
-        serial = F.fig11_lavamd(runner=fig_runner)
+    def test_fig11(self, fig_reference, fig_engine):
+        serial = F.fig11_lavamd(engine=fig_reference)
         batched = F.fig11_lavamd(engine=fig_engine)
         assert _scatter_dicts(serial.scatter) == _scatter_dicts(batched.scatter)
         assert serial.hierarchy_pairs == batched.hierarchy_pairs
 
-    def test_fig12(self, fig_runner, fig_engine):
-        serial = F.fig12_kmeans(runner=fig_runner)
+    def test_fig12(self, fig_reference, fig_engine):
+        serial = F.fig12_kmeans(engine=fig_reference)
         batched = F.fig12_kmeans(engine=fig_engine)
         assert _scatter_dicts(serial.scatter) == _scatter_dicts(batched.scatter)
         assert serial.correlation_points == batched.correlation_points
@@ -326,8 +343,8 @@ class TestFigureEquivalence:
             np.isnan(serial.r2) and np.isnan(batched.r2)
         )
 
-    def test_fig7_parallel_matches_serial(self, fig_runner):
-        serial = F.fig7_lulesh(runner=fig_runner)
+    def test_fig7_parallel_matches_serial(self, fig_reference):
+        serial = F.fig7_lulesh(engine=fig_reference)
         par = F.fig7_lulesh(
             engine=BatchEngine(problems=SMALL_PROBLEMS, config=SweepConfig(workers=2))
         )

@@ -37,8 +37,9 @@ def _points():
 
 @pytest.fixture(scope="module")
 def serial_records():
+    """The reference: a plain ``run_point`` loop, one simulation per point."""
     runner = ExperimentRunner(problems=PROBLEMS)
-    return runner.run_sweep("blackscholes", "v100_small", _points())
+    return [runner.run_point("blackscholes", "v100_small", pt) for pt in _points()]
 
 
 class TestEquivalence:
