@@ -3,8 +3,9 @@
 Run as a script (``python benchmarks/perf_smoke.py``).  Three measurements:
 
 1. **Serial vs batched Fig 6** — times the quick-effort Fig 6 grid on the
-   figures' serial runner path and through a :class:`BatchEngine` at
-   ``min(4, cpu_count)`` workers, and verifies the outputs are identical.
+   "serial" path (the figure's own in-process engine around a runner) and
+   through a :class:`BatchEngine` at ``min(4, cpu_count)`` workers, and
+   verifies the outputs are identical.
 2. **Persistent pool across a session** — the same engine then serves
    Fig 7 and Fig 12, i.e. three consecutive figure batches through one
    engine.  ``stats.pool_spawns`` must stay at 1: the whole session pays
@@ -15,7 +16,7 @@ Run as a script (``python benchmarks/perf_smoke.py``).  Three measurements:
    complete), recording
    time-to-first-record against the blocking wall-clock.
 4. **Lattice pruning + variant cache** — a Table-2-style kmeans TAF
-   sub-grid swept full vs ``prune=0.10, order=True``, recording
+   sub-grid swept full (in-process) vs ``prune=0.10``, recording
    points-evaluated on both paths and asserting every surviving record is
    byte-identical; the pruned sweep again on a 2-worker pool, recording
    every dispatched chunk against the points left when it was cut; then
@@ -175,7 +176,7 @@ def main() -> int:
     )
     streamed_identical = canon(streamed_records) == canon(blocking_records)
 
-    # Lattice pruning: full sweep vs pruned+ordered on the TAF sub-grid.
+    # Lattice pruning: full sweep vs pruned on the TAF sub-grid.
     t0 = time.monotonic()
     full_sweep = run_sweep_parallel(
         "kmeans", "v100_small", PRUNE_GRID, config=SweepConfig()
@@ -186,7 +187,7 @@ def main() -> int:
         t0 = time.monotonic()
         pruned_sweep = run_sweep_parallel(
             "kmeans", "v100_small", PRUNE_GRID,
-            config=SweepConfig(prune=PRUNE_BOUND, order=True),
+            config=SweepConfig(prune=PRUNE_BOUND),
             engine=reuse_engine,
         )
         pruned_sweep_seconds = time.monotonic() - t0
@@ -200,9 +201,7 @@ def main() -> int:
     t0 = time.monotonic()
     pooled_sweep = run_sweep_parallel(
         "kmeans", "v100_small", PRUNE_GRID,
-        config=SweepConfig(
-            prune=PRUNE_BOUND, order=True, workers=PRUNE_WORKERS
-        ),
+        config=SweepConfig(prune=PRUNE_BOUND, workers=PRUNE_WORKERS),
     )
     pooled_sweep_seconds = time.monotonic() - t0
     # (chunk points, points not yet dispatched) per chunk, every wave.

@@ -156,7 +156,7 @@ def cmd_sweep(args) -> int:
         # --prune takes the QoI bound from --max-error (the same budget the
         # "best under" selection below uses).
         prune=(float(args.max_error) if args.prune else False),
-        order=args.order, variant_cache=vcache,
+        variant_cache=vcache,
     )
     report = api.execute(request, config=config).report
     if vcache is not None:
@@ -198,7 +198,7 @@ def cmd_search(args) -> int:
     )
     result = api.execute(
         request,
-        config=SweepConfig(workers=max(1, args.parallel), order=args.order),
+        config=SweepConfig(workers=max(1, args.parallel)),
     ).result
     print(format_records_table(
         result.db.query(feasible=None),
@@ -496,7 +496,8 @@ def main(argv: list[str] | None = None) -> int:
                          help="pin points per worker chunk (default: sized "
                               "adaptively from observed throughput)")
     p_sweep.add_argument("--progress", action="store_true",
-                         help="print a throughput/ETA line per completed chunk")
+                         help="print a throughput/ETA line per completed "
+                              "chunk (per point in-process)")
     p_sweep.add_argument("--preflight", action="store_true",
                          help="statically vet points first; provably "
                               "infeasible ones are recorded (with the HPAC "
@@ -507,10 +508,6 @@ def main(argv: list[str] | None = None) -> int:
                               "more-aggressive descendants are recorded as "
                               "'pruned' rows (naming the ancestor) without "
                               "simulating")
-    p_sweep.add_argument("--order", action="store_true",
-                         help="surrogate-order the frontier: likely-Pareto "
-                              "and likely-pruning-root points evaluate "
-                              "first (result set unchanged)")
     p_sweep.add_argument("--variant-cache", default=None, metavar="FILE",
                          help="JSONL content-hash record cache shared "
                               "across campaigns; identical configurations "
@@ -537,10 +534,6 @@ def main(argv: list[str] | None = None) -> int:
     p_search.add_argument("--parallel", type=int, default=1,
                           help="process-pool workers (results identical "
                                "at any worker count)")
-    p_search.add_argument("--order", action="store_true",
-                          help="surrogate-guided: order/choose candidates "
-                               "by predicted error and speedup (see "
-                               "repro.harness.pruning)")
     p_search.add_argument("--output", default=None)
     p_search.set_defaults(fn=cmd_search)
 

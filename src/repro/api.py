@@ -161,7 +161,6 @@ class SearchRequest:
     space: tuple | None = None
     seed: int = 7
     problems: dict | None = None
-    checkpoint: str | None = None
     version: int = API_VERSION
 
     def __post_init__(self) -> None:
@@ -381,16 +380,15 @@ def search(
     engine: "BatchEngine | None" = None,
     runner: "ExperimentRunner | None" = None,
     problems: dict | None = None,
-    checkpoint: str | None = None,
 ) -> SearchResult:
     """Budgeted smart search over the Table-2 grid (§4.2).
 
     ``strategy`` is ``"random"`` (uniform without replacement) or
     ``"evolutionary"`` (steady-state μ+λ fed as results stream in).
-    ``config.workers`` fans evaluations across a process pool; ``engine``
-    reuses a persistent one.  Results are identical at any worker count.
-    ``config.order`` makes the search surrogate-guided (see
-    :mod:`repro.harness.pruning`)."""
+    ``config`` is the evaluation policy, passed to the strategy whole:
+    ``workers`` fans evaluations across a process pool, ``checkpoint``
+    records every evaluation and resumes them on a rerun; ``engine``
+    reuses a persistent one.  Results are identical at any worker count."""
     from repro.harness.runner import ExperimentRunner
     from repro.harness.search import evolutionary_search, random_search
 
@@ -409,26 +407,19 @@ def search(
             space=tuple(space) if space else None,
             seed=seed,
             problems=problems,
-            checkpoint=checkpoint,
         )
     if runner is None and engine is not None:
         # The engine simulates with its own problems and seed.
         engine.check_matches(request.problems, engine.runner.seed)
         runner = engine.runner
     runner = runner or ExperimentRunner(problems=request.problems)
-    workers = config.workers if config is not None else 1
-    order = bool(config.order) if config is not None else False
     space_list = list(request.space) if request.space else None
     if request.strategy == "random":
         inner = random_search(
             runner, request.app, request.device, request.technique,
             budget=request.budget, max_error=request.max_error,
             threshold_scale=request.threshold_scale, seed=request.seed,
-            space=space_list, max_workers=workers,
-            checkpoint=(
-                config.checkpoint if config is not None else request.checkpoint
-            ),
-            engine=engine, order=order,
+            space=space_list, config=config, engine=engine,
         )
     elif request.strategy == "evolutionary":
         inner = evolutionary_search(
@@ -436,8 +427,7 @@ def search(
             budget=request.budget, max_error=request.max_error,
             threshold_scale=request.threshold_scale,
             population=request.population, seed=request.seed,
-            space=space_list, engine=engine, max_workers=workers,
-            order=order,
+            space=space_list, config=config, engine=engine,
         )
     else:
         raise ValueError(f"unknown search strategy {request.strategy!r}")

@@ -38,7 +38,6 @@ from repro.harness.sensitivity import (
 from repro.harness.sweep import (
     MEMO_ITEMS_PER_THREAD,
     SweepPoint,
-    chunk_points,
     full_space_size,
     table2_space,
 )
@@ -58,7 +57,6 @@ __all__ = [
     "format_engine_stats",
     "MEMO_ITEMS_PER_THREAD",
     "ResultsDB",
-    "chunk_points",
     "run_sweep_parallel",
     "RunRecord",
     "SearchResult",

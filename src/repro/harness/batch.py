@@ -7,15 +7,15 @@ cache keyed by the checkpoint label space, and — for ``workers > 1`` — one
 kept-alive :class:`WorkerPool`.  ``submit`` returns a :class:`BatchStream`
 that serves every slot it can without simulating (the engine cache, the
 checkpoint, the static preflight, the variant cache, duplicates of an
-earlier slot), then evaluates the rest in adaptively-sized chunks and
-yields records as those chunks complete.  The blocking helpers
-(:meth:`BatchEngine.run_jobs`, :meth:`BatchEngine.run_point`,
-:func:`run_sweep_parallel`) are drains of the same stream, so streamed and
-blocking record sets are identical by construction.
+earlier slot), then evaluates the rest — one job per step in-process,
+adaptively-sized chunks on a pool — and yields records as they complete.
+The blocking helpers (:meth:`BatchEngine.run_jobs`,
+:meth:`BatchEngine.run_point`, :func:`run_sweep_parallel`) are drains of
+the same stream, so streamed and blocking record sets are identical by
+construction.
 
-The serial path (``workers <= 1``) runs the same code in-process and
-produces byte-identical records (the simulation is deterministic per
-seed).
+An in-process stream (``workers <= 1``) runs the same code and produces
+byte-identical records (the simulation is deterministic per seed).
 """
 
 from __future__ import annotations
@@ -466,37 +466,6 @@ def _relabel(record: RunRecord, point: SweepPoint) -> RunRecord:
 
 
 # ----------------------------------------------------------------------
-def _order_pending(
-    pending: "OrderedDict[tuple, BatchJob]",
-    order,
-    done: dict,
-    key: Callable[[BatchJob], tuple],
-    bound: float | None = None,
-) -> "OrderedDict[tuple, BatchJob]":
-    """Reorder the pending frontier per ``SweepConfig.order``.
-
-    A callable receives the pending job list and must return a permutation
-    of it (checked by identity in the checkpoint label space); ``True``
-    scores each job with the incremental surrogate fitted from already-done
-    records (checkpoint rows of this very campaign), descending, stable."""
-    entries = list(pending.items())
-    if callable(order):
-        ordered_jobs = list(order([job for _key, job in entries]))
-        new_keys = [key(job) for job in ordered_jobs]
-        if sorted(new_keys) != sorted(pending):
-            raise ValueError(
-                "order callable must return a permutation of the pending jobs"
-            )
-        return OrderedDict((k, pending[k]) for k in new_keys)
-    from repro.harness.pruning import DEFAULT_QOI_BOUND, Surrogate
-
-    surrogate = Surrogate()
-    surrogate.observe_records(done.values())
-    b = bound if bound is not None else DEFAULT_QOI_BOUND
-    scores = {k: surrogate.score(job.point, b) for k, job in entries}
-    return OrderedDict(sorted(entries, key=lambda kv: -scores[kv[0]]))
-
-
 class BatchStream:
     """Records of one :meth:`BatchEngine.submit` call, yielded as they land.
 
@@ -509,10 +478,11 @@ class BatchStream:
     (stock runner only) and served from a sibling when its threshold and
     items per thread cannot change a single decision.  Those
     early-resolved slots yield first, in job order; fresh evaluations
-    yield as their chunks complete, while checkpoint writes and progress
-    callbacks absorb them, so a consumer overlaps its own work with the
-    pool's.  :meth:`records` / :meth:`report` drain the stream and return
-    the job-ordered result, byte-identical to a blocking run.
+    yield as they complete — in-process one job per step, on a pool per
+    chunk — while checkpoint writes and progress callbacks absorb them, so
+    a consumer overlaps its own work with the pool's.  :meth:`records` /
+    :meth:`report` drain the stream and return the job-ordered result,
+    byte-identical to a blocking run.
 
     ``config.workers > 1`` runs on the engine's kept-alive pool (or on a
     transient pool of the stream's own when the engine has none); otherwise
@@ -549,8 +519,8 @@ class BatchStream:
             if key in engine._cache:
                 self._done[key] = engine._cache[key]
                 self.cache_hits += len(slots)
-            elif key in index:
-                self._done[key] = index[key]
+            elif key[:3] in index:  # records do not store the site
+                self._done[key] = index[key[:3]]
                 self.skipped += len(slots)
 
         # In-batch dedupe: first job per identity wins, later slots share it.
@@ -614,22 +584,6 @@ class BatchStream:
                     vhits.append((key, rec))
             pending = fresh_pending
             self.variant_hits = len(vhits)
-
-        # Surrogate (or caller-supplied) ordering of the pending frontier:
-        # changes dispatch order only — records stay slot-ordered, so the
-        # result set is byte-identical either way.
-        if cfg.order and len(pending) > 1:
-            pending = _order_pending(
-                pending,
-                cfg.order,
-                self._done,
-                engine._key,
-                bound=(
-                    float(cfg.prune)
-                    if isinstance(cfg.prune, float)
-                    else None
-                ),
-            )
 
         # Baseline pre-resolution: every unique (app, device) among the
         # pending jobs, computed exactly once in the engine's runner and
@@ -701,15 +655,17 @@ class BatchStream:
                 if mkey is not None:
                     self._memo_keys[key] = mkey
 
-        # Group pending jobs by (app, device): the adaptive controller's
-        # unit of throughput, and the worker's unit of app-cache locality.
+        # Group pending jobs by (app, device), taken round-robin: the
+        # adaptive controller's unit of throughput on a pool, and the
+        # worker's unit of app-cache locality.
         self._chunker = AdaptiveChunker(target_seconds=TARGET_CHUNK_SECONDS)
         self._groups: OrderedDict[tuple, deque] = OrderedDict()
         for key, job in pending.items():
             self._groups.setdefault((job.app, key[1]), deque()).append((key, job))
         self._total_pending = len(pending)
         #: Points not yet dispatched, and ``(chunk points, points not yet
-        #: dispatched before it)`` per chunk, in dispatch order.
+        #: dispatched before it)`` per chunk (one job in-process), in
+        #: dispatch order.
         self._undispatched = len(pending)
         self.dispatch_log: list[tuple[int, int]] = []
 
@@ -780,29 +736,35 @@ class BatchStream:
                 )
             )
 
-    def _next_chunk(self) -> tuple[tuple | None, list]:
-        """Pop the next chunk, round-robin across groups for fair mixing.
+    def _rotate(self, group: tuple) -> None:
+        """Send ``group`` to the back of the round-robin, or drop it empty."""
+        if self._groups[group]:
+            self._groups.move_to_end(group)
+        else:
+            del self._groups[group]
 
-        On a pool, popped jobs that sibling reuse can serve are absorbed
-        here instead of dispatched (in-process, each job is checked right
-        before it runs, so siblings within one chunk are served too)."""
+    def _next_chunk(self) -> tuple[tuple | None, list]:
+        """Pop the next pool chunk, round-robin across groups for fair
+        mixing.  Popped jobs that sibling reuse can serve are absorbed here
+        instead of dispatched."""
         if not self._groups:
             return None, []
         group = next(iter(self._groups))
         queue = self._groups[group]
         size = self.config.chunk_size
         if not size:
-            size = self._chunker.next_size(group)
-            if self._pool is not None:
-                # Guided self-scheduling: never more than an even share of
-                # what is left, so every worker gets part of a short stream
-                # and the tail shrinks geometrically.
-                size = min(size, -(-self._undispatched // self._workers))
+            # Guided self-scheduling: never more than an even share of
+            # what is left, so every worker gets part of a short stream
+            # and the tail shrinks geometrically.
+            size = min(
+                self._chunker.next_size(group),
+                -(-self._undispatched // self._workers),
+            )
         chunk: list = []
         served: list = []
         while queue and len(chunk) < size:
             key, job = queue.popleft()
-            rec = self._reuse(key, job) if self._pool is not None else None
+            rec = self._reuse(key, job)
             if rec is None:
                 chunk.append((key, job))
             else:
@@ -812,13 +774,19 @@ class BatchStream:
         self._undispatched -= len(chunk) + len(served)
         if served:
             self._absorb([key for key, _rec in served], [rec for _key, rec in served])
-        if queue:
-            self._groups.move_to_end(group)
-        else:
-            del self._groups[group]
+        self._rotate(group)
         return group, chunk
 
     # -- dispatch -------------------------------------------------------
+    def _rebuild_runner(self):
+        """Replace a possibly-poisoned in-process runner (for retries)."""
+        engine = self._engine
+        self._runner = engine._factory(*engine.factory_args)
+        if hasattr(self._runner, "prime_baselines"):
+            for entry in self._group_baselines.values():
+                self._runner.prime_baselines(entry)
+        return self._runner
+
     def _dispatch(self, group: tuple, keys: list[tuple], jobs: list[BatchJob]) -> None:
         payload = [(job.app, job.device, job.point, job.site) for job in jobs]
         try:
@@ -865,32 +833,24 @@ class BatchStream:
         if self._finished:
             return False
         if self._pool is None:
-            group, chunk = self._next_chunk()
-            if not chunk:
+            # In-process there is no IPC to amortize: one job per step, so
+            # progress and checkpoint writes follow every point.
+            if not self._groups:
                 return False
-            engine = self._engine
-
-            def rebuild():
-                self._runner = engine._factory(*engine.factory_args)
-                if hasattr(self._runner, "prime_baselines"):
-                    for entry in self._group_baselines.values():
-                        self._runner.prime_baselines(entry)
-                return self._runner
-
-            t_chunk = time.monotonic()
-            records = []
-            for key, job in chunk:
-                rec = self._reuse(key, job)
-                if rec is None:
-                    rec = run_point_with_retry(
-                        self._runner, job.app, job.device, job.point,
-                        site=job.site, retries=self.config.retries,
-                        rebuild=rebuild, sanitize=self.config.sanitize,
-                    )
-                    self._remember(key, rec, _window(self._runner))
-                records.append(rec)
-            self._chunker.observe(group, len(chunk), time.monotonic() - t_chunk)
-            self._absorb([key for key, _job in chunk], records)
+            group = next(iter(self._groups))
+            key, job = self._groups[group].popleft()
+            self._rotate(group)
+            rec = self._reuse(key, job)
+            if rec is None:
+                self.dispatch_log.append((1, self._undispatched))
+                rec = run_point_with_retry(
+                    self._runner, job.app, job.device, job.point,
+                    site=job.site, retries=self.config.retries,
+                    rebuild=self._rebuild_runner, sanitize=self.config.sanitize,
+                )
+                self._remember(key, rec, _window(self._runner))
+            self._undispatched -= 1
+            self._absorb([key], [rec])
             return True
         self._fill()
         if not self._inflight:
@@ -1126,7 +1086,9 @@ class BatchEngine:
             )
 
     def _key(self, job: BatchJob) -> tuple:
-        """Checkpoint-label-space identity (device presets memoized)."""
+        """Job identity ``(app, device name, point label, site)``; the first
+        three fields are the checkpoint label space (device presets
+        memoized)."""
         if isinstance(job.device, DeviceSpec):
             name = job.device.name
         else:
@@ -1134,7 +1096,7 @@ class BatchEngine:
             if name is None:
                 name = get_device(job.device).name
                 self._dev_names[job.device] = name
-        return (job.app, name, job.point.label())
+        return (job.app, name, job.point.label(), job.site)
 
     def _sync_pool_stats(self) -> None:
         if self.pool is not None:
@@ -1146,13 +1108,13 @@ class BatchEngine:
     ) -> BatchStream:
         """Start evaluating ``jobs``; returns a stream of their records.
 
-        Identity of a job is ``(app, device name, point label)`` — the
-        checkpoint label space — so duplicate jobs evaluate once, records
-        of earlier calls on this engine are reused, and ``checkpoint`` (a
-        JSONL or ``.jsonl.gz`` file, shared across any mix of apps and
-        devices) satisfies previously-run jobs without simulating.
-        ``site`` overrides are honoured per job but are *not* part of the
-        identity (records do not store them).
+        Identity of a job is ``(app, device name, point label, site)``, so
+        duplicate jobs evaluate once and records of earlier calls on this
+        engine are reused, each only for the same ``site`` override.
+        ``checkpoint`` (a JSONL or ``.jsonl.gz`` file, shared across any mix
+        of apps and devices) satisfies previously-run jobs without
+        simulating; it matches by ``(app, device name, point label)``
+        alone, because records do not store the site.
 
         ``config`` is the complete policy for this call, used as given;
         ``None`` means the engine's own.  Callers that overlay a partial
@@ -1217,7 +1179,7 @@ def run_sweep_parallel(
     unpruned sweep's); otherwise the points are one
     :meth:`BatchEngine.submit`.  See :class:`~repro.harness.config.SweepConfig`
     for the policy fields (workers, checkpoint, retries, progress,
-    preflight, sanitize, order, variant cache)."""
+    preflight, sanitize, prune, variant cache)."""
     owned = engine is None
     if owned:
         engine = BatchEngine(problems=problems, seed=seed, config=config)

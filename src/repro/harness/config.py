@@ -27,17 +27,18 @@ class SweepConfig:
     #: Process-pool workers; ``<= 1`` runs in-process (byte-identical
     #: records either way).
     workers: int = 1
-    #: Points per worker chunk; ``None`` sizes chunks adaptively from
-    #: observed throughput.
+    #: Points per pool-worker chunk; ``None`` sizes chunks adaptively from
+    #: observed throughput.  In-process streams evaluate one job per step.
     chunk_size: int | None = None
     #: JSONL / ``.jsonl.gz`` file records stream into and resume from.
     checkpoint: str | Path | None = None
     #: Retries per point on unexpected worker errors (each on a freshly
     #: rebuilt runner).
     retries: int = 1
-    #: ``True`` for a stderr line per chunk, or a callable receiving
+    #: ``True`` for a stderr line per completed chunk (per point
+    #: in-process), or a callable receiving
     #: :class:`~repro.harness.reporting.SweepProgress` — accepted uniformly
-    #: by every entry point, serial paths included.
+    #: by every entry point.
     progress: bool | Callable = False
     #: Static preflight: ``True`` for the stock analyzer, or a callable
     #: ``(app, device, point, site=...) -> RunRecord | None``.
@@ -49,10 +50,6 @@ class SweepConfig:
     #: descendants of points violating the default 10% QoI bound; a float
     #: sets the bound.  See :mod:`repro.harness.pruning`.
     prune: bool | float = False
-    #: Frontier ordering: ``True`` orders pending work with the incremental
-    #: surrogate regressor; a callable receives the pending job list and
-    #: returns it reordered (must be a permutation).
-    order: bool | Callable = False
     #: Content-hash record cache shared across campaigns: a
     #: :class:`repro.harness.pruning.VariantCache` instance, or a path to
     #: persist one as JSONL.

@@ -12,9 +12,10 @@ technique × point`` grid as one job list and evaluates it through the
 batch layer (:mod:`repro.harness.batch`): ``parallel=N`` fans the grid
 across N workers with shared baselines and adaptive chunks, and passing
 one :class:`~repro.harness.batch.BatchEngine` to several figures dedupes
-their overlapping points (Fig 6 and Fig 7 share the LULESH grid).  With
-``parallel=0`` and no engine the figure runs serially through the given
-runner, byte-identical to the pre-batch behaviour.
+their overlapping points (Fig 6 and Fig 7 share the LULESH grid).  Without
+an engine each figure builds its own around the given runner, in-process
+unless ``parallel > 1`` or ``config`` asks for workers; the records are
+byte-identical to one ``run_point`` per job either way.
 
 The curated candidate grids below were chosen exactly the way the paper's
 users would use the HPAC-Offload harness: sweep, look at the database, keep
@@ -153,47 +154,33 @@ def _executors(
     engine: BatchEngine | None,
     parallel: int,
     config: SweepConfig | None = None,
-) -> tuple[ExperimentRunner, BatchEngine | None, bool]:
+) -> tuple[ExperimentRunner, BatchEngine, bool]:
     """Resolve the (runner, engine, owned) triple a figure executes on.
 
     An explicit ``engine`` wins (its runner backs the figure's direct
-    ``app``/``baseline`` needs unless a ``runner`` is also given);
-    ``parallel > 1`` or a ``config`` wraps the runner in a transient engine
-    carrying that policy (surrogate ordering, a shared variant cache, a
-    worker pool) — flagged ``owned`` so the figure shuts its worker pool
-    down after the evaluation; otherwise the figure runs serially on the
-    runner — the legacy path."""
+    ``app``/``baseline`` needs unless a ``runner`` is also given).
+    Otherwise the runner is wrapped in an engine carrying ``config``, with
+    ``parallel > 1`` workers when the config names none — flagged ``owned``
+    so the figure closes it after the evaluation."""
     if engine is not None:
         return (runner or engine.runner), engine, False
     runner = runner or ExperimentRunner()
-    owned = False
-    if config is not None or (parallel and parallel > 1):
-        cfg = config if config is not None else SweepConfig()
-        if parallel and parallel > 1 and cfg.workers <= 1:
-            cfg = cfg.replace(workers=parallel)
-        engine = BatchEngine(config=cfg, runner=runner)
-        owned = True
-    return runner, engine, owned
+    cfg = config if config is not None else SweepConfig()
+    if parallel and parallel > 1 and cfg.workers <= 1:
+        cfg = cfg.replace(workers=parallel)
+    return runner, BatchEngine(config=cfg, runner=runner), True
 
 
 def _eval(
-    jobs: list[BatchJob],
-    runner: ExperimentRunner,
-    engine: BatchEngine | None,
-    owned: bool = False,
+    jobs: list[BatchJob], engine: BatchEngine, owned: bool = False
 ) -> list[RunRecord]:
-    """Evaluate a figure's job list: batched via the engine, else serial.
-
-    ``owned`` marks an engine created for this one evaluation; its pool is
-    released as soon as the records are in."""
+    """Evaluate a figure's job list on ``engine``; an ``owned`` engine,
+    created for this one evaluation, is closed as soon as the records are
+    in."""
     try:
-        if engine is not None:
-            return engine.run_jobs(jobs)
-        return [
-            runner.run_point(j.app, j.device, j.point, site=j.site) for j in jobs
-        ]
+        return engine.run_jobs(jobs)
     finally:
-        if owned and engine is not None:
+        if owned:
             engine.close()
 
 
@@ -295,7 +282,7 @@ def fig6_best_speedup(
                 pts = candidates(app, tech, effort)
                 cells.append((dkey, app, tech, len(jobs), len(pts)))
                 jobs.extend(BatchJob(app, dev, pt) for pt in pts)
-    results = _eval(jobs, runner, engine, owned)
+    results = _eval(jobs, engine, owned)
     db = ResultsDB()
     best: dict = {}
     for dkey, app, tech, offset, count in cells:
@@ -364,7 +351,7 @@ def fig7_lulesh(
     """LULESH speedup/error scatter for TAF, iACT, perforation (Fig 7)."""
     runner, engine, owned = _executors(runner, engine, parallel, config)
     cells, jobs = _scatter_jobs("lulesh", ("taf", "iact", "perfo"), effort)
-    records = _slice_cells(cells, _eval(jobs, runner, engine, owned))
+    records = _slice_cells(cells, _eval(jobs, engine, owned))
     return ScatterResult(app="lulesh", records=records)
 
 
@@ -396,7 +383,7 @@ def fig8_binomial(
             BatchJob("binomial", dev, _taf(2, 32, 0.3, "team", ipt))
             for ipt in items
         )
-    results = _eval(jobs, runner, engine, owned)
+    results = _eval(jobs, engine, owned)
     records = _slice_cells(cells, results)
     sweep: dict = {}
     offset = scatter_len
@@ -432,7 +419,7 @@ def fig9_leukocyte_minife(
     scatter_len = len(jobs)
     minife_pts = candidates("minife", "taf", effort)
     jobs.extend(BatchJob("minife", NVIDIA, pt) for pt in minife_pts)
-    results = _eval(jobs, runner, engine, owned)
+    results = _eval(jobs, engine, owned)
     return Fig9Result(
         leukocyte=ScatterResult(
             app="leukocyte", records=_slice_cells(cells, results)
@@ -468,7 +455,7 @@ def fig10_blackscholes(
     jobs.extend(
         BatchJob("blackscholes", AMD, _taf(5, 512, T, ipt=8)) for T in thresholds
     )
-    results = _eval(jobs, runner, engine, owned)
+    results = _eval(jobs, engine, owned)
     records = _slice_cells(cells, results)
     study = {}
     # The quantile comparison needs the raw QoI vectors, not records, so it
@@ -519,7 +506,7 @@ def fig11_lavamd(
     for T, h, ps in combos:
         jobs.append(BatchJob("lavamd", AMD, _taf(h, ps, T, "thread", 1)))
         jobs.append(BatchJob("lavamd", AMD, _taf(h, ps, T, "warp", 1)))
-    results = _eval(jobs, runner, engine, owned)
+    results = _eval(jobs, engine, owned)
     pairs = []
     for i, (T, h, ps) in enumerate(combos):
         t_rec = results[scatter_len + 2 * i]
@@ -559,7 +546,7 @@ def fig12_kmeans(
 ) -> Fig12Result:
     runner, engine, owned = _executors(runner, engine, parallel, config)
     cells, jobs = _scatter_jobs("kmeans", ("taf", "iact"), effort)
-    records = _slice_cells(cells, _eval(jobs, runner, engine, owned))
+    records = _slice_cells(cells, _eval(jobs, engine, owned))
     points = []
     for recs in records.values():
         for r in recs:

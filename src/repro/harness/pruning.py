@@ -1,5 +1,5 @@
-"""Lattice-pruned, surrogate-ordered DSE sweeps (ROADMAP: "stop evaluating
-points we can predict").
+"""Lattice-pruned DSE sweeps (ROADMAP: "stop evaluating points we can
+predict").
 
 Table 2 spans 57k+ (technique, threshold/rate, hierarchy-level)
 configurations, and the grid is *monotone*: making a configuration more
@@ -7,7 +7,7 @@ aggressive along any axis — a higher TAF/iACT threshold, a denser
 perforation pattern, a coarser AC-state hierarchy level — can only admit
 more approximation.  A point that already violates its QoI bound therefore
 implies (under that monotonicity) that every more-aggressive descendant
-violates it too, so simulating the descendants buys nothing.  Three
+violates it too, so simulating the descendants buys nothing.  Two
 components exploit that structure:
 
 * :class:`SweepLattice` — the subsumption lattice over sweep points.
@@ -19,12 +19,6 @@ components exploit that structure:
   ``pruned`` checkpoint row naming the violating ancestor — the same
   mechanism preflight uses for ``infeasible`` rows, so resume, merge, and
   :class:`~repro.harness.database.ResultsDB` work unchanged.
-* :class:`Surrogate` — a cheap incremental least-squares regressor of
-  (error, speedup) over :func:`~repro.harness.sweep.point_features`,
-  refit from completed records.  It *orders* frontiers (it never decides
-  anything): likely-Pareto points and likely-violating pruning roots with
-  many descendants evaluate first, so budgeted searches and streaming
-  consumers see the interesting records early.
 * :class:`VariantCache` — a content-hash record cache keyed on the fully
   lowered configuration (app, device, problem, seed, point, site,
   sanitize), so identical configurations across apps, figures, and
@@ -46,15 +40,13 @@ import json
 import time
 from collections import OrderedDict
 from pathlib import Path
-from typing import Callable, Iterable
-
-import numpy as np
+from typing import Iterable
 
 from repro.gpusim.device import DeviceSpec, get_device
 from repro.harness.config import SweepConfig
 from repro.harness.database import CheckpointWriter, ResultsDB, _decode, _encode
 from repro.harness.runner import RunRecord
-from repro.harness.sweep import LEVEL_ORDER, SweepPoint, point_features
+from repro.harness.sweep import LEVEL_ORDER, SweepPoint
 
 #: Default QoI bound when ``SweepConfig(prune=True)`` does not name one —
 #: the paper's 10% error budget (Fig 6).
@@ -196,120 +188,6 @@ class SweepLattice:
 
     def groups(self) -> list[list[SweepPoint]]:
         return [list(g) for g in self._groups.values()]
-
-
-# ---------------------------------------------------------------------------
-# Surrogate regressor
-# ---------------------------------------------------------------------------
-def _model_key(point: SweepPoint) -> tuple:
-    """The surrogate model a point belongs to: points sharing it have
-    equal-length :func:`~repro.harness.sweep.point_features` rows."""
-    return (point.technique, tuple(sorted(point.params)))
-
-
-class Surrogate:
-    """Incremental linear surrogate of (error, speedup) over point features.
-
-    One least-squares model per technique and parameter-key set (a
-    technique's points need not share keys: perforation's small/large
-    patterns carry ``herded``/``skip`` where ini/fini carry
-    ``skip_percent``, so their feature rows differ in length), refit
-    lazily whenever new observations have arrived since the last
-    prediction.  Deliberately cheap and deterministic: the surrogate only
-    *orders* work — a wrong prediction costs evaluation order, never
-    correctness — so a linear model over
-    :func:`~repro.harness.sweep.point_features` (which carries log-scale
-    copies of every axis) is plenty.
-    """
-
-    #: Observations a model needs before it is trusted.
-    MIN_FIT = 4
-
-    def __init__(self) -> None:
-        self._rows: dict[tuple, list[list[float]]] = {}
-        self._err: dict[tuple, list[float]] = {}
-        self._spd: dict[tuple, list[float]] = {}
-        self._coef: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
-        self._stale: set[tuple] = set()
-        #: Observations accepted (finite, feasible records only).
-        self.observed = 0
-
-    def observe(self, point: SweepPoint, record: RunRecord) -> None:
-        """Absorb one completed record (infeasible/non-finite are skipped)."""
-        if not record.feasible:
-            return
-        err = float(record.error)
-        spd = float(record.reported_speedup)
-        if not (np.isfinite(err) and np.isfinite(spd)):
-            return
-        key = _model_key(point)
-        self._rows.setdefault(key, []).append(point_features(point))
-        self._err.setdefault(key, []).append(err)
-        self._spd.setdefault(key, []).append(spd)
-        self._stale.add(key)
-        self.observed += 1
-
-    def observe_records(self, records: Iterable[RunRecord]) -> int:
-        """Absorb records (points reconstructed from their identity);
-        returns how many were actually fit (infeasible rows are skipped)."""
-        before = self.observed
-        for rec in records:
-            self.observe(SweepPoint.of_record(rec), rec)
-        return self.observed - before
-
-    def _model(self, key: tuple) -> tuple[np.ndarray, np.ndarray] | None:
-        rows = self._rows.get(key)
-        if rows is None or len(rows) < self.MIN_FIT:
-            return None
-        if key in self._stale or key not in self._coef:
-            X = np.asarray(rows, dtype=np.float64)
-            ce, *_ = np.linalg.lstsq(
-                X, np.asarray(self._err[key]), rcond=None
-            )
-            cs, *_ = np.linalg.lstsq(
-                X, np.asarray(self._spd[key]), rcond=None
-            )
-            self._coef[key] = (ce, cs)
-            self._stale.discard(key)
-        return self._coef[key]
-
-    def predict(self, point: SweepPoint) -> tuple[float, float] | None:
-        """Predicted ``(error, speedup)``, or None below :data:`MIN_FIT`."""
-        model = self._model(_model_key(point))
-        if model is None:
-            return None
-        x = np.asarray(point_features(point), dtype=np.float64)
-        return float(x @ model[0]), float(x @ model[1])
-
-    def score(self, point: SweepPoint, bound: float = DEFAULT_QOI_BOUND) -> float:
-        """Paper-style desirability: predicted speedup when predicted under
-        the bound, else the (negative) predicted excess error.  Points
-        without a fitted model score a neutral 0.0, leaving input order
-        untouched."""
-        pred = self.predict(point)
-        if pred is None:
-            return 0.0
-        err, spd = pred
-        return spd if err <= bound else -(err - bound)
-
-    def order(
-        self,
-        points: list[SweepPoint],
-        bound: float = DEFAULT_QOI_BOUND,
-        prune_weight: Callable[[SweepPoint], float] | None = None,
-    ) -> list[SweepPoint]:
-        """Stable descending-desirability ordering of ``points``.
-
-        ``prune_weight`` adds a bonus for points the surrogate expects to
-        *violate* the bound (likely pruning roots): evaluating them early
-        confirms the violation and releases their subtree sooner."""
-        def key(pt: SweepPoint) -> float:
-            s = self.score(pt, bound)
-            if prune_weight is not None and s < 0.0:
-                s += prune_weight(pt)
-            return -s
-
-        return sorted(points, key=key)  # stable: ties keep input order
 
 
 # ---------------------------------------------------------------------------
@@ -484,8 +362,7 @@ def run_sweep_pruned(
     engine,
     site: str | None = None,
 ):
-    """Execute ``points`` with lattice pruning (and optional surrogate
-    ordering) on ``engine``; returns the same
+    """Execute ``points`` with lattice pruning on ``engine``; returns the same
     :class:`~repro.harness.batch.BatchReport` shape as
     :func:`~repro.harness.batch.run_sweep_parallel`, which calls this with
     its fully resolved ``config``.
@@ -493,8 +370,7 @@ def run_sweep_pruned(
     The lattice is evaluated in ancestor-first waves.  Before each wave,
     every ready point with a bound-violating evaluated ancestor is recorded
     as a ``pruned`` checkpoint row (never simulated); the surviving wave is
-    ordered by the surrogate when ``config.order`` is set and submitted
-    through the engine.  Records for evaluated points are byte-identical to
+    submitted through the engine.  Records for evaluated points are byte-identical to
     the unpruned sweep's — pruning only substitutes rows for points it
     skips.
 
@@ -530,14 +406,9 @@ def run_sweep_pruned(
     writer = (
         CheckpointWriter(cfg.checkpoint) if cfg.checkpoint is not None else None
     )
-    # Waves run without the checkpoint (managed here) and without prune /
-    # order (pruning is this driver; ordering happens on the wave itself).
-    wave_cfg = cfg.replace(checkpoint=None, prune=False, order=False)
-
-    surrogate: Surrogate | None = None
-    if cfg.order and not callable(cfg.order):
-        surrogate = Surrogate()
-        surrogate.observe_records(decided.values())
+    # Waves run without the checkpoint (managed here) and without prune
+    # (pruning is this driver).
+    wave_cfg = cfg.replace(checkpoint=None, prune=False)
 
     evaluated = preflight_pruned = lattice_pruned = variant_hits = 0
     reused = waves = 0
@@ -591,17 +462,6 @@ def run_sweep_pruned(
                 waves += 1
                 continue
 
-            if callable(cfg.order):
-                jobs = cfg.order(
-                    [BatchJob(app, device, pt, site=site) for pt in wave]
-                )
-                wave = [job.point for job in jobs]
-            elif surrogate is not None:
-                wave = surrogate.order(
-                    wave,
-                    bound=bound,
-                    prune_weight=lambda p: 0.1 * len(lattice.descendants(p)),
-                )
             rep = engine.submit(
                 [BatchJob(app, device, pt, site=site) for pt in wave],
                 config=wave_cfg,
@@ -616,8 +476,6 @@ def run_sweep_pruned(
                 decided[pt.label()] = rec
                 if writer is not None:
                     writer.write(rec)
-                if surrogate is not None:
-                    surrogate.observe(pt, rec)
             waves += 1
     finally:
         if writer is not None:
@@ -639,10 +497,6 @@ def run_sweep_pruned(
             "lattice_pruned": lattice_pruned,
             "waves": waves,
             "qoi_bound": bound,
-            "ordered": bool(cfg.order),
             "dispatch_log": dispatch_log,
-            "surrogate_observations": (
-                surrogate.observed if surrogate is not None else 0
-            ),
         },
     )

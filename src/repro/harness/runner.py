@@ -15,7 +15,6 @@ rather than crashing the sweep, the behaviour a real DSE harness needs.
 from __future__ import annotations
 
 import sys
-import time
 from dataclasses import asdict, dataclass, field
 
 from repro.apps.common import AppResult, Benchmark
@@ -231,57 +230,29 @@ class ExperimentRunner:
         (:mod:`repro.analysis.preflight`) and records the provably
         infeasible ones without simulating them; ``progress`` is ``True``
         for a stderr line or a callable receiving
-        :class:`~repro.harness.reporting.SweepProgress` — honoured by the
-        serial path too.  ``engine`` routes the sweep through a persistent
-        :class:`~repro.harness.batch.BatchEngine`.  Any policy beyond
-        ``progress`` and ``sanitize`` goes through
-        :func:`~repro.harness.batch.run_sweep_parallel`."""
-        cfg = config if config is not None else SweepConfig()
-        if engine is not None or cfg.replace(progress=False, sanitize=False) != SweepConfig():
-            from repro.harness.batch import run_sweep_parallel
+        :class:`~repro.harness.reporting.SweepProgress`.
 
-            report = run_sweep_parallel(
+        Every sweep runs through :func:`~repro.harness.batch.run_sweep_parallel`:
+        on ``engine`` (a persistent :class:`~repro.harness.batch.BatchEngine`)
+        when given, else on a transient engine around this runner, so its
+        baseline cache is shared, duplicate points simulate once and
+        threshold or items-per-thread siblings are served by reuse."""
+        from repro.harness.batch import BatchEngine, run_sweep_parallel
+
+        owned = None
+        if engine is None:
+            engine = owned = BatchEngine(runner=self, config=config)
+        try:
+            return run_sweep_parallel(
                 app_name,
                 device,
                 points,
                 site=site,
                 problems=self.problems,
                 seed=self.seed,
-                config=cfg,
+                config=config,
                 engine=engine,
-            )
-            return report.records
-        # Serial fast path: one point at a time, so progress fires per
-        # point.
-        report_progress = None
-        if cfg.progress is True:
-            from repro.harness.reporting import format_progress
-
-            def report_progress(p):
-                print(format_progress(p), file=sys.stderr)
-        elif callable(cfg.progress):
-            report_progress = cfg.progress
-        records: list[RunRecord] = []
-        t0 = time.monotonic()
-        feasible = infeasible = 0
-        for pt in points:
-            rec = self.run_point(
-                app_name, device, pt, site=site, sanitize=cfg.sanitize
-            )
-            records.append(rec)
-            feasible += rec.feasible
-            infeasible += not rec.feasible
-            if report_progress is not None:
-                from repro.harness.reporting import SweepProgress
-
-                report_progress(
-                    SweepProgress(
-                        total=len(points),
-                        done=len(records),
-                        feasible=feasible,
-                        infeasible=infeasible,
-                        skipped=0,
-                        elapsed=time.monotonic() - t0,
-                    )
-                )
-        return records
+            ).records
+        finally:
+            if owned is not None:
+                owned.close()

@@ -13,8 +13,9 @@ same :class:`~repro.harness.sweep.SweepPoint` space:
   a time toward grid neighbours, and resample when stuck.
 
 Both evaluate through :meth:`repro.harness.batch.BatchEngine.submit` — on
-the caller's persistent engine, or on one built around the runner with
-``max_workers`` workers.  The evolutionary loop is *streaming*: it keeps
+the caller's persistent engine, or on one built around the runner with the
+caller's :class:`~repro.harness.config.SweepConfig` (workers, checkpoint,
+preflight, ...).  The evolutionary loop is *streaming*: it keeps
 ``population`` single-job streams in flight and proposes the next
 offspring the moment a result is consumed, instead of barriering per
 generation — and because it consumes the streams strictly in submission
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.gpusim.device import DeviceSpec
-from repro.harness.batch import BatchEngine, BatchJob, run_sweep_parallel
+from repro.harness.batch import BatchEngine, BatchJob
 from repro.harness.config import SweepConfig
 from repro.harness.database import ResultsDB
 from repro.harness.runner import ExperimentRunner, RunRecord
@@ -74,22 +75,18 @@ def random_search(
     threshold_scale: float = 1.0,
     seed: int = 7,
     space: list[SweepPoint] | None = None,
-    max_workers: int = 1,
-    checkpoint: str | None = None,
+    config: SweepConfig | None = None,
     engine: BatchEngine | None = None,
-    order: bool = False,
 ) -> SearchResult:
     """Uniform sampling of the Table-2 grid without replacement.
 
-    The whole sample is known up front, so it is evaluated as one batch
-    (on ``max_workers`` pool workers when > 1); results are identical at
-    any worker count because the simulation is deterministic per seed.
-    ``engine`` reuses a persistent :class:`~repro.harness.batch.BatchEngine`
-    — its warm worker pool and session record cache — instead of building
-    one for this call.
-    ``order=True`` ranks the sample with the incremental surrogate
-    (:class:`repro.harness.pruning.Surrogate`) before dispatch, so the
-    likely-Pareto points evaluate first — the record *set* is unchanged."""
+    The whole sample is known up front, so it is evaluated as one sweep
+    under ``config`` (workers, checkpoint, preflight, ...); results are
+    identical at any worker count because the simulation is deterministic
+    per seed.  ``engine`` reuses a persistent
+    :class:`~repro.harness.batch.BatchEngine` — its warm worker pool and
+    session record cache — instead of building one for this call, with
+    ``config`` overlaid on its policy."""
     rng = np.random.default_rng(seed)
     points = list(
         space
@@ -100,17 +97,9 @@ def random_search(
     rng.shuffle(points)
     sample = points[: int(budget)]
     db = ResultsDB()
-    cfg = SweepConfig(workers=max_workers, checkpoint=checkpoint, order=order)
-    owned = BatchEngine(config=cfg, runner=runner) if engine is None else None
-    try:
-        records = run_sweep_parallel(
-            app, device, sample,
-            problems=runner.problems, seed=runner.seed,
-            config=cfg, engine=engine or owned,
-        ).records
-    finally:
-        if owned is not None:
-            owned.close()
+    records = runner.run_sweep(
+        app, device, sample, config=config, engine=engine
+    )
     best, best_score = None, -float("inf")
     for rec in records:
         db.add(rec)
@@ -161,8 +150,7 @@ def evolutionary_search(
     seed: int = 7,
     space: list[SweepPoint] | None = None,
     engine: BatchEngine | None = None,
-    max_workers: int = 1,
-    order: bool = False,
+    config: SweepConfig | None = None,
 ) -> SearchResult:
     """Steady-state (μ+λ) evolutionary search over the Table-2 grid.
 
@@ -178,11 +166,10 @@ def evolutionary_search(
     evaluated point sequence a function of the seed alone — serial and
     parallel runs produce identical records.
 
-    ``order=True`` makes mutation surrogate-guided: once the incremental
-    :class:`~repro.harness.pruning.Surrogate` has enough observations, the
-    offspring is the *best-predicted* unseen neighbour of its parent
-    instead of a uniform draw, converging in fewer evaluations.  The
-    proposal sequence is still deterministic at any worker count.
+    ``config`` is the evaluation policy (workers, checkpoint, preflight,
+    ...): every stream runs under it, overlaid on ``engine``'s policy when
+    an engine is given, so a checkpoint records every proposal and a rerun
+    resumes them.
     """
     rng = np.random.default_rng(seed)
     points = list(
@@ -195,15 +182,8 @@ def evolutionary_search(
     seen: set[str] = set()
     owned_engine = None
     if engine is None:
-        engine = owned_engine = BatchEngine(
-            config=SweepConfig(workers=max_workers), runner=runner
-        )
-
-    surrogate = None
-    if order:
-        from repro.harness.pruning import Surrogate
-
-        surrogate = Surrogate()
+        engine = owned_engine = BatchEngine(config=config, runner=runner)
+    cfg = engine.config.merged(config)
 
     def propose_one(parent: SweepPoint | None) -> SweepPoint | None:
         """One unseen offspring of ``parent`` (or a fresh random point)."""
@@ -213,14 +193,7 @@ def evolutionary_search(
             else []
         )
         if nbrs:
-            if surrogate is not None and surrogate.observed >= surrogate.MIN_FIT:
-                # max() keeps the first of tied candidates, so the pick is
-                # deterministic in the (deterministic) neighbour order.
-                nxt = max(
-                    nbrs, key=lambda n: surrogate.score(n, max_error)
-                )
-            else:
-                nxt = nbrs[int(rng.integers(len(nbrs)))]
+            nxt = nbrs[int(rng.integers(len(nbrs)))]
         else:
             fresh = [p for p in points if p.label() not in seen]
             if not fresh:
@@ -233,7 +206,9 @@ def evolutionary_search(
     in_flight: deque = deque()
 
     def submit(pt: SweepPoint) -> None:
-        in_flight.append((pt, engine.submit([BatchJob(app, device, pt)])))
+        in_flight.append(
+            (pt, engine.submit([BatchJob(app, device, pt)], config=cfg))
+        )
 
     elite: list[tuple[float, SweepPoint, RunRecord]] = []
     proposals = 0
@@ -257,8 +232,6 @@ def evolutionary_search(
             pt, stream = in_flight.popleft()
             rec = stream.records()[0]
             db.add(rec)
-            if surrogate is not None:
-                surrogate.observe(pt, rec)
             elite.append((_objective(rec, max_error), pt, rec))
             elite.sort(key=lambda t: -t[0])
             elite = elite[: int(population)]

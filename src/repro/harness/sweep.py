@@ -90,52 +90,9 @@ class SweepPoint:
 
 #: Hierarchy levels ordered by AC-state sharing aggressiveness: a warp-level
 #: table is shared by all lanes, a team-level table by the whole block.
-#: The pruning lattice and the surrogate's feature vector both use this
-#: ordinal (see :mod:`repro.harness.pruning`).
+#: The pruning lattice uses this ordinal as an aggressiveness axis (see
+#: :mod:`repro.harness.pruning`).
 LEVEL_ORDER = {"thread": 0, "warp": 1, "team": 2}
-
-#: Stable encoding for the non-numeric param values that appear in Table-2
-#: grids (perforation kinds, the herded flag).
-_CATEGORICAL_CODES = {"small": 0.0, "large": 1.0, "ini": 2.0, "fini": 3.0}
-
-
-def point_features(point: SweepPoint) -> list[float]:
-    """Deterministic numeric feature vector for one sweep point.
-
-    The surrogate regressor (:class:`repro.harness.pruning.Surrogate`) fits
-    error/speedup models over these features.  Layout: a bias term, then for
-    each param key in sorted order its value and ``log1p(|value|)`` (the
-    Table-2 axes are geometric, so the log term lets a linear model track
-    them), then the hierarchy-level ordinal and ``log2`` of items-per-thread.
-    Points with the same technique and key set give vectors of one length
-    (perforation's pattern kinds carry different keys), so the surrogate
-    fits one model per (technique, key set).
-    """
-    import math
-
-    feats = [1.0]
-    for key in sorted(point.params):
-        val = point.params[key]
-        if isinstance(val, bool):
-            num = 1.0 if val else 0.0
-        elif isinstance(val, (int, float)):
-            num = float(val)
-        else:
-            num = _CATEGORICAL_CODES.get(str(val), -1.0)
-        feats.append(num)
-        feats.append(math.log1p(abs(num)))
-    feats.append(float(LEVEL_ORDER.get(point.level, len(LEVEL_ORDER))))
-    feats.append(math.log2(max(1, point.items_per_thread)))
-    return feats
-
-
-def chunk_points(
-    points: list[SweepPoint], chunk_size: int
-) -> list[list[SweepPoint]]:
-    """Contiguous chunks of at most ``chunk_size`` points (executor shards)."""
-    if chunk_size < 1:
-        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-    return [points[i : i + chunk_size] for i in range(0, len(points), chunk_size)]
 
 
 def _taf_axes(thinned: bool) -> tuple[list, list, list]:

@@ -179,8 +179,9 @@ class TestChunkCap:
         assert sum(n for n, _left in log) + pooled.reused == 50
         assert all(n <= -(-left // 2) for n, left in log)
         assert max(n for n, _left in log) < 46
-        # The serial path is unchanged: one chunk takes the rest.
-        assert serial.dispatch_log[-1] == (48, 48)
+        # In-process there is no IPC to amortize: every dispatch is one job.
+        assert serial.dispatch_log
+        assert all(n == 1 for n, _left in serial.dispatch_log)
 
     def test_pinned_chunk_size_used_exactly(self):
         pinned, recs = self._stream(workers=2, chunk_size=20)
@@ -221,6 +222,35 @@ class TestBatchEngine:
         )
         assert recs[0].to_dict() == rec.to_dict()
         assert engine.stats.cache_hits == 1
+
+    def test_site_is_part_of_job_identity(self):
+        # One perforation point on the default and two named sites: three
+        # distinct records.
+        problems = {"lulesh": {"mesh": 6, "time_steps": 4}}
+        pt = SweepPoint("perfo", {"kind": "small", "skip": 2, "herded": False})
+        sites = (None, "hourglass_control", "fb_hourglass")
+        runner = ExperimentRunner(problems=problems)
+        direct = [
+            dumps_record(runner.run_point("lulesh", "v100_small", pt, site=s))
+            for s in sites
+        ]
+        assert len(set(direct)) == 3
+        # Across calls: the session cache never serves another site's record.
+        with BatchEngine(problems=problems) as engine:
+            across = [
+                dumps_record(engine.run_point("lulesh", "v100_small", pt, site=s))
+                for s in sites
+            ]
+            assert engine.stats.cache_hits == 0
+        assert across == direct
+        # Within one call: jobs that differ only in site are not deduped.
+        with BatchEngine(problems=problems) as engine:
+            stream = engine.submit(
+                [BatchJob("lulesh", "v100_small", pt, site=s) for s in sites]
+            )
+            within = [dumps_record(r) for r in stream.records()]
+            assert stream.deduped == 0
+        assert within == direct
 
     def test_parallel_engine_matches_serial(self, serial_records):
         engine = BatchEngine(problems=PROBLEMS, config=SweepConfig(workers=2))
@@ -369,7 +399,8 @@ class TestEvolutionaryBatch:
         )
         par = evolutionary_search(
             ExperimentRunner(problems=PROBLEMS),
-            "blackscholes", "v100_small", "taf", max_workers=2, **kwargs,
+            "blackscholes", "v100_small", "taf",
+            config=SweepConfig(workers=2), **kwargs,
         )
         assert [r.to_dict() for r in par.db] == [r.to_dict() for r in serial.db]
         assert par.best.to_dict() == serial.best.to_dict()

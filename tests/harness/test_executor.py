@@ -14,9 +14,9 @@ from repro.harness.batch import (
     run_sweep_parallel,
 )
 from repro.harness.config import SweepConfig
-from repro.harness.database import ResultsDB
+from repro.harness.database import ResultsDB, dumps_record
 from repro.harness.runner import ExperimentRunner, RunRecord
-from repro.harness.sweep import SweepPoint, chunk_points
+from repro.harness.sweep import SweepPoint
 
 PROBLEMS = {"blackscholes": {"num_options": 2048, "num_runs": 4}}
 
@@ -79,6 +79,39 @@ class TestEquivalence:
         )
         assert report.feasible == sum(r.feasible for r in serial_records)
         assert report.infeasible == 1
+
+
+class TestRunSweepDelegates:
+    """``ExperimentRunner.run_sweep`` evaluates through the engine, so a
+    threshold chain is served by sibling reuse and a duplicate point
+    simulates once — with every record equal to a direct ``run_point``."""
+
+    KMEANS = {"kmeans": {"num_obs": 2048, "max_iters": 8}}
+
+    def test_default_config_run_sweep_reuses_and_dedupes(self, monkeypatch):
+        chain = [
+            SweepPoint("taf", {"hsize": 1, "psize": 4, "threshold": t}, "thread", 8)
+            for t in (0.3, 0.9, 3.0, 20.0)
+        ]
+        points = chain + [chain[1]]
+        direct = ExperimentRunner(problems=self.KMEANS)
+        expected = [
+            dumps_record(direct.run_point("kmeans", "v100_small", pt))
+            for pt in points
+        ]
+        calls = []
+        real = ExperimentRunner.run_point
+
+        def counting(self, *args, **kwargs):
+            calls.append(args)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(ExperimentRunner, "run_point", counting)
+        records = ExperimentRunner(problems=self.KMEANS).run_sweep(
+            "kmeans", "v100_small", points
+        )
+        assert len(calls) < len(points)
+        assert [dumps_record(r) for r in records] == expected
 
 
 class TestCheckpoint:
@@ -262,17 +295,6 @@ class TestProgress:
 
 
 class TestChunking:
-    def test_chunk_points_partitions(self):
-        pts = _points()
-        chunks = chunk_points(pts, 4)
-        assert sum(len(c) for c in chunks) == len(pts)
-        assert all(len(c) <= 4 for c in chunks)
-        assert [p for c in chunks for p in c] == pts
-
-    def test_chunk_size_validated(self):
-        with pytest.raises(ValueError):
-            chunk_points(_points(), 0)
-
     def test_empty_sweep(self):
         report = run_sweep_parallel(
             "blackscholes", "v100_small", [], problems=PROBLEMS,

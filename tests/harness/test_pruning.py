@@ -4,14 +4,12 @@ The acceptance bar from the issue: on a Table-2-style sub-grid the pruned
 sweep must evaluate at most 60% of the full sweep's points, every record
 it *does* evaluate must be byte-identical to the unpruned run, and every
 point it skips must appear as a checkpoint row naming its pruning
-ancestor.  On top of that: checkpoint resume over pruned rows, surrogate
-ordering determinism at any worker count, and variant-cache hit
-accounting.
+ancestor.  On top of that: checkpoint resume over pruned rows,
+determinism at any worker count, and variant-cache hit accounting.
 """
 
 import json
 
-import numpy as np
 import pytest
 
 from repro.harness.batch import BatchEngine, BatchJob, run_sweep_parallel
@@ -19,15 +17,13 @@ from repro.harness.config import SweepConfig
 from repro.harness.database import ResultsDB, dumps_record, record_status
 from repro.harness.pruning import (
     DEFAULT_QOI_BOUND,
-    Surrogate,
     SweepLattice,
     VariantCache,
     aggression_axes,
     aggression_vector,
     is_pruned_record,
-    pruned_record,
 )
-from repro.harness.runner import ExperimentRunner, RunRecord
+from repro.harness.runner import ExperimentRunner
 from repro.harness.sweep import SweepPoint
 
 PROBLEMS = {"kmeans": {"num_obs": 2048, "max_iters": 8}}
@@ -66,7 +62,7 @@ def full_report(grid):
 def pruned_report(grid):
     return run_sweep_parallel(
         "kmeans", "v100_small", grid, problems=PROBLEMS,
-        config=SweepConfig(prune=0.10, order=True),
+        config=SweepConfig(prune=0.10),
     )
 
 
@@ -167,7 +163,7 @@ class TestPrunedSweepEquivalence:
             1 for r in pruned_report.records if is_pruned_record(r)
         )
         assert pruned_report.evaluated + extra["lattice_pruned"] == len(grid)
-        assert extra["waves"] >= 1 and extra["ordered"]
+        assert extra["waves"] >= 1
 
     def test_records_in_input_order(self, grid, pruned_report):
         assert [_label(r) for r in pruned_report.records] == [
@@ -275,7 +271,7 @@ class TestPrunedCheckpointResume:
         ck = str(tmp_path / "ck.jsonl")
         rep = run_sweep_parallel(
             "kmeans", "v100_small", grid, problems=PROBLEMS,
-            config=SweepConfig(prune=0.10, order=True, checkpoint=ck),
+            config=SweepConfig(prune=0.10, checkpoint=ck),
         )
         assert [dumps_record(a) for a in rep.records] == [
             dumps_record(b) for b in pruned_report.records
@@ -287,74 +283,11 @@ class TestOrderingDeterminism:
         for workers in (2, 3):
             rep = run_sweep_parallel(
                 "kmeans", "v100_small", grid, problems=PROBLEMS,
-                config=SweepConfig(prune=0.10, order=True, workers=workers),
+                config=SweepConfig(prune=0.10, workers=workers),
             )
             assert [dumps_record(a) for a in rep.records] == [
                 dumps_record(b) for b in pruned_report.records
             ]
-
-    def test_order_without_prune_identical_records(self, grid, full_report):
-        rep = run_sweep_parallel(
-            "kmeans", "v100_small", grid, problems=PROBLEMS,
-            config=SweepConfig(order=True, workers=2),
-        )
-        assert [dumps_record(a) for a in rep.records] == [
-            dumps_record(b) for b in full_report.records
-        ]
-
-    def test_callable_order_must_be_permutation(self, grid):
-        with pytest.raises(ValueError, match="permutation"):
-            run_sweep_parallel(
-                "kmeans", "v100_small", grid[:4], problems=PROBLEMS,
-                config=SweepConfig(order=lambda jobs: jobs[:-1]),
-            )
-
-    def test_callable_order_applied(self, grid, full_report):
-        rep = run_sweep_parallel(
-            "kmeans", "v100_small", grid, problems=PROBLEMS,
-            config=SweepConfig(order=lambda jobs: list(reversed(jobs))),
-        )
-        assert [dumps_record(a) for a in rep.records] == [
-            dumps_record(b) for b in full_report.records
-        ]
-
-
-class TestSurrogate:
-    def test_needs_min_fit(self):
-        s = Surrogate()
-        pt = SweepPoint("taf", {"hsize": 1, "psize": 4, "threshold": 1.0})
-        assert s.predict(pt) is None
-
-    def test_learns_monotone_threshold_trend(self, grid, full_report):
-        s = Surrogate()
-        n = s.observe_records(full_report.records)
-        assert n == len(grid)
-        mild = SweepPoint("taf", {"hsize": 1, "psize": 4, "threshold": 0.3},
-                          level="thread")
-        harsh = SweepPoint("taf", {"hsize": 1, "psize": 4, "threshold": 20.0},
-                           level="thread")
-        em, _ = s.predict(mild)
-        eh, _ = s.predict(harsh)
-        assert eh > em
-
-    def test_order_is_stable_and_complete(self, grid, full_report):
-        s = Surrogate()
-        s.observe_records(full_report.records)
-        ordered = s.order(grid, bound=0.10)
-        assert sorted(p.label() for p in ordered) == sorted(
-            p.label() for p in grid
-        )
-        assert [p.label() for p in s.order(grid, bound=0.10)] == [
-            p.label() for p in ordered
-        ]
-
-    def test_infeasible_observations_ignored(self):
-        s = Surrogate()
-        pt = SweepPoint("taf", {"hsize": 1, "psize": 4, "threshold": 1.0})
-        rec = pruned_record("kmeans", "v100", pt, ancestor=pt,
-                            ancestor_error=0.5, bound=0.1)
-        s.observe(pt, rec)
-        assert s.observed == 0
 
 
 class TestVariantCache:
@@ -443,48 +376,29 @@ class TestVariantCache:
         assert len(reloaded) == 2
 
 
-class TestRaggedFeatureKeys:
+class TestRaggedParamKeys:
     """Perforation's pattern kinds carry different parameter keys
-    (small/large: herded, kind, skip; ini/fini: kind, skip_percent), so
-    one technique yields feature rows of two lengths."""
+    (small/large: herded, kind, skip; ini/fini: kind, skip_percent), so one
+    technique's lattice spans groups of two key sets."""
 
     LULESH = {"lulesh": {"mesh": 6, "time_steps": 4}}
 
-    def test_surrogate_fits_each_key_set(self):
-        s = Surrogate()
-        small = [
-            SweepPoint("perfo", {"kind": "small", "skip": k, "herded": True})
-            for k in (2, 3, 4, 5)
-        ]
-        ini = [
-            SweepPoint("perfo", {"kind": "ini", "skip_percent": p})
-            for p in (10, 20, 30, 40)
-        ]
-        for i, pt in enumerate(small + ini):
-            s.observe(pt, RunRecord(
-                app="lulesh", device="v100", technique="perfo",
-                params=dict(pt.params), level=pt.level,
-                items_per_thread=pt.items_per_thread,
-                speedup=1.0 + i, error=0.01 * i,
-            ))
-        assert s.observed == 8
-        assert s.predict(small[0]) is not None
-        assert s.predict(ini[0]) is not None
-        assert len(s.order(small + ini)) == 8
-
-    def test_ordered_lulesh_perfo_sweep_matches_unordered(self):
+    def test_pruned_lulesh_perfo_sweep_matches_unpruned(self):
         from repro.harness.sweep import table2_space
 
         points = table2_space("perfo", "v100_small")
         assert len({tuple(sorted(p.params)) for p in points}) > 1
-        ordered, plain = (
+        pruned, plain = (
             run_sweep_parallel(
                 "lulesh", "v100_small", points, problems=self.LULESH,
-                config=SweepConfig(prune=0.1, order=order),
+                config=SweepConfig(prune=prune),
             )
-            for order in (True, False)
+            for prune in (0.1, False)
         )
-        assert ordered.extra["surrogate_observations"] > 0
-        assert [dumps_record(r) for r in ordered.records] == [
-            dumps_record(r) for r in plain.records
+        evaluated = [
+            (dumps_record(a), dumps_record(b))
+            for a, b in zip(pruned.records, plain.records)
+            if not is_pruned_record(a)
         ]
+        assert evaluated
+        assert all(a == b for a, b in evaluated)

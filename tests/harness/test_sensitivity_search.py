@@ -3,6 +3,7 @@
 import pytest
 
 from repro.apps import get_benchmark
+from repro.harness.config import SweepConfig
 from repro.harness.runner import ExperimentRunner
 from repro.harness.search import _neighbors, evolutionary_search, random_search
 from repro.harness.sensitivity import (
@@ -161,7 +162,8 @@ class TestSearch:
         )
         par = random_search(
             runner, "blackscholes", "v100_small", "taf",
-            budget=8, space=_small_space(), seed=11, max_workers=2,
+            budget=8, space=_small_space(), seed=11,
+            config=SweepConfig(workers=2),
         )
         assert [r.to_dict() for r in par.db] == [r.to_dict() for r in serial.db]
         assert par.best.to_dict() == serial.best.to_dict()

@@ -2,8 +2,8 @@
 
 One frozen config object threads through every entry point; the old
 loose keywords raise ``TypeError``; and ``progress`` accepts
-``bool | Callable[[SweepProgress], None]`` uniformly — the serial
-``run_sweep`` path included.
+``bool | Callable[[SweepProgress], None]`` uniformly, firing per point on
+every in-process path, ``run_sweep`` included.
 """
 
 import dataclasses
@@ -110,12 +110,12 @@ class TestProgressUnification:
         assert drive(1) == drive(2)
 
     def test_batch_engine_forwards_progress(self):
-        # chunk_size=1: progress fires per chunk, so this makes it
-        # per-point and the done sequence exact.
+        # In-process streams evaluate one job per step, so progress fires
+        # per point without pinning a chunk size.
         snaps = []
         with BatchEngine(
             problems=PROBLEMS,
-            config=SweepConfig(workers=1, chunk_size=1, progress=snaps.append),
+            config=SweepConfig(workers=1, progress=snaps.append),
         ) as eng:
             eng.run_jobs(
                 [BatchJob("blackscholes", "v100_small", p) for p in _points()]

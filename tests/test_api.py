@@ -125,6 +125,50 @@ class TestSearch:
             r.to_dict() for r in serial.db
         ]
 
+    @pytest.mark.parametrize("strategy", ["random", "evolutionary"])
+    def test_checkpoint_in_config_records_and_resumes(
+        self, strategy, tmp_path, monkeypatch
+    ):
+        from repro.harness.database import ResultsDB, dumps_record
+
+        ck = tmp_path / "search.jsonl"
+        kwargs = dict(
+            technique="taf", strategy=strategy, budget=5, population=2,
+            problems=PROBLEMS, config=SweepConfig(checkpoint=ck),
+        )
+        first = api.search("blackscholes", **kwargs).result
+        saved = ResultsDB.load(ck)
+        assert sorted(dumps_record(r) for r in saved) == sorted(
+            dumps_record(r) for r in first.db
+        )
+        assert len(saved) == first.evaluations == 5
+        calls = []
+        real = ExperimentRunner.run_point
+
+        def counting(self, *args, **kw):
+            calls.append(args)
+            return real(self, *args, **kw)
+
+        monkeypatch.setattr(ExperimentRunner, "run_point", counting)
+        again = api.search("blackscholes", **kwargs).result
+        assert calls == []  # every record resumed from the checkpoint
+        assert [dumps_record(r) for r in again.db] == [
+            dumps_record(r) for r in first.db
+        ]
+
+    def test_config_policy_reaches_random_search(self):
+        # A statically infeasible iACT corner (HPAC020: AC state overflows
+        # shared memory) is recorded by preflight, not simulated.
+        corner = SweepPoint(
+            "iact", {"tsize": 8, "threshold": 0.3, "tperwarp": 32}, "thread", 8
+        )
+        res = api.search(
+            "blackscholes", technique="iact", budget=1, space=[corner],
+            problems=PROBLEMS, config=SweepConfig(preflight=True),
+        ).result
+        (rec,) = res.db.query(feasible=None)
+        assert rec.note.startswith("preflight HPAC")
+
     def test_unknown_strategy(self):
         with pytest.raises(ValueError):
             api.search("blackscholes", strategy="annealing")
