@@ -29,8 +29,9 @@ Run as a script (``python benchmarks/perf_smoke.py``).  Three measurements:
    on one engine: exactly the 512 point is served, and its record must
    equal a direct ``runner.run_point``.
 
-Everything lands in ``BENCH_harness.json``.  Exit status is the CI
-contract:
+Everything lands in the top-level keys of ``BENCH_harness.json``; the
+sections other scripts write there (``perf_micro``, ``campaign``) are
+kept.  Exit status is the CI contract:
 
 * nonzero if the batched path *evaluated more points than serial* (the
   batch layer must never add work — dedupe and baseline sharing can only
@@ -399,7 +400,11 @@ def main() -> int:
         },
         "failures": failures,
     }
-    OUT.write_text(json.dumps(payload, indent=2) + "\n")
+    # Update only this script's keys: other scripts keep their own
+    # sections (``perf_micro``, ``campaign``) in the same file.
+    data = json.loads(OUT.read_text()) if OUT.exists() else {}
+    data.update(payload)
+    OUT.write_text(json.dumps(data, indent=2) + "\n")
     print(json.dumps(payload, indent=2))
     for msg in failures:
         print(f"FAIL: {msg}", file=sys.stderr)

@@ -1,65 +1,48 @@
-"""Command-line interface: ``python -m repro <command>``.
+"""Command-line interface: ``python -m repro <command>``; ``--help`` lists
+the commands and their flags.
 
-Thin rendering wrappers over the stable :mod:`repro.api` facade — each
-subcommand builds a :class:`~repro.harness.config.SweepConfig` from its
-flags, calls the matching ``repro.api`` function, and prints the result,
-so anything the CLI can do a script can do with the same one call:
-
-* ``python -m repro run <app> [--device D] [--technique T ...]`` — run one
-  benchmark (accurate, or with one technique applied) and print
-  speedup/error against the accurate baseline;
-* ``python -m repro sweep <app> --technique T [--effort quick|full]
-  [--parallel N] [--checkpoint F]`` — a DSE campaign with the results
-  database, saved to JSONL; ``--parallel`` fans points across a process
-  pool and ``--checkpoint`` makes the sweep resumable;
-* ``python -m repro search <app> --technique T [--strategy
-  random|evolutionary] [--budget N] [--parallel N]`` — budgeted smart
-  search (§4.2) instead of the exhaustive grid; the evolutionary strategy
-  streams results and proposes offspring as evaluations land;
-* ``python -m repro lint [files | --text "..." | --app A --device D]`` —
-  static analysis of approx pragmas / region configurations, clang-style
-  caret diagnostics with stable ``HPAC0xx`` codes; exit status reflects the
-  worst severity (0 clean/info, 1 warnings, 2 errors);
-* ``python -m repro sanitize [--app A|all] [--device D]`` — run apps under
-  ApproxSan (shadow-memory sanitizer + cross-warp race detector) and report
-  ``HPAC2xx`` contract violations; exit status is the worst severity;
-  ``--infer [--write]`` instead records one accurate run per app and emits
-  ready-to-paste ``in(...)/out(...)`` contract text, round-trip verified;
-* ``python -m repro sensitivity <app>`` — rank the app's regions;
-* ``python -m repro figures [fig3 fig4 ...] [--parallel N]`` — regenerate
-  evaluation figures and print the paper-style rows; all requested figures
-  share one batch engine (``--parallel`` fans their simulation grids
-  across a process pool, and overlapping grids evaluate once);
-* ``python -m repro campaign split|work|merge|status <dir>`` — the
-  distributed campaign fabric: partition a sweep's point space into shard
-  jobs, have any number of worker sessions claim them under leases with
-  heartbeats (dead workers' shards are reclaimed after the TTL), and
-  merge the shard files back into one checkpoint byte-identical to a
-  serial sweep;
-* ``python -m repro checkpoint compact <file>`` — dedupe a checkpoint's
-  re-run labels, keeping the latest record per point;
-* ``python -m repro devices`` — list the device presets.
-
-Each subcommand builds the matching frozen request object
-(:class:`repro.api.SweepRequest`, :class:`repro.api.SearchRequest`,
-:class:`repro.api.CampaignSpec`, ...), hands it to :func:`repro.api.execute`
-(or the campaign facade), and renders the typed result — ``--json``
-prints ``result.render_json()`` and the process exits ``result.exit_code``.
+Thin rendering wrappers over the stable :mod:`repro.api` facade.  Each
+subcommand fills the matching frozen request (:class:`repro.api.PointRequest`,
+:class:`~repro.api.SweepRequest`, :class:`~repro.api.SearchRequest`,
+:class:`~repro.api.FiguresRequest`, :class:`~repro.api.CampaignSpec`) and
+its :class:`~repro.harness.config.SweepConfig` by field name from the flags
+the user passed — an absent flag leaves the dataclass default in force, so
+an invocation and the library call with the same arguments build the same
+request — hands them to :func:`repro.api.execute` (or the matching
+``repro.api`` call), and renders the typed result: ``--json`` prints
+``result.render_json()`` and the process exits ``result.exit_code``.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
+from argparse import SUPPRESS
 
 import numpy as np
+
+
+def _passed(args, *names: str) -> dict:
+    """The flags among ``names`` the user passed.  Flags backed by a
+    request or :class:`~repro.harness.config.SweepConfig` field default to
+    ``SUPPRESS``, so an absent flag leaves that field's default in force."""
+    return {name: getattr(args, name) for name in names if hasattr(args, name)}
+
+
+def _request(cls, args, **extra):
+    """Dataclass ``cls`` filled by field name from the passed flags."""
+    names = [f.name for f in dataclasses.fields(cls) if f.name not in extra]
+    return cls(**_passed(args, *names), **extra)
 
 
 def _add_technique_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--technique", default="none",
                    choices=["none", "taf", "iact", "perfo", "noise"])
-    p.add_argument("--level", default="thread", choices=["thread", "warp", "team"])
-    p.add_argument("--items-per-thread", type=int, default=None)
+    p.add_argument("--level", default=SUPPRESS,
+                   choices=["thread", "warp", "team"])
+    p.add_argument("--items-per-thread", type=int, default=SUPPRESS,
+                   help="default: the app's baseline")
     # TAF
     p.add_argument("--hsize", type=int, default=2)
     p.add_argument("--psize", type=int, default=8)
@@ -75,7 +58,7 @@ def _add_technique_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--herded", action="store_true")
     # noise
     p.add_argument("--rel-sigma", type=float, default=0.05)
-    p.add_argument("--site", default=None)
+    p.add_argument("--site", default=SUPPRESS)
 
 
 def _technique_kwargs(args) -> dict:
@@ -86,13 +69,9 @@ def _technique_kwargs(args) -> dict:
         return dict(tsize=args.tsize, threshold=args.threshold,
                     tperwarp=args.tperwarp)
     if t == "perfo":
-        kw = dict(kind=args.kind, herded=args.herded)
         if args.kind in ("small", "large"):
-            kw["skip"] = args.skip
-        else:
-            kw["skip_percent"] = args.skip_percent
-            kw.pop("herded")
-        return kw
+            return dict(kind=args.kind, herded=args.herded, skip=args.skip)
+        return dict(kind=args.kind, skip_percent=args.skip_percent)
     if t == "noise":
         return dict(rel_sigma=args.rel_sigma)
     return {}
@@ -100,31 +79,24 @@ def _technique_kwargs(args) -> dict:
 
 def cmd_run(args) -> int:
     from repro import api
-    from repro.apps import get_benchmark
     from repro.harness.runner import ExperimentRunner
 
-    app = get_benchmark(args.app)
-    ipt = args.items_per_thread or app.baseline_items_per_thread or 1
-    runner = ExperimentRunner(seed=args.seed)
-    baseline = runner.baseline(args.app, args.device)
-    print(f"{args.app} on {args.device}: accurate "
+    request = _request(api.PointRequest, args, params=_technique_kwargs(args))
+    runner = ExperimentRunner(seed=request.seed)
+    app = runner.app(request.app)
+    baseline = runner.baseline(request.app, request.device)
+    print(f"{request.app} on {request.device}: accurate "
           f"{baseline.seconds * 1e3:.3f} ms end-to-end "
           f"({baseline.kernel_seconds * 1e3:.3f} ms kernels)")
-    if args.technique == "none":
+    if request.technique == "none":
         return 0
-    request = api.PointRequest(
-        app=args.app, device=args.device,
-        technique=args.technique, params=_technique_kwargs(args),
-        level=args.level, items_per_thread=ipt, site=args.site,
-        seed=args.seed,
-    )
     res = api.run_point(request=request, runner=runner).record
     if not res.feasible:
-        print(f"{args.technique}: infeasible — {res.note}")
+        print(f"{request.technique}: infeasible — {res.note}")
         return 1
     label = "kernel" if app.kernel_only else "end-to-end"
     fracs = {n: s["approx_fraction"] for n, s in res.region_stats.items()}
-    print(f"{args.technique}: {res.reported_speedup:.3f}x {label} speedup, "
+    print(f"{request.technique}: {res.reported_speedup:.3f}x {label} speedup, "
           f"{app.error_metric.upper()} {res.error_percent:.4f}%, "
           f"approximated {fracs}")
     return 0
@@ -136,12 +108,9 @@ def cmd_sweep(args) -> int:
     from repro.harness.database import ResultsDB
     from repro.harness.reporting import format_record, format_records_table
 
-    request = api.SweepRequest(
-        app=args.app, device=args.device, technique=args.technique,
-        effort=args.effort, seed=args.seed,
-    )
+    request = _request(api.SweepRequest, args)
     if not request.resolve_points():
-        print(f"no candidate grid for {args.app}/{args.technique}",
+        print(f"no candidate grid for {request.app}/{request.technique}",
               file=sys.stderr)
         return 1
     vcache = None
@@ -149,10 +118,8 @@ def cmd_sweep(args) -> int:
         from repro.harness.pruning import VariantCache
 
         vcache = VariantCache(args.variant_cache)
-    config = SweepConfig(
-        workers=max(1, args.parallel), chunk_size=args.chunk_size,
-        checkpoint=args.checkpoint, retries=args.retries,
-        progress=args.progress, preflight=args.preflight,
+    config = _request(
+        SweepConfig, args,
         # --prune takes the QoI bound from --max-error (the same budget the
         # "best under" selection below uses).
         prune=(float(args.max_error) if args.prune else False),
@@ -163,8 +130,8 @@ def cmd_sweep(args) -> int:
         vcache.save()
     db = ResultsDB()
     db.add(report.records)
-    if (args.parallel > 1 or args.checkpoint or args.preflight
-            or args.prune or args.variant_cache):
+    if (config.workers > 1 or config.checkpoint or config.preflight
+            or config.prune or vcache is not None):
         lattice = report.extra.get("lattice_pruned", 0)
         print(f"evaluated {report.evaluated} points "
               f"({report.reused} served by sibling reuse; "
@@ -172,9 +139,11 @@ def cmd_sweep(args) -> int:
               f"{report.pruned} pruned by preflight, "
               f"{lattice} pruned by the lattice, "
               f"{report.variant_hits} variant-cache hit(s)) "
-              f"in {report.elapsed:.2f}s with {args.parallel} worker(s)")
-    print(format_records_table(db.query(feasible=None),
-                               title=f"{args.app} {args.technique} on {args.device}"))
+              f"in {report.elapsed:.2f}s with {config.workers} worker(s)")
+    print(format_records_table(
+        db.query(feasible=None),
+        title=f"{request.app} {request.technique} on {request.device}",
+    ))
     best = db.best_speedup(max_error=args.max_error)
     print("\nbest under "
           f"{100 * args.max_error:.0f}% error: "
@@ -190,23 +159,16 @@ def cmd_search(args) -> int:
     from repro.harness.config import SweepConfig
     from repro.harness.reporting import format_record, format_records_table
 
-    request = api.SearchRequest(
-        app=args.app, device=args.device,
-        technique=args.technique, strategy=args.strategy,
-        budget=args.budget, max_error=args.max_error,
-        population=args.population, seed=args.seed,
-    )
-    result = api.execute(
-        request,
-        config=SweepConfig(workers=max(1, args.parallel)),
-    ).result
+    request = _request(api.SearchRequest, args)
+    result = api.execute(request, config=_request(SweepConfig, args)).result
     print(format_records_table(
         result.db.query(feasible=None),
-        title=(f"{args.strategy} search: {args.app} {args.technique} "
-               f"on {args.device} ({result.evaluations} evaluations)"),
+        title=(f"{request.strategy} search: {request.app} "
+               f"{request.technique} on {request.device} "
+               f"({result.evaluations} evaluations)"),
     ))
     print("\nbest under "
-          f"{100 * args.max_error:.0f}% error: "
+          f"{100 * request.max_error:.0f}% error: "
           + (format_record(result.best) if result.best else "none"))
     if args.output:
         result.db.save(args.output)
@@ -222,9 +184,9 @@ def cmd_lint(args) -> int:
         print("nothing to lint: pass files, --text, or --app", file=sys.stderr)
         return 2
     result = api.lint(
-        args.files, text=args.text, app=args.app, device=args.device,
+        args.files, text=args.text, app=args.app,
         technique=args.technique, params=_technique_kwargs(args),
-        level=args.level, site=args.site, threads=args.threads,
+        threads=args.threads, **_passed(args, "device", "level", "site"),
     )
     if args.json:
         print(render_json(result.diagnostics))
@@ -245,10 +207,8 @@ def cmd_sanitize(args) -> int:
     if args.infer:
         return _cmd_sanitize_infer(args)
     result = api.sanitize(
-        args.app, args.device,
-        technique=args.technique, params=_technique_kwargs(args),
-        level=args.level, site=args.site,
-        items_per_thread=args.items_per_thread, seed=args.seed,
+        args.app, technique=args.technique, params=_technique_kwargs(args),
+        **_passed(args, "device", "level", "site", "items_per_thread", "seed"),
     )
     if args.json:
         # One pure JSON document with stable key order — pipeable to jq.
@@ -284,9 +244,8 @@ def _cmd_sanitize_infer(args) -> int:
     from repro.analysis import render_all
 
     result = api.infer_contracts(
-        args.app, args.device,
-        items_per_thread=args.items_per_thread, seed=args.seed,
-        seeds=args.seeds, write=args.write,
+        args.app, seeds=args.seeds, write=args.write,
+        **_passed(args, "device", "items_per_thread", "seed"),
     )
     if args.json:
         print(result.render_json())
@@ -328,8 +287,8 @@ def cmd_sensitivity(args) -> int:
     from repro.harness.sensitivity import analyze_sensitivity, format_sensitivity
 
     app = get_benchmark(args.app)
-    reports = analyze_sensitivity(app, device=args.device,
-                                  rel_sigma=args.rel_sigma, seed=args.seed)
+    reports = analyze_sensitivity(app, rel_sigma=args.rel_sigma,
+                                  **_passed(args, "device", "seed"))
     print(format_sensitivity(reports))
     return 0
 
@@ -337,15 +296,15 @@ def cmd_sensitivity(args) -> int:
 def cmd_figures(args) -> int:
     from repro import api
     from repro.harness import figures as F
+    from repro.harness.config import SweepConfig
     from repro.harness.reporting import format_engine_stats, format_fig6
 
     # One engine across every requested figure: shared baselines, one
     # process pool, and overlapping grids (Fig 6 / Fig 7 share LULESH
     # points) evaluate once.
-    request = api.FiguresRequest(
-        names=tuple(args.names or ()), parallel=args.parallel, seed=args.seed
+    out = api.execute(
+        _request(api.FiguresRequest, args), config=_request(SweepConfig, args)
     )
-    out = api.execute(request)
     for name, r in out.results.items():
         if name == "fig3":
             print(f"Fig 3: V100 exhausted at 2^{r.exhaust_threads.bit_length() - 1} threads")
@@ -366,64 +325,48 @@ def cmd_campaign(args) -> int:
     from repro import api
 
     if args.action == "split":
-        spec = api.CampaignSpec(
-            app=args.app, device=args.device, technique=args.technique,
-            effort=args.effort, site=args.site, seed=args.seed,
+        out = api.campaign_split(
+            args.dir, _request(api.CampaignSpec, args),
+            **_passed(args, "shards"),
         )
-        out = api.campaign_split(args.dir, spec, shards=args.shards)
-        if args.json:
-            print(out.render_json())
-            return out.exit_code
         result = out.result
-        print(f"{args.dir}: split {result.points} point(s) into "
-              f"{result.shards} shard job(s) "
-              f"(spec {result.spec_hash[:12]}…)")
-        print("run workers with: python -m repro campaign work "
-              f"{args.dir} --owner <name>")
-        return out.exit_code
-    if args.action == "work":
+        lines = [f"{args.dir}: split {result.points} point(s) into "
+                 f"{result.shards} shard job(s) "
+                 f"(spec {result.spec_hash[:12]}…)",
+                 "run workers with: python -m repro campaign work "
+                 f"{args.dir} --owner <name>"]
+    elif args.action == "work":
         out = api.campaign_work(
             args.dir, args.owner, ttl=args.ttl, max_jobs=args.max_jobs
         )
-        if args.json:
-            print(out.render_json())
-            return out.exit_code
         report = out.report
-        print(f"{args.owner}: completed {report.jobs_done} job(s) — "
-              f"{report.evaluated} point(s) evaluated, "
-              f"{report.reemitted} re-emitted from a dead worker, "
-              f"{report.leases_lost} lease(s) lost")
-        return out.exit_code
-    if args.action == "merge":
+        lines = [f"{args.owner}: completed {report.jobs_done} job(s) — "
+                 f"{report.evaluated} point(s) evaluated, "
+                 f"{report.reemitted} re-emitted from a dead worker, "
+                 f"{report.leases_lost} lease(s) lost"]
+    elif args.action == "merge":
         out = api.campaign_merge(
             args.dir, args.output, strict=not args.partial
         )
-        if args.json:
-            print(out.render_json())
-            return out.exit_code
         result = out.result
         s = result.stats
-        print(f"{result.output}: merged {result.merged} record(s) from "
-              f"{len(result.shards_merged)} shard(s) "
-              f"({s.identical} identical duplicate(s), "
-              f"{s.conflicts} conflict(s), "
-              f"{result.rejected_stale} stale fenced-out record(s))")
+        lines = [f"{result.output}: merged {result.merged} record(s) from "
+                 f"{len(result.shards_merged)} shard(s) "
+                 f"({s.identical} identical duplicate(s), "
+                 f"{s.conflicts} conflict(s), "
+                 f"{result.rejected_stale} stale fenced-out record(s))"]
         if result.shards_skipped:
-            print(f"partial merge: {len(result.shards_skipped)} "
-                  f"unfinished shard(s) skipped, "
-                  f"{len(result.missing)} label(s) uncovered")
-        return out.exit_code
-    if args.action == "status":
+            lines.append(f"partial merge: {len(result.shards_skipped)} "
+                         f"unfinished shard(s) skipped, "
+                         f"{len(result.missing)} label(s) uncovered")
+    else:
         out = api.campaign_status(args.dir)
-        if args.json:
-            print(out.render_json())
-            return out.exit_code
         result = out.status
         p = result.progress
-        print(f"{args.dir} (spec {result.spec_hash[:12]}…): "
-              f"{p['done']} done / {p['leased']} leased / "
-              f"{p['expired']} expired / {p['pending']} pending "
-              f"shard(s); {p['records']}/{p['total_points']} record(s)")
+        lines = [f"{args.dir} (spec {result.spec_hash[:12]}…): "
+                 f"{p['done']} done / {p['leased']} leased / "
+                 f"{p['expired']} expired / {p['pending']} pending "
+                 f"shard(s); {p['records']}/{p['total_points']} record(s)"]
         for job, entry in sorted(result.shards.items()):
             state = result.lease_table.get(job, {})
             line = (f"  {job}: {state.get('state', '?'):<8} "
@@ -433,23 +376,19 @@ def cmd_campaign(args) -> int:
             lease = state.get("lease")
             if lease:
                 line += f", held by {lease['owner']} (fence {lease['fence']})"
-            print(line)
-        return out.exit_code
-    print(f"unknown campaign action {args.action!r}", file=sys.stderr)
-    return 2
+            lines.append(line)
+    print(out.render_json() if args.json else "\n".join(lines))
+    return out.exit_code
 
 
 def cmd_checkpoint(args) -> int:
+    """``checkpoint compact``: the one action the parser accepts."""
     from repro.harness.database import compact_checkpoint
 
-    if args.action == "compact":
-        kept, dropped = compact_checkpoint(args.file, output=args.output)
-        dest = args.output or args.file
-        print(f"{dest}: kept {kept} record(s), dropped {dropped} stale "
-              f"duplicate(s)")
-        return 0
-    print(f"unknown checkpoint action {args.action!r}", file=sys.stderr)
-    return 2
+    kept, dropped = compact_checkpoint(args.file, output=args.output)
+    print(f"{args.output or args.file}: kept {kept} record(s), dropped "
+          f"{dropped} stale duplicate(s)")
+    return 0
 
 
 def cmd_devices(args) -> int:
@@ -462,43 +401,56 @@ def cmd_devices(args) -> int:
     return 0
 
 
+def _shared(*flags: str, **kwargs) -> argparse.ArgumentParser:
+    """A parent parser declaring one flag several subcommands share."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(*flags, **kwargs)
+    return parent
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="HPAC-Offload reproduction CLI",
     )
-    parser.add_argument("--seed", type=int, default=2023)
+    parser.add_argument("--seed", type=int, default=SUPPRESS,
+                        help="default: the request's (2023; search: 7)")
     sub = parser.add_subparsers(dest="command", required=True)
+    app = _shared("app")
+    device = _shared("--device", default=SUPPRESS)
+    grid = _shared("--technique", required=True,
+                   choices=["taf", "iact", "perfo"])
+    effort = _shared("--effort", default=SUPPRESS,
+                     choices=["quick", "full", "paper"])
+    workers = _shared("--parallel", dest="workers", type=int, default=SUPPRESS,
+                      help="process-pool workers (1 = in-process; records "
+                           "are identical at any worker count)")
+    as_json = _shared("--json", action="store_true",
+                      help="print the result as one JSON document")
+    technique = argparse.ArgumentParser(add_help=False)
+    _add_technique_args(technique)
 
-    p_run = sub.add_parser("run", help="run one benchmark")
-    p_run.add_argument("app")
-    p_run.add_argument("--device", default="v100_small")
-    _add_technique_args(p_run)
+    p_run = sub.add_parser("run", parents=[app, device, technique],
+                           help="run one benchmark")
     p_run.set_defaults(fn=cmd_run)
 
-    p_sweep = sub.add_parser("sweep", help="DSE campaign over a candidate grid")
-    p_sweep.add_argument("app")
-    p_sweep.add_argument("--device", default="v100_small")
-    p_sweep.add_argument("--technique", required=True,
-                         choices=["taf", "iact", "perfo"])
-    p_sweep.add_argument("--effort", default="quick",
-                         choices=["quick", "full", "paper"])
+    p_sweep = sub.add_parser("sweep", parents=[app, device, grid, effort,
+                                               workers],
+                             help="DSE campaign over a candidate grid")
     p_sweep.add_argument("--max-error", type=float, default=0.10)
     p_sweep.add_argument("--output", default=None)
-    p_sweep.add_argument("--parallel", type=int, default=1,
-                         help="process-pool workers (1 = in-process)")
-    p_sweep.add_argument("--checkpoint", default=None,
+    p_sweep.add_argument("--checkpoint", default=SUPPRESS,
                          help="JSONL checkpoint to stream records into and "
                               "resume from (skips recorded points)")
-    p_sweep.add_argument("--retries", type=int, default=1,
+    p_sweep.add_argument("--retries", type=int, default=SUPPRESS,
                          help="retries per point on unexpected worker errors")
-    p_sweep.add_argument("--chunk-size", type=int, default=None,
+    p_sweep.add_argument("--chunk-size", type=int, default=SUPPRESS,
                          help="pin points per worker chunk (default: sized "
                               "adaptively from observed throughput)")
-    p_sweep.add_argument("--progress", action="store_true",
+    p_sweep.add_argument("--progress", action="store_true", default=SUPPRESS,
                          help="print a throughput/ETA line per completed "
                               "chunk (per point in-process)")
-    p_sweep.add_argument("--preflight", action="store_true",
+    p_sweep.add_argument("--preflight", action="store_true", default=SUPPRESS,
                          help="statically vet points first; provably "
                               "infeasible ones are recorded (with the HPAC "
                               "diagnostic code) without simulating")
@@ -515,29 +467,27 @@ def main(argv: list[str] | None = None) -> int:
     p_sweep.set_defaults(fn=cmd_sweep)
 
     p_search = sub.add_parser(
-        "search", help="budgeted smart search over the Table-2 grid (§4.2)"
+        "search", parents=[app, device, grid, workers],
+        help="budgeted smart search over the Table-2 grid (§4.2)",
     )
-    p_search.add_argument("app")
-    p_search.add_argument("--device", default="v100_small")
-    p_search.add_argument("--technique", required=True,
-                          choices=["taf", "iact", "perfo"])
-    p_search.add_argument("--strategy", default="random",
+    p_search.add_argument("--strategy", default=SUPPRESS,
                           choices=["random", "evolutionary"],
                           help="random sampling, or steady-state (μ+λ) "
                                "evolution fed as results stream in")
-    p_search.add_argument("--budget", type=int, default=20,
+    p_search.add_argument("--budget", type=int, default=SUPPRESS,
                           help="total evaluations")
-    p_search.add_argument("--population", type=int, default=3,
+    p_search.add_argument("--population", type=int, default=SUPPRESS,
                           help="elite size / in-flight evaluations "
                                "(evolutionary)")
-    p_search.add_argument("--max-error", type=float, default=0.10)
-    p_search.add_argument("--parallel", type=int, default=1,
-                          help="process-pool workers (results identical "
-                               "at any worker count)")
+    p_search.add_argument("--max-error", type=float, default=SUPPRESS)
     p_search.add_argument("--output", default=None)
     p_search.set_defaults(fn=cmd_search)
 
-    p_lint = sub.add_parser("lint", help="static analysis of approx pragmas")
+    p_lint = sub.add_parser(
+        "lint", parents=[device, as_json, technique],
+        help="static analysis of approx pragmas (exit 0 clean/info, "
+             "1 warnings, 2 errors)",
+    )
     p_lint.add_argument("files", nargs="*",
                         help=".pragmas files (one directive per line, "
                              "// comments)")
@@ -546,27 +496,18 @@ def main(argv: list[str] | None = None) -> int:
     p_lint.add_argument("--app", default=None,
                         help="lint an app's region specs on --device "
                              "(combine with the technique flags)")
-    p_lint.add_argument("--device", default="v100_small")
     p_lint.add_argument("--threads", type=int, default=None,
                         help="threads per block (default: the app's "
                              "num_threads, warp-rounded)")
-    p_lint.add_argument("--json", action="store_true",
-                        help="emit diagnostics as a JSON array (code, "
-                             "severity, file, span, message, fixits)")
-    _add_technique_args(p_lint)
     p_lint.set_defaults(fn=cmd_lint)
 
     p_san = sub.add_parser(
-        "sanitize",
+        "sanitize", parents=[device, as_json, technique],
         help="run apps under ApproxSan, cross-checking kernels against "
-             "their pragma contracts",
+             "their pragma contracts (exit status: worst severity)",
     )
     p_san.add_argument("--app", default="all",
                        help="benchmark name, or 'all' (default)")
-    p_san.add_argument("--device", default="v100_small")
-    p_san.add_argument("--json", action="store_true",
-                       help="emit the per-app reports as one JSON document "
-                            "(stable key order)")
     p_san.add_argument("--infer", action="store_true",
                        help="record one accurate run per app and emit "
                             "ready-to-paste in(...)/out(...) contract text, "
@@ -580,22 +521,18 @@ def main(argv: list[str] | None = None) -> int:
                        help="with --infer: store the inferred baselines "
                             "under baselines/approxsan/ (enables the "
                             "static HPAC212 check)")
-    _add_technique_args(p_san)
     p_san.set_defaults(fn=cmd_sanitize)
 
-    p_sens = sub.add_parser("sensitivity", help="rank regions by sensitivity")
-    p_sens.add_argument("app")
-    p_sens.add_argument("--device", default="v100_small")
+    p_sens = sub.add_parser("sensitivity", parents=[app, device],
+                            help="rank regions by sensitivity")
     p_sens.add_argument("--rel-sigma", type=float, default=0.05)
     p_sens.set_defaults(fn=cmd_sensitivity)
 
-    p_fig = sub.add_parser("figures", help="regenerate evaluation figures")
+    p_fig = sub.add_parser("figures", parents=[workers],
+                           help="regenerate evaluation figures (one batch "
+                                "engine shared across all of them)")
     p_fig.add_argument("names", nargs="*",
                        help="fig3 fig4 fig6 fig7 fig8 fig9 fig10 fig11 fig12")
-    p_fig.add_argument("--parallel", type=int, default=1,
-                       help="process-pool workers for the simulation grids "
-                            "(1 = in-process; figures share one batch "
-                            "engine either way)")
     p_fig.set_defaults(fn=cmd_figures)
 
     p_camp = sub.add_parser(
@@ -607,23 +544,19 @@ def main(argv: list[str] | None = None) -> int:
     camp_sub = p_camp.add_subparsers(dest="action", required=True)
 
     pc_split = camp_sub.add_parser(
-        "split", help="partition a sweep's point space into shard jobs"
+        "split", parents=[device, grid, effort, as_json],
+        help="partition a sweep's point space into shard jobs",
     )
     pc_split.add_argument("dir", help="campaign directory (created)")
     pc_split.add_argument("--app", required=True)
-    pc_split.add_argument("--device", default="v100_small")
-    pc_split.add_argument("--technique", required=True,
-                          choices=["taf", "iact", "perfo"])
-    pc_split.add_argument("--effort", default="quick",
-                          choices=["quick", "full", "paper"])
-    pc_split.add_argument("--shards", type=int, default=2,
+    pc_split.add_argument("--shards", type=int, default=SUPPRESS,
                           help="shard jobs to partition the grid into")
-    pc_split.add_argument("--site", default=None)
-    pc_split.add_argument("--json", action="store_true")
+    pc_split.add_argument("--site", default=SUPPRESS)
     pc_split.set_defaults(fn=cmd_campaign)
 
     pc_work = camp_sub.add_parser(
-        "work", help="claim and evaluate shard jobs until the queue drains"
+        "work", parents=[as_json],
+        help="claim and evaluate shard jobs until the queue drains",
     )
     pc_work.add_argument("dir", help="campaign directory")
     pc_work.add_argument("--owner", required=True,
@@ -635,12 +568,12 @@ def main(argv: list[str] | None = None) -> int:
                               "shard is reclaimed (default 60)")
     pc_work.add_argument("--max-jobs", type=int, default=None,
                          help="stop after completing N shard jobs")
-    pc_work.add_argument("--json", action="store_true")
     pc_work.set_defaults(fn=cmd_campaign)
 
     pc_merge = camp_sub.add_parser(
-        "merge", help="fold shard files into one canonical checkpoint "
-                      "(byte-identical to a serial sweep)"
+        "merge", parents=[as_json],
+        help="fold shard files into one canonical checkpoint "
+             "(byte-identical to a serial sweep)",
     )
     pc_merge.add_argument("dir", help="campaign directory")
     pc_merge.add_argument("--output", default=None,
@@ -648,14 +581,13 @@ def main(argv: list[str] | None = None) -> int:
     pc_merge.add_argument("--partial", action="store_true",
                           help="merge completed shards even while others "
                                "are unfinished (exit 1 when incomplete)")
-    pc_merge.add_argument("--json", action="store_true")
     pc_merge.set_defaults(fn=cmd_campaign)
 
     pc_status = camp_sub.add_parser(
-        "status", help="shard states, leases, and progress from the ledger"
+        "status", parents=[as_json],
+        help="shard states, leases, and progress from the ledger",
     )
     pc_status.add_argument("dir", help="campaign directory")
-    pc_status.add_argument("--json", action="store_true")
     pc_status.set_defaults(fn=cmd_campaign)
 
     p_ckpt = sub.add_parser("checkpoint", help="checkpoint file maintenance")

@@ -257,7 +257,7 @@ def infer_app(app, device: str = "v100_small", *,
 
     bench = get_benchmark(app) if isinstance(app, str) else app
     seed_list = _seed_list(seed, seeds)
-    ipt = items_per_thread or bench.baseline_items_per_thread or 1
+    ipt = bench.resolve_items_per_thread(items_per_thread)
     merged: dict = {}
     for s in seed_list:
         san = Sanitizer(record_accesses=True)
@@ -520,7 +520,7 @@ def verify_roundtrip(app, inference: AppInference, *,
     # must hold on each of its evidence runs, and a single-seed contract
     # only has its own run to answer for.
     seeds = list(inference.seeds) or [inference.seed]
-    ipt = items_per_thread or bench.baseline_items_per_thread or 1
+    ipt = bench.resolve_items_per_thread(items_per_thread)
     by_code: dict[str, int] = {}
     dirty_seeds: list[int] = []
     for s in seeds:

@@ -5,10 +5,12 @@ The CLI, scripts, and the campaign fabric all speak the same vocabulary:
 * Requests — :class:`PointRequest`, :class:`SweepRequest`,
   :class:`SearchRequest`, :class:`FiguresRequest`, and (for distributed
   runs) :class:`~repro.harness.campaign.CampaignSpec` — are frozen
-  dataclasses carrying a ``version`` stamp.  Build one, pass it to the
-  matching function (``sweep(request=...)``) or to :func:`execute`,
-  which dispatches on type.  The per-function keywords build the same
-  request internally, so there is exactly one resolution path.
+  dataclasses carrying a ``version`` stamp, and the one declaration of
+  every field and its default.  Build one, pass it to the matching
+  function (``sweep(request=...)``) or to :func:`execute`, which
+  dispatches on type; ``sweep(*args, **fields)`` means
+  ``sweep(request=SweepRequest(*args, **fields))``, so there is exactly
+  one resolution path.
 * Results all implement the :class:`ApiResult` protocol —
   ``.exit_code`` (what the CLI exits with), ``.to_payload()`` (a pure-
   JSON document), ``.render_json()`` (stable-key-order dump) — and carry
@@ -70,19 +72,26 @@ class ApiResult:
         )
 
 
-def _check_version(request) -> None:
-    if request.version != API_VERSION:
-        raise ValueError(
-            f"{type(request).__name__} version {request.version!r} is not "
-            f"supported (this build speaks {API_VERSION})"
-        )
-
-
 # ---------------------------------------------------------------------------
 # Request objects.
 # ---------------------------------------------------------------------------
+class _Request:
+    """What every request dataclass checks when built: its version stamp,
+    and list-valued fields frozen to tuples (equal requests compare equal)."""
+
+    def __post_init__(self) -> None:
+        if self.version != API_VERSION:
+            raise ValueError(
+                f"{type(self).__name__} version {self.version!r} is not "
+                f"supported (this build speaks {API_VERSION})"
+            )
+        for name, value in list(vars(self).items()):
+            if isinstance(value, list):
+                object.__setattr__(self, name, tuple(value))
+
+
 @dataclass(frozen=True)
-class PointRequest:
+class PointRequest(_Request):
     """One configuration evaluation (the ``run`` subcommand's input)."""
 
     app: str
@@ -90,31 +99,32 @@ class PointRequest:
     technique: str | None = None
     params: dict | None = None
     level: str = "thread"
-    items_per_thread: int = 8
+    #: ``None`` runs at the app's baseline items per thread.
+    items_per_thread: int | None = None
     site: str | None = None
     problems: dict | None = None
     seed: int = 2023
     sanitize: bool = False
     version: int = API_VERSION
 
-    def __post_init__(self) -> None:
-        _check_version(self)
-
     def resolve_point(self) -> "SweepPoint":
         if self.technique is None:
             raise ValueError("run_point needs point= or technique=")
+        from repro.apps import get_benchmark
         from repro.harness.sweep import SweepPoint
 
         return SweepPoint(
             self.technique,
             dict(self.params or {}),
             self.level,
-            self.items_per_thread,
+            get_benchmark(self.app).resolve_items_per_thread(
+                self.items_per_thread
+            ),
         )
 
 
 @dataclass(frozen=True)
-class SweepRequest:
+class SweepRequest(_Request):
     """One DSE sweep for one app/device (the ``sweep`` subcommand's input).
 
     ``points`` pins the grid explicitly (a tuple of
@@ -131,11 +141,6 @@ class SweepRequest:
     seed: int = 2023
     version: int = API_VERSION
 
-    def __post_init__(self) -> None:
-        _check_version(self)
-        if isinstance(self.points, list):
-            object.__setattr__(self, "points", tuple(self.points))
-
     def resolve_points(self) -> "list[SweepPoint]":
         if self.points:
             return list(self.points)
@@ -147,7 +152,7 @@ class SweepRequest:
 
 
 @dataclass(frozen=True)
-class SearchRequest:
+class SearchRequest(_Request):
     """One budgeted smart search (the ``search`` subcommand's input)."""
 
     app: str
@@ -163,26 +168,15 @@ class SearchRequest:
     problems: dict | None = None
     version: int = API_VERSION
 
-    def __post_init__(self) -> None:
-        _check_version(self)
-        if isinstance(self.space, list):
-            object.__setattr__(self, "space", tuple(self.space))
-
 
 @dataclass(frozen=True)
-class FiguresRequest:
+class FiguresRequest(_Request):
     """One figure-regeneration batch (the ``figures`` subcommand's input)."""
 
     names: tuple = ()
     effort: str = "quick"
-    parallel: int = 0
     seed: int = 2023
     version: int = API_VERSION
-
-    def __post_init__(self) -> None:
-        _check_version(self)
-        if isinstance(self.names, list):
-            object.__setattr__(self, "names", tuple(self.names))
 
 
 # ---------------------------------------------------------------------------
@@ -264,45 +258,36 @@ class FiguresResult(ApiResult):
 
 
 # ---------------------------------------------------------------------------
+def _build(cls, request, args: tuple, fields: dict):
+    """``request`` as given, or ``cls(*args, **fields)`` — the request
+    dataclass is the one declaration of every field and its default."""
+    if request is None:
+        return cls(*args, **fields)
+    if args or fields:
+        raise TypeError(
+            f"pass request= or {cls.__name__} fields, not both "
+            f"(got {', '.join(fields) or 'positional arguments'})"
+        )
+    return request
+
+
 def run_point(
-    app: str | None = None,
-    device: str = "v100_small",
-    *,
+    *args,
     request: PointRequest | None = None,
     point: "SweepPoint | None" = None,
-    technique: str | None = None,
-    params: dict | None = None,
-    level: str = "thread",
-    items_per_thread: int = 8,
-    site: str | None = None,
     runner: "ExperimentRunner | None" = None,
-    problems: dict | None = None,
-    seed: int = 2023,
-    sanitize: bool = False,
+    **fields,
 ) -> PointResult:
     """Evaluate one configuration; returns a :class:`PointResult`.
 
-    Pass a :class:`PointRequest`, a ready
-    :class:`~repro.harness.sweep.SweepPoint`, or build one inline from
-    ``technique``/``params``/``level``/``items_per_thread``.  The
+    ``run_point(*args, **fields)`` evaluates ``PointRequest(*args,
+    **fields)``; or pass a ready ``request``.  A ready
+    :class:`~repro.harness.sweep.SweepPoint` in ``point`` replaces the
+    request's technique/params/level/items per thread.  The
     :class:`~repro.harness.runner.RunRecord` is ``result.record``."""
     from repro.harness.runner import ExperimentRunner
 
-    if request is None:
-        if app is None:
-            raise ValueError("run_point needs app= or request=")
-        request = PointRequest(
-            app=app,
-            device=device,
-            technique=technique,
-            params=params,
-            level=level,
-            items_per_thread=items_per_thread,
-            site=site,
-            problems=problems,
-            seed=seed,
-            sanitize=sanitize,
-        )
+    request = _build(PointRequest, request, args, fields)
     pt = point if point is not None else request.resolve_point()
     runner = runner or ExperimentRunner(
         problems=request.problems, seed=request.seed
@@ -315,41 +300,22 @@ def run_point(
 
 
 def sweep(
-    app: str | None = None,
-    device: str = "v100_small",
-    *,
+    *args,
     request: SweepRequest | None = None,
-    technique: str | None = None,
-    points: "list[SweepPoint] | None" = None,
-    effort: str = "quick",
-    site: str | None = None,
     config: "SweepConfig | None" = None,
     engine: "BatchEngine | None" = None,
-    problems: dict | None = None,
-    seed: int = 2023,
+    **fields,
 ) -> SweepResult:
     """Run a DSE sweep for one app/device; returns a :class:`SweepResult`.
 
-    The *what* lives in ``request`` (or the loose keywords, folded into
-    one internally); the *how* — workers, checkpoint, retries, progress,
+    The *what* is ``SweepRequest(*args, **fields)`` (or a ready
+    ``request``); the *how* — workers, checkpoint, retries, progress,
     preflight — lives in ``config``/``engine`` and never changes the
     records.  The :class:`~repro.harness.batch.BatchReport` is
     ``result.report``."""
     from repro.harness.batch import run_sweep_parallel
 
-    if request is None:
-        if app is None:
-            raise ValueError("sweep needs app= or request=")
-        request = SweepRequest(
-            app=app,
-            device=device,
-            technique=technique,
-            points=tuple(points) if points else (),
-            effort=effort,
-            site=site,
-            problems=problems,
-            seed=seed,
-        )
+    request = _build(SweepRequest, request, args, fields)
     report = run_sweep_parallel(
         request.app,
         request.device,
@@ -364,24 +330,14 @@ def sweep(
 
 
 def search(
-    app: str | None = None,
-    device: str = "v100_small",
-    *,
+    *args,
     request: SearchRequest | None = None,
-    technique: str = "taf",
-    strategy: str = "random",
-    budget: int = 20,
-    max_error: float = 0.10,
-    population: int = 3,
-    threshold_scale: float = 1.0,
-    space: "list[SweepPoint] | None" = None,
-    seed: int = 7,
     config: "SweepConfig | None" = None,
     engine: "BatchEngine | None" = None,
-    runner: "ExperimentRunner | None" = None,
-    problems: dict | None = None,
+    **fields,
 ) -> SearchResult:
-    """Budgeted smart search over the Table-2 grid (§4.2).
+    """Budgeted smart search over the Table-2 grid (§4.2) of
+    ``SearchRequest(*args, **fields)`` (or a ready ``request``).
 
     ``strategy`` is ``"random"`` (uniform without replacement) or
     ``"evolutionary"`` (steady-state μ+λ fed as results stream in).
@@ -392,42 +348,25 @@ def search(
     from repro.harness.runner import ExperimentRunner
     from repro.harness.search import evolutionary_search, random_search
 
-    if request is None:
-        if app is None:
-            raise ValueError("search needs app= or request=")
-        request = SearchRequest(
-            app=app,
-            device=device,
-            technique=technique,
-            strategy=strategy,
-            budget=budget,
-            max_error=max_error,
-            population=population,
-            threshold_scale=threshold_scale,
-            space=tuple(space) if space else None,
-            seed=seed,
-            problems=problems,
-        )
-    if runner is None and engine is not None:
+    request = _build(SearchRequest, request, args, fields)
+    if engine is not None:
         # The engine simulates with its own problems and seed.
         engine.check_matches(request.problems, engine.runner.seed)
         runner = engine.runner
-    runner = runner or ExperimentRunner(problems=request.problems)
-    space_list = list(request.space) if request.space else None
+    else:
+        runner = ExperimentRunner(problems=request.problems)
+    target = (runner, request.app, request.device, request.technique)
+    common = dict(
+        budget=request.budget, max_error=request.max_error,
+        threshold_scale=request.threshold_scale, seed=request.seed,
+        space=list(request.space) if request.space else None,
+        config=config, engine=engine,
+    )
     if request.strategy == "random":
-        inner = random_search(
-            runner, request.app, request.device, request.technique,
-            budget=request.budget, max_error=request.max_error,
-            threshold_scale=request.threshold_scale, seed=request.seed,
-            space=space_list, config=config, engine=engine,
-        )
+        inner = random_search(*target, **common)
     elif request.strategy == "evolutionary":
         inner = evolutionary_search(
-            runner, request.app, request.device, request.technique,
-            budget=request.budget, max_error=request.max_error,
-            threshold_scale=request.threshold_scale,
-            population=request.population, seed=request.seed,
-            space=space_list, config=config, engine=engine,
+            *target, population=request.population, **common
         )
     else:
         raise ValueError(f"unknown search strategy {request.strategy!r}")
@@ -435,35 +374,25 @@ def search(
 
 
 def figures(
-    names: Iterable[str] | None = None,
-    *,
+    *args,
     request: FiguresRequest | None = None,
-    effort: str = "quick",
-    parallel: int = 0,
     config: "SweepConfig | None" = None,
     engine: "BatchEngine | None" = None,
-    runner: "ExperimentRunner | None" = None,
-    seed: int = 2023,
+    **fields,
 ) -> FiguresResult:
-    """Regenerate evaluation figures; one engine shared across all of them.
+    """Regenerate the figures of ``FiguresRequest(*args, **fields)`` (or a
+    ready ``request``); one engine shared across all of them.
 
     Overlapping grids (Fig 6 / Fig 7 share the LULESH points) evaluate
-    once, and ``parallel > 1`` (or ``config.workers``) fans every figure's
-    simulation grid across one persistent process pool — spawned once for
-    the whole call, shut down on return (unless a caller-owned ``engine``
-    was passed in)."""
+    once, and ``config.workers > 1`` fans every figure's simulation grid
+    across one persistent process pool — spawned once for the whole call,
+    shut down on return (unless a caller-owned ``engine`` was passed
+    in)."""
     from repro.harness import figures as F
     from repro.harness.batch import BatchEngine
-    from repro.harness.config import SweepConfig
     from repro.harness.runner import ExperimentRunner
 
-    if request is None:
-        request = FiguresRequest(
-            names=tuple(names or ()),
-            effort=effort,
-            parallel=parallel,
-            seed=seed,
-        )
+    request = _build(FiguresRequest, request, args, fields)
     sim_figs = {
         "fig6": F.fig6_best_speedup,
         "fig7": F.fig7_lulesh,
@@ -477,15 +406,11 @@ def figures(
     unknown = [n for n in wanted if n not in sim_figs and n not in ("fig3", "fig4")]
     if unknown:
         raise ValueError(f"unknown figure(s): {', '.join(unknown)}")
-    owned = False
-    if engine is None:
-        cfg = config if config is not None else SweepConfig(
-            workers=max(1, int(request.parallel))
-        )
+    owned = engine is None
+    if owned:
         engine = BatchEngine(
-            config=cfg, runner=runner or ExperimentRunner(seed=request.seed)
+            config=config, runner=ExperimentRunner(seed=request.seed)
         )
-        owned = True
     out: dict = {}
     try:
         for name in wanted:
@@ -591,28 +516,15 @@ def campaign_split(
     spec: "object | None" = None,
     *,
     shards: int = 2,
-    app: str | None = None,
-    device: str = "v100_small",
-    technique: str | None = None,
-    effort: str = "quick",
-    site: str | None = None,
-    problems: dict | None = None,
-    seed: int = 2023,
+    **fields,
 ) -> CampaignSplitResult:
-    """Partition a sweep's point space into shard jobs under ``directory``.
-
-    Pass a ready :class:`~repro.harness.campaign.CampaignSpec` or the
-    loose keywords to build one.  See the campaign package docs for the
-    lease/heartbeat/merge contract."""
+    """Partition the point space of ``spec`` — a ready
+    :class:`~repro.harness.campaign.CampaignSpec`, or ``CampaignSpec(
+    **fields)`` — into ``shards`` shard jobs under ``directory``.  See the
+    campaign package docs for the lease/heartbeat/merge contract."""
     from repro.harness.campaign import CampaignSpec, split_campaign
 
-    if spec is None:
-        if app is None:
-            raise ValueError("campaign_split needs spec= or app=")
-        spec = CampaignSpec(
-            app=app, device=device, technique=technique, effort=effort,
-            site=site, problems=problems, seed=seed,
-        )
+    spec = _build(CampaignSpec, spec, (), fields)
     return CampaignSplitResult(
         result=split_campaign(directory, spec, shards=shards), spec=spec
     )
@@ -754,9 +666,10 @@ def sanitize(
             regions = bench.build_regions(
                 technique, level=level, site=site, **(params or {})
             )
-            ipt = items_per_thread or bench.baseline_items_per_thread or 1
             result = bench.run(
-                device, regions, items_per_thread=ipt, seed=seed, sanitize=True
+                device, regions,
+                items_per_thread=bench.resolve_items_per_thread(items_per_thread),
+                seed=seed, sanitize=True,
             )
         except ReproError as exc:
             entry.infeasible = f"{type(exc).__name__}: {exc}"

@@ -163,6 +163,11 @@ class Benchmark(abc.ABC):
     def __init__(self, problem: dict | None = None) -> None:
         self.problem = {**self.default_problem(), **(problem or {})}
 
+    @classmethod
+    def resolve_items_per_thread(cls, items_per_thread: int | None) -> int:
+        """``items_per_thread``, or the baseline's when unspecified."""
+        return items_per_thread or cls.baseline_items_per_thread or 1
+
     # ------------------------------------------------------------------
     @abc.abstractmethod
     def default_problem(self) -> dict:

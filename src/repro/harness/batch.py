@@ -20,6 +20,7 @@ byte-identical records (the simulation is deterministic per seed).
 
 from __future__ import annotations
 
+import os
 import sys
 import time
 from collections import OrderedDict, deque
@@ -214,6 +215,24 @@ def _window(runner) -> ThresholdWindow | None:
     place (a retry may have rebuilt it).  ``run_point`` resets the window
     first, so a failed attempt never leaves a stale one behind."""
     return getattr(runner, "last_window", None)
+
+
+def _checkpoint_key(record: RunRecord) -> tuple:
+    """A record's checkpoint identity ``(app, device name, point label)``."""
+    return (record.app, record.device, SweepPoint.of_record(record).label())
+
+
+class IndexedCheckpointWriter(CheckpointWriter):
+    """Checkpoint appends that also land in the engine's index of the file."""
+
+    def __init__(self, path: str | Path, index: dict) -> None:
+        super().__init__(path)
+        self.index = index
+
+    def write(self, record: RunRecord | Iterable[RunRecord]) -> None:
+        records = [record] if isinstance(record, RunRecord) else list(record)
+        super().write(records)
+        self.index.update((_checkpoint_key(rec), rec) for rec in records)
 
 
 def _crash_record(job: BatchJob, why: str) -> RunRecord:
@@ -509,10 +528,10 @@ class BatchStream:
 
         # Records from earlier calls on this engine, then checkpointed
         # jobs, are trusted and never dispatched.
-        index: dict[tuple, RunRecord] = {}
-        if cfg.checkpoint is not None and Path(cfg.checkpoint).exists():
-            for rec in ResultsDB.load(cfg.checkpoint):
-                index[(rec.app, rec.device, SweepPoint.of_record(rec).label())] = rec
+        index = (
+            engine.checkpoint_index(cfg.checkpoint)
+            if cfg.checkpoint is not None else {}
+        )
         self._done: dict[tuple, RunRecord] = {}
         self.cache_hits = self.skipped = 0
         for key, slots in self._slots_by_key.items():
@@ -618,7 +637,8 @@ class BatchStream:
             self._report_progress = None
 
         self._writer = (
-            CheckpointWriter(cfg.checkpoint) if cfg.checkpoint is not None else None
+            engine.open_checkpoint(cfg.checkpoint)
+            if cfg.checkpoint is not None else None
         )
         self.evaluated = self._feasible = self._infeasible = 0
         self.worker_baseline_runs = 0
@@ -1060,6 +1080,7 @@ class BatchEngine:
 
             self.variant_cache = resolve_variant_cache(self.config.variant_cache)
         self._cache: dict[tuple, RunRecord] = {}
+        self._checkpoints: dict[str, dict[tuple, RunRecord]] = {}
         #: Windows of this engine's simulated TAF/iACT/perforation points.
         self.threshold_memo = ThresholdMemo()
         self._dev_names: dict[str, str] = {}
@@ -1097,6 +1118,21 @@ class BatchEngine:
                 name = get_device(job.device).name
                 self._dev_names[job.device] = name
         return (job.app, name, job.point.label(), job.site)
+
+    def checkpoint_index(self, path: str | Path) -> dict[tuple, RunRecord]:
+        """The checkpoint at ``path`` as ``(app, device name, point label)
+        -> latest record``: read once per engine, then kept current by
+        every writer :meth:`open_checkpoint` returns, so later calls see
+        what a re-read would."""
+        key = os.path.abspath(path)
+        if key not in self._checkpoints:
+            records = ResultsDB.load(path) if Path(path).exists() else ()
+            self._checkpoints[key] = {_checkpoint_key(r): r for r in records}
+        return self._checkpoints[key]
+
+    def open_checkpoint(self, path: str | Path) -> IndexedCheckpointWriter:
+        """An append writer on ``path`` that keeps its index current."""
+        return IndexedCheckpointWriter(path, self.checkpoint_index(path))
 
     def _sync_pool_stats(self) -> None:
         if self.pool is not None:

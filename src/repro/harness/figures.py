@@ -9,13 +9,13 @@ grids (hours).
 
 Every simulation-backed figure builds its whole ``device × app ×
 technique × point`` grid as one job list and evaluates it through the
-batch layer (:mod:`repro.harness.batch`): ``parallel=N`` fans the grid
-across N workers with shared baselines and adaptive chunks, and passing
-one :class:`~repro.harness.batch.BatchEngine` to several figures dedupes
-their overlapping points (Fig 6 and Fig 7 share the LULESH grid).  Without
-an engine each figure builds its own around the given runner, in-process
-unless ``parallel > 1`` or ``config`` asks for workers; the records are
-byte-identical to one ``run_point`` per job either way.
+batch layer (:mod:`repro.harness.batch`): the given
+:class:`~repro.harness.batch.BatchEngine` carries the policy (a pool of
+workers, shared baselines, adaptive chunks), and passing one engine to
+several figures dedupes their overlapping points (Fig 6 and Fig 7 share
+the LULESH grid).  Without an engine each figure builds an in-process one
+around the given runner; the records are byte-identical to one
+``run_point`` per job either way.
 
 The curated candidate grids below were chosen exactly the way the paper's
 users would use the HPAC-Offload harness: sweep, look at the database, keep
@@ -33,7 +33,6 @@ from repro.approx.taf_variants import compare_variants
 from repro.gpusim.device import get_device
 from repro.gpusim.memory import global_memory_fraction_for_tables
 from repro.harness.batch import BatchEngine, BatchJob
-from repro.harness.config import SweepConfig
 from repro.harness.database import ResultsDB
 from repro.harness.metrics import geomean_speedup, r_squared
 from repro.harness.runner import ExperimentRunner, RunRecord
@@ -149,39 +148,18 @@ def candidates(app: str, technique: str, effort: str = "quick") -> list[SweepPoi
 # ---------------------------------------------------------------------------
 # Batch-layer plumbing shared by every simulation-backed figure.
 # ---------------------------------------------------------------------------
-def _executors(
+def _eval(
+    jobs: list[BatchJob],
     runner: ExperimentRunner | None,
     engine: BatchEngine | None,
-    parallel: int,
-    config: SweepConfig | None = None,
-) -> tuple[ExperimentRunner, BatchEngine, bool]:
-    """Resolve the (runner, engine, owned) triple a figure executes on.
-
-    An explicit ``engine`` wins (its runner backs the figure's direct
-    ``app``/``baseline`` needs unless a ``runner`` is also given).
-    Otherwise the runner is wrapped in an engine carrying ``config``, with
-    ``parallel > 1`` workers when the config names none — flagged ``owned``
-    so the figure closes it after the evaluation."""
-    if engine is not None:
-        return (runner or engine.runner), engine, False
-    runner = runner or ExperimentRunner()
-    cfg = config if config is not None else SweepConfig()
-    if parallel and parallel > 1 and cfg.workers <= 1:
-        cfg = cfg.replace(workers=parallel)
-    return runner, BatchEngine(config=cfg, runner=runner), True
-
-
-def _eval(
-    jobs: list[BatchJob], engine: BatchEngine, owned: bool = False
 ) -> list[RunRecord]:
-    """Evaluate a figure's job list on ``engine``; an ``owned`` engine,
-    created for this one evaluation, is closed as soon as the records are
+    """Evaluate a figure's job list on the given engine, or on an
+    in-process one around ``runner`` that is closed once the records are
     in."""
-    try:
+    if engine is not None:
         return engine.run_jobs(jobs)
-    finally:
-        if owned:
-            engine.close()
+    with BatchEngine(runner=runner or ExperimentRunner()) as owned:
+        return owned.run_jobs(jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -265,13 +243,10 @@ def fig6_best_speedup(
     effort: str = "quick",
     runner: ExperimentRunner | None = None,
     engine: BatchEngine | None = None,
-    parallel: int = 0,
-    config: SweepConfig | None = None,
 ) -> Fig6Result:
     """Highest speedup with error < 10% for every benchmark (Fig 6)."""
     apps = apps or FIG6_APPS
     devices = devices or DEVICES
-    runner, engine, owned = _executors(runner, engine, parallel, config)
     cells: list[tuple] = []  # (dkey, app, tech, job offset, count)
     jobs: list[BatchJob] = []
     for dkey, dev in devices.items():
@@ -282,7 +257,7 @@ def fig6_best_speedup(
                 pts = candidates(app, tech, effort)
                 cells.append((dkey, app, tech, len(jobs), len(pts)))
                 jobs.extend(BatchJob(app, dev, pt) for pt in pts)
-    results = _eval(jobs, engine, owned)
+    results = _eval(jobs, runner, engine)
     db = ResultsDB()
     best: dict = {}
     for dkey, app, tech, offset, count in cells:
@@ -345,13 +320,10 @@ def fig7_lulesh(
     effort: str = "quick",
     runner: ExperimentRunner | None = None,
     engine: BatchEngine | None = None,
-    parallel: int = 0,
-    config: SweepConfig | None = None,
 ) -> ScatterResult:
     """LULESH speedup/error scatter for TAF, iACT, perforation (Fig 7)."""
-    runner, engine, owned = _executors(runner, engine, parallel, config)
     cells, jobs = _scatter_jobs("lulesh", ("taf", "iact", "perfo"), effort)
-    records = _slice_cells(cells, _eval(jobs, engine, owned))
+    records = _slice_cells(cells, _eval(jobs, runner, engine))
     return ScatterResult(app="lulesh", records=records)
 
 
@@ -370,11 +342,8 @@ def fig8_binomial(
     items: list[int] | None = None,
     runner: ExperimentRunner | None = None,
     engine: BatchEngine | None = None,
-    parallel: int = 0,
-    config: SweepConfig | None = None,
 ) -> Fig8Result:
     """Binomial Options TAF/iACT results and the Fig-8c trade-off curve."""
-    runner, engine, owned = _executors(runner, engine, parallel, config)
     items = items or [2, 4, 8, 16, 32, 64, 128, 256, 512]
     cells, jobs = _scatter_jobs("binomial", ("taf", "iact"), effort)
     scatter_len = len(jobs)
@@ -383,7 +352,7 @@ def fig8_binomial(
             BatchJob("binomial", dev, _taf(2, 32, 0.3, "team", ipt))
             for ipt in items
         )
-    results = _eval(jobs, engine, owned)
+    results = _eval(jobs, runner, engine)
     records = _slice_cells(cells, results)
     sweep: dict = {}
     offset = scatter_len
@@ -411,15 +380,12 @@ def fig9_leukocyte_minife(
     effort: str = "quick",
     runner: ExperimentRunner | None = None,
     engine: BatchEngine | None = None,
-    parallel: int = 0,
-    config: SweepConfig | None = None,
 ) -> Fig9Result:
-    runner, engine, owned = _executors(runner, engine, parallel, config)
     cells, jobs = _scatter_jobs("leukocyte", ("taf", "iact"), effort)
     scatter_len = len(jobs)
     minife_pts = candidates("minife", "taf", effort)
     jobs.extend(BatchJob("minife", NVIDIA, pt) for pt in minife_pts)
-    results = _eval(jobs, engine, owned)
+    results = _eval(jobs, runner, engine)
     return Fig9Result(
         leukocyte=ScatterResult(
             app="leukocyte", records=_slice_cells(cells, results)
@@ -443,11 +409,11 @@ def fig10_blackscholes(
     thresholds: list[float] | None = None,
     runner: ExperimentRunner | None = None,
     engine: BatchEngine | None = None,
-    parallel: int = 0,
-    config: SweepConfig | None = None,
 ) -> Fig10Result:
     """Blackscholes on AMD (kernel-only) and the Fig-10c threshold study."""
-    runner, engine, owned = _executors(runner, engine, parallel, config)
+    # The study below runs in the parent, on the runner backing the batch.
+    if runner is None:
+        runner = engine.runner if engine is not None else ExperimentRunner()
     thresholds = thresholds or [0.1, 0.3, 0.6, 1.0, 3.0, 20.0]
     cells, jobs = _scatter_jobs("blackscholes", ("taf", "iact"), effort)
     scatter_len = len(jobs)
@@ -455,7 +421,7 @@ def fig10_blackscholes(
     jobs.extend(
         BatchJob("blackscholes", AMD, _taf(5, 512, T, ipt=8)) for T in thresholds
     )
-    results = _eval(jobs, engine, owned)
+    results = _eval(jobs, runner, engine)
     records = _slice_cells(cells, results)
     study = {}
     # The quantile comparison needs the raw QoI vectors, not records, so it
@@ -494,11 +460,8 @@ def fig11_lavamd(
     thresholds: list[float] | None = None,
     runner: ExperimentRunner | None = None,
     engine: BatchEngine | None = None,
-    parallel: int = 0,
-    config: SweepConfig | None = None,
 ) -> Fig11Result:
     """LavaMD TAF/iACT results and the warp-vs-thread pairing of Fig 11c."""
-    runner, engine, owned = _executors(runner, engine, parallel, config)
     thresholds = thresholds or [0.008, 0.009, 0.01, 0.012]
     cells, jobs = _scatter_jobs("lavamd", ("taf", "iact"), effort)
     scatter_len = len(jobs)
@@ -506,7 +469,7 @@ def fig11_lavamd(
     for T, h, ps in combos:
         jobs.append(BatchJob("lavamd", AMD, _taf(h, ps, T, "thread", 1)))
         jobs.append(BatchJob("lavamd", AMD, _taf(h, ps, T, "warp", 1)))
-    results = _eval(jobs, engine, owned)
+    results = _eval(jobs, runner, engine)
     pairs = []
     for i, (T, h, ps) in enumerate(combos):
         t_rec = results[scatter_len + 2 * i]
@@ -541,12 +504,9 @@ def fig12_kmeans(
     effort: str = "quick",
     runner: ExperimentRunner | None = None,
     engine: BatchEngine | None = None,
-    parallel: int = 0,
-    config: SweepConfig | None = None,
 ) -> Fig12Result:
-    runner, engine, owned = _executors(runner, engine, parallel, config)
     cells, jobs = _scatter_jobs("kmeans", ("taf", "iact"), effort)
-    records = _slice_cells(cells, _eval(jobs, engine, owned))
+    records = _slice_cells(cells, _eval(jobs, runner, engine))
     points = []
     for recs in records.values():
         for r in recs:

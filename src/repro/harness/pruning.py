@@ -44,7 +44,7 @@ from typing import Iterable
 
 from repro.gpusim.device import DeviceSpec, get_device
 from repro.harness.config import SweepConfig
-from repro.harness.database import CheckpointWriter, ResultsDB, _decode, _encode
+from repro.harness.database import _decode, _encode
 from repro.harness.runner import RunRecord
 from repro.harness.sweep import LEVEL_ORDER, SweepPoint
 
@@ -374,10 +374,10 @@ def run_sweep_pruned(
     the unpruned sweep's — pruning only substitutes rows for points it
     skips.
 
-    ``config.checkpoint`` is managed *here* (loaded once for resume, each
-    decided row appended in wave order); waves are submitted with the
-    checkpoint stripped from their config so the engine does not
-    double-write.
+    ``config.checkpoint`` is managed *here* (resumed from the engine's
+    index of the file, each decided row appended in wave order and added
+    to that index); waves are submitted with the checkpoint stripped from
+    their config so the engine does not double-write.
     """
     from repro.harness.batch import BatchJob, BatchReport
 
@@ -394,18 +394,14 @@ def run_sweep_pruned(
     # Resume: checkpoint rows (evaluated, preflight, and prior pruned rows
     # alike) are trusted decisions.
     decided: dict[str, RunRecord] = {}
-    if cfg.checkpoint is not None and Path(cfg.checkpoint).exists():
-        for rec in ResultsDB.load(cfg.checkpoint).query(feasible=None):
-            if rec.app != app or rec.device != dev_name:
-                continue
-            label = SweepPoint.of_record(rec).label()
-            if label in unique:
-                decided[label] = rec
+    writer = None
+    if cfg.checkpoint is not None:
+        writer = engine.open_checkpoint(cfg.checkpoint)
+        for label in unique:
+            if (app, dev_name, label) in writer.index:
+                decided[label] = writer.index[(app, dev_name, label)]
     skipped = len(decided)
 
-    writer = (
-        CheckpointWriter(cfg.checkpoint) if cfg.checkpoint is not None else None
-    )
     # Waves run without the checkpoint (managed here) and without prune
     # (pruning is this driver).
     wave_cfg = cfg.replace(checkpoint=None, prune=False)

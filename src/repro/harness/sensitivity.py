@@ -58,7 +58,7 @@ def analyze_sensitivity(
     returns reports sorted most-amenable (least sensitive) first — the
     order in which a user should spend their approximation budget.
     """
-    ipt = items_per_thread or app.baseline_items_per_thread or 1
+    ipt = app.resolve_items_per_thread(items_per_thread)
     baseline = app.run(device, regions=None, items_per_thread=ipt, seed=seed)
     out: list[SiteSensitivity] = []
     for site in app.sites():
