@@ -79,18 +79,18 @@ def _technique_kwargs(args) -> dict:
 
 def cmd_run(args) -> int:
     from repro import api
-    from repro.harness.runner import ExperimentRunner
+    from repro.harness.batch import BatchEngine
 
     request = _request(api.PointRequest, args, params=_technique_kwargs(args))
-    runner = ExperimentRunner(seed=request.seed)
-    app = runner.app(request.app)
-    baseline = runner.baseline(request.app, request.device)
-    print(f"{request.app} on {request.device}: accurate "
-          f"{baseline.seconds * 1e3:.3f} ms end-to-end "
-          f"({baseline.kernel_seconds * 1e3:.3f} ms kernels)")
-    if request.technique == "none":
-        return 0
-    res = api.run_point(request=request, runner=runner).record
+    with BatchEngine(seed=request.seed) as engine:
+        app = engine.runner.app(request.app)
+        baseline = engine.runner.baseline(request.app, request.device)
+        print(f"{request.app} on {request.device}: accurate "
+              f"{baseline.seconds * 1e3:.3f} ms end-to-end "
+              f"({baseline.kernel_seconds * 1e3:.3f} ms kernels)")
+        if request.technique == "none":
+            return 0
+        res = api.run_point(request=request, engine=engine).record
     if not res.feasible:
         print(f"{request.technique}: infeasible — {res.note}")
         return 1
@@ -414,7 +414,9 @@ def main(argv: list[str] | None = None) -> int:
         description="HPAC-Offload reproduction CLI",
     )
     parser.add_argument("--seed", type=int, default=SUPPRESS,
-                        help="default: the request's (2023; search: 7)")
+                        help="simulation seed (default 2023); for search, "
+                             "the sampling seed (default 7), while "
+                             "simulation uses the engine's seed, 2023")
     sub = parser.add_subparsers(dest="command", required=True)
     app = _shared("app")
     device = _shared("--device", default=SUPPRESS)
@@ -444,9 +446,6 @@ def main(argv: list[str] | None = None) -> int:
                               "resume from (skips recorded points)")
     p_sweep.add_argument("--retries", type=int, default=SUPPRESS,
                          help="retries per point on unexpected worker errors")
-    p_sweep.add_argument("--chunk-size", type=int, default=SUPPRESS,
-                         help="pin points per worker chunk (default: sized "
-                              "adaptively from observed throughput)")
     p_sweep.add_argument("--progress", action="store_true", default=SUPPRESS,
                          help="print a throughput/ETA line per completed "
                               "chunk (per point in-process)")

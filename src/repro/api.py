@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING, Iterable
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.harness.batch import BatchEngine, BatchReport, EngineStats
     from repro.harness.config import SweepConfig
-    from repro.harness.runner import ExperimentRunner, RunRecord
+    from repro.harness.runner import RunRecord
     from repro.harness.sweep import SweepPoint
 
 #: Version stamp carried by every request dataclass in this module.
@@ -164,6 +164,8 @@ class SearchRequest(_Request):
     population: int = 3
     threshold_scale: float = 1.0
     space: tuple | None = None
+    #: Sampling seed of the search strategy.  Simulation uses the engine's
+    #: seed (2023 by default), not this one.
     seed: int = 7
     problems: dict | None = None
     version: int = API_VERSION
@@ -275,7 +277,8 @@ def run_point(
     *args,
     request: PointRequest | None = None,
     point: "SweepPoint | None" = None,
-    runner: "ExperimentRunner | None" = None,
+    config: "SweepConfig | None" = None,
+    engine: "BatchEngine | None" = None,
     **fields,
 ) -> PointResult:
     """Evaluate one configuration; returns a :class:`PointResult`.
@@ -283,20 +286,23 @@ def run_point(
     ``run_point(*args, **fields)`` evaluates ``PointRequest(*args,
     **fields)``; or pass a ready ``request``.  A ready
     :class:`~repro.harness.sweep.SweepPoint` in ``point`` replaces the
-    request's technique/params/level/items per thread.  The
+    request's technique/params/level/items per thread.  The point is a
+    one-point sweep, so ``config`` and ``engine`` mean what they mean for
+    :func:`sweep`; ``request.sanitize`` runs it under ApproxSan.  The
     :class:`~repro.harness.runner.RunRecord` is ``result.record``."""
-    from repro.harness.runner import ExperimentRunner
+    from repro.harness.batch import run_sweep_parallel
+    from repro.harness.config import SweepConfig
 
     request = _build(PointRequest, request, args, fields)
     pt = point if point is not None else request.resolve_point()
-    runner = runner or ExperimentRunner(
-        problems=request.problems, seed=request.seed
+    if request.sanitize:
+        config = (config or SweepConfig()).replace(sanitize=True)
+    report = run_sweep_parallel(
+        request.app, request.device, [pt],
+        site=request.site, problems=request.problems, seed=request.seed,
+        config=config, engine=engine,
     )
-    record = runner.run_point(
-        request.app, request.device, pt,
-        site=request.site, sanitize=request.sanitize,
-    )
-    return PointResult(record=record, request=request)
+    return PointResult(record=report.records[0], request=request)
 
 
 def sweep(
@@ -440,7 +446,7 @@ def execute(
     ``execute`` it, print ``render_json()`` or the human rendering, exit
     with ``exit_code``."""
     if isinstance(request, PointRequest):
-        return run_point(request=request)
+        return run_point(request=request, config=config, engine=engine)
     if isinstance(request, SweepRequest):
         return sweep(request=request, config=config, engine=engine)
     if isinstance(request, SearchRequest):

@@ -7,8 +7,9 @@ cache keyed by the checkpoint label space, and — for ``workers > 1`` — one
 kept-alive :class:`WorkerPool`.  ``submit`` returns a :class:`BatchStream`
 that serves every slot it can without simulating (the engine cache, the
 checkpoint, the static preflight, the variant cache, duplicates of an
-earlier slot), then evaluates the rest — one job per step in-process,
-adaptively-sized chunks on a pool — and yields records as they complete.
+earlier slot), then evaluates the rest in chunks — one job each
+in-process, adaptively sized on a pool — and yields records as they
+complete.
 The blocking helpers (:meth:`BatchEngine.run_jobs`,
 :meth:`BatchEngine.run_point`, :func:`run_sweep_parallel`) are drains of
 the same stream, so streamed and blocking record sets are identical by
@@ -92,7 +93,8 @@ class BatchReport:
     reused: int = 0
     #: Unique (app, device) baselines computed in the parent for sharing.
     baseline_runs: int = 0
-    #: Baselines computed inside pool workers (0 when sharing works).
+    #: Baselines the evaluating runners computed themselves, in pool
+    #: workers or in-process (0 when sharing works).
     worker_baseline_runs: int = 0
     elapsed: float = 0.0
     checkpoint: str | None = None
@@ -131,8 +133,6 @@ class AdaptiveChunker:
         self.max_size = max_size
         self.smoothing = smoothing
         self.rates: dict = {}
-        #: (group, points, seconds) per observed chunk, for introspection.
-        self.log: list[tuple] = []
 
     def next_size(self, group=None) -> int:
         rate = self.rates.get(group)
@@ -150,11 +150,10 @@ class AdaptiveChunker:
             rate if prev is None
             else self.smoothing * rate + (1.0 - self.smoothing) * prev
         )
-        self.log.append((group, points, seconds))
 
 
 # ----------------------------------------------------------------------
-# Retry wrapper.  Shared by the serial and worker paths.
+# Retry wrapper.  Shared by in-process and pool evaluation.
 def run_point_with_retry(
     runner,
     app: str,
@@ -177,8 +176,9 @@ def run_point_with_retry(
     unexpected exception can leave the per-process runner's baseline/app
     caches or region state half-mutated, and retrying on the poisoned
     instance can fail for the wrong reason.  The callable should also
-    update whatever slot the caller reuses across points (the worker
-    global, a closure variable) so later points get the fresh instance."""
+    update whatever slot the caller reuses across points (the
+    :class:`_WorkerState`, a closure variable) so later points get the
+    fresh instance."""
     # ``sanitize`` is forwarded only when set, so stub runners whose
     # run_point lacks the keyword keep working.
     kwargs = {"sanitize": True} if sanitize else {}
@@ -193,6 +193,16 @@ def run_point_with_retry(
             return runner.run_point(app, device, point, site=site, **kwargs)
         except Exception as exc:  # noqa: BLE001 — sweep must survive anything
             last = exc
+    return _failed_record(
+        app, device, point,
+        f"WorkerError after {retries + 1} attempts: {type(last).__name__}: {last}",
+    )
+
+
+def _failed_record(
+    app: str, device: str | DeviceSpec, point: SweepPoint, note: str
+) -> RunRecord:
+    """Infeasible record for a point lost to errors or pool crashes."""
     return RunRecord(
         app=app,
         device=get_device(device).name,
@@ -201,20 +211,8 @@ def run_point_with_retry(
         level=point.level,
         items_per_thread=point.items_per_thread,
         feasible=False,
-        note=(
-            f"WorkerError after {retries + 1} attempts: "
-            f"{type(last).__name__}: {last}"
-        ),
+        note=note,
     )
-
-
-def _window(runner) -> ThresholdWindow | None:
-    """The threshold window of ``runner``'s last ``run_point``.
-
-    Read after :func:`run_point_with_retry` from the runner it left in
-    place (a retry may have rebuilt it).  ``run_point`` resets the window
-    first, so a failed attempt never leaves a stale one behind."""
-    return getattr(runner, "last_window", None)
 
 
 def _checkpoint_key(record: RunRecord) -> tuple:
@@ -235,86 +233,79 @@ class IndexedCheckpointWriter(CheckpointWriter):
         self.index.update((_checkpoint_key(rec), rec) for rec in records)
 
 
-def _crash_record(job: BatchJob, why: str) -> RunRecord:
-    """Infeasible record for a job lost to repeated pool crashes."""
-    return RunRecord(
-        app=job.app,
-        device=get_device(job.device).name,
-        technique=job.point.technique,
-        params=dict(job.point.params),
-        level=job.point.level,
-        items_per_thread=job.point.items_per_thread,
-        feasible=False,
-        note=f"WorkerCrash: {why}",
-    )
-
-
 # ----------------------------------------------------------------------
-# Worker side.  Each pool process builds one runner in its initializer and
-# reuses it for every chunk; baselines arrive *with the chunks* (a
-# persistent pool outlives any single batch's baseline set) and accumulate
-# in ``_BATCH_BASELINES`` so a retry rebuild re-primes everything seen.
-_BATCH_FACTORY: Callable | None = None
-_BATCH_ARGS: tuple = ()
-_BATCH_BASELINES: dict = {}
-_BATCH_RUNNER = None
-_BATCH_RETIRED_COMPUTES = 0
+class _WorkerState:
+    """The runner that evaluates chunks, and what rebuilding it needs.
+
+    A pool worker holds one in :data:`_WORKER` for its whole life; an
+    in-process stream wraps the engine's runner in one of its own.  Both
+    get a chunk's group baselines with the chunk (a persistent pool
+    outlives any one batch's baseline set); they accumulate in
+    ``baselines``, so a retry rebuild re-primes every baseline seen."""
+
+    def __init__(self, factory: Callable, args: tuple, runner=None) -> None:
+        self.factory, self.args = factory, args
+        self.baselines: dict = {}
+        #: Baseline computes of runners a rebuild replaced.
+        self.retired_computes = 0
+        self.runner = runner
+        if runner is None:
+            self.rebuild()
+
+    def rebuild(self):
+        """Replace a possibly-poisoned runner with a fresh, primed one."""
+        self.retired_computes += getattr(self.runner, "baseline_computes", 0)
+        self.runner = self.factory(*self.args)
+        if self.baselines and hasattr(self.runner, "prime_baselines"):
+            self.runner.prime_baselines(self.baselines)
+        return self.runner
+
+    def _computes(self) -> int:
+        return self.retired_computes + getattr(self.runner, "baseline_computes", 0)
+
+    def run(
+        self,
+        chunk: list[BatchJob],
+        retries: int,
+        baselines: dict | None,
+        sanitize: bool,
+    ) -> tuple[list, float, int, list]:
+        """Run one heterogeneous chunk; returns (records, seconds, baseline
+        computes, threshold windows).
+
+        ``seconds`` is measured where the chunk runs, so the adaptive
+        controller sees compute time, not queue wait.  Each window is read
+        from the runner a retry may have rebuilt; ``run_point`` resets it
+        first, so a failed attempt never leaves a stale one behind."""
+        if baselines:
+            self.baselines.update(baselines)
+            if hasattr(self.runner, "prime_baselines"):
+                self.runner.prime_baselines(baselines)
+        before = self._computes()
+        t0 = time.monotonic()
+        records, windows = [], []
+        for job in chunk:
+            records.append(run_point_with_retry(
+                self.runner, job.app, job.device, job.point, site=job.site,
+                retries=retries, rebuild=self.rebuild, sanitize=sanitize,
+            ))
+            windows.append(getattr(self.runner, "last_window", None))
+        return records, time.monotonic() - t0, self._computes() - before, windows
 
 
-def _build_worker_runner():
-    runner = _BATCH_FACTORY(*_BATCH_ARGS)
-    if _BATCH_BASELINES and hasattr(runner, "prime_baselines"):
-        runner.prime_baselines(_BATCH_BASELINES)
-    return runner
-
-
-def _rebuild_batch_runner():
-    """Replace a possibly-poisoned worker runner with a fresh, primed one."""
-    global _BATCH_RUNNER, _BATCH_RETIRED_COMPUTES
-    _BATCH_RETIRED_COMPUTES += getattr(_BATCH_RUNNER, "baseline_computes", 0)
-    _BATCH_RUNNER = _build_worker_runner()
-    return _BATCH_RUNNER
+#: This pool worker's state, set by the pool initializer.
+_WORKER: _WorkerState | None = None
 
 
 def _init_batch_worker(factory: Callable, args: tuple) -> None:
-    global _BATCH_FACTORY, _BATCH_ARGS, _BATCH_BASELINES
-    _BATCH_FACTORY, _BATCH_ARGS, _BATCH_BASELINES = factory, args, {}
-    _rebuild_batch_runner()
+    global _WORKER
+    _WORKER = _WorkerState(factory, args)
 
 
-def _worker_baseline_computes() -> int:
-    return _BATCH_RETIRED_COMPUTES + getattr(_BATCH_RUNNER, "baseline_computes", 0)
-
-
-def _run_chunk(
-    chunk: list[tuple],
-    retries: int,
-    baselines: dict | None = None,
-    sanitize: bool = False,
-) -> tuple[list, float, int, list]:
-    """Run one heterogeneous chunk; returns (records, seconds, baseline
-    runs, windows).
-
-    ``seconds`` is measured in the worker so the adaptive controller sees
-    compute time, not queue wait."""
-    assert _BATCH_RUNNER is not None, "pool initializer did not run"
-    if baselines:
-        _BATCH_BASELINES.update(baselines)
-        if hasattr(_BATCH_RUNNER, "prime_baselines"):
-            _BATCH_RUNNER.prime_baselines(baselines)
-    before = _worker_baseline_computes()
-    t0 = time.monotonic()
-    records, windows = [], []
-    for app, device, point, site in chunk:
-        records.append(run_point_with_retry(
-            _BATCH_RUNNER, app, device, point, site=site,
-            retries=retries, rebuild=_rebuild_batch_runner, sanitize=sanitize,
-        ))
-        windows.append(_window(_BATCH_RUNNER))
-    return (
-        records, time.monotonic() - t0, _worker_baseline_computes() - before,
-        windows,
-    )
+def _run_chunk(*args) -> tuple[list, float, int, list]:
+    """Pool entry point: :meth:`_WorkerState.run` on this worker's state."""
+    assert _WORKER is not None, "pool initializer did not run"
+    return _WORKER.run(*args)
 
 
 # ----------------------------------------------------------------------
@@ -341,10 +332,6 @@ class WorkerPool:
         self.spawns = 0
         self.respawns = 0
         self._executor: ProcessPoolExecutor | None = None
-
-    @property
-    def alive(self) -> bool:
-        return self._executor is not None
 
     def _ensure(self) -> ProcessPoolExecutor:
         if self._executor is None:
@@ -497,15 +484,17 @@ class BatchStream:
     (stock runner only) and served from a sibling when its threshold and
     items per thread cannot change a single decision.  Those
     early-resolved slots yield first, in job order; fresh evaluations
-    yield as they complete — in-process one job per step, on a pool per
-    chunk — while checkpoint writes and progress callbacks absorb them, so
-    a consumer overlaps its own work with the pool's.  :meth:`records` /
+    yield as their chunk completes — one job per chunk in-process,
+    adaptively sized on a pool — while checkpoint writes and progress
+    callbacks absorb them, so a consumer overlaps its own work with the
+    pool's.  :meth:`records` /
     :meth:`report` drain the stream and return the job-ordered result,
     byte-identical to a blocking run.
 
     ``config.workers > 1`` runs on the engine's kept-alive pool (or on a
     transient pool of the stream's own when the engine has none); otherwise
-    jobs run in-process on the engine's runner.
+    jobs run in-process on the engine's runner.  Both complete chunks
+    through the same :meth:`_complete`.
     """
 
     def __init__(
@@ -520,7 +509,7 @@ class BatchStream:
         self._t0 = time.monotonic()
         stock = engine.runner_factory is None
 
-        self._slot_keys = [engine._key(job) for job in self.jobs]
+        self._slot_keys = [engine._key(job, cfg.sanitize) for job in self.jobs]
         self._slots_by_key: dict[tuple, list[int]] = {}
         for idx, key in enumerate(self._slot_keys):
             self._slots_by_key.setdefault(key, []).append(idx)
@@ -578,15 +567,9 @@ class BatchStream:
         # served without simulating.  Only sound for the stock runner — a
         # custom runner_factory may not be content-deterministic.
         self.variant_hits = 0
-        self._vcache = None
+        self._vcache = cfg.variant_cache if stock else None
         self._vkeys: dict[tuple, str] = {}
         vhits: list[tuple[tuple, RunRecord]] = []
-        if stock:
-            self._vcache = engine.variant_cache
-            if self._vcache is None and cfg.variant_cache is not None:
-                from repro.harness.pruning import resolve_variant_cache
-
-                self._vcache = resolve_variant_cache(cfg.variant_cache)
         if self._vcache is not None:
             fresh_pending: OrderedDict[tuple, BatchJob] = OrderedDict()
             for key, job in pending.items():
@@ -626,15 +609,10 @@ class BatchStream:
                 if pair in pairs:
                     self._group_baselines.setdefault(pair, {})[cache_key] = result
 
-        if cfg.progress is True:
-            def report_progress(p: SweepProgress) -> None:
-                print(format_progress(p), file=sys.stderr)
-
-            self._report_progress = report_progress
-        elif callable(cfg.progress):
-            self._report_progress = cfg.progress
-        else:
-            self._report_progress = None
+        progress = cfg.progress
+        if progress is True:
+            progress = lambda p: print(format_progress(p), file=sys.stderr)  # noqa: E731
+        self._report_progress = progress if callable(progress) else None
 
         self._writer = (
             engine.open_checkpoint(cfg.checkpoint)
@@ -649,20 +627,15 @@ class BatchStream:
         self._ready: deque[int] = deque()
         for key in list(self._done):
             self._notify(key, self._done[key])
-        if pruned:
-            if self._writer is not None:
-                self._writer.write([rec for _key, rec in pruned])
-            for key, rec in pruned:
-                self._done[key] = rec
-                self._notify(key, rec)
-        if vhits:
-            # Variant-cache hits come from other campaigns' caches, so they
-            # are written into *this* checkpoint to keep it self-contained.
-            if self._writer is not None:
-                self._writer.write([rec for _key, rec in vhits])
-            for key, rec in vhits:
-                self._done[key] = rec
-                self._notify(key, rec)
+        # Preflight rows, then variant-cache hits (from other campaigns'
+        # caches), are written into *this* checkpoint to keep it
+        # self-contained.
+        early = pruned + vhits
+        if early and self._writer is not None:
+            self._writer.write([rec for _key, rec in early])
+        for key, rec in early:
+            self._done[key] = rec
+            self._notify(key, rec)
 
         # Sibling reuse is exact only for the content-deterministic
         # stock runner, like the variant cache.
@@ -677,15 +650,15 @@ class BatchStream:
 
         # Group pending jobs by (app, device), taken round-robin: the
         # adaptive controller's unit of throughput on a pool, and the
-        # worker's unit of app-cache locality.
+        # runner's unit of app-cache locality.
         self._chunker = AdaptiveChunker(target_seconds=TARGET_CHUNK_SECONDS)
         self._groups: OrderedDict[tuple, deque] = OrderedDict()
         for key, job in pending.items():
             self._groups.setdefault((job.app, key[1]), deque()).append((key, job))
         self._total_pending = len(pending)
         #: Points not yet dispatched, and ``(chunk points, points not yet
-        #: dispatched before it)`` per chunk (one job in-process), in
-        #: dispatch order.
+        #: dispatched when it was sized)`` per chunk (one job in-process),
+        #: in dispatch order.
         self._undispatched = len(pending)
         self.dispatch_log: list[tuple[int, int]] = []
 
@@ -694,7 +667,7 @@ class BatchStream:
         self._respawns_left = MAX_POOL_RESPAWNS
         self._pool: WorkerPool | None = None
         self._owns_pool = False
-        self._runner = engine.runner
+        self._local: _WorkerState | None = None
         if self._workers > 1 and pending:
             self._pool = engine.pool
             if self._pool is None:
@@ -702,26 +675,16 @@ class BatchStream:
                     self._workers, engine._factory, engine.factory_args
                 )
                 self._owns_pool = True
+        else:
+            self._local = _WorkerState(
+                engine._factory, engine.factory_args, engine.runner
+            )
         self._yielded = 0
         self._finished = False
         if self._pool is not None:
             self._fill()
 
     # -- bookkeeping ----------------------------------------------------
-    def _reuse(self, key: tuple, job: BatchJob) -> RunRecord | None:
-        """The job's record served by sibling reuse, or ``None``."""
-        mkey = self._memo_keys.get(key)
-        rec = None if mkey is None else self._memo.get(mkey, job.point)
-        self.reused += rec is not None
-        return rec
-
-    def _remember(
-        self, key: tuple, record: RunRecord, window: ThresholdWindow | None
-    ) -> None:
-        mkey = self._memo_keys.get(key)
-        if mkey is not None:
-            self._memo.put(mkey, record, window)
-
     def _notify(self, key: tuple, record: RunRecord) -> None:
         self._ready.extend(self._slots_by_key.get(key, ()))
         self._engine._cache[key] = record
@@ -756,64 +719,51 @@ class BatchStream:
                 )
             )
 
-    def _rotate(self, group: tuple) -> None:
-        """Send ``group`` to the back of the round-robin, or drop it empty."""
-        if self._groups[group]:
+    def _next_chunk(self) -> tuple[tuple, list[tuple], list[BatchJob]]:
+        """Pop the next chunk ``(group, keys, jobs)``, round-robin across
+        groups for fair mixing.  Popped jobs that sibling reuse can serve
+        are absorbed here, right before the chunk would run them."""
+        group = next(iter(self._groups))
+        queue = self._groups[group]
+        left = self._undispatched
+        # In-process there is no IPC to amortize: one job per chunk, so
+        # progress and checkpoint writes follow every point.  A pool uses
+        # guided self-scheduling: never more than an even share of what is
+        # left, so every worker gets part of a short stream and the tail
+        # shrinks geometrically.
+        size = 1 if self._pool is None else min(
+            self._chunker.next_size(group), -(-left // self._workers)
+        )
+        keys, jobs = [], []
+        while queue and len(jobs) < size:
+            key, job = queue.popleft()
+            self._undispatched -= 1
+            mkey = self._memo_keys.get(key)
+            rec = None if mkey is None else self._memo.get(mkey, job.point)
+            if rec is None:
+                keys.append(key)
+                jobs.append(job)
+            else:
+                self.reused += 1
+                self._absorb([key], [rec])
+        if jobs:
+            self.dispatch_log.append((len(jobs), left))
+        # Send the group to the back of the round-robin, or drop it empty.
+        if queue:
             self._groups.move_to_end(group)
         else:
             del self._groups[group]
-
-    def _next_chunk(self) -> tuple[tuple | None, list]:
-        """Pop the next pool chunk, round-robin across groups for fair
-        mixing.  Popped jobs that sibling reuse can serve are absorbed here
-        instead of dispatched."""
-        if not self._groups:
-            return None, []
-        group = next(iter(self._groups))
-        queue = self._groups[group]
-        size = self.config.chunk_size
-        if not size:
-            # Guided self-scheduling: never more than an even share of
-            # what is left, so every worker gets part of a short stream
-            # and the tail shrinks geometrically.
-            size = min(
-                self._chunker.next_size(group),
-                -(-self._undispatched // self._workers),
-            )
-        chunk: list = []
-        served: list = []
-        while queue and len(chunk) < size:
-            key, job = queue.popleft()
-            rec = self._reuse(key, job)
-            if rec is None:
-                chunk.append((key, job))
-            else:
-                served.append((key, rec))
-        if chunk:
-            self.dispatch_log.append((len(chunk), self._undispatched))
-        self._undispatched -= len(chunk) + len(served)
-        if served:
-            self._absorb([key for key, _rec in served], [rec for _key, rec in served])
-        self._rotate(group)
-        return group, chunk
+        return group, keys, jobs
 
     # -- dispatch -------------------------------------------------------
-    def _rebuild_runner(self):
-        """Replace a possibly-poisoned in-process runner (for retries)."""
-        engine = self._engine
-        self._runner = engine._factory(*engine.factory_args)
-        if hasattr(self._runner, "prime_baselines"):
-            for entry in self._group_baselines.values():
-                self._runner.prime_baselines(entry)
-        return self._runner
+    def _run_args(self, group: tuple, jobs: list[BatchJob]) -> tuple:
+        """Arguments of :meth:`_WorkerState.run` for one chunk of ``group``."""
+        cfg = self.config
+        return jobs, cfg.retries, self._group_baselines.get(group), cfg.sanitize
 
     def _dispatch(self, group: tuple, keys: list[tuple], jobs: list[BatchJob]) -> None:
-        payload = [(job.app, job.device, job.point, job.site) for job in jobs]
         try:
-            fut = self._pool.submit(
-                _run_chunk, payload, self.config.retries,
-                self._group_baselines.get(group), self.config.sanitize,
-            )
+            fut = self._pool.submit(_run_chunk, *self._run_args(group, jobs))
         except Exception:  # noqa: BLE001 — broken pool surfaces at submit too
             self._recover([(group, keys, jobs, self._pool.spawns)])
             return
@@ -822,11 +772,9 @@ class BatchStream:
     def _fill(self) -> None:
         """Dispatch chunks until every worker has one in flight."""
         while len(self._inflight) < self._workers and self._groups:
-            group, chunk = self._next_chunk()
-            if chunk:
-                self._dispatch(
-                    group, [key for key, _job in chunk], [job for _key, job in chunk]
-                )
+            group, keys, jobs = self._next_chunk()
+            if jobs:
+                self._dispatch(group, keys, jobs)
 
     def _recover(self, casualties: list[tuple]) -> None:
         """Respawn a broken pool and re-run its lost chunks (budgeted).
@@ -842,35 +790,39 @@ class BatchStream:
                 self._dispatch(group, keys, jobs)
         else:
             why = (
-                f"process pool broke {MAX_POOL_RESPAWNS + 1} times; "
-                f"chunk abandoned"
+                f"WorkerCrash: process pool broke {MAX_POOL_RESPAWNS + 1} "
+                f"times; chunk abandoned"
             )
             for _group, keys, jobs, _gen in casualties:
-                self._absorb(keys, [_crash_record(j, why) for j in jobs])
+                self._absorb(keys, [
+                    _failed_record(j.app, j.device, j.point, why) for j in jobs
+                ])
+
+    def _complete(self, group: tuple, keys: list[tuple], result: tuple) -> None:
+        """Absorb one evaluated chunk: what :meth:`_WorkerState.run`
+        returned, in-process or in a pool worker."""
+        records, seconds, computes, windows = result
+        for key, rec, window in zip(keys, records, windows):
+            mkey = self._memo_keys.get(key)
+            if mkey is not None:
+                self._memo.put(mkey, rec, window)
+        self.worker_baseline_runs += computes
+        if self._pool is not None:  # only pool chunks are sized
+            self._chunker.observe(group, len(keys), seconds)
+        self._absorb(keys, records)
 
     def _pump(self) -> bool:
         """Advance the batch one step; False when no work remains."""
         if self._finished:
             return False
         if self._pool is None:
-            # In-process there is no IPC to amortize: one job per step, so
-            # progress and checkpoint writes follow every point.
             if not self._groups:
                 return False
-            group = next(iter(self._groups))
-            key, job = self._groups[group].popleft()
-            self._rotate(group)
-            rec = self._reuse(key, job)
-            if rec is None:
-                self.dispatch_log.append((1, self._undispatched))
-                rec = run_point_with_retry(
-                    self._runner, job.app, job.device, job.point,
-                    site=job.site, retries=self.config.retries,
-                    rebuild=self._rebuild_runner, sanitize=self.config.sanitize,
+            group, keys, jobs = self._next_chunk()
+            if jobs:
+                self._complete(
+                    group, keys, self._local.run(*self._run_args(group, jobs))
                 )
-                self._remember(key, rec, _window(self._runner))
-            self._undispatched -= 1
-            self._absorb([key], [rec])
             return True
         self._fill()
         if not self._inflight:
@@ -880,15 +832,11 @@ class BatchStream:
         for fut in finished:
             group, keys, jobs, gen = self._inflight.pop(fut)
             try:
-                records, seconds, computes, windows = fut.result()
+                result = fut.result()
             except Exception:  # noqa: BLE001 — a dead worker breaks the pool
                 casualties.append((group, keys, jobs, gen))
                 continue
-            for key, rec, window in zip(keys, records, windows):
-                self._remember(key, rec, window)
-            self.worker_baseline_runs += computes
-            self._chunker.observe(group, len(keys), seconds)
-            self._absorb(keys, records)
+            self._complete(group, keys, result)
         if casualties:
             self._recover(casualties)
         return True
@@ -947,7 +895,6 @@ class BatchStream:
                 if self.config.checkpoint is not None else None
             ),
             extra={
-                "chunk_log": list(self._chunker.log),
                 "dispatch_log": list(self.dispatch_log),
                 "pool_respawns": self.pool_respawns,
             },
@@ -1021,7 +968,8 @@ class EngineStats:
     variant_hits: int = 0
     #: Unique (app, device) baselines computed, session-wide.
     baseline_runs: int = 0
-    #: Baselines recomputed inside workers (0 when sharing works).
+    #: Baselines recomputed by the evaluating runners (0 when sharing
+    #: works).
     worker_baseline_runs: int = 0
     #: Process pools spawned for this engine (1 for a whole session once
     #: warm; crash respawns add to it).
@@ -1074,11 +1022,6 @@ class BatchEngine:
         )
         self.runner = runner or self._factory(*self.factory_args)
         self.stats = EngineStats()
-        self.variant_cache = None
-        if self.config.variant_cache is not None:
-            from repro.harness.pruning import resolve_variant_cache
-
-            self.variant_cache = resolve_variant_cache(self.config.variant_cache)
         self._cache: dict[tuple, RunRecord] = {}
         self._checkpoints: dict[str, dict[tuple, RunRecord]] = {}
         #: Windows of this engine's simulated TAF/iACT/perforation points.
@@ -1106,10 +1049,10 @@ class BatchEngine:
                 f"seed={self.seed!r}"
             )
 
-    def _key(self, job: BatchJob) -> tuple:
-        """Job identity ``(app, device name, point label, site)``; the first
-        three fields are the checkpoint label space (device presets
-        memoized)."""
+    def _key(self, job: BatchJob, sanitize: bool) -> tuple:
+        """Job identity ``(app, device name, point label, site, sanitize)``;
+        the first three fields are the checkpoint label space (device
+        presets memoized)."""
         if isinstance(job.device, DeviceSpec):
             name = job.device.name
         else:
@@ -1117,7 +1060,7 @@ class BatchEngine:
             if name is None:
                 name = get_device(job.device).name
                 self._dev_names[job.device] = name
-        return (job.app, name, job.point.label(), job.site)
+        return (job.app, name, job.point.label(), job.site, bool(sanitize))
 
     def checkpoint_index(self, path: str | Path) -> dict[tuple, RunRecord]:
         """The checkpoint at ``path`` as ``(app, device name, point label)
@@ -1144,9 +1087,10 @@ class BatchEngine:
     ) -> BatchStream:
         """Start evaluating ``jobs``; returns a stream of their records.
 
-        Identity of a job is ``(app, device name, point label, site)``, so
-        duplicate jobs evaluate once and records of earlier calls on this
-        engine are reused, each only for the same ``site`` override.
+        Identity of a job is ``(app, device name, point label, site)`` plus
+        ``config.sanitize``, so duplicate jobs evaluate once and records of
+        earlier calls on this engine are reused, each only for the same
+        ``site`` override and sanitize flag.
         ``checkpoint`` (a JSONL or ``.jsonl.gz`` file, shared across any mix
         of apps and devices) satisfies previously-run jobs without
         simulating; it matches by ``(app, device name, point label)``

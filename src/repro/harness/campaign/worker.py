@@ -26,6 +26,7 @@ Crash tolerance is the lease protocol's job, not the worker's:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 from repro.harness.batch import BatchEngine, BatchJob
@@ -160,37 +161,39 @@ class CampaignWorker:
 
         Points whose labels the shard file already holds (a predecessor's
         work) are re-emitted under our fence without re-running; the rest
-        go through the engine.  The lease is heartbeated after every
-        point, so a healthy worker's liveness window never depends on
-        point runtime × shard size."""
+        are one :meth:`~repro.harness.batch.BatchEngine.submit` stream,
+        written as its records land (on the engine's pool when it has
+        one).  The lease is heartbeated after every record, so a healthy
+        worker's liveness window never depends on point runtime × shard
+        size."""
         points = self._points_of(claim.payload)
         prior = self._prior_records(claim.job)
+        held = [
+            strip_tag(prior[pt.label()])[0] for pt in points if pt.label() in prior
+        ]
+        stream = self.engine.submit([
+            BatchJob(self.spec.app, self.spec.device, pt, site=self.spec.site)
+            for pt in points if pt.label() not in prior
+        ])
         written = 0
-        with CheckpointWriter(shard_path(self.directory, claim.job)) as out:
-            for point in points:
-                label = point.label()
-                held = prior.get(label)
-                if held is not None:
-                    record, _ = strip_tag(held)
-                    report.reemitted += 1
-                else:
-                    record = self.engine.run_point(
-                        self.spec.app,
-                        self.spec.device,
-                        point,
-                        site=self.spec.site,
+        try:
+            with CheckpointWriter(shard_path(self.directory, claim.job)) as out:
+                for record in chain(held, stream):
+                    if written < len(held):
+                        report.reemitted += 1
+                    else:
+                        report.evaluated += 1
+                    out.write(
+                        tag_record(record, claim.lease.fence, claim.job, self.owner)
                     )
-                    report.evaluated += 1
-                out.write(
-                    tag_record(
-                        record, claim.lease.fence, claim.job, self.owner
-                    )
-                )
-                written += 1
-                report.records_written += 1
-                if self.on_point is not None:
-                    self.on_point(self, claim, label)
-                claim = self.queue.heartbeat(claim)
+                    written += 1
+                    report.records_written += 1
+                    if self.on_point is not None:
+                        label = SweepPoint.of_record(record).label()
+                        self.on_point(self, claim, label)
+                    claim = self.queue.heartbeat(claim)
+        finally:
+            stream.close()
         return written
 
     def run(self, max_jobs: int | None = None) -> WorkerReport:

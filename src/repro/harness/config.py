@@ -27,9 +27,6 @@ class SweepConfig:
     #: Process-pool workers; ``<= 1`` runs in-process (byte-identical
     #: records either way).
     workers: int = 1
-    #: Points per pool-worker chunk; ``None`` sizes chunks adaptively from
-    #: observed throughput.  In-process streams evaluate one job per step.
-    chunk_size: int | None = None
     #: JSONL / ``.jsonl.gz`` file records stream into and resume from.
     checkpoint: str | Path | None = None
     #: Retries per point on unexpected worker errors (each on a freshly
@@ -51,9 +48,20 @@ class SweepConfig:
     #: sets the bound.  See :mod:`repro.harness.pruning`.
     prune: bool | float = False
     #: Content-hash record cache shared across campaigns: a
-    #: :class:`repro.harness.pruning.VariantCache` instance, or a path to
-    #: persist one as JSONL.
-    variant_cache: object | str | Path | None = None
+    #: :class:`repro.harness.pruning.VariantCache` instance.  Its owner
+    #: saves it (``VariantCache(path)`` loads one, ``save()`` persists it).
+    variant_cache: object | None = None
+
+    def __post_init__(self) -> None:
+        if self.variant_cache is not None:
+            from repro.harness.pruning import VariantCache
+
+            if not isinstance(self.variant_cache, VariantCache):
+                raise TypeError(
+                    f"SweepConfig.variant_cache takes a VariantCache or None, "
+                    f"not {type(self.variant_cache).__name__}; pass "
+                    f"VariantCache(path) and save() it when done"
+                )
 
     def replace(self, **changes) -> "SweepConfig":
         """A copy with ``changes`` applied (the dataclasses idiom)."""

@@ -291,15 +291,6 @@ class VariantCache:
         return n
 
 
-def resolve_variant_cache(value) -> "VariantCache | None":
-    """Normalize a ``SweepConfig.variant_cache`` value to an instance."""
-    if value is None:
-        return None
-    if isinstance(value, VariantCache):
-        return value
-    return VariantCache(value)
-
-
 # ---------------------------------------------------------------------------
 # Pruned checkpoint rows
 # ---------------------------------------------------------------------------

@@ -151,7 +151,7 @@ class TestAdaptiveChunker:
 class TestChunkCap:
     """With a pool, an adaptive chunk never exceeds an even share of the
     points not yet dispatched, so one short stream is split across every
-    worker; a pinned ``chunk_size`` is honoured exactly."""
+    worker."""
 
     SMALL = {"blackscholes": {"num_options": 512, "num_runs": 1}}
 
@@ -183,16 +183,6 @@ class TestChunkCap:
         assert serial.dispatch_log
         assert all(n == 1 for n, _left in serial.dispatch_log)
 
-    def test_pinned_chunk_size_used_exactly(self):
-        pinned, recs = self._stream(workers=2, chunk_size=20)
-        sizes = [n for n, _left in pinned.dispatch_log]
-        # Every chunk but the last is full; threshold reuse serves the
-        # points that are not dispatched.
-        assert sizes[:2] == [20, 20] and all(n == 20 for n in sizes[:-1])
-        assert sum(sizes) + pinned.reused == 50
-        _serial, serial_recs = self._stream(workers=1)
-        assert recs == serial_recs
-
 
 class TestBatchEngine:
     def test_cross_call_cache(self, serial_records):
@@ -222,6 +212,27 @@ class TestBatchEngine:
         )
         assert recs[0].to_dict() == rec.to_dict()
         assert engine.stats.cache_hits == 1
+
+    def test_sanitize_is_part_of_job_identity(self):
+        # A sanitized submit after a plain one on the same engine must run
+        # under ApproxSan, not be served the plain record from the cache.
+        jobs = [BatchJob("blackscholes", "v100_small", _taf(1, 4, 0.3))]
+        runner = ExperimentRunner(problems=PROBLEMS)
+        direct = runner.run_point(
+            "blackscholes", "v100_small", jobs[0].point, sanitize=True
+        )
+        with BatchEngine(problems=PROBLEMS) as engine:
+            plain = engine.run_jobs(jobs)[0]
+            sanitized = engine.submit(
+                jobs, config=SweepConfig(sanitize=True)
+            ).records()[0]
+            again = engine.run_jobs(jobs)[0]
+            assert engine.stats.executed == 2
+            assert engine.stats.cache_hits == 1
+        assert "approxsan" not in plain.extra
+        assert "approxsan" in sanitized.extra
+        assert dumps_record(sanitized) == dumps_record(direct)
+        assert again is plain
 
     def test_site_is_part_of_job_identity(self):
         # One perforation point on the default and two named sites: three

@@ -239,6 +239,40 @@ class TestCampaignEquivalence:
         assert run_worker(camp, "c").jobs_done == 0
 
 
+class TestPoolWorker:
+    def test_pool_engine_runs_each_shard_as_one_stream(self, tmp_path, monkeypatch):
+        # A worker on a 2-process engine submits each shard once and runs
+        # it on the pool; the merge is still byte-identical to serial.
+        from repro.harness.batch import BatchEngine
+        from repro.harness.config import SweepConfig
+
+        spec = make_spec()
+        serial = tmp_path / "serial.jsonl"
+        serial_checkpoint(spec, serial)
+        camp = tmp_path / "camp"
+        split_campaign(camp, spec, shards=2)
+        submits = []
+        real = BatchEngine.submit
+
+        def counting(self, jobs, config=None):
+            submits.append(len(jobs))
+            return real(self, jobs, config)
+
+        monkeypatch.setattr(BatchEngine, "submit", counting)
+        with BatchEngine(
+            problems=spec.problems, seed=spec.seed,
+            config=SweepConfig(workers=2),
+        ) as eng:
+            report = run_worker(camp, "pooled", engine=eng)
+            assert eng.stats.pool_spawns == 1
+        n = len(spec.resolve_points())
+        assert report.jobs_done == 2 and report.evaluated == n
+        assert report.records_written == n
+        assert len(submits) == 2 and sum(submits) == n
+        assert merge_campaign(camp).complete
+        assert (camp / "merged.jsonl").read_bytes() == serial.read_bytes()
+
+
 class TestLateWriterFencing:
     """Satellite regression: a worker that heartbeats, stalls past its
     TTL, and then writes anyway must have those records rejected."""

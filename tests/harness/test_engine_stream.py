@@ -15,6 +15,7 @@ from collections import deque
 
 import pytest
 
+from repro.harness import batch
 from repro.harness.batch import BatchEngine, BatchJob
 from repro.harness.config import SweepConfig
 from repro.harness.runner import ExperimentRunner
@@ -60,14 +61,19 @@ class TestStreaming:
         key = lambda d: sorted(d["params"].items())  # noqa: E731
         assert sorted(streamed, key=key) == sorted(blocking_dicts, key=key)
 
-    def test_stream_yields_before_batch_completes(self, blocking_dicts):
-        # chunk_size=1 so each record lands individually: after the first
+    def test_stream_yields_before_batch_completes(
+        self, blocking_dicts, monkeypatch
+    ):
+        # One-job chunks so each record lands individually: after the first
         # yield, later slots must still be pending (the consumer overlaps
         # the pool), yet the drained set matches the blocking one.  Yield
         # order is readiness order — chunks complete out of job order —
         # so the comparison is order-insensitive.
+        monkeypatch.setattr(
+            batch.AdaptiveChunker, "next_size", lambda self, group=None: 1
+        )
         with BatchEngine(
-            problems=PROBLEMS, config=SweepConfig(workers=2, chunk_size=1)
+            problems=PROBLEMS, config=SweepConfig(workers=2)
         ) as eng:
             stream = eng.submit(_jobs())
             first = next(stream)
@@ -124,13 +130,18 @@ class TestPersistentPool:
             assert all(r.feasible for r in records)
             assert [r.to_dict() for r in records] == blocking_dicts
 
-    def test_shared_crashed_pool_respawned_once(self, blocking_dicts):
+    def test_shared_crashed_pool_respawned_once(
+        self, blocking_dicts, monkeypatch
+    ):
         # Both streams dispatch onto the dead pool when built; whichever
         # notices first respawns it, the other re-runs its chunks on the
         # replacement instead of respawning again.
+        monkeypatch.setattr(
+            batch.AdaptiveChunker, "next_size", lambda self, group=None: 1
+        )
         jobs = _jobs()
         with BatchEngine(
-            problems=PROBLEMS, config=SweepConfig(workers=2, chunk_size=1)
+            problems=PROBLEMS, config=SweepConfig(workers=2)
         ) as eng:
             eng.run_jobs(jobs[:1])  # spawn the pool
             for pid in list(eng.pool._executor._processes):

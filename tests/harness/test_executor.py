@@ -286,7 +286,7 @@ class TestProgress:
         run_sweep_parallel(
             "blackscholes", "v100_small", _points()[:4],
             problems=PROBLEMS,
-            config=SweepConfig(workers=1, chunk_size=1, progress=snaps.append),
+            config=SweepConfig(workers=1, progress=snaps.append),
         )
         assert [p.done for p in snaps] == [1, 2, 3, 4]
         assert all(p.total == 4 for p in snaps)

@@ -7,9 +7,11 @@ every in-process path, ``run_sweep`` included.
 """
 
 import dataclasses
+from pathlib import Path
 
 import pytest
 
+from repro.harness import batch
 from repro.harness.batch import BatchEngine, BatchJob, run_sweep_parallel
 from repro.harness.config import SweepConfig
 from repro.harness.runner import ExperimentRunner
@@ -36,6 +38,15 @@ class TestSweepConfig:
         out = cfg.replace(workers=4)
         assert (out.workers, out.retries) == (4, 3)
         assert cfg.workers == 2  # original untouched
+
+    @pytest.mark.parametrize("value", ["vc.jsonl", Path("vc.jsonl")])
+    def test_variant_cache_takes_an_instance_only(self, value):
+        # A path was accepted and never saved; the owner of a
+        # VariantCache instance saves it.
+        with pytest.raises(TypeError, match=r"VariantCache\(path\)"):
+            SweepConfig(variant_cache=value)
+        with pytest.raises(TypeError, match=r"VariantCache\(path\)"):
+            SweepConfig().replace(variant_cache=value)
 
     def test_merged_overlays_non_defaults(self):
         base = SweepConfig(workers=4, retries=3)
@@ -75,6 +86,12 @@ class TestRemovedShims:
         with pytest.raises(TypeError):
             call()
 
+    def test_chunk_size_is_gone(self):
+        # Pool chunks are sized by guided self-scheduling alone.
+        assert len(dataclasses.fields(SweepConfig)) == 8
+        with pytest.raises(TypeError):
+            SweepConfig(chunk_size=4)
+
 
 class TestProgressUnification:
     def test_serial_run_sweep_accepts_callable(self):
@@ -95,15 +112,17 @@ class TestProgressUnification:
         )
         assert "1/1" in capsys.readouterr().err
 
-    def test_parallel_and_serial_callables_see_same_totals(self):
+    def test_parallel_and_serial_callables_see_same_totals(self, monkeypatch):
+        monkeypatch.setattr(
+            batch.AdaptiveChunker, "next_size", lambda self, group=None: 1
+        )
+
         def drive(workers):
             snaps = []
             run_sweep_parallel(
                 "blackscholes", "v100_small", _points(),
                 problems=PROBLEMS,
-                config=SweepConfig(
-                    workers=workers, chunk_size=1, progress=snaps.append
-                ),
+                config=SweepConfig(workers=workers, progress=snaps.append),
             )
             return [(p.done, p.total) for p in snaps]
 

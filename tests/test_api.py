@@ -11,6 +11,7 @@ import pytest
 from repro import api
 from repro.harness.batch import BatchEngine
 from repro.harness.config import SweepConfig
+from repro.harness.database import dumps_record
 from repro.harness.runner import ExperimentRunner
 from repro.harness.sweep import SweepPoint
 
@@ -36,7 +37,9 @@ class TestRunPoint:
             "taf", {"hsize": 1, "psize": 4, "threshold": 0.3}, "thread", 2
         )
         runner = ExperimentRunner(problems=PROBLEMS)
-        rec = api.run_point("blackscholes", point=pt, runner=runner).record
+        rec = api.run_point(
+            "blackscholes", point=pt, engine=BatchEngine(runner=runner)
+        ).record
         assert rec.to_dict() == runner.run_point(
             "blackscholes", "v100_small", pt
         ).to_dict()
@@ -44,6 +47,30 @@ class TestRunPoint:
     def test_needs_point_or_technique(self):
         with pytest.raises(ValueError):
             api.run_point("blackscholes")
+
+    def test_execute_point_through_engine(self):
+        # execute() hands a PointRequest its engine: the point is one
+        # submitted job there, byte-identical to a direct simulation.
+        req = api.PointRequest(
+            "blackscholes", technique="taf",
+            params={"hsize": 1, "psize": 4, "threshold": 0.3},
+            items_per_thread=2,
+        )
+        with BatchEngine(problems=PROBLEMS) as eng:
+            rec = api.execute(req, engine=eng).record
+            assert eng.stats.submitted == 1 and eng.stats.executed == 1
+        direct = ExperimentRunner(problems=PROBLEMS).run_point(
+            "blackscholes", "v100_small", req.resolve_point()
+        )
+        assert dumps_record(rec) == dumps_record(direct)
+
+    def test_sanitize_request_runs_under_approxsan(self):
+        rec = api.run_point(
+            "blackscholes", technique="taf",
+            params={"hsize": 1, "psize": 4, "threshold": 0.3},
+            items_per_thread=2, problems=PROBLEMS, sanitize=True,
+        ).record
+        assert "approxsan" in rec.extra
 
 
 class TestSweep:

@@ -104,15 +104,14 @@ class TestCliLibraryParity:
         call = _cli_call(monkeypatch, "execute", [
             "sweep", "kmeans", "--technique", "taf", "--effort", "full",
             "--parallel", "3", "--checkpoint", ck, "--retries", "2",
-            "--chunk-size", "4", "--preflight", "--prune",
+            "--preflight", "--prune",
             "--max-error", "0.2",
         ])
         assert call.args_ == (
             api.SweepRequest("kmeans", technique="taf", effort="full"),
         )
         assert call.kwargs["config"] == SweepConfig(
-            workers=3, checkpoint=ck, retries=2, chunk_size=4,
-            preflight=True, prune=0.2,
+            workers=3, checkpoint=ck, retries=2, preflight=True, prune=0.2,
         )
 
 
