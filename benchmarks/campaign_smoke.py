@@ -61,7 +61,7 @@ def main() -> int:
     t0 = time.perf_counter()
     runner = ExperimentRunner(problems=spec.problems, seed=spec.seed)
     serial_path = root / "serial.jsonl"
-    with CheckpointWriter(serial_path) as w:
+    with CheckpointWriter(serial_path, spec.shared()) as w:
         for pt in points:
             w.write(runner.run_point(spec.app, spec.device, pt))
     serial_s = time.perf_counter() - t0

@@ -303,10 +303,6 @@ class Benchmark(abc.ABC):
             result.extra["approxsan"] = sanitizer.finish()
         return result
 
-    def run_accurate(self, device="v100", **kw) -> AppResult:
-        """Convenience: the accurate baseline run."""
-        return self.run(device, regions=None, **kw)
-
 
 def smooth_stream(
     rng: np.random.Generator,

@@ -118,8 +118,10 @@ class HarnessError(ReproError):
 
 
 class EngineMismatchError(HarnessError, ValueError):
-    """A sweep asked for problems or a seed other than its engine's.
+    """A sweep asked for problems or a seed other than its engine's, or
+    would resume a checkpoint of another seed, problems, site or sanitize.
 
     A :class:`~repro.harness.batch.BatchEngine` simulates with the problems
-    and seed it was built with, so running a request that names different
-    ones would silently return records for the wrong configuration."""
+    and seed it was built with, and a checkpoint holds records of one such
+    identity, so going on would silently return records for the wrong
+    configuration."""

@@ -109,11 +109,6 @@ class DeviceSpec:
             raise ConfigurationError("clock and bandwidth must be positive")
 
     # ------------------------------------------------------------------
-    @property
-    def max_resident_threads(self) -> int:
-        """Upper bound on concurrently scheduled threads across the device."""
-        return self.num_sms * self.max_threads_per_sm
-
     def cycles_to_seconds(self, cycles: float) -> float:
         """Convert a cycle count into seconds at this device's clock."""
         return float(cycles) / self.clock_hz

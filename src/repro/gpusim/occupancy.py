@@ -38,10 +38,6 @@ class OccupancyReport:
     sm_utilization: float
     limited_by: str
 
-    @property
-    def active_threads(self) -> float:
-        return self.active_warps_per_sm * self.used_sms
-
 
 def blocks_resident_per_sm(
     device: DeviceSpec, threads_per_block: int, shared_bytes_per_block: int = 0

@@ -3,13 +3,13 @@
 :meth:`BatchEngine.submit` is the single way jobs get evaluated.  An
 engine holds one parent :class:`~repro.harness.runner.ExperimentRunner`
 (the baseline cache and the in-process executor), one in-memory record
-cache keyed by the checkpoint label space, and — for ``workers > 1`` — one
-kept-alive :class:`WorkerPool`.  ``submit`` returns a :class:`BatchStream`
-that serves every slot it can without simulating (the engine cache, the
-checkpoint, the static preflight, the variant cache, duplicates of an
-earlier slot), then evaluates the rest in chunks — one job each
-in-process, adaptively sized on a pool — and yields records as they
-complete.
+cache keyed by :class:`~repro.harness.database.RecordKey`, and — for
+``workers > 1`` — one kept-alive :class:`WorkerPool`.  ``submit`` returns
+a :class:`BatchStream` that serves every slot it can without simulating
+(the engine cache, the checkpoint, the static preflight, the variant
+cache, duplicates of an earlier slot), then evaluates the rest in
+chunks — one job each in-process, adaptively sized on a pool — and
+yields records as they complete.
 The blocking helpers (:meth:`BatchEngine.run_jobs`,
 :meth:`BatchEngine.run_point`, :func:`run_sweep_parallel`) are drains of
 the same stream, so streamed and blocking record sets are identical by
@@ -35,7 +35,13 @@ from repro.apps.common import make_params
 from repro.errors import EngineMismatchError
 from repro.gpusim.device import DeviceSpec, get_device
 from repro.harness.config import SweepConfig
-from repro.harness.database import CheckpointWriter, ResultsDB
+from repro.harness.database import (
+    CheckpointWriter,
+    RecordKey,
+    ResultsDB,
+    check_shared,
+    shared_fields,
+)
 from repro.harness.reporting import SweepProgress, format_progress
 from repro.harness.runner import ExperimentRunner, RunRecord
 from repro.harness.sweep import SweepPoint
@@ -215,24 +221,6 @@ def _failed_record(
     )
 
 
-def _checkpoint_key(record: RunRecord) -> tuple:
-    """A record's checkpoint identity ``(app, device name, point label)``."""
-    return (record.app, record.device, SweepPoint.of_record(record).label())
-
-
-class IndexedCheckpointWriter(CheckpointWriter):
-    """Checkpoint appends that also land in the engine's index of the file."""
-
-    def __init__(self, path: str | Path, index: dict) -> None:
-        super().__init__(path)
-        self.index = index
-
-    def write(self, record: RunRecord | Iterable[RunRecord]) -> None:
-        records = [record] if isinstance(record, RunRecord) else list(record)
-        super().write(records)
-        self.index.update((_checkpoint_key(rec), rec) for rec in records)
-
-
 # ----------------------------------------------------------------------
 class _WorkerState:
     """The runner that evaluates chunks, and what rebuilding it needs.
@@ -379,9 +367,10 @@ class ThresholdMemo:
     """Exact reuse across points that provably replay the same run.
 
     A chain is the set of points that differ only in ``threshold`` and
-    ``items_per_thread``; its key is (app, device name, technique, the
-    other params, level, site, sanitize) — the engine fixes problems and
-    seed.  TAF, iACT and perforation points have chains; perforation has
+    ``items_per_thread``; its key is the job's
+    :class:`~repro.harness.database.RecordKey` with the label replaced by
+    the technique, the other params and the level.  TAF, iACT and
+    perforation points have chains; perforation has
     no threshold, so its chains vary in items per thread alone.  A run's
     :class:`~repro.approx.base.ThresholdWindow` holds every threshold that
     gives each TAF/iACT comparison the same outcome, and every items per
@@ -404,9 +393,9 @@ class ThresholdMemo:
         return sum(len(entries) for entries in self._chains.values())
 
     @staticmethod
-    def key(job: BatchJob, device_name: str, sanitize: bool) -> tuple | None:
-        """The job's chain, or ``None`` for points that have none."""
-        pt = job.point
+    def key(pt: SweepPoint, key: RecordKey) -> RecordKey | None:
+        """The chain key of ``pt``, whose record key is ``key``, or
+        ``None`` for points that have no chain."""
         if pt.technique in ("taf", "iact"):
             if "threshold" not in pt.params:
                 return None
@@ -415,12 +404,9 @@ class ThresholdMemo:
             others = list(pt.params.items())
         else:
             return None
-        return (
-            job.app, device_name, pt.technique, repr(sorted(others)), pt.level,
-            job.site, bool(sanitize),
-        )
+        return key._replace(label=f"{pt.technique}:{sorted(others)!r}:{pt.level}")
 
-    def get(self, key: tuple, point: SweepPoint) -> RunRecord | None:
+    def get(self, key: RecordKey, point: SweepPoint) -> RunRecord | None:
         """A stored record of the chain re-labelled for ``point``, when
         ``point``'s threshold and items per thread lie inside its window."""
         entries = self._chains.get(key)
@@ -439,7 +425,7 @@ class ThresholdMemo:
         return None
 
     def put(
-        self, key: tuple, record: RunRecord, window: ThresholdWindow | None
+        self, key: RecordKey, record: RunRecord, window: ThresholdWindow | None
     ) -> None:
         if window is not None and record.feasible and not record.note:
             self._chains.setdefault(key, {})[window.grids] = (window, record)
@@ -510,29 +496,35 @@ class BatchStream:
         stock = engine.runner_factory is None
 
         self._slot_keys = [engine._key(job, cfg.sanitize) for job in self.jobs]
-        self._slots_by_key: dict[tuple, list[int]] = {}
+        self._slots_by_key: dict[RecordKey, list[int]] = {}
         for idx, key in enumerate(self._slot_keys):
             self._slots_by_key.setdefault(key, []).append(idx)
         engine.stats.submitted += len(self.jobs)
 
         # Records from earlier calls on this engine, then checkpointed
         # jobs, are trusted and never dispatched.
-        index = (
-            engine.checkpoint_index(cfg.checkpoint)
-            if cfg.checkpoint is not None else {}
-        )
-        self._done: dict[tuple, RunRecord] = {}
+        index: dict[RecordKey, RunRecord] = {}
+        if cfg.checkpoint is not None:
+            sites = {job.site for job in self.jobs} or {None}
+            if len(sites) > 1:
+                raise EngineMismatchError(
+                    f"{cfg.checkpoint}: one checkpoint holds one site, not "
+                    f"{sorted(sites, key=str)}"
+                )
+            shared = engine.shared(*sites, cfg.sanitize)
+            index = engine.checkpoint_index(cfg.checkpoint, shared)
+        self._done: dict[RecordKey, RunRecord] = {}
         self.cache_hits = self.skipped = 0
         for key, slots in self._slots_by_key.items():
             if key in engine._cache:
                 self._done[key] = engine._cache[key]
                 self.cache_hits += len(slots)
-            elif key[:3] in index:  # records do not store the site
-                self._done[key] = index[key[:3]]
+            elif key in index:
+                self._done[key] = index[key]
                 self.skipped += len(slots)
 
         # In-batch dedupe: first job per identity wins, later slots share it.
-        pending: OrderedDict[tuple, BatchJob] = OrderedDict()
+        pending: OrderedDict[RecordKey, BatchJob] = OrderedDict()
         for job, key in zip(self.jobs, self._slot_keys):
             if key not in self._done and key not in pending:
                 pending[key] = job
@@ -546,13 +538,13 @@ class BatchStream:
         # simulation) and divert the statically infeasible ones straight to
         # the results, so the pool only ever sees points that might run.
         pre = cfg.preflight
-        pruned: list[tuple[tuple, RunRecord]] = []
+        pruned: list[tuple[RecordKey, RunRecord]] = []
         if pre:
             if pre is True:
                 from repro.analysis.preflight import make_preflight
 
                 pre = make_preflight(engine.problems)
-            survivors: OrderedDict[tuple, BatchJob] = OrderedDict()
+            survivors: OrderedDict[RecordKey, BatchJob] = OrderedDict()
             for key, job in pending.items():
                 rec = pre(job.app, job.device, job.point, site=job.site)
                 if rec is None:
@@ -568,19 +560,12 @@ class BatchStream:
         # custom runner_factory may not be content-deterministic.
         self.variant_hits = 0
         self._vcache = cfg.variant_cache if stock else None
-        self._vkeys: dict[tuple, str] = {}
-        vhits: list[tuple[tuple, RunRecord]] = []
+        vhits: list[tuple[RecordKey, RunRecord]] = []
         if self._vcache is not None:
-            fresh_pending: OrderedDict[tuple, BatchJob] = OrderedDict()
+            fresh_pending: OrderedDict[RecordKey, BatchJob] = OrderedDict()
             for key, job in pending.items():
-                vkey = self._vcache.key_for(
-                    job.app, job.device, job.point, site=job.site,
-                    seed=engine.seed, problem=engine.problems,
-                    sanitize=cfg.sanitize,
-                )
-                rec = self._vcache.get(vkey)
+                rec = self._vcache.get(key)
                 if rec is None:
-                    self._vkeys[key] = vkey
                     fresh_pending[key] = job
                 else:
                     vhits.append((key, rec))
@@ -598,7 +583,7 @@ class BatchStream:
             src = engine.runner
             pairs: OrderedDict[tuple, BatchJob] = OrderedDict()
             for key, job in pending.items():
-                pairs.setdefault((job.app, key[1]), job)
+                pairs.setdefault((key.app, key.device), job)
             before = src.baseline_computes
             for job in pairs.values():
                 src.baseline(job.app, job.device)
@@ -615,7 +600,7 @@ class BatchStream:
         self._report_progress = progress if callable(progress) else None
 
         self._writer = (
-            engine.open_checkpoint(cfg.checkpoint)
+            engine.open_checkpoint(cfg.checkpoint, shared)
             if cfg.checkpoint is not None else None
         )
         self.evaluated = self._feasible = self._infeasible = 0
@@ -641,10 +626,10 @@ class BatchStream:
         # stock runner, like the variant cache.
         self.reused = 0
         self._memo = engine.threshold_memo if stock else None
-        self._memo_keys: dict[tuple, tuple] = {}
+        self._memo_keys: dict[RecordKey, RecordKey] = {}
         if self._memo is not None:
             for key, job in pending.items():
-                mkey = ThresholdMemo.key(job, key[1], cfg.sanitize)
+                mkey = ThresholdMemo.key(job.point, key)
                 if mkey is not None:
                     self._memo_keys[key] = mkey
 
@@ -654,7 +639,7 @@ class BatchStream:
         self._chunker = AdaptiveChunker(target_seconds=TARGET_CHUNK_SECONDS)
         self._groups: OrderedDict[tuple, deque] = OrderedDict()
         for key, job in pending.items():
-            self._groups.setdefault((job.app, key[1]), deque()).append((key, job))
+            self._groups.setdefault((key.app, key.device), deque()).append((key, job))
         self._total_pending = len(pending)
         #: Points not yet dispatched, and ``(chunk points, points not yet
         #: dispatched when it was sized)`` per chunk (one job in-process),
@@ -697,14 +682,12 @@ class BatchStream:
             self.evaluated += 1
             self._feasible += rec.feasible
             self._infeasible += not rec.feasible
-            if (
-                self._vcache is not None
-                and key in self._vkeys
-                and not (rec.note or "").startswith(("WorkerError", "WorkerCrash"))
+            if self._vcache is not None and not (rec.note or "").startswith(
+                ("WorkerError", "WorkerCrash")
             ):
                 # Crash/retry-exhaustion records reflect machine state, not
                 # the configuration's content — never cache them.
-                self._vcache.put(self._vkeys[key], rec)
+                self._vcache.put(key, rec)
             self._notify(key, rec)
         if self._report_progress is not None:
             self._report_progress(
@@ -983,12 +966,13 @@ class BatchEngine:
     """Session-scoped front-end to the batch layer; see :meth:`submit`.
 
     Holds one parent :class:`ExperimentRunner` (the baseline cache and the
-    in-process executor), one in-memory record cache keyed by the
-    checkpoint label space — so *independent callers* (Fig 6 and Fig 7, a
-    search and a figure) share overlapping points instead of simulating
-    them twice — and, for ``config.workers > 1``, one kept-alive
-    :class:`WorkerPool` reused by every :meth:`submit`, so consecutive
-    batches amortize the pool spawn (``stats.pool_spawns`` asserts it).
+    in-process executor), one in-memory record cache keyed by
+    :class:`~repro.harness.database.RecordKey` — so *independent callers*
+    (Fig 6 and Fig 7, a search and a figure) share overlapping points
+    instead of simulating them twice — and, for ``config.workers > 1``, one
+    kept-alive :class:`WorkerPool` reused by every :meth:`submit`, so
+    consecutive batches amortize the pool spawn (``stats.pool_spawns``
+    asserts it).
     ``close()`` (or the context manager) releases the pool.
 
     ``runner_factory(*factory_args)`` builds the runners (parent and pool
@@ -1022,8 +1006,10 @@ class BatchEngine:
         )
         self.runner = runner or self._factory(*self.factory_args)
         self.stats = EngineStats()
-        self._cache: dict[tuple, RunRecord] = {}
-        self._checkpoints: dict[str, dict[tuple, RunRecord]] = {}
+        self._problems_json = shared_fields(seed, self.problems)["problems"]
+        self._cache: dict[RecordKey, RunRecord] = {}
+        #: Per checkpoint file: its shared fields and its index.
+        self._checkpoints: dict[str, tuple[dict, dict[RecordKey, RunRecord]]] = {}
         #: Windows of this engine's simulated TAF/iACT/perforation points.
         self.threshold_memo = ThresholdMemo()
         self._dev_names: dict[str, str] = {}
@@ -1038,21 +1024,12 @@ class BatchEngine:
         """Raise :class:`~repro.errors.EngineMismatchError` unless a sweep's
         ``problems`` (when given) and ``seed`` are the ones this engine
         simulates with."""
-        if problems is not None and dict(problems) != self.problems:
-            raise EngineMismatchError(
-                f"sweep asks for problems={problems!r} but the engine "
-                f"simulates problems={self.problems!r}"
-            )
-        if seed != self.seed:
-            raise EngineMismatchError(
-                f"sweep asks for seed={seed!r} but the engine simulates "
-                f"seed={self.seed!r}"
-            )
+        asked = shared_fields(seed, self.problems if problems is None else problems)
+        check_shared("the engine", self.shared(None, False), asked)
 
-    def _key(self, job: BatchJob, sanitize: bool) -> tuple:
-        """Job identity ``(app, device name, point label, site, sanitize)``;
-        the first three fields are the checkpoint label space (device
-        presets memoized)."""
+    def _key(self, job: BatchJob, sanitize: bool) -> RecordKey:
+        """The :class:`~repro.harness.database.RecordKey` of ``job``'s record
+        (device presets memoized)."""
         if isinstance(job.device, DeviceSpec):
             name = job.device.name
         else:
@@ -1060,22 +1037,48 @@ class BatchEngine:
             if name is None:
                 name = get_device(job.device).name
                 self._dev_names[job.device] = name
-        return (job.app, name, job.point.label(), job.site, bool(sanitize))
+        return RecordKey(
+            job.app, name, job.point.label(), job.site, bool(sanitize),
+            self.seed, self._problems_json,
+        )
 
-    def checkpoint_index(self, path: str | Path) -> dict[tuple, RunRecord]:
-        """The checkpoint at ``path`` as ``(app, device name, point label)
-        -> latest record``: read once per engine, then kept current by
-        every writer :meth:`open_checkpoint` returns, so later calls see
-        what a re-read would."""
+    def shared(self, site: str | None, sanitize: bool) -> dict:
+        """The checkpoint header fields of this engine's records for
+        ``site`` and ``sanitize``."""
+        return shared_fields(self.seed, self.problems, site, sanitize)
+
+    def checkpoint_index(
+        self, path: str | Path, shared: dict
+    ) -> dict[RecordKey, RunRecord]:
+        """The checkpoint at ``path`` as ``RecordKey -> latest record``,
+        read once per engine and kept current by :meth:`open_checkpoint`'s
+        writers.  A file of other ``shared`` fields (:meth:`shared`), or of
+        records behind no such header, raises
+        :class:`~repro.errors.EngineMismatchError` naming the file and the
+        field; a missing or record-less file is adopted."""
         key = os.path.abspath(path)
         if key not in self._checkpoints:
-            records = ResultsDB.load(path) if Path(path).exists() else ()
-            self._checkpoints[key] = {_checkpoint_key(r): r for r in records}
-        return self._checkpoints[key]
+            db = ResultsDB.load(path) if Path(path).exists() else ResultsDB()
+            if db.shared is None and db.records:
+                raise EngineMismatchError(
+                    f"{path}: holds records but no header with their seed, "
+                    f"problems, site and sanitize flag, so it cannot be "
+                    f"resumed; start a new checkpoint file"
+                )
+            if db.shared is None:  # no records: rewrite it behind a header
+                Path(path).unlink(missing_ok=True)
+            held = db.shared or shared
+            self._checkpoints[key] = (held, {
+                RecordKey.of_record(r, held): r for r in db.records
+            })
+        held, index = self._checkpoints[key]
+        check_shared(path, held, shared)
+        return index
 
-    def open_checkpoint(self, path: str | Path) -> IndexedCheckpointWriter:
-        """An append writer on ``path`` that keeps its index current."""
-        return IndexedCheckpointWriter(path, self.checkpoint_index(path))
+    def open_checkpoint(self, path: str | Path, shared: dict) -> CheckpointWriter:
+        """An append writer on ``path`` that keeps its index current (see
+        :meth:`checkpoint_index`)."""
+        return CheckpointWriter(path, shared, self.checkpoint_index(path, shared))
 
     def _sync_pool_stats(self) -> None:
         if self.pool is not None:
@@ -1087,14 +1090,16 @@ class BatchEngine:
     ) -> BatchStream:
         """Start evaluating ``jobs``; returns a stream of their records.
 
-        Identity of a job is ``(app, device name, point label, site)`` plus
-        ``config.sanitize``, so duplicate jobs evaluate once and records of
-        earlier calls on this engine are reused, each only for the same
-        ``site`` override and sanitize flag.
+        A job's one identity is its
+        :class:`~repro.harness.database.RecordKey`: app, device name, point
+        label, site, ``config.sanitize``, and the engine's seed and
+        problems.  Duplicate jobs evaluate once, and records of earlier
+        calls on this engine are reused for the same key only.
         ``checkpoint`` (a JSONL or ``.jsonl.gz`` file, shared across any mix
-        of apps and devices) satisfies previously-run jobs without
-        simulating; it matches by ``(app, device name, point label)``
-        alone, because records do not store the site.
+        of apps and devices) satisfies previously-run jobs by the same key
+        without simulating.  One file holds one (seed, problems, site,
+        sanitize), in its header: jobs of several sites, or a file of
+        another identity, raise :class:`~repro.errors.EngineMismatchError`.
 
         ``config`` is the complete policy for this call, used as given;
         ``None`` means the engine's own.  Callers that overlay a partial

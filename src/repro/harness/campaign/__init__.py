@@ -6,8 +6,8 @@ benchmark (§4) — by splitting a sweep's point space into shard jobs that
 any number of plain engine sessions work through a file-backed queue:
 
 * :func:`split_campaign` partitions a :class:`CampaignSpec`'s points into
-  shard manifests keyed by the existing ``(app, device, point label)``
-  checkpoint identity and writes the ``campaign.json`` ledger;
+  shard manifests keyed by point label and writes the ``campaign.json``
+  ledger;
 * :class:`~repro.harness.campaign.worker.CampaignWorker` sessions claim
   shards under leases with heartbeats (:mod:`.queue`, :mod:`.lease`), so
   a dead worker's unfinished shard is reclaimed after its TTL and
@@ -199,8 +199,8 @@ def merge_campaign(
     their campaign tag popped (restoring the exact bytes a serial sweep
     would have written), are deduplicated/conflict-resolved across shards
     via :meth:`ResultsDB.merge`, and are written to ``output`` in the
-    spec's canonical point order behind the usual schema header — the
-    same file a serial checkpointed sweep of the spec produces.
+    spec's canonical point order behind the spec's checkpoint header —
+    the same file a serial checkpointed sweep of the spec produces.
 
     ``strict=True`` (default) demands a finished campaign: an unfinished
     shard or an uncovered label raises :class:`CampaignError`.
@@ -260,7 +260,7 @@ def merge_campaign(
     out_path = Path(output) if output is not None else campaign_paths(directory)[3]
     if out_path.exists():
         out_path.unlink()  # clean header, no stale append
-    with CheckpointWriter(out_path) as writer:
+    with CheckpointWriter(out_path, spec.shared()) as writer:
         writer.write(ordered)
     manifest.refresh(queue=queue)
     return MergeResult(

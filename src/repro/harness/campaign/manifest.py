@@ -10,9 +10,9 @@ globally resumable from any mix of machines:
   manifest whose hash disagrees (a silently edited spec would break the
   byte-identity contract);
 * the unit of distribution is the **existing checkpoint record** — each
-  shard lists the ``(app, device, point label)`` identities it owns, the
-  same label space the PR-1 resume path and :meth:`ResultsDB.merge`
-  dedupe on — so no new wire format exists anywhere;
+  shard lists the point labels it owns (under one spec, a label is a
+  whole :class:`~repro.harness.database.RecordKey`) — so no new wire
+  format exists anywhere;
 * ``campaign.json`` snapshots spec hash, shard states, the lease table,
   and progress after every state change, so ``campaign status`` answers
   from one file and a cold machine can decide whether to join, merge, or
@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.harness.campaign.queue import FileQueue
+from repro.harness.database import shared_fields
 from repro.harness.sweep import SweepPoint
 
 #: Version of the campaign.json / shard-payload format.
@@ -115,6 +116,10 @@ class CampaignSpec:
     def spec_hash(self) -> str:
         """sha256 of the canonical spec — the campaign's global identity."""
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()
+
+    def shared(self) -> dict:
+        """The checkpoint header fields of the spec's records."""
+        return shared_fields(self.seed, self.problems, self.site, self.sanitize)
 
     # -- work -----------------------------------------------------------
     def resolve_points(self) -> list[SweepPoint]:
@@ -198,8 +203,8 @@ def init_campaign(
     """Create a campaign directory: queue jobs + ``campaign.json``.
 
     Partitions the spec's resolved point list into ``shards`` contiguous
-    jobs keyed by the checkpoint identity ``(app, device, point label)``
-    and registers each as an immutable queue job.  Idempotent re-init of
+    jobs keyed by point label and registers each as an immutable queue
+    job.  Idempotent re-init of
     the same spec is an error — resume by just pointing workers at the
     directory."""
     manifest_path, queue_root, shard_dir, _ = campaign_paths(directory)

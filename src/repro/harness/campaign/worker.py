@@ -38,7 +38,6 @@ from repro.harness.campaign.manifest import (
     shard_path,
 )
 from repro.harness.campaign.queue import Claim, FileQueue
-from repro.harness.config import SweepConfig
 from repro.harness.database import CheckpointWriter, ResultsDB
 from repro.harness.runner import RunRecord
 from repro.harness.sweep import SweepPoint
@@ -98,9 +97,11 @@ class CampaignWorker:
 
     ``engine`` defaults to a fresh single-process
     :class:`~repro.harness.batch.BatchEngine` built from the campaign
-    spec's ``problems``/``seed``/``sanitize`` — the configuration a serial
-    sweep of the same spec would use, which is what keeps worker records
-    byte-identical to serial ones.  ``clock`` and ``on_point`` exist for
+    spec's ``problems`` and ``seed`` — the configuration a serial sweep of
+    the same spec would use, which is what keeps worker records
+    byte-identical to serial ones.  A given engine must simulate the same
+    (else :class:`~repro.errors.EngineMismatchError`).  Shards run with
+    the spec's ``sanitize``.  ``clock`` and ``on_point`` exist for
     tests: ``on_point(worker, claim, label)`` runs after each point's
     record is written (raise :class:`WorkerKilled` there to simulate a
     mid-shard crash)."""
@@ -122,10 +123,10 @@ class CampaignWorker:
         self.spec = self.manifest.spec
         self.queue: FileQueue = self.manifest.queue()
         self.on_point = on_point
+        if engine is not None:
+            engine.check_matches(self.spec.problems or {}, self.spec.seed)
         self.engine = engine or BatchEngine(
-            problems=self.spec.problems,
-            seed=self.spec.seed,
-            config=SweepConfig(workers=1, sanitize=self.spec.sanitize),
+            problems=self.spec.problems, seed=self.spec.seed
         )
         self._owns_engine = engine is None
 
@@ -171,10 +172,12 @@ class CampaignWorker:
         held = [
             strip_tag(prior[pt.label()])[0] for pt in points if pt.label() in prior
         ]
-        stream = self.engine.submit([
-            BatchJob(self.spec.app, self.spec.device, pt, site=self.spec.site)
-            for pt in points if pt.label() not in prior
-        ])
+        spec = self.spec
+        stream = self.engine.submit(
+            [BatchJob(spec.app, spec.device, pt, site=spec.site)
+             for pt in points if pt.label() not in prior],
+            self.engine.config.replace(sanitize=spec.sanitize),
+        )
         written = 0
         try:
             with CheckpointWriter(shard_path(self.directory, claim.job)) as out:

@@ -11,26 +11,76 @@ sweeps can be resumed or post-processed.
 from __future__ import annotations
 
 import gzip
+import hashlib
 import json
 import math
 import os
 from collections import OrderedDict
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
+from repro.errors import EngineMismatchError
 from repro.harness.runner import RunRecord
+from repro.harness.sweep import SweepPoint
 
-#: Version of the checkpoint line format.  New checkpoints start with a
-#: one-line JSON header ``{"__checkpoint_schema__": N}`` so future format
-#: changes can be detected instead of mis-parsed; readers skip the header
-#: (and tolerate header-less PR-1 files).
-CHECKPOINT_SCHEMA_VERSION = 1
+#: Version of the checkpoint line format.  A checkpoint starts with one
+#: JSON header line ``{"__checkpoint_schema__": 2, "seed": ..., "problems":
+#: ..., "site": ..., "sanitize": ...}`` holding the :data:`SHARED_FIELDS` of
+#: every row: one file per (seed, problems, site, sanitize).  The engine
+#: resumes no other, nor records behind a schema-1 header or none.
+CHECKPOINT_SCHEMA_VERSION = 2
 SCHEMA_KEY = "__checkpoint_schema__"
+#: The :class:`RecordKey` fields a checkpoint header holds for all its rows.
+SHARED_FIELDS = ("seed", "problems", "site", "sanitize")
 
 
-def schema_header_line() -> str:
-    return json.dumps({SCHEMA_KEY: CHECKPOINT_SCHEMA_VERSION})
+def shared_fields(
+    seed: int, problems: dict | None, site: str | None = None, sanitize: bool = False
+) -> dict:
+    """The :data:`SHARED_FIELDS` of records simulated with ``seed`` and
+    ``problems`` (kept as canonical JSON) for ``site`` and ``sanitize``."""
+    problems = json.dumps(problems or {}, sort_keys=True)
+    return dict(zip(SHARED_FIELDS, (int(seed), problems, site, bool(sanitize))))
+
+
+class RecordKey(NamedTuple):
+    """The one identity of a record.  The engine's session cache, the
+    checkpoint index, :class:`~repro.harness.batch.ThresholdMemo` chains
+    and :class:`~repro.harness.pruning.VariantCache` keys derive from it.
+    A record stores the first three fields; a checkpoint header the rest."""
+
+    app: str
+    device: str  # resolved name
+    label: str  # SweepPoint.label()
+    site: str | None
+    sanitize: bool
+    seed: int
+    problems: str  # canonical JSON
+
+    @classmethod
+    def of_record(cls, record: RunRecord, shared: dict | None) -> "RecordKey":
+        """The key of ``record`` stored under ``shared`` (``None``: fields
+        unknown, the same for every record)."""
+        return cls(
+            record.app, record.device, SweepPoint.of_record(record).label(),
+            **(shared or dict.fromkeys(SHARED_FIELDS)),
+        )
+
+    def digest(self) -> str:
+        """Stable sha256 of every field."""
+        return hashlib.sha256(repr(tuple(self)).encode()).hexdigest()
+
+
+def check_shared(where: str | Path, held: dict, asked: dict) -> None:
+    """Raise :class:`~repro.errors.EngineMismatchError` naming ``where`` and
+    the first shared field in which ``held`` differs from ``asked``."""
+    for name in SHARED_FIELDS:
+        if held[name] != asked[name]:
+            raise EngineMismatchError(
+                f"{where}: holds {name}={held[name]!r}, not "
+                f"{name}={asked[name]!r}"
+            )
 
 
 def _is_gz(path: str | Path) -> bool:
@@ -88,11 +138,6 @@ def dumps_record(record: RunRecord) -> str:
     )
 
 
-def loads_record(line: str) -> RunRecord:
-    """Inverse of :func:`dumps_record`."""
-    return RunRecord(**_decode(json.loads(line)))
-
-
 class CheckpointWriter:
     """Append-mode JSONL sink for streaming records as a sweep runs.
 
@@ -101,10 +146,14 @@ class CheckpointWriter:
     truncated final line).  A ``.jsonl.gz`` path writes gzip-compressed
     lines instead (million-record campaigns compress ~10×); appends to an
     existing ``.gz`` file add a new gzip member, which readers concatenate
-    transparently.  New files begin with the schema-version header line."""
+    transparently.  New files begin with the header line, holding the
+    ``shared`` fields when given; an ``index`` gets every written record."""
 
-    def __init__(self, path: str | Path) -> None:
+    def __init__(
+        self, path: str | Path, shared: dict | None = None, index: dict | None = None
+    ) -> None:
         self.path = Path(path)
+        self.shared, self.index = shared, index
         if self.path.parent != Path(""):
             self.path.parent.mkdir(parents=True, exist_ok=True)
         existing = self.path.exists() and self.path.stat().st_size > 0
@@ -132,14 +181,17 @@ class CheckpointWriter:
                     if fh.read(1) != b"\n":
                         self._fh.write("\n")
         if not existing:
-            self._fh.write(schema_header_line() + "\n")
+            header = {SCHEMA_KEY: CHECKPOINT_SCHEMA_VERSION, **(shared or {})}
+            self._fh.write(json.dumps(header) + "\n")
             self._fh.flush()
 
     def write(self, record: RunRecord | Iterable[RunRecord]) -> None:
-        records = [record] if isinstance(record, RunRecord) else record
+        records = [record] if isinstance(record, RunRecord) else list(record)
         for r in records:
             self._fh.write(dumps_record(r) + "\n")
         self._fh.flush()
+        if self.index is not None:
+            self.index.update((RecordKey.of_record(r, self.shared), r) for r in records)
 
     def close(self) -> None:
         self._fh.close()
@@ -173,7 +225,7 @@ def record_status(record: RunRecord) -> str:
     return "infeasible"
 
 
-#: Merge preference between two records for the same (app, device, label):
+#: Merge preference between two records of one :class:`RecordKey`:
 #: higher wins.  Evaluated rows outrank everything — ``ok`` first, then
 #: ``infeasible`` (the simulator genuinely ran the configuration and
 #: rejected it); rows that never entered the simulator (static
@@ -208,6 +260,9 @@ class ResultsDB:
 
     def __init__(self, records: Iterable[RunRecord] | None = None) -> None:
         self.records: list[RunRecord] = list(records or [])
+        #: The :data:`SHARED_FIELDS` of every record, when known (as read
+        #: from a checkpoint header by :meth:`load`).
+        self.shared: dict | None = None
 
     def add(self, record: RunRecord | list[RunRecord]) -> None:
         if isinstance(record, list):
@@ -263,11 +318,11 @@ class ResultsDB:
         return out
 
     def merge(self, other: "ResultsDB | Iterable[RunRecord]") -> MergeStats:
-        """Fold ``other``'s records in, deduplicating by checkpoint identity.
+        """Fold ``other``'s records in, deduplicating by
+        :class:`RecordKey` (a :class:`ResultsDB` of other known shared
+        fields raises :class:`~repro.errors.EngineMismatchError`).
 
-        Identity is ``(app, device, point label)`` — the same key the
-        checkpoint resume path and the campaign shard manifests use.  When
-        both sides hold a record for one identity the winner is chosen
+        When both sides hold a record for one key the winner is chosen
         *deterministically* by :data:`STATUS_PRIORITY`, never by file
         order: an evaluated (``ok``) record beats a ``pruned`` or
         ``preflight`` row from another shard (one shard may have
@@ -281,18 +336,18 @@ class ResultsDB:
 
         The held record's list position is preserved on replacement, so a
         merge never reorders ``self.records``."""
-        from repro.harness.sweep import SweepPoint
-
-        def key_of(rec: RunRecord) -> tuple:
-            return (rec.app, rec.device, SweepPoint.of_record(rec).label())
-
+        records = other
+        if isinstance(other, ResultsDB):
+            if None not in (self.shared, other.shared):
+                check_shared("merged database", self.shared, other.shared)
+            records = other.records
         stats = MergeStats()
-        index: dict[tuple, int] = {
-            key_of(rec): i for i, rec in enumerate(self.records)
+        index: dict[RecordKey, int] = {
+            RecordKey.of_record(rec, self.shared): i
+            for i, rec in enumerate(self.records)
         }
-        records = other.records if isinstance(other, ResultsDB) else other
         for rec in records:
-            key = key_of(rec)
+            key = RecordKey.of_record(rec, self.shared)
             held_at = index.get(key)
             if held_at is None:
                 index[key] = len(self.records)
@@ -344,22 +399,6 @@ class ResultsDB:
                 best = r.reported_speedup
         return frontier
 
-    def error_intervals(self, bins: int = 10, **filters) -> list[list[RunRecord]]:
-        """Split records into equal error intervals (the paper's
-        overplotting reduction: "we divide the error range for each
-        benchmark into ten equally-sized intervals", §4)."""
-        records = [r for r in self.query(**filters) if r.error < float("inf")]
-        if not records:
-            return []
-        errs = [r.error for r in records]
-        lo, hi = min(errs), max(errs)
-        width = (hi - lo) / bins or 1.0
-        buckets: list[list[RunRecord]] = [[] for _ in range(bins)]
-        for r in records:
-            i = min(int((r.error - lo) / width), bins - 1)
-            buckets[i].append(r)
-        return buckets
-
     # ------------------------------------------------------------------
     def save(self, path: str | Path) -> None:
         """Persist as JSON Lines (strict JSON, see :func:`dumps_record`).
@@ -376,8 +415,8 @@ class ResultsDB:
         """Load a JSONL / ``.jsonl.gz`` file written by :meth:`save` or a
         checkpoint stream.
 
-        The schema-version header line (new checkpoints) is skipped; files
-        without one (PR-1 checkpoints) load identically.  Lines torn by a
+        The header line sets :attr:`shared` when it holds the shared
+        fields; files without one load identically.  Lines torn by a
         crash mid-write — and, for ``.gz``, a truncated final gzip member —
         are skipped with a warning: losing one point re-runs it, aborting
         loses the campaign."""
@@ -404,7 +443,9 @@ class ResultsDB:
                 torn += 1
                 continue
             if isinstance(obj, dict) and SCHEMA_KEY in obj:
-                continue  # schema-version header
+                if all(name in obj for name in SHARED_FIELDS):
+                    db.shared = {name: obj[name] for name in SHARED_FIELDS}
+                continue
             try:
                 db.add(RunRecord(**_decode(obj)))
             except TypeError:
@@ -430,26 +471,24 @@ def compact_checkpoint(
     A resumed/re-driven campaign can legitimately append a label twice
     (retry semantics changed, a technique re-swept); readers take whichever
     record they see last, but the dead lines cost load time forever.  This
-    rewrites the file with exactly one record per (app, device, point
-    label) — first-occurrence order, latest content — behind the
-    schema-version header.
+    rewrites the file with exactly one record per :class:`RecordKey` —
+    first-occurrence order, latest content — behind the source's header
+    fields, so the compacted file resumes like the source.
 
     ``output=None`` replaces ``path`` atomically; otherwise the compacted
     stream is written to ``output`` (whose suffix decides compression, so
     ``compact_checkpoint("c.jsonl", "c.jsonl.gz")`` also converts).
     Returns ``(kept, dropped)`` record counts."""
-    from repro.harness.sweep import SweepPoint
-
     src = Path(path)
-    records = ResultsDB.load(src).records
-    latest: "OrderedDict[tuple, RunRecord]" = OrderedDict()
-    for rec in records:
-        latest[(rec.app, rec.device, SweepPoint.of_record(rec).label())] = rec
+    db = ResultsDB.load(src)
+    latest: "OrderedDict[RecordKey, RunRecord]" = OrderedDict()
+    for rec in db.records:
+        latest[RecordKey.of_record(rec, db.shared)] = rec
     dest = Path(output) if output is not None else src
     tmp = dest.with_name(f".{dest.stem}.compact{dest.suffix}")
     if tmp.exists():
         tmp.unlink()
-    with CheckpointWriter(tmp) as writer:
+    with CheckpointWriter(tmp, db.shared) as writer:
         writer.write(list(latest.values()))
     os.replace(tmp, dest)
-    return len(latest), len(records) - len(latest)
+    return len(latest), len(db.records) - len(latest)

@@ -170,9 +170,6 @@ class Fig3Result:
     rows: list  # (num_threads, fraction_of_global_memory)
     exhaust_threads: int  # first power of two that exceeds 100%
 
-    def series(self):
-        return self.rows
-
 
 def fig3_memory_scaling(entries: int = 5, entry_bytes: int = 36) -> Fig3Result:
     """Fraction of a V100's global memory vs thread count (Fig 3)."""

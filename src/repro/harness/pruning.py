@@ -19,10 +19,10 @@ components exploit that structure:
   ``pruned`` checkpoint row naming the violating ancestor — the same
   mechanism preflight uses for ``infeasible`` rows, so resume, merge, and
   :class:`~repro.harness.database.ResultsDB` work unchanged.
-* :class:`VariantCache` — a content-hash record cache keyed on the fully
-  lowered configuration (app, device, problem, seed, point, site,
-  sanitize), so identical configurations across apps, figures, and
-  campaigns never re-simulate; optionally persisted to a JSONL file.
+* :class:`VariantCache` — a content-hash record cache keyed on the sha256
+  of a record's :class:`~repro.harness.database.RecordKey`, so identical
+  configurations across apps, figures, and campaigns never re-simulate;
+  optionally persisted to a JSONL file.
 
 Soundness: pruning is exact only where error is monotone along the pruned
 axes.  The threshold axes are monotone by construction (a larger threshold
@@ -35,7 +35,6 @@ from the simulated set, replacing them with ``pruned`` markers.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import time
 from collections import OrderedDict
@@ -44,7 +43,7 @@ from typing import Iterable
 
 from repro.gpusim.device import DeviceSpec, get_device
 from repro.harness.config import SweepConfig
-from repro.harness.database import _decode, _encode
+from repro.harness.database import RecordKey, _decode, _encode
 from repro.harness.runner import RunRecord
 from repro.harness.sweep import LEVEL_ORDER, SweepPoint
 
@@ -182,13 +181,6 @@ class SweepLattice:
         """Strictly more-aggressive points of the same group."""
         return self._descendants.get(point.label(), [])
 
-    def roots(self) -> list[SweepPoint]:
-        """Minimal (least aggressive) elements, in input order."""
-        return [p for p in self.points if not self._ancestors[p.label()]]
-
-    def groups(self) -> list[list[SweepPoint]]:
-        return [list(g) for g in self._groups.values()]
-
 
 # ---------------------------------------------------------------------------
 # Variant cache
@@ -196,12 +188,12 @@ class SweepLattice:
 class VariantCache:
     """Content-hash record cache keyed on the fully lowered configuration.
 
-    The key digests everything that determines a deterministic simulation's
-    record — app, resolved device name, problem override fingerprint, seed,
-    the point label (technique + params + level + items-per-thread), the
-    site override, and the sanitize flag — so a hit is byte-exact by
-    construction.  Shared across engines, figures, and campaigns; pass a
-    ``path`` to persist (JSONL: one ``{"key", "record"}`` object per line).
+    Records are stored under :meth:`RecordKey.digest
+    <repro.harness.database.RecordKey.digest>`, which covers everything
+    that determines a deterministic simulation's record, so a hit is
+    byte-exact by construction.  Shared across engines, figures, and
+    campaigns; pass a ``path`` to persist (JSONL: one ``{"key", "record"}``
+    object per line).
     """
 
     def __init__(self, path: str | Path | None = None) -> None:
@@ -213,48 +205,22 @@ class VariantCache:
         if self.path is not None and self.path.exists():
             self.load(self.path)
 
-    @staticmethod
-    def key_for(
-        app: str,
-        device: str | DeviceSpec,
-        point: SweepPoint,
-        *,
-        site: str | None = None,
-        seed: int = 2023,
-        problem: dict | None = None,
-        sanitize: bool = False,
-    ) -> str:
-        """Stable digest of one lowered configuration."""
-        payload = {
-            "app": app,
-            "device": get_device(device).name,
-            "point": point.label(),
-            "site": site,
-            "seed": int(seed),
-            "problem": repr(sorted(problem.items())) if problem else "",
-            "sanitize": bool(sanitize),
-        }
-        blob = json.dumps(payload, sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()
-
-    def get(self, key: str) -> RunRecord | None:
-        rec = self._records.get(key)
+    def get(self, key: RecordKey) -> RunRecord | None:
+        rec = self._records.get(key.digest())
         if rec is None:
             self.misses += 1
         else:
             self.hits += 1
         return rec
 
-    def put(self, key: str, record: RunRecord) -> None:
-        if key not in self._records:
+    def put(self, key: RecordKey, record: RunRecord) -> None:
+        digest = key.digest()
+        if digest not in self._records:
             self.stores += 1
-        self._records[key] = record
+        self._records[digest] = record
 
     def __len__(self) -> int:
         return len(self._records)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._records
 
     def save(self, path: str | Path | None = None) -> Path:
         """Write every cached record to ``path`` (default: the load path)."""
@@ -366,9 +332,10 @@ def run_sweep_pruned(
     skips.
 
     ``config.checkpoint`` is managed *here* (resumed from the engine's
-    index of the file, each decided row appended in wave order and added
-    to that index); waves are submitted with the checkpoint stripped from
-    their config so the engine does not double-write.
+    index of the file by :class:`~repro.harness.database.RecordKey`, each
+    decided row appended in wave order and added to that index); waves are
+    submitted with the checkpoint stripped from their config so the engine
+    does not double-write.
     """
     from repro.harness.batch import BatchJob, BatchReport
 
@@ -387,10 +354,12 @@ def run_sweep_pruned(
     decided: dict[str, RunRecord] = {}
     writer = None
     if cfg.checkpoint is not None:
-        writer = engine.open_checkpoint(cfg.checkpoint)
-        for label in unique:
-            if (app, dev_name, label) in writer.index:
-                decided[label] = writer.index[(app, dev_name, label)]
+        shared = engine.shared(site, cfg.sanitize)
+        writer = engine.open_checkpoint(cfg.checkpoint, shared)
+        for label, pt in unique.items():
+            key = engine._key(BatchJob(app, device, pt, site=site), cfg.sanitize)
+            if key in writer.index:
+                decided[label] = writer.index[key]
     skipped = len(decided)
 
     # Waves run without the checkpoint (managed here) and without prune

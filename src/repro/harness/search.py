@@ -109,13 +109,6 @@ def random_search(
     return SearchResult(best=best, db=db, evaluations=len(db))
 
 
-def _axes_of(technique: str) -> list[str]:
-    return {
-        "taf": ["hsize", "psize", "threshold"],
-        "iact": ["tsize", "threshold", "tperwarp"],
-    }.get(technique, [])
-
-
 def _neighbors(point: SweepPoint, space: list[SweepPoint]) -> list[SweepPoint]:
     """Grid neighbours: points differing from ``point`` in exactly one axis
     (including level and items-per-thread)."""

@@ -119,7 +119,3 @@ class DataEnvironment:
         if not self._entered:
             raise ConfigurationError("data environment not entered")
         return self.memory.get(name)
-
-    @property
-    def mapped_names(self) -> list[str]:
-        return [c.name for c in self._clauses]

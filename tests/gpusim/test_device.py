@@ -124,10 +124,6 @@ class TestHelpers:
         dev = nvidia_v100()
         assert dev.cycles_to_seconds(dev.clock_hz) == pytest.approx(1.0)
 
-    def test_max_resident_threads(self):
-        dev = nvidia_v100()
-        assert dev.max_resident_threads == 80 * 2048
-
     def test_with_overrides_returns_new_spec(self):
         dev = nvidia_v100()
         dev2 = dev.with_overrides(num_sms=40)

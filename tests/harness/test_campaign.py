@@ -49,9 +49,10 @@ class FakeClock:
 
 
 def serial_checkpoint(spec, path):
-    """The reference: a serial sweep's checkpoint of the spec's points."""
+    """The reference: a serial sweep's checkpoint of the spec's points,
+    behind the header of the spec's seed, problems, site and sanitize."""
     runner = ExperimentRunner(problems=spec.problems, seed=spec.seed)
-    with CheckpointWriter(path) as w:
+    with CheckpointWriter(path, spec.shared()) as w:
         for pt in spec.resolve_points():
             w.write(
                 runner.run_point(spec.app, spec.device, pt, site=spec.site)
@@ -271,6 +272,37 @@ class TestPoolWorker:
         assert len(submits) == 2 and sum(submits) == n
         assert merge_campaign(camp).complete
         assert (camp / "merged.jsonl").read_bytes() == serial.read_bytes()
+
+
+class TestCallerEngine:
+    """A worker given an engine runs the spec's identity or refuses."""
+
+    def test_spec_sanitize_overrides_the_engine_policy(self, tmp_path):
+        from repro.harness.batch import BatchEngine
+
+        spec = make_spec(sanitize=True)
+        camp = tmp_path / "camp"
+        split_campaign(camp, spec, shards=2)
+        with BatchEngine(problems=spec.problems) as eng:
+            run_worker(camp, "w", engine=eng)
+        merged = ResultsDB.load(merge_campaign(camp).output)
+        assert len(merged) == len(spec.resolve_points())
+        assert all("approxsan" in rec.extra for rec in merged)
+        assert merged.shared == spec.shared()
+
+    @pytest.mark.parametrize("field", ["seed", "problems"])
+    def test_engine_of_another_seed_or_problems_is_refused(self, tmp_path, field):
+        from repro.errors import EngineMismatchError
+        from repro.harness.batch import BatchEngine
+
+        spec = make_spec()
+        camp = tmp_path / "camp"
+        split_campaign(camp, spec, shards=2)
+        other = {"seed": {"seed": 7}, "problems": {"problems": None}}[field]
+        with BatchEngine(**{"problems": spec.problems, **other}) as eng:
+            with pytest.raises(EngineMismatchError, match=f"{field}="):
+                run_worker(camp, "w", engine=eng)
+            assert eng.stats.submitted == 0
 
 
 class TestLateWriterFencing:

@@ -138,9 +138,9 @@ class TestIndexMatchesReread:
                     checkpoint=ck, preflight=True, variant_cache=vcache
                 ),
             ).records()
-            index = engine.checkpoint_index(ck)
+            index = engine.checkpoint_index(ck, engine.shared(None, False))
         with BatchEngine(problems=PROBLEMS) as fresh:
-            reread = fresh.checkpoint_index(ck)
+            reread = fresh.checkpoint_index(ck, fresh.shared(None, False))
 
         assert _index_dump(index) == _index_dump(reread)
         counts = ResultsDB(reread.values()).status_counts()

@@ -14,7 +14,12 @@ from repro.harness.batch import (
     run_sweep_parallel,
 )
 from repro.harness.config import SweepConfig
-from repro.harness.database import ResultsDB, dumps_record
+from repro.harness.database import (
+    CheckpointWriter,
+    ResultsDB,
+    dumps_record,
+    shared_fields,
+)
 from repro.harness.runner import ExperimentRunner, RunRecord
 from repro.harness.sweep import SweepPoint
 
@@ -153,16 +158,17 @@ class TestCheckpoint:
     def test_checkpoint_ignores_other_app_records(self, tmp_path):
         ck = tmp_path / "sweep.jsonl"
         pts = _points()[:2]
-        ResultsDB(
-            [
+        # Same seed, problems, site and sanitize flag in the header: only
+        # the app and device differ.
+        with CheckpointWriter(ck, shared_fields(2023, PROBLEMS)) as w:
+            w.write(
                 RunRecord(
                     app="lulesh", device="other", technique=p.technique,
                     params=dict(p.params), level=p.level,
                     items_per_thread=p.items_per_thread,
                 )
                 for p in pts
-            ]
-        ).save(ck)
+            )
         report = run_sweep_parallel(
             "blackscholes", "v100_small", pts,
             problems=PROBLEMS, config=SweepConfig(workers=1, checkpoint=ck),

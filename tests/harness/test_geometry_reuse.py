@@ -12,7 +12,6 @@ the served records to byte equality with direct simulation.
 
 import pytest
 
-from repro.gpusim.device import get_device
 from repro.harness.batch import (
     BatchEngine,
     BatchJob,
@@ -20,7 +19,7 @@ from repro.harness.batch import (
     run_sweep_parallel,
 )
 from repro.harness.config import SweepConfig
-from repro.harness.database import dumps_record
+from repro.harness.database import RecordKey, dumps_record
 from repro.harness.runner import ExperimentRunner
 from repro.harness.sweep import MEMO_ITEMS_PER_THREAD, SweepPoint
 
@@ -61,6 +60,13 @@ GEOMETRY_CASES = [
 ] + [(app, "taf", "v100_small") for app in ("binomial", "lavamd", "leukocyte")]
 
 
+def _record_key(job):
+    """A :class:`RecordKey` of ``job`` at the default seed and problems."""
+    return RecordKey(
+        job.app, job.device, job.point.label(), job.site, False, 2023, "{}"
+    )
+
+
 def _point(app, tech, ipt):
     return SweepPoint(tech, dict(PARAMS[tech]), BASE[app][1], ipt)
 
@@ -82,7 +88,7 @@ class TestGeometryExactness:
         (base,) = stream.records()
         assert base.feasible and not base.note and stream.reused == 0
         window = engine.runner.last_window
-        key = ThresholdMemo.key(job, get_device(device).name, False)
+        key = ThresholdMemo.key(job.point, engine._key(job, False))
 
         admitted = [ipt for ipt in CANDIDATES if window.admits_items(ipt)]
         table2 = [ipt for ipt in admitted if ipt in MEMO_ITEMS_PER_THREAD]
@@ -118,7 +124,7 @@ class TestGeometryExactness:
         job = BatchJob("leukocyte", "v100_small", _point("leukocyte", "taf", 8))
         runner = ExperimentRunner(problems=PROBLEMS)
         record = runner.run_point("leukocyte", "v100_small", job.point)
-        key = ThresholdMemo.key(job, "v100_small", False)
+        key = ThresholdMemo.key(job.point, _record_key(job))
         memo.put(key, record, runner.last_window)
         # No teams_for call: every positive value replays the run.
         assert memo.get(key, _point("leukocyte", "taf", 3)) is not None

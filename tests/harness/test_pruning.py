@@ -14,7 +14,7 @@ import pytest
 
 from repro.harness.batch import BatchEngine, BatchJob, run_sweep_parallel
 from repro.harness.config import SweepConfig
-from repro.harness.database import ResultsDB, dumps_record, record_status
+from repro.harness.database import RecordKey, ResultsDB, dumps_record, record_status
 from repro.harness.pruning import (
     DEFAULT_QOI_BOUND,
     SweepLattice,
@@ -23,7 +23,7 @@ from repro.harness.pruning import (
     aggression_vector,
     is_pruned_record,
 )
-from repro.harness.runner import ExperimentRunner
+from repro.harness.runner import ExperimentRunner, RunRecord
 from repro.harness.sweep import SweepPoint
 
 PROBLEMS = {"kmeans": {"num_obs": 2048, "max_iters": 8}}
@@ -108,12 +108,6 @@ class TestLattice:
         assert descendants
         for d in descendants:
             assert root.label() in {a.label() for a in lat.ancestors(d)}
-
-    def test_roots_count(self, grid):
-        lat = SweepLattice(grid)
-        # With level in the aggression vector the threshold x level plane is
-        # ordered per (hsize, psize) group: 2*2 groups, least point of each.
-        assert len(lat.roots()) == 4
 
     def test_unordered_points_isolated(self):
         pts = [SweepPoint("sc", {"rate": r}) for r in (1, 2)]
@@ -324,21 +318,23 @@ class TestVariantCache:
         assert rep.evaluated == 0 and rep.variant_hits == len(sub)
 
     def test_key_sensitive_to_inputs(self, grid):
-        pt = grid[0]
-        base = VariantCache.key_for("kmeans", "v100_small", pt, site=None,
-                                    seed=2023, problem=None, sanitize=False)
-        assert base != VariantCache.key_for(
-            "kmeans", "v100_small", pt, site=None, seed=7, problem=None,
-            sanitize=False)
-        assert base != VariantCache.key_for(
-            "lulesh", "v100_small", pt, site=None, seed=2023, problem=None,
-            sanitize=False)
-        assert base != VariantCache.key_for(
-            "kmeans", "v100_small", grid[1], site=None, seed=2023,
-            problem=None, sanitize=False)
-        assert base == VariantCache.key_for(
-            "kmeans", "v100_small", pt, site=None, seed=2023, problem=None,
-            sanitize=False)
+        # The cache digests every RecordKey field: changing any single one
+        # is a miss, an equal key a hit.
+        base = RecordKey(
+            "kmeans", "v100_small", grid[0].label(), None, False, 2023, "{}"
+        )
+        other = RecordKey(
+            "lulesh", "amd_small", grid[1].label(), "site", True, 7,
+            json.dumps(PROBLEMS, sort_keys=True),
+        )
+        cache = VariantCache()
+        record = RunRecord("kmeans", "v100_small", "taf", {}, "thread", 8)
+        cache.put(base, record)
+        assert cache.get(RecordKey(*base)) is record
+        for field, value in zip(RecordKey._fields, other):
+            changed = base._replace(**{field: value})
+            assert changed.digest() != base.digest(), field
+            assert cache.get(changed) is None, field
 
     def test_single_job_stream_consults_cache(self, grid):
         vc = VariantCache()

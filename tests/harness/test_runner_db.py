@@ -1,6 +1,5 @@
 """Experiment runner and results database tests."""
 
-import numpy as np
 import pytest
 
 from repro.harness.database import ResultsDB
@@ -132,12 +131,6 @@ class TestResultsDB:
         ])
         front = db.pareto_frontier()
         assert [(r.error, r.speedup) for r in front] == [(0.01, 1.5), (0.05, 3.0)]
-
-    def test_error_intervals(self):
-        db = ResultsDB([_rec(err=e) for e in np.linspace(0, 0.1, 20)])
-        buckets = db.error_intervals(bins=10)
-        assert len(buckets) == 10
-        assert sum(len(b) for b in buckets) == 20
 
     def test_save_load_roundtrip(self, tmp_path):
         db = ResultsDB([_rec(err=0.03, spd=1.7)])

@@ -25,7 +25,7 @@ from repro.approx.base import (
 from repro.approx.iact import iact_invoke
 from repro.approx.taf import taf_invoke
 from repro.gpusim.context import GridContext
-from repro.gpusim.device import get_device, nvidia_v100
+from repro.gpusim.device import nvidia_v100
 from repro.harness.batch import (
     BatchEngine,
     BatchJob,
@@ -33,7 +33,7 @@ from repro.harness.batch import (
     run_sweep_parallel,
 )
 from repro.harness.config import SweepConfig
-from repro.harness.database import dumps_record
+from repro.harness.database import RecordKey, dumps_record
 from repro.harness.runner import ExperimentRunner
 from repro.harness.sweep import SweepPoint
 
@@ -54,6 +54,13 @@ CASES = {
     ("blackscholes", "taf"): ({"hsize": 2, "psize": 4}, 2, (0.1, 0.5)),
     ("blackscholes", "iact"): ({"tsize": 4, "tperwarp": 4}, 2, (0.3, 0.9)),
 }
+
+
+def _record_key(job):
+    """A :class:`RecordKey` of ``job`` at the default seed and problems."""
+    return RecordKey(
+        job.app, job.device, job.point.label(), job.site, False, 2023, "{}"
+    )
 
 
 def _point(app, tech, threshold, level="thread"):
@@ -99,7 +106,7 @@ class TestWindowExactness:
             assert record.feasible and reused == 0
             window = engine.runner.last_window
             assert math.isfinite(window.lo) or math.isfinite(window.hi)
-            key = ThresholdMemo.key(job, get_device(device).name, False)
+            key = ThresholdMemo.key(job.point, engine._key(job, False))
 
             inside = _inside(window, tech, base)
             # The simulated threshold itself is an engine-cache hit.
@@ -140,7 +147,7 @@ class TestWindowExactness:
         window = ThresholdWindow()  # admits every float
         memo = ThresholdMemo()
         job = BatchJob("kmeans", "v100_small", _point("kmeans", "iact", 0.5))
-        key = ThresholdMemo.key(job, "v100_small", False)
+        key = ThresholdMemo.key(job.point, _record_key(job))
         record = ExperimentRunner(problems=PROBLEMS).run_point(
             "kmeans", "v100_small", job.point
         )
@@ -152,7 +159,7 @@ class TestWindowExactness:
     def test_only_clean_feasible_records_are_stored(self):
         memo = ThresholdMemo()
         job = BatchJob("kmeans", "v100_small", _point("kmeans", "taf", 0.5))
-        key = ThresholdMemo.key(job, "v100_small", False)
+        key = ThresholdMemo.key(job.point, _record_key(job))
         record = ExperimentRunner(problems=PROBLEMS).run_point(
             "kmeans", "v100_small", job.point
         )
@@ -162,12 +169,10 @@ class TestWindowExactness:
         # Perforation chains vary in items per thread alone; accurate
         # points have no chain.
         perfo = SweepPoint("perfo", {"kind": "small", "skip": 2})
-        assert ThresholdMemo.key(
-            BatchJob("lulesh", "v100_small", perfo), "v100_small", False
-        ) is not None
-        assert ThresholdMemo.key(
-            BatchJob("lulesh", "v100_small", SweepPoint("none", {})), "v100_small", False
-        ) is None
+        accurate = SweepPoint("none", {})
+        for pt, has_chain in ((perfo, True), (accurate, False)):
+            key = _record_key(BatchJob("lulesh", "v100_small", pt))
+            assert (ThresholdMemo.key(pt, key) is not None) == has_chain
 
 
 def _ctx():

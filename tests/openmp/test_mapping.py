@@ -99,11 +99,6 @@ class TestLifecycle:
         with pytest.raises(ConfigurationError):
             env.device("x")
 
-    def test_mapped_names(self, env):
-        env.map_to("a", np.zeros(1))
-        env.map_from("b", np.zeros(1))
-        assert env.mapped_names == ["a", "b"]
-
     def test_direction_enum_values(self):
         assert MapDirection.TO.value == "to"
         assert MapDirection.TOFROM.value == "tofrom"
