@@ -10,7 +10,9 @@ the user passed — an absent flag leaves the dataclass default in force, so
 an invocation and the library call with the same arguments build the same
 request — hands them to :func:`repro.api.execute` (or the matching
 ``repro.api`` call), and renders the typed result: ``--json`` prints
-``result.render_json()`` and the process exits ``result.exit_code``.
+``result.render_json()`` and the process exits ``result.exit_code``.  A
+:class:`~repro.errors.ReproError` (a refused checkpoint, a bad
+configuration) prints one ``error: <message>`` line to stderr and exits 1.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ import sys
 from argparse import SUPPRESS
 
 import numpy as np
+
+from repro.errors import ReproError
 
 
 def _passed(args, *names: str) -> dict:
@@ -604,7 +608,11 @@ def main(argv: list[str] | None = None) -> int:
 
     args = parser.parse_args(argv)
     np.set_printoptions(precision=5, suppress=True)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

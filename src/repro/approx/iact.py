@@ -48,6 +48,10 @@ class IACTState:
     keys: np.ndarray  # (num_tables, tsize, in_width) float32
     vals: np.ndarray  # (num_tables, tsize, out_width) float32
     valid: np.ndarray  # (num_tables, tsize) bool
+    #: ``lane // lanes_per_table``: ``tables_per_warp`` divides the warp
+    #: size and lanes are numbered grid-major, so each table's lanes are
+    #: contiguous and every (num_tables, lanes_per_table) reshape of a
+    #: lane vector groups lanes by table.
     table_of_lane: np.ndarray  # (total_threads,) int32
     policy: object
     tables_per_warp: int
@@ -63,10 +67,6 @@ class IACTState:
     #: generic path would promote to — and is kept in sync by the write
     #: phase.
     keys64T: np.ndarray | None = None
-    #: True when ``table_of_lane`` is ``repeat(arange(ntab), lanes_per_table)``
-    #: — the warp-major layout ``allocate_state`` builds — so per-table
-    #: gathers collapse into broadcast copies.
-    repeat_layout: bool = False
 
     @staticmethod
     def bytes_per_table(params: IACTParams, in_width: int, out_width: int) -> int:
@@ -91,9 +91,7 @@ def allocate_state(ctx: GridContext, spec: RegionSpec, policy: str = "round_robi
     valid = ctx.shared.alloc_per_warp(
         pre + "valid", ctx.warps_per_block, (tpw, params.table_size), np.bool_
     ).reshape(ntab, params.table_size)
-    table_of_lane = (ctx.warp_id * tpw + ctx.lane_in_warp // lanes_per_table).astype(
-        np.int32
-    )
+    table_of_lane = (ctx.thread_id // lanes_per_table).astype(np.int32)
     return IACTState(
         keys=keys,
         vals=vals,
@@ -101,11 +99,6 @@ def allocate_state(ctx: GridContext, spec: RegionSpec, policy: str = "round_robi
         table_of_lane=table_of_lane,
         policy=make_policy(policy, ntab, params.table_size),
         tables_per_warp=tpw,
-        repeat_layout=bool(
-            np.array_equal(
-                table_of_lane, np.repeat(np.arange(ntab), lanes_per_table)
-            )
-        ),
     )
 
 
@@ -207,14 +200,9 @@ def iact_invoke(
             )
         kT = arena.buf(("iact_kT", spec.name), (tsize, total), np.float64)
         ntab = st.keys.shape[0]
-        if st.repeat_layout:
-            # Lanes of a table are contiguous, so the gather is a
-            # broadcast duplication of each table's row.
-            kT3 = kT.reshape(tsize, ntab, total // ntab)
-            np.copyto(kT3, st.keys64T[:, :, None])
-        else:
-            for k in range(tsize):
-                np.take(st.keys64T[k], tid, out=kT[k])
+        # Lanes of a table are contiguous, so the gather is a broadcast
+        # duplication of each table's row.
+        np.copyto(kT.reshape(tsize, ntab, -1), st.keys64T[:, :, None])
         x0 = x[:, 0]
         np.subtract(kT, x0[None, :], out=kT)
         np.multiply(kT, kT, out=kT)  # kT is now dist2 transposed
@@ -224,12 +212,7 @@ def iact_invoke(
             vT = arena.buf(("iact_vT", spec.name), (tsize, st.valid.shape[0]), np.bool_)
             vT[:] = st.valid.T
             vgT = arena.buf(("iact_vgT", spec.name), (tsize, total), np.bool_)
-            if st.repeat_layout:
-                vgT3 = vgT.reshape(tsize, ntab, total // ntab)
-                np.copyto(vgT3, vT[:, :, None])
-            else:
-                for k in range(tsize):
-                    np.take(vT[k], tid, out=vgT[k])
+            np.copyto(vgT.reshape(tsize, ntab, -1), vT[:, :, None])
             rows = arena.buf(("iact_d2mT", spec.name), (tsize, total), np.float64)
             rows.fill(np.inf)
             np.copyto(rows, kT, where=vgT)
@@ -364,20 +347,20 @@ def iact_invoke(
         np.copyto(tmpf, nearest_d2, where=has_entry)
         score.fill(-np.inf)
         np.copyto(score, tmpf, where=accurate)
+        # A table's lanes are contiguous (IACTState.table_of_lane), so
+        # the per-table reductions are row reductions.
         best = arena.buf("iact_best", (ntab,), np.float64)
-        best.fill(-np.inf)
-        np.maximum.at(best, tid, score)
+        score.reshape(ntab, -1).max(axis=1, out=best)
         gathered = arena.buf("iact_bestg", lanes, np.float64)
         np.take(best, tid, out=gathered)
         cand = arena.buf("iact_cand", lanes, np.bool_)
         np.equal(score, gathered, out=cand)
         np.logical_and(accurate, cand, out=cand)
         winner = arena.buf("iact_winner", (ntab,), np.int64)
-        winner.fill(INT64_MAX)
         lane_masked = arena.buf("iact_lanem", lanes, np.int64)
         lane_masked.fill(INT64_MAX)
         np.copyto(lane_masked, lane_idx, where=cand)
-        np.minimum.at(winner, tid, lane_masked)
+        lane_masked.reshape(ntab, -1).min(axis=1, out=winner)
         wgather = arena.buf("iact_wing", lanes, np.int64)
         np.take(winner, tid, out=wgather)
         writer = arena.buf("iact_writer", lanes, np.bool_)

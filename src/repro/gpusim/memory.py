@@ -165,62 +165,56 @@ def _affine_transactions(
     out: np.ndarray | None,
     scratch,
 ) -> np.ndarray | None:
-    """Closed-form per-warp segment counts for an affine address vector.
+    """Closed-form per-warp segment counts when every warp is affine.
 
-    Applies when the whole (fully active) lane vector is constant-stride:
-    ``addr[j] = addr[0] + j*s``.  Per warp the touched segments are the
-    floors of an arithmetic progression, so:
+    Applies when each warp's (fully active) lanes are constant-stride:
+    ``addr[j] = addr[0] + j*s`` within the warp.  Warps are counted
+    independently, so base and stride may jump between warps, as
+    ``team_chunk_stride`` addresses do at block boundaries.  A warp's
+    touched segments are the floors of an arithmetic progression between
+    its lowest and highest address ``lo`` and ``hi``, so it issues
+    ``min(hi//seg - lo//seg + 1, warp_size)`` transactions:
 
-    * ``s == 0`` — every lane hits one address: 1 transaction;
+    * ``s == 0`` — every lane hits one address: ``lo == hi``, 1;
     * ``0 < |s| < segment_bytes`` — consecutive (sorted) lane floors step by
-      0 or 1, touching **every** segment between the endpoints:
-      ``hi//seg - lo//seg + 1`` transactions;
-    * ``|s| >= segment_bytes`` — floors are strictly monotone, all distinct:
-      ``warp_size`` transactions.
+      0 or 1, touching **every** segment between the endpoints (at most
+      ``warp_size`` of them);
+    * ``|s| >= segment_bytes`` — floors are strictly monotone, all distinct,
+      and span at least ``warp_size`` segments: ``warp_size``.
 
-    Returns None when the vector is not affine (caller falls back to the
+    Returns None when some warp is not affine (caller falls back to the
     sort-based reference path).  O(lanes) for the affinity check, O(warps)
     for the counts.
     """
-    n = addresses.shape[0]
-    nwarps = n // warp_size
-    stride = int(addresses[1]) - int(addresses[0])
+    nwarps = addresses.shape[0] // warp_size
+    lanes = addresses.reshape(nwarps, warp_size)
+    steps = (nwarps, warp_size - 1)
     if scratch is not None:
-        diff = scratch.buf("coal_diff", (n - 1,), np.int64)
-        np.subtract(addresses[1:], addresses[:-1], out=diff)
-        affine = scratch.buf("coal_affine", (n - 1,), np.bool_)
-        np.equal(diff, stride, out=affine)
-        if not affine.all():
-            return None
-    elif not bool((np.diff(addresses) == stride).all()):
+        diff = scratch.buf("coal_diff", steps, np.int64)
+        affine = scratch.buf("coal_affine", steps, np.bool_)
+    else:
+        diff = np.empty(steps, dtype=np.int64)
+        affine = np.empty(steps, dtype=np.bool_)
+    np.subtract(lanes[:, 1:], lanes[:, :-1], out=diff)
+    np.equal(diff, diff[:, :1], out=affine)
+    if not affine.all():
         return None
     res = out if out is not None else np.empty(nwarps, dtype=np.int64)
-    if stride == 0:
-        res.fill(1)
-        return res
-    if abs(stride) >= segment_bytes:
-        res.fill(warp_size)
-        return res
-    # Warp bases are a strided view — no gather.  lo/hi are each warp's
-    # lowest/highest touched address, sign-aware.
-    first = addresses[0::warp_size]
-    span = (warp_size - 1) * stride
     if scratch is not None:
         lo = scratch.buf("coal_lo", (nwarps,), np.int64)
         hi = scratch.buf("coal_hi", (nwarps,), np.int64)
     else:
         lo = np.empty(nwarps, dtype=np.int64)
         hi = np.empty(nwarps, dtype=np.int64)
-    if stride > 0:
-        np.floor_divide(first, segment_bytes, out=lo)
-        np.add(first, span, out=hi)
-        np.floor_divide(hi, segment_bytes, out=hi)
-    else:
-        np.add(first, span, out=lo)
-        np.floor_divide(lo, segment_bytes, out=lo)
-        np.floor_divide(first, segment_bytes, out=hi)
+    # Warp ends are strided views — no gather.
+    first, last = lanes[:, 0], lanes[:, -1]
+    np.minimum(first, last, out=lo)
+    np.floor_divide(lo, segment_bytes, out=lo)
+    np.maximum(first, last, out=hi)
+    np.floor_divide(hi, segment_bytes, out=hi)
     np.subtract(hi, lo, out=res)
     res += 1
+    np.minimum(res, warp_size, out=res)
     return res
 
 
@@ -272,17 +266,17 @@ def coalesced_transactions(
     scattered).  Divergent perforation patterns fall between the two, which
     is exactly the fragmentation effect §3.1.5 describes.
 
-    Fully active constant-stride vectors are counted in closed form
-    (:func:`_affine_transactions`) — bit-identical to the sort-based
-    reference, proven by a randomized property test — so unit-stride
-    reads/writes never pay a per-lane sort.
+    Fully active accesses whose every warp is constant-stride are counted
+    in closed form (:func:`_affine_transactions`) — bit-identical to the
+    sort-based reference, proven by a randomized property test — so
+    unit-stride and block-chunked reads/writes never pay a per-lane sort.
     """
     n = byte_addresses.shape[0]
     if n % warp_size:
         raise ValueError("lane count must be a multiple of warp_size")
     if full_mask is None:
         full_mask = bool(np.all(mask))
-    if full_mask and n >= 2:
+    if full_mask:
         addresses = np.asarray(byte_addresses, dtype=np.int64)
         res = _affine_transactions(addresses, warp_size, segment_bytes, out, scratch)
         if res is not None:

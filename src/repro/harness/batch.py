@@ -468,14 +468,17 @@ class BatchStream:
     chunks, so independent streams on one engine overlap.  A job taken for
     dispatch is first looked up in the engine's :class:`ThresholdMemo`
     (stock runner only) and served from a sibling when its threshold and
-    items per thread cannot change a single decision.  Those
-    early-resolved slots yield first, in job order; fresh evaluations
-    yield as their chunk completes — one job per chunk in-process,
-    adaptively sized on a pool — while checkpoint writes and progress
-    callbacks absorb them, so a consumer overlaps its own work with the
-    pool's.  :meth:`records` /
-    :meth:`report` drain the stream and return the job-ordered result,
-    byte-identical to a blocking run.
+    items per thread cannot change a single decision.  One round rule
+    serves both paths: a job whose chain has a job in flight is held until
+    that job completes, then checked in job order, so a pool serves
+    exactly what in-process does (in-process, one job at a time, nothing
+    is ever held; on a pool, a stream of one chain runs one job at a
+    time).  Early-resolved slots yield first, in job order; fresh
+    evaluations yield as their chunk completes — one job per chunk
+    in-process, adaptively sized on a pool — while checkpoint writes and
+    progress callbacks absorb them, so a consumer overlaps its own work
+    with the pool's.  :meth:`records` / :meth:`report` drain the stream
+    and return the job-ordered result, byte-identical to a blocking run.
 
     ``config.workers > 1`` runs on the engine's kept-alive pool (or on a
     transient pool of the stream's own when the engine has none); otherwise
@@ -632,6 +635,9 @@ class BatchStream:
                 mkey = ThresholdMemo.key(job.point, key)
                 if mkey is not None:
                     self._memo_keys[key] = mkey
+        #: Sibling rounds: the chains with a job in flight, each with the
+        #: jobs held back until that job completes, in job order.
+        self._held: dict[RecordKey, list[tuple[RecordKey, BatchJob]]] = {}
 
         # Group pending jobs by (app, device), taken round-robin: the
         # adaptive controller's unit of throughput on a pool, and the
@@ -641,9 +647,9 @@ class BatchStream:
         for key, job in pending.items():
             self._groups.setdefault((key.app, key.device), deque()).append((key, job))
         self._total_pending = len(pending)
-        #: Points not yet dispatched, and ``(chunk points, points not yet
-        #: dispatched when it was sized)`` per chunk (one job in-process),
-        #: in dispatch order.
+        #: Points neither dispatched nor served (held ones included), and
+        #: ``(chunk points, such points when it was sized)`` per chunk (one
+        #: job in-process), in dispatch order.
         self._undispatched = len(pending)
         self.dispatch_log: list[tuple[int, int]] = []
 
@@ -704,8 +710,14 @@ class BatchStream:
 
     def _next_chunk(self) -> tuple[tuple, list[tuple], list[BatchJob]]:
         """Pop the next chunk ``(group, keys, jobs)``, round-robin across
-        groups for fair mixing.  Popped jobs that sibling reuse can serve
-        are absorbed here, right before the chunk would run them."""
+        groups for fair mixing.
+
+        A popped job whose :class:`ThresholdMemo` chain has a job in flight
+        is held until that job completes (:meth:`_release`); otherwise
+        sibling reuse serves it here, right before the chunk would run it,
+        or the chunk takes it and its chain becomes busy.  So a chain meets
+        the memo one job at a time, in job order, exactly as in-process,
+        and no chunk carries two jobs of one chain."""
         group = next(iter(self._groups))
         queue = self._groups[group]
         left = self._undispatched
@@ -720,15 +732,21 @@ class BatchStream:
         keys, jobs = [], []
         while queue and len(jobs) < size:
             key, job = queue.popleft()
-            self._undispatched -= 1
             mkey = self._memo_keys.get(key)
-            rec = None if mkey is None else self._memo.get(mkey, job.point)
-            if rec is None:
-                keys.append(key)
-                jobs.append(job)
-            else:
-                self.reused += 1
-                self._absorb([key], [rec])
+            if mkey is not None:
+                if mkey in self._held:
+                    self._held[mkey].append((key, job))
+                    continue
+                rec = self._memo.get(mkey, job.point)
+                if rec is not None:
+                    self._undispatched -= 1
+                    self.reused += 1
+                    self._absorb([key], [rec])
+                    continue
+                self._held[mkey] = []
+            self._undispatched -= 1
+            keys.append(key)
+            jobs.append(job)
         if jobs:
             self.dispatch_log.append((len(jobs), left))
         # Send the group to the back of the round-robin, or drop it empty.
@@ -737,6 +755,18 @@ class BatchStream:
         else:
             del self._groups[group]
         return group, keys, jobs
+
+    def _release(self, group: tuple, keys: list[tuple]) -> None:
+        """Free the chains of ``keys``, a chunk that completed or was
+        abandoned: their held jobs go back to the front of ``group``'s
+        queue, in job order, to be memo-checked like any popped job."""
+        held = []
+        for key in keys:
+            mkey = self._memo_keys.get(key)
+            if mkey is not None:
+                held += self._held.pop(mkey, ())
+        if held:
+            self._groups.setdefault(group, deque()).extendleft(reversed(held))
 
     # -- dispatch -------------------------------------------------------
     def _run_args(self, group: tuple, jobs: list[BatchJob]) -> tuple:
@@ -776,10 +806,11 @@ class BatchStream:
                 f"WorkerCrash: process pool broke {MAX_POOL_RESPAWNS + 1} "
                 f"times; chunk abandoned"
             )
-            for _group, keys, jobs, _gen in casualties:
+            for group, keys, jobs, _gen in casualties:
                 self._absorb(keys, [
                     _failed_record(j.app, j.device, j.point, why) for j in jobs
                 ])
+                self._release(group, keys)
 
     def _complete(self, group: tuple, keys: list[tuple], result: tuple) -> None:
         """Absorb one evaluated chunk: what :meth:`_WorkerState.run`
@@ -793,6 +824,7 @@ class BatchStream:
         if self._pool is not None:  # only pool chunks are sized
             self._chunker.observe(group, len(keys), seconds)
         self._absorb(keys, records)
+        self._release(group, keys)
 
     def _pump(self) -> bool:
         """Advance the batch one step; False when no work remains."""
@@ -888,10 +920,12 @@ class BatchStream:
 
         Everything already completed stays in the checkpoint and the
         engine cache, so a partially-consumed stream never loses finished
-        work; slots never evaluated are simply never yielded."""
+        work; slots never evaluated (held siblings included) are simply
+        never yielded."""
         if self._finished:
             return
         self._groups.clear()
+        self._held.clear()
         while self._inflight:
             if not self._pump():
                 break

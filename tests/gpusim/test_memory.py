@@ -8,6 +8,7 @@ from repro.gpusim.device import nvidia_v100
 from repro.gpusim.memory import (
     DeviceMemory,
     TransferModel,
+    _affine_transactions,
     coalesced_transactions,
     global_memory_fraction_for_tables,
     per_thread_table_bytes,
@@ -288,6 +289,38 @@ class TestAffineCoalescing:
             addr -= addr.min()  # keep addresses non-negative
         mask = np.ones(n, bool)
         got = coalesced_transactions(addr, mask, warp_size, segment_bytes)
+        assert got.tolist() == self._sort_reference(addr, warp_size, segment_bytes)
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_block_jump_vectors_take_the_affine_path(self, seed):
+        # ``team_chunk_stride`` addresses: every warp is affine, but base
+        # and stride jump at block (and here also warp) boundaries, so the
+        # whole lane vector is not.  Warps are counted independently.
+        rng = np.random.default_rng(seed)
+        warp_size = int(rng.choice([1, 4, 8, 32, 64]))
+        warps_per_block = int(rng.integers(1, 4))
+        num_blocks = int(rng.integers(2, 6))
+        num_warps = warps_per_block * num_blocks
+        segment_bytes = 32
+        strides = [0, 1, 3, 7, 8, 16, 31, 32, 33, 4096]
+        chunk = int(rng.integers(1, 2**12))
+        lane_in_block = np.arange(warps_per_block * warp_size)
+        if rng.random() < 0.5:  # the team_chunk_stride layout itself
+            stride = int(rng.choice(strides[1:]))
+            addr = np.concatenate([
+                (b * chunk + lane_in_block) * stride for b in range(num_blocks)
+            ])
+        else:  # random base and signed stride per warp
+            addr = np.concatenate([
+                int(rng.integers(0, 2**20))
+                + int(rng.choice(strides)) * int(rng.choice([-1, 1]))
+                * np.arange(warp_size)
+                for _ in range(num_warps)
+            ])
+            addr -= min(addr.min(), 0)  # keep addresses non-negative
+        addr = addr.astype(np.int64)
+        assert _affine_transactions(addr, warp_size, segment_bytes, None, None) is not None
+        got = coalesced_transactions(addr, np.ones(addr.size, bool), warp_size, segment_bytes)
         assert got.tolist() == self._sort_reference(addr, warp_size, segment_bytes)
 
     def test_affine_with_scratch_and_out(self):

@@ -165,20 +165,37 @@ class TestChunkCap:
     def _stream(self, **cfg):
         with BatchEngine(problems=self.SMALL, config=SweepConfig(**cfg)) as eng:
             stream = eng.submit(self._group_jobs())
-            return stream, [dumps_record(r) for r in stream.records()]
+            return eng, stream, [dumps_record(r) for r in stream.records()]
 
     def test_adaptive_chunks_capped_and_records_identical(self, monkeypatch):
         # A long target makes the controller want the whole group at once
         # after its first observation: only the cap splits it.
         monkeypatch.setattr(batch, "TARGET_CHUNK_SECONDS", 60.0)
-        pooled, pooled_recs = self._stream(workers=2)
-        serial, serial_recs = self._stream(workers=1)
+        chunks = []
+        dispatch = batch.BatchStream._dispatch
+
+        def recording(stream, group, keys, jobs):
+            chunks.append(list(jobs))
+            return dispatch(stream, group, keys, jobs)
+
+        monkeypatch.setattr(batch.BatchStream, "_dispatch", recording)
+        eng, pooled, pooled_recs = self._stream(workers=2)
+        _eng, serial, serial_recs = self._stream(workers=1)
         assert pooled_recs == serial_recs
         log = pooled.dispatch_log
-        # Points served by threshold reuse are never dispatched.
+        # Points served by threshold reuse are never dispatched, and a
+        # pool serves exactly what in-process does.
+        assert pooled.reused == serial.reused > 0
         assert sum(n for n, _left in log) + pooled.reused == 50
         assert all(n <= -(-left // 2) for n, left in log)
         assert max(n for n, _left in log) < 46
+        # Sibling rounds: no chunk carries two jobs of one memo chain.
+        assert max(len(chunk) for chunk in chunks) > 1
+        for chunk in chunks:
+            chains = [
+                batch.ThresholdMemo.key(j.point, eng._key(j, False)) for j in chunk
+            ]
+            assert len(set(chains)) == len(chains)
         # In-process there is no IPC to amortize: every dispatch is one job.
         assert serial.dispatch_log
         assert all(n == 1 for n, _left in serial.dispatch_log)

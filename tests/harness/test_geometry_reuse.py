@@ -224,13 +224,17 @@ class TestEngineGeometryReuse:
         assert serial[1].reused > 0 and serial[2].reused > 0
 
     def test_pool_records_match_when_siblings_share_a_wave(self):
+        # A wave holding several points of a chain: the pool holds each
+        # point until its chain's job in flight completes, so it serves
+        # exactly what the in-process loop serves.
         serial, serial_reused = _pruned_sweeps(1, by_items_per_thread=False)
-        pooled, _pooled_reused = _pruned_sweeps(2, by_items_per_thread=False)
+        pooled, pooled_reused = _pruned_sweeps(2, by_items_per_thread=False)
         for a, b in zip(serial, pooled):
             assert [dumps_record(r) for r in a.records] == [
                 dumps_record(r) for r in b.records
             ]
-        assert serial_reused > 0
+            assert a.reused == b.reused
+        assert pooled_reused == serial_reused > 0
 
     def test_reuse_is_exact_against_a_plain_loop(self, direct):
         pts = _grid("kmeans")

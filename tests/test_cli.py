@@ -69,6 +69,20 @@ class TestSweep:
         assert "evaluated 0 points" in second
         assert "best under 10% error" in second
 
+    def test_checkpoint_of_another_seed_is_one_error_line(self, capsys, tmp_path):
+        ck = tmp_path / "ck.jsonl"
+        argv = ["sweep", "blackscholes", "--technique", "taf",
+                "--checkpoint", str(ck)]
+        assert main(argv) == 0
+        before = ck.read_bytes()
+        capsys.readouterr()
+        assert main(["--seed", "7"] + argv) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ") and "seed" in err
+        assert "Traceback" not in err
+        assert ck.read_bytes() == before
+
 
 class TestSearch:
     def test_random_search_prints_table_and_best(self, capsys, tmp_path):
