@@ -15,6 +15,10 @@ techniques plus the raw charging primitives:
    charges under the base all-true mask: O(warps) bookkeeping and the
    deferred counter journal.
 
+The TAF and iACT kernels run twice: on the full 128x256 grid and on
+:data:`SMALL_GRID` (kmeans's Table-2 launch), where the per-call Python
+work of an invocation, not the lane count, sets the cost.
+
 Each measurement is the best of ``REPS`` launches, divided by the steps
 the kernel runs, and must fit the absolute seconds-per-step budget in
 :data:`BUDGET_S_PER_STEP`.  The TAF run also snapshots the scratch arena
@@ -78,7 +82,17 @@ BUDGET_S_PER_STEP = {
     "taf": 129.4e-3 / 2 / STEPS,
     "iact": 344.8e-3 / 2 / STEPS,
     "primitives": 47.3e-3 / 2 / PRIMITIVE_STEPS,
+    # The same kernels on kmeans's Table-2 launch at 8 items per thread
+    # (SMALL_GRID), where per-call overhead dominates.  Each budget is the
+    # best-of-7 launch time of the invocation path before it bound its
+    # scratch once per launch (median of 8 runs on a 2-vCPU box: TAF
+    # 3.25 ms, iACT 5.12 ms), divided by the kernel's steps.
+    "taf_small": 3.25e-3 / STEPS,
+    "iact_small": 5.12e-3 / STEPS,
 }
+FULL_GRID = (NUM_BLOCKS, THREADS_PER_BLOCK)
+#: 2 blocks x 64 threads: kmeans (num_obs 1024) at 8 items per thread.
+SMALL_GRID = (2, 64)
 GOLDENS = json.loads(
     (REPO / "tests" / "approx" / "goldens" / "equivalence.json").read_text()
 )
@@ -135,14 +149,14 @@ def primitive_kernel(ctx):
         ctx.charge_global_streamed(1.0, itemsize=8)
 
 
-def bench(kernel, sanitizer_factory=None):
+def bench(kernel, sanitizer_factory=None, grid=FULL_GRID):
     """Best-of-REPS wall clock plus the last result for identity checks."""
     best = float("inf")
     result = None
     for _ in range(REPS):
         sanitizer = sanitizer_factory() if sanitizer_factory else None
         t0 = time.perf_counter()
-        result = launch(kernel, DEV, NUM_BLOCKS, THREADS_PER_BLOCK, sanitizer=sanitizer)
+        result = launch(kernel, DEV, *grid, sanitizer=sanitizer)
         best = min(best, time.perf_counter() - t0)
     return best, result
 
@@ -162,15 +176,20 @@ def main() -> int:
         "reps": REPS,
     }
 
-    for label, kernel, steps in (
-        ("taf", taf_kernel, STEPS),
-        ("iact", iact_kernel, STEPS),
-        ("primitives", primitive_kernel, PRIMITIVE_STEPS),
+    # The small grids run first, so the arena gate below reads the
+    # snapshots of the full-size TAF launch.
+    for label, kernel, steps, grid in (
+        ("taf_small", taf_kernel, STEPS, SMALL_GRID),
+        ("iact_small", iact_kernel, STEPS, SMALL_GRID),
+        ("taf", taf_kernel, STEPS, FULL_GRID),
+        ("iact", iact_kernel, STEPS, FULL_GRID),
+        ("primitives", primitive_kernel, PRIMITIVE_STEPS, FULL_GRID),
     ):
-        seconds, _ = bench(kernel)
+        seconds, _ = bench(kernel, grid=grid)
         per_step = seconds / steps
         budget = BUDGET_S_PER_STEP[label]
         report[label] = {
+            "grid": f"{grid[0]}x{grid[1]}",
             "seconds": seconds,
             "steps": steps,
             "s_per_step": per_step,

@@ -48,6 +48,7 @@ from repro.errors import (
     ReproError,
     SharedMemoryError,
     SimulatedDeadlockError,
+    UnknownBenchmarkError,
     UnsupportedApproximationError,
 )
 from repro.gpusim import (
@@ -97,6 +98,7 @@ __all__ = [
     "SweepConfig",
     "TAFParams",
     "Technique",
+    "UnknownBenchmarkError",
     "UnsupportedApproximationError",
     "__version__",
     "amd_mi250x",

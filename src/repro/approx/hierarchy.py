@@ -34,7 +34,8 @@ class Decision:
     The four masks are **borrowed** arena buffers: they stay valid until
     the next ``decide`` call on the same context.  Every in-tree consumer
     (taf/iact invoke, the runtime, region stats) reads them within the
-    same invocation.
+    same invocation.  At thread level ``forced`` and ``denied`` are both
+    the context's shared read-only all-False mask.
     """
 
     #: Lanes that take the approximate execution path.
@@ -80,8 +81,19 @@ def decide(
         np.logical_and(want_approx, m, out=want)
 
     if level is HierarchyLevel.THREAD:
-        approx = want
-    elif level is HierarchyLevel.WARP:
+        # Every lane follows its own wish: approx is the wish itself, and
+        # no lane is forced or denied.
+        accurate = arena.buf("dec_notapprox", lanes, np.bool_)
+        np.logical_not(want, out=accurate)
+        if not uniform:
+            np.logical_and(m, accurate, out=accurate)
+        return Decision(
+            approx_mask=want,
+            accurate_mask=accurate,
+            forced=ctx._no_lanes,
+            denied=ctx._no_lanes,
+        )
+    if level is HierarchyLevel.WARP:
         votes = ctx._ballot_counts(want, m)  # charges like ballot()
         active = ctx._warp_counts(m)
         approve = arena.buf("dec_approve_w", (ctx.num_warps,), np.bool_)

@@ -23,6 +23,13 @@ GPU adaptation (§3.1.4, §3.3):
 Unlike TAF, iACT pays its decision cost — the distance scan — on *every*
 invocation, which is why the paper finds it slower (insight 4) and a net
 loss where the region itself is cheap (Leukocyte, LavaMD).
+
+That per-invocation cost is kept flat on the host side:
+:func:`allocate_state` binds every buffer an invocation uses from the
+launch's arena once (:class:`IACTScratch`), each branch mask is counted
+once, and thread-private tables (``tperwarp == warp_size``) skip the
+writer election while every input seen is finite — each accurate lane is
+then its table's only candidate, so it writes.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.approx.base import IACTParams, RegionSpec, RegionStats
+from repro.approx.base import HierarchyLevel, IACTParams, RegionSpec, RegionStats
 from repro.approx.hierarchy import Decision, decide
 from repro.approx.replacement import make_policy
 from repro.errors import UnsupportedApproximationError
@@ -39,6 +46,71 @@ from repro.gpusim.context import GridContext
 
 #: Writer-election sentinel: a lane index no real lane can have.
 INT64_MAX = np.iinfo(np.int64).max
+
+
+#: Lane vectors one invocation rewrites: arena tag suffix and dtype.
+_LANE_BUFS = (
+    ("nearest", np.intp), ("nd2", np.float64), ("lt", np.bool_),
+    ("itmp", np.intp), ("flat", np.intp), ("has", np.bool_),
+    ("want", np.bool_), ("tmpb", np.bool_), ("rest", np.bool_),
+    ("approx", np.bool_), ("fallback", np.bool_), ("accurate", np.bool_),
+    ("vidx", np.intp), ("score", np.float64), ("tmpf", np.float64),
+    ("bestg", np.float64), ("cand", np.bool_), ("lanem", np.int64),
+    ("wing", np.int64), ("writer", np.bool_),
+)
+
+
+class IACTScratch:
+    """A region's per-invocation temporaries, taken from the launch's
+    :class:`~repro.gpusim.arena.ScratchArena` once, when its tables are
+    allocated (the arena still owns and counts them).
+
+    Every shape is fixed by the launch and the spec: lane vectors, table
+    vectors, ``(tsize, lanes)`` planes of the width-1 transposed scan,
+    ``(lanes, tsize[, in_width])`` planes of the generic scan and the
+    ``(lanes, out_width)`` value planes.  The lane and table vectors sit
+    under the same arena keys for every iACT region of the launch and
+    are rewritten by each invocation; the planes are keyed by region, so
+    a region's returned ``values`` survive other regions' invocations
+    until its own next one.
+    """
+
+    __slots__ = tuple(name for name, _ in _LANE_BUFS) + (
+        "xfin", "best", "winner", "values", "vgath",
+        "kT", "kT3", "vT", "vgT", "vgT3", "d2mT",
+        "keys_g", "diffs", "dist2", "valid_g", "d2m",
+    )
+
+    def __init__(self, ctx: GridContext, spec: RegionSpec, ntab: int) -> None:
+        arena = ctx.arena
+        total = ctx.total_threads
+        tsize = spec.params.table_size  # type: ignore[union-attr]
+        iw, ow = spec.in_width, max(spec.out_width, 1)
+        name = spec.name
+        for tag, dtype in _LANE_BUFS:
+            setattr(self, tag, arena.buf("iact_" + tag, (total,), dtype))
+        self.xfin = arena.buf(("iact_xfin", name), (total, iw), np.bool_)
+        self.best = arena.buf("iact_best", (ntab,), np.float64)
+        self.winner = arena.buf("iact_winner", (ntab,), np.int64)
+        self.values = arena.buf(("iact_values", name), (total, ow), np.float64)
+        self.vgath = arena.buf(("iact_vgath", name), (total, ow), np.float32)
+        if iw == 1:
+            # Width-1 transposed scan; the (slot, table, lane-of-table)
+            # views broadcast each table's row over its lanes.
+            self.kT = arena.buf(("iact_kT", name), (tsize, total), np.float64)
+            self.kT3 = self.kT.reshape(tsize, ntab, -1)
+            self.vT = arena.buf(("iact_vT", name), (tsize, ntab), np.bool_)
+            self.vgT = arena.buf(("iact_vgT", name), (tsize, total), np.bool_)
+            self.vgT3 = self.vgT.reshape(tsize, ntab, -1)
+            self.d2mT = arena.buf(("iact_d2mT", name), (tsize, total), np.float64)
+        # The generic scan also serves width-1 regions once an input was
+        # not finite.
+        tshape = (total, tsize, iw)
+        self.keys_g = arena.buf(("iact_keys", name), tshape, np.float32)
+        self.diffs = arena.buf(("iact_diffs", name), tshape, np.float64)
+        self.dist2 = arena.buf(("iact_dist2", name), (total, tsize), np.float64)
+        self.valid_g = arena.buf(("iact_valid", name), (total, tsize), np.bool_)
+        self.d2m = arena.buf(("iact_d2m", name), (total, tsize), np.float64)
 
 
 @dataclass
@@ -53,14 +125,21 @@ class IACTState:
     #: contiguous and every (num_tables, lanes_per_table) reshape of a
     #: lane vector groups lanes by table.
     table_of_lane: np.ndarray  # (total_threads,) int32
+    #: ``table_of_lane * tsize``: each lane's first slot in the flattened
+    #: (num_tables * tsize) entry axis.
+    slot_base: np.ndarray  # (total_threads,) intp
     policy: object
     tables_per_warp: int
+    scratch: IACTScratch
     #: True while every input vector seen so far was finite.  Finite inputs
     #: can never put a NaN into the distance matrix (the float32 key cast
     #: saturates to ±inf, and inf−finite, overflow, and squaring all stay
     #: ±inf), which licenses the strict-< nearest-entry sweep in the read
-    #: phase.
+    #: phase and, on thread-private tables, the trivial writer election.
     finite_inputs: bool = True
+    #: Latched once every entry is valid: the write phase never clears a
+    #: valid flag, so the read phase stops re-reducing ``valid``.
+    all_valid: bool = False
     #: Lazily-built float64 mirror of the width-1 keys, laid out
     #: (slot, table) so per-slot scans are contiguous.  Holds exactly
     #: ``float64(float32 key)`` — the value the mixed-dtype subtract of the
@@ -75,7 +154,8 @@ class IACTState:
 
 
 def allocate_state(ctx: GridContext, spec: RegionSpec, policy: str = "round_robin") -> IACTState:
-    """Carve the region's warp-shared tables out of shared memory."""
+    """Carve the region's warp-shared tables out of shared memory and bind
+    its scratch."""
     params: IACTParams = spec.params  # type: ignore[assignment]
     tpw = params.resolved_tables_per_warp(ctx.warp_size)
     iw, ow = spec.in_width, max(spec.out_width, 1)
@@ -97,8 +177,10 @@ def allocate_state(ctx: GridContext, spec: RegionSpec, policy: str = "round_robi
         vals=vals,
         valid=valid,
         table_of_lane=table_of_lane,
+        slot_base=table_of_lane.astype(np.intp) * params.table_size,
         policy=make_policy(policy, ntab, params.table_size),
         tables_per_warp=tpw,
+        scratch=IACTScratch(ctx, spec, ntab),
     )
 
 
@@ -157,15 +239,16 @@ def iact_invoke(
     params: IACTParams = spec.params  # type: ignore[assignment]
     ow = max(spec.out_width, 1)
     st = get_state(ctx, spec, policy)
+    s = st.scratch
     x = check_uniform_inputs(inputs, spec)
     tid = st.table_of_lane
     total = ctx.total_threads
-    lanes = (total,)
+    ntab = st.keys.shape[0]
+    tsize = params.table_size
 
-    # Arena buffers below are rewritten every invocation under stable
+    # The bound buffers below are rewritten every invocation under stable
     # ids; drop any per-warp active vectors cached against them.
     ctx.invalidate_mask_cache()
-    arena = ctx.arena
     m = ctx._combined_mask(mask)
 
     # --------------------------------------------------------------
@@ -173,20 +256,19 @@ def iact_invoke(
     # entry.  Paid on every invocation — iACT's unavoidable decision
     # cost.  float32 keys are promoted to float64 before subtracting.
     # --------------------------------------------------------------
-    ctx.shared_access(float(params.table_size * spec.in_width), m)
-    ctx.flops(3.0 * params.table_size * spec.in_width, m)
-    tsize = params.table_size
-    nearest_slot = arena.buf("iact_nearest", lanes, np.intp)
-    nearest_d2 = arena.buf("iact_nd2", lanes, np.float64)
+    ctx.shared_access(float(tsize * spec.in_width), m)
+    ctx.flops(3.0 * tsize * spec.in_width, m)
+    nearest_slot, nearest_d2 = s.nearest, s.nd2
     if st.finite_inputs:
-        xfin = arena.buf(("iact_xfin", spec.name), x.shape, np.bool_)
-        np.isfinite(x, out=xfin)
-        if not bool(xfin.all()):
+        np.isfinite(x, out=s.xfin)
+        if np.count_nonzero(s.xfin) != x.size:
             # A ±inf/NaN input can seed the tables with values whose
             # distances go NaN, and NaN orders differently under the
             # sweep below than under argmin — fall back permanently.
             st.finite_inputs = False
-    all_valid = bool(st.valid.all())
+    if not st.all_valid:
+        st.all_valid = bool(st.valid.all())
+    lt, itmp = s.lt, s.itmp
     if spec.in_width == 1 and st.finite_inputs:
         # Transposed scan for the width-1 case: a float64 mirror of the
         # keys laid out (slot, table) makes every per-slot gather,
@@ -198,32 +280,26 @@ def iact_invoke(
             st.keys64T = np.ascontiguousarray(
                 st.keys[:, :, 0].T, dtype=np.float64
             )
-        kT = arena.buf(("iact_kT", spec.name), (tsize, total), np.float64)
-        ntab = st.keys.shape[0]
+        kT = s.kT
         # Lanes of a table are contiguous, so the gather is a broadcast
         # duplication of each table's row.
-        np.copyto(kT.reshape(tsize, ntab, -1), st.keys64T[:, :, None])
-        x0 = x[:, 0]
-        np.subtract(kT, x0[None, :], out=kT)
+        np.copyto(s.kT3, st.keys64T[:, :, None])
+        np.subtract(kT, x[:, 0], out=kT)
         np.multiply(kT, kT, out=kT)  # kT is now dist2 transposed
-        if all_valid:
+        if st.all_valid:
             rows = kT
         else:
-            vT = arena.buf(("iact_vT", spec.name), (tsize, st.valid.shape[0]), np.bool_)
-            vT[:] = st.valid.T
-            vgT = arena.buf(("iact_vgT", spec.name), (tsize, total), np.bool_)
-            np.copyto(vgT.reshape(tsize, ntab, -1), vT[:, :, None])
-            rows = arena.buf(("iact_d2mT", spec.name), (tsize, total), np.float64)
+            s.vT[:] = st.valid.T
+            np.copyto(s.vgT3, s.vT[:, :, None])
+            rows = s.d2mT
             rows.fill(np.inf)
-            np.copyto(rows, kT, where=vgT)
+            np.copyto(rows, kT, where=s.vgT)
         # First-occurrence argmin as tsize-1 strict-< sweeps.  Finite
         # inputs keep the distances NaN-free (see
         # IACTState.finite_inputs), so ties and ±inf resolve exactly as
         # np.argmin does — and the running minimum is nearest_d2.
         nearest_d2[:] = rows[0]
         nearest_slot.fill(0)
-        lt = arena.buf("iact_lt", lanes, np.bool_)
-        itmp = arena.buf("iact_itmp", lanes, np.intp)
         for k in range(1, tsize):
             row = rows[k]
             np.less(row, nearest_d2, out=lt)
@@ -234,12 +310,9 @@ def iact_invoke(
             np.multiply(itmp, lt, out=itmp)
             np.bitwise_xor(nearest_slot, itmp, out=nearest_slot)
     else:
-        tshape = (total, tsize, spec.in_width)
-        keys_g = arena.buf(("iact_keys", spec.name), tshape, np.float32)
+        keys_g, diffs, dist2 = s.keys_g, s.diffs, s.dist2
         np.take(st.keys, tid, axis=0, out=keys_g)
-        diffs = arena.buf(("iact_diffs", spec.name), tshape, np.float64)
         np.subtract(keys_g, x[:, None, :], out=diffs)
-        dist2 = arena.buf(("iact_dist2", spec.name), (total, tsize), np.float64)
         if spec.in_width == 1:
             # Width-1 contraction is a plain square — no accumulation,
             # so this is trivially bit-identical to the einsum and
@@ -248,23 +321,20 @@ def iact_invoke(
             np.multiply(d0, d0, out=dist2)
         else:
             np.einsum("lti,lti->lt", diffs, diffs, out=dist2)
-        if all_valid:
+        if st.all_valid:
             # Steady state: every entry valid, the +inf masking is the
             # identity, and the (lanes, tsize) gather/fill/copy
             # disappears.
             d2m = dist2
         else:
-            valid_g = arena.buf(("iact_valid", spec.name), (total, tsize), np.bool_)
-            np.take(st.valid, tid, axis=0, out=valid_g)
-            d2m = arena.buf(("iact_d2m", spec.name), (total, tsize), np.float64)
+            np.take(st.valid, tid, axis=0, out=s.valid_g)
+            d2m = s.d2m
             d2m.fill(np.inf)
-            np.copyto(d2m, dist2, where=valid_g)
+            np.copyto(d2m, dist2, where=s.valid_g)
         if st.finite_inputs:
             # Same strict-< sweep as above, over strided columns.
             nearest_d2[:] = d2m[:, 0]
             nearest_slot.fill(0)
-            lt = arena.buf("iact_lt", lanes, np.bool_)
-            itmp = arena.buf("iact_itmp", lanes, np.intp)
             for k in range(1, tsize):
                 col = d2m[:, k]
                 np.less(col, nearest_d2, out=lt)
@@ -274,20 +344,18 @@ def iact_invoke(
                 np.bitwise_xor(nearest_slot, itmp, out=nearest_slot)
         else:
             np.argmin(d2m, axis=1, out=nearest_slot)
-            flatidx = arena.buf("iact_flat", lanes, np.intp)
+            flatidx = s.flat
             np.multiply(ctx.thread_id, tsize, out=flatidx)
             np.add(flatidx, nearest_slot, out=flatidx)
             np.take(d2m.reshape(-1), flatidx, out=nearest_d2)
-    has_entry = arena.buf("iact_has", lanes, np.bool_)
+    has_entry = s.has
     np.isfinite(nearest_d2, out=has_entry)
 
-    want = arena.buf("iact_want", lanes, np.bool_)
+    want, tmpb, rest = s.want, s.tmpb, s.rest
     np.logical_and(m, has_entry, out=want)
-    tmpb = arena.buf("iact_tmpb", lanes, np.bool_)
     np.less_equal(nearest_d2, params.threshold**2, out=tmpb)
     if stats is not None:
         # Margins over the lanes that compared: active, with an entry.
-        rest = arena.buf("iact_rest", lanes, np.bool_)
         np.logical_not(tmpb, out=rest)
         np.logical_and(want, rest, out=rest)
     np.logical_and(want, tmpb, out=want)
@@ -295,36 +363,34 @@ def iact_invoke(
         stats.window.narrow(nearest_d2, want, rest)
     dec = decide(ctx, want, spec.level, m)
 
-    approx = arena.buf("iact_approx", lanes, np.bool_)
+    approx, fallback, accurate = s.approx, s.fallback, s.accurate
     np.logical_and(dec.approx_mask, has_entry, out=approx)
     np.logical_not(has_entry, out=tmpb)
-    fallback = arena.buf("iact_fallback", lanes, np.bool_)
     np.logical_and(dec.approx_mask, tmpb, out=fallback)
-    accurate = arena.buf("iact_accurate", lanes, np.bool_)
     np.logical_or(dec.accurate_mask, fallback, out=accurate)
 
-    values = arena.buf(("iact_values", spec.name), (total, ow), np.float64)
+    values = s.values
     if m is not ctx._base_mask:
         # approx ∪ accurate == m, so under a full mask every row is
         # overwritten below and the zero prefill would be dead stores.
         values.fill(0.0)
 
     # --- approximate path: return the nearest cached output ---------------
-    if approx.any():
+    n_approx = int(np.count_nonzero(approx))
+    if n_approx:
         ctx.shared_access(float(ow), approx)
         # Gather every lane's nearest entry (indices are always valid)
         # and copy only the approximating lanes.
-        vidx = arena.buf("iact_vidx", lanes, np.intp)
-        np.multiply(tid, params.table_size, out=vidx)
-        np.add(vidx, nearest_slot, out=vidx)
-        vgath = arena.buf(("iact_vgath", spec.name), (total, ow), np.float32)
-        np.take(st.vals.reshape(-1, st.vals.shape[2]), vidx, axis=0, out=vgath)
-        np.copyto(values, vgath, where=approx[:, None])
+        vidx = s.vidx
+        np.add(st.slot_base, nearest_slot, out=vidx)
+        np.take(st.vals.reshape(-1, ow), vidx, axis=0, out=s.vgath)
+        np.copyto(values, s.vgath, where=approx[:, None])
         if getattr(st.policy, "tracks_hits", True):
             st.policy.on_hit(tid[approx], nearest_slot[approx])
 
     # --- accurate path + write phase ---------------------------------------
-    if accurate.any():
+    n_accurate = int(np.count_nonzero(accurate))
+    if n_accurate:
         computed = np.asarray(compute(accurate), dtype=np.float64)
         if computed.ndim == 1:
             computed = computed[:, None]
@@ -333,39 +399,13 @@ def iact_invoke(
         # Warp barrier between read and write phases (§3.3).
         ctx._charge_intrinsic(2.0, m)
 
-        # Single-writer election: per table, the missing lane with the
-        # largest distance from any cached value inserts its pair.  Lanes
-        # with empty tables have +inf distance and always win.
-        lane_idx = ctx.thread_id
-        ntab = st.keys.shape[0]
-        # Masked full-array reductions: non-accurate lanes carry -inf
-        # (never the maximum) and non-candidate lanes carry INT64_MAX
-        # (never the minimum), so no boolean gathers are needed.
-        score = arena.buf("iact_score", lanes, np.float64)
-        tmpf = arena.buf("iact_tmpf", lanes, np.float64)
-        tmpf.fill(np.inf)
-        np.copyto(tmpf, nearest_d2, where=has_entry)
-        score.fill(-np.inf)
-        np.copyto(score, tmpf, where=accurate)
-        # A table's lanes are contiguous (IACTState.table_of_lane), so
-        # the per-table reductions are row reductions.
-        best = arena.buf("iact_best", (ntab,), np.float64)
-        score.reshape(ntab, -1).max(axis=1, out=best)
-        gathered = arena.buf("iact_bestg", lanes, np.float64)
-        np.take(best, tid, out=gathered)
-        cand = arena.buf("iact_cand", lanes, np.bool_)
-        np.equal(score, gathered, out=cand)
-        np.logical_and(accurate, cand, out=cand)
-        winner = arena.buf("iact_winner", (ntab,), np.int64)
-        lane_masked = arena.buf("iact_lanem", lanes, np.int64)
-        lane_masked.fill(INT64_MAX)
-        np.copyto(lane_masked, lane_idx, where=cand)
-        lane_masked.reshape(ntab, -1).min(axis=1, out=winner)
-        wgather = arena.buf("iact_wing", lanes, np.int64)
-        np.take(winner, tid, out=wgather)
-        writer = arena.buf("iact_writer", lanes, np.bool_)
-        np.equal(lane_idx, wgather, out=writer)
-        np.logical_and(cand, writer, out=writer)
+        if ntab == total and st.finite_inputs:
+            # Thread-private tables: every accurate lane is its table's
+            # only candidate, and finite inputs keep its score NaN-free,
+            # so it wins its own election.
+            writer = accurate
+        else:
+            writer = _elect_writers(ctx, st, nearest_d2, has_entry, accurate)
         ctx._charge_intrinsic(float(np.log2(ctx.warp_size)), m)  # election scan
 
         # One boolean scan, then integer gathers over the (sparse)
@@ -388,10 +428,54 @@ def iact_invoke(
             )
 
     if stats is not None:
-        stats.invocations += int(m.sum())
-        stats.approximated += int(approx.sum())
-        stats.forced += int(np.logical_and(dec.forced, has_entry).sum())
-        stats.denied += int(dec.denied.sum())
-        stats.fallback_accurate += int(fallback.sum())
+        # approx and accurate partition the active lanes.
+        stats.invocations += n_approx + n_accurate
+        stats.approximated += n_approx
+        if spec.level is not HierarchyLevel.THREAD:
+            # Thread-level decisions force and deny no lane.
+            np.logical_and(dec.forced, has_entry, out=tmpb)
+            stats.forced += int(np.count_nonzero(tmpb))
+            stats.denied += int(np.count_nonzero(dec.denied))
+        stats.fallback_accurate += int(np.count_nonzero(fallback))
 
     return values, dec
+
+
+def _elect_writers(
+    ctx: GridContext,
+    st: IACTState,
+    nearest_d2: np.ndarray,
+    has_entry: np.ndarray,
+    accurate: np.ndarray,
+) -> np.ndarray:
+    """Single-writer election: per table, the missing lane with the
+    largest distance from any cached value inserts its pair.  Lanes with
+    empty tables have +inf distance and always win; ties go to the lowest
+    lane.  Returns the (borrowed) writer mask."""
+    s = st.scratch
+    tid = st.table_of_lane
+    ntab = st.keys.shape[0]
+    # Masked full-array reductions: non-accurate lanes carry -inf (never
+    # the maximum) and non-candidate lanes carry INT64_MAX (never the
+    # minimum), so no boolean gathers are needed.
+    score, tmpf = s.score, s.tmpf
+    tmpf.fill(np.inf)
+    np.copyto(tmpf, nearest_d2, where=has_entry)
+    score.fill(-np.inf)
+    np.copyto(score, tmpf, where=accurate)
+    # A table's lanes are contiguous (IACTState.table_of_lane), so the
+    # per-table reductions are row reductions.
+    score.reshape(ntab, -1).max(axis=1, out=s.best)
+    np.take(s.best, tid, out=s.bestg)
+    cand = s.cand
+    np.equal(score, s.bestg, out=cand)
+    np.logical_and(accurate, cand, out=cand)
+    lane_masked = s.lanem
+    lane_masked.fill(INT64_MAX)
+    np.copyto(lane_masked, ctx.thread_id, where=cand)
+    lane_masked.reshape(ntab, -1).min(axis=1, out=s.winner)
+    np.take(s.winner, tid, out=s.wing)
+    writer = s.writer
+    np.equal(ctx.thread_id, s.wing, out=writer)
+    np.logical_and(cand, writer, out=writer)
+    return writer

@@ -135,7 +135,7 @@ class ApproxRuntime:
             values = np.asarray(compute(m), dtype=np.float64)
             if values.ndim == 1:
                 values = values[:, None]
-            stats.invocations += int(m.sum())
+            stats.invocations += int(np.count_nonzero(m))
         elif spec.technique is Technique.TAF:
             values, _ = taf_invoke(ctx, spec, compute, mask=mask, stats=stats)
         elif spec.technique is Technique.IACT:

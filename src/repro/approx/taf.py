@@ -21,6 +21,12 @@ transitions exactly as §3.3 describes: accurate executions append to the
 window, a full window's RSD below threshold arms ``prediction_size``
 approximate invocations, and exhausting them flushes the window and returns
 to accumulation.
+
+The state machine runs on every invocation, so its host cost is kept flat:
+:func:`allocate_state` binds every lane mask and the region's value plane
+from the launch's arena once (:class:`TAFScratch`), each branch mask is
+counted once and that count feeds the region stats, and thread-level
+decisions skip the forced/denied counts (they are always zero).
 """
 
 from __future__ import annotations
@@ -29,13 +35,45 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.approx.base import RegionSpec, RegionStats, TAFParams
+from repro.approx.base import HierarchyLevel, RegionSpec, RegionStats, TAFParams
 from repro.approx.hierarchy import Decision, decide
 from repro.gpusim.context import GridContext
 
 #: State-machine encodings (int32 in shared memory).
 ACCUMULATING = 0
 STABLE = 1
+
+
+#: Lane masks one invocation rewrites, bound from the arena per launch.
+_MASKS = (
+    "want", "tmp", "can", "approx", "fallback", "accurate",
+    "done", "full", "shift", "grow", "ready",
+)
+
+
+class TAFScratch:
+    """A region's per-invocation temporaries, taken from the launch's
+    :class:`~repro.gpusim.arena.ScratchArena` once, when its state is
+    allocated (the arena still owns and counts them).
+
+    The lane masks sit under the same arena keys for every TAF region of
+    the launch and are rewritten by each invocation; ``values`` is keyed
+    by region, so a region's returned values survive other regions'
+    invocations until its own next one.
+    """
+
+    __slots__ = _MASKS + ("values",)
+
+    def __init__(self, ctx: GridContext, spec: RegionSpec) -> None:
+        arena = ctx.arena
+        lanes = (ctx.total_threads,)
+        for name in _MASKS:
+            setattr(self, name, arena.buf("taf_" + name, lanes, np.bool_))
+        self.values = arena.buf(
+            ("taf_values", spec.name),
+            (ctx.total_threads, max(spec.out_width, 1)),
+            np.float64,
+        )
 
 
 @dataclass
@@ -47,6 +85,7 @@ class TAFState:
     state: np.ndarray  # (threads,) int32: ACCUMULATING | STABLE
     pred_left: np.ndarray  # (threads,) int32
     last: np.ndarray  # (threads, out_width) float32
+    scratch: TAFScratch
 
     @staticmethod
     def bytes_per_thread(params: TAFParams, out_width: int) -> int:
@@ -55,7 +94,8 @@ class TAFState:
 
 
 def allocate_state(ctx: GridContext, spec: RegionSpec) -> TAFState:
-    """Carve this region's per-thread TAF state out of shared memory.
+    """Carve this region's per-thread TAF state out of shared memory and
+    bind its scratch.
 
     Raises :class:`~repro.errors.SharedMemoryError` when the state does not
     fit the per-block budget — the resource constraint that motivates the
@@ -74,6 +114,7 @@ def allocate_state(ctx: GridContext, spec: RegionSpec) -> TAFState:
         state=ctx.shared.alloc_per_thread(pre + "state", tpb, (), np.int32),
         pred_left=ctx.shared.alloc_per_thread(pre + "pred", tpb, (), np.int32),
         last=ctx.shared.alloc_per_thread(pre + "last", tpb, (ow,), np.float32),
+        scratch=TAFScratch(ctx, spec),
     )
 
 
@@ -155,71 +196,67 @@ def taf_invoke(
     params: TAFParams = spec.params  # type: ignore[assignment]
     ow = max(spec.out_width, 1)
     st = get_state(ctx, spec)
-    # The arena-backed masks below are rewritten every invocation under
-    # stable ids; drop any per-warp active vectors cached against them.
+    s = st.scratch
+    # The bound masks below are rewritten every invocation under stable
+    # ids; drop any per-warp active vectors cached against them.
     ctx.invalidate_mask_cache()
-    arena = ctx.arena
-    lanes = (ctx.total_threads,)
     m = ctx._combined_mask(mask)
 
     # Activation function: read the per-thread state machine (shared
     # memory) and evaluate the criterion.
     ctx.shared_access(1.0, m)
     ctx.flops(2.0, m)
-    want = arena.buf("taf_want", lanes, np.bool_)
+    want, tmp = s.want, s.tmp
     np.equal(st.state, STABLE, out=want)
     np.logical_and(m, want, out=want)
-    tmp = arena.buf("taf_tmp", lanes, np.bool_)
     np.greater(st.pred_left, 0, out=tmp)
     np.logical_and(want, tmp, out=want)
     dec = decide(ctx, want, spec.level, m)
 
     # Lanes the group forces to approximate can only comply if they have
     # a replayable value; warm-up lanes fall back to the accurate path.
-    can = arena.buf("taf_can", lanes, np.bool_)
+    can, approx, fallback, accurate = s.can, s.approx, s.fallback, s.accurate
     np.greater(st.hist_len, 0, out=can)
-    approx = arena.buf("taf_approx", lanes, np.bool_)
     np.logical_and(dec.approx_mask, can, out=approx)
     np.logical_not(can, out=tmp)
-    fallback = arena.buf("taf_fallback", lanes, np.bool_)
     np.logical_and(dec.approx_mask, tmp, out=fallback)
-    accurate = arena.buf("taf_accurate", lanes, np.bool_)
     np.logical_or(dec.accurate_mask, fallback, out=accurate)
 
-    values = arena.buf(("taf_values", spec.name), (ctx.total_threads, ow), np.float64)
+    values = s.values
     if m is not ctx._base_mask:
         # approx ∪ accurate == m, so under a full mask every row is
         # overwritten below and the zero prefill would be dead stores.
         values.fill(0.0)
 
     # --- approximate path: replay the last accurate output ---------------
-    if approx.any():
+    n_approx = int(np.count_nonzero(approx))
+    if n_approx:
         ctx.shared_access(float(ow), approx)
         # Single-pass masked ops: each lane's last output and prediction
         # budget are touched only where it approximates.
         np.copyto(values, st.last, where=approx[:, None])
         np.subtract(st.pred_left, 1, out=st.pred_left, where=approx)
-        done = arena.buf("taf_done", lanes, np.bool_)
+        done = s.done
         np.less_equal(st.pred_left, 0, out=done)
         np.logical_and(approx, done, out=done)
-        if done.any():
+        if np.count_nonzero(done):
             # Prediction budget exhausted: flush and re-monitor.
             np.copyto(st.state, ACCUMULATING, where=done)
             np.copyto(st.hist_len, 0, where=done)
 
     # --- accurate path: execute the region and update the window ---------
-    if accurate.any():
+    n_accurate = int(np.count_nonzero(accurate))
+    if n_accurate:
         computed = np.asarray(compute(accurate), dtype=np.float64)
         if computed.ndim == 1:
             computed = computed[:, None]
         np.copyto(values, computed, where=accurate[:, None])
 
         # Append to the sliding window (shift when full).
-        full = arena.buf("taf_full", lanes, np.bool_)
+        full, shift = s.full, s.shift
         np.greater_equal(st.hist_len, params.history_size, out=full)
-        shift = arena.buf("taf_shift", lanes, np.bool_)
         np.logical_and(accurate, full, out=shift)
-        if shift.any():
+        if np.count_nonzero(shift):
             w = shift[:, None]
             # Left-shift via per-column masked copies: column i reads
             # i+1 before iteration i+1 overwrites it.
@@ -227,9 +264,9 @@ def taf_invoke(
                 np.copyto(st.history[:, i], st.history[:, i + 1], where=w)
             np.copyto(st.history[:, -1], computed, where=w)
         np.logical_not(full, out=full)
-        grow = arena.buf("taf_grow", lanes, np.bool_)
+        grow = s.grow
         np.logical_and(accurate, full, out=grow)
-        if grow.any():
+        if np.count_nonzero(grow):
             st.history[grow, st.hist_len[grow]] = computed[grow]
             np.add(st.hist_len, 1, out=st.hist_len, where=grow)
         np.copyto(st.last, computed, where=accurate[:, None])
@@ -237,10 +274,10 @@ def taf_invoke(
 
         # Windows that just became full evaluate the RSD criterion,
         # computed on the ready subset only (it is per-lane independent).
-        ready = arena.buf("taf_ready", lanes, np.bool_)
+        ready = s.ready
         np.greater_equal(st.hist_len, params.history_size, out=ready)
         np.logical_and(accurate, ready, out=ready)
-        if ready.any():
+        if np.count_nonzero(ready):
             ctx.flops(3.0 * params.history_size * ow, ready)
             ctx.sfu(2.0, ready)  # sqrt for sigma, divide for sigma/mu
             idx = np.flatnonzero(ready)
@@ -259,10 +296,14 @@ def taf_invoke(
                 st.pred_left[arm_idx] = params.prediction_size
 
     if stats is not None:
-        stats.invocations += int(m.sum())
-        stats.approximated += int(approx.sum())
-        stats.forced += int(np.logical_and(dec.forced, can).sum())
-        stats.denied += int(dec.denied.sum())
-        stats.fallback_accurate += int(fallback.sum())
+        # approx and accurate partition the active lanes.
+        stats.invocations += n_approx + n_accurate
+        stats.approximated += n_approx
+        if spec.level is not HierarchyLevel.THREAD:
+            # Thread-level decisions force and deny no lane.
+            np.logical_and(dec.forced, can, out=tmp)
+            stats.forced += int(np.count_nonzero(tmp))
+            stats.denied += int(np.count_nonzero(dec.denied))
+        stats.fallback_accurate += int(np.count_nonzero(fallback))
 
     return values, dec

@@ -22,6 +22,7 @@ from repro.apps.lavamd import LavaMD
 from repro.apps.leukocyte import Leukocyte
 from repro.apps.lulesh import Lulesh
 from repro.apps.minife import MiniFE
+from repro.errors import UnknownBenchmarkError
 
 #: Registry of all benchmarks by name (Table 1).
 BENCHMARKS: dict[str, type[Benchmark]] = {
@@ -43,7 +44,7 @@ def get_benchmark(name: str, problem: dict | None = None) -> Benchmark:
     try:
         cls = BENCHMARKS[name.lower()]
     except KeyError:
-        raise KeyError(
+        raise UnknownBenchmarkError(
             f"unknown benchmark {name!r}; known: {sorted(BENCHMARKS)}"
         ) from None
     return cls(problem=problem)

@@ -136,7 +136,7 @@ class BinomialOptions(Benchmark):
             lattice_flops = _SETUP_FLOPS + _NODE_FLOPS * nodes_per_thread * steps / 2.0
 
             for _step, item, m in ctx.block_chunk_stride(n):
-                safe = np.clip(item, 0, n - 1)
+                safe = np.minimum(item, n - 1)
                 row = dopts[safe]  # per-lane copy of its block's option
                 if capture_inputs:
                     ctx.charge_global_streamed(

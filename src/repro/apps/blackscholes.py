@@ -131,7 +131,7 @@ class Blackscholes(Benchmark):
         def kernel(ctx, dopts, dprices):
             for _run in range(num_runs):
                 for _step, idx, m in ctx.team_chunk_stride(n):
-                    safe = np.clip(idx, 0, n - 1)
+                    safe = np.minimum(idx, n - 1)
                     row = dopts[safe]
                     if capture_inputs:
                         # iACT reads the declared in(...) section on every

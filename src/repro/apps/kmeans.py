@@ -123,7 +123,7 @@ class KMeans(Benchmark):
                 changed = 0
                 # --- assignment phase (the approximated kernel) ----------
                 for _step, idx, m in ctx.team_chunk_stride(n):
-                    safe = np.clip(idx, 0, n - 1)
+                    safe = np.minimum(idx, n - 1)
                     x = dobs[safe]
                     if capture_inputs:
                         ctx.charge_global_streamed(

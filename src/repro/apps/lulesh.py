@@ -135,7 +135,7 @@ class Lulesh(Benchmark):
         def stress_kernel(ctx, de, dp_):
             gamma = 0.4
             for _s, idx, m in ctx.team_chunk_stride(nel):
-                safe = np.clip(idx, 0, nel - 1)
+                safe = np.minimum(idx, nel - 1)
                 ctx.charge_global_streamed(2, itemsize=8, mask=m)
                 ctx.flops(_STRESS_FLOPS, m)
                 ctx.global_write(dp_, safe, gamma * de[safe], m)
@@ -148,7 +148,7 @@ class Lulesh(Benchmark):
             else:
                 iterator = ctx.team_chunk_stride(nel)
             for _s, idx, m in iterator:
-                safe = np.clip(idx, 0, nel - 1)
+                safe = np.minimum(idx, nel - 1)
                 pair = np.stack([de[safe], avg[safe]], axis=1)
                 if capture:
                     ctx.charge_global_streamed(
@@ -178,7 +178,7 @@ class Lulesh(Benchmark):
 
         def energy_kernel(ctx, de, dp_, dhg1, dhg2, new_e):
             for _s, idx, m in ctx.team_chunk_stride(nel):
-                safe = np.clip(idx, 0, nel - 1)
+                safe = np.minimum(idx, nel - 1)
                 ctx.charge_global_streamed(5, itemsize=8, mask=m)
                 ctx.flops(_ENERGY_FLOPS, m)
                 ctx.sfu(1.0, m)  # sqrt in the conduction coefficient

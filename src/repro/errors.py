@@ -31,6 +31,17 @@ class LaunchError(ConfigurationError):
     """A kernel launch configuration violates device limits."""
 
 
+class UnknownBenchmarkError(ConfigurationError, KeyError):
+    """No benchmark of the requested name exists.
+
+    Also a :class:`KeyError`, so lookups written against the
+    ``BENCHMARKS`` mapping keep catching it."""
+
+    def __str__(self) -> str:
+        # KeyError quotes its message; print it as every ReproError does.
+        return Exception.__str__(self)
+
+
 class SharedMemoryError(ReproError):
     """A per-block shared-memory allocation exceeded the device budget."""
 

@@ -10,6 +10,14 @@ through a :class:`ScratchArena` owned by the
 :class:`~repro.gpusim.context.GridContext`: buffers are keyed by
 ``(tag, shape, dtype)`` and reused in place via ``out=`` ufunc variants.
 
+The context primitives look their buffers up per call.  The TAF and iACT
+runtimes bind theirs once per (launch, region), when the region's state
+is allocated, and keep the arrays; a lookup (tuple key plus
+``np.dtype``) would otherwise be a large share of an invocation on the
+small launches a design-space sweep runs.  The arena still owns those
+buffers and counts them: each is one miss at binding, and the same tag
+gets the same array in every region that binds it.
+
 Buffers handed out by the arena are **borrowed**: a buffer is valid until
 the next request with the same key.  Callers that need a value to outlive
 the next same-tagged operation (anything that escapes to application code

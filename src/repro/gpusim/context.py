@@ -35,14 +35,16 @@ Steady-state cost
 -----------------
 
 The primitives do near-zero allocations in steady state: temporaries live
-in a per-launch :class:`~repro.gpusim.arena.ScratchArena`, the per-warp
-active vector of a given mask object is identity-cached, the depth-1
-all-true mask short-circuits every reshape-reduce, and counter
-accumulation is journaled per call and folded into :class:`CycleCounters`
-lazily on ``ctx.counters`` access (finalized once per launch).  Their
-results are pinned by recorded digests:
-``tests/gpusim/goldens/primitives.json`` (randomized primitive programs)
-and ``tests/approx/goldens/equivalence.json`` (full application runs).
+in a per-launch :class:`~repro.gpusim.arena.ScratchArena` (the TAF and
+iACT runtimes bind theirs from it once per launch and region, and the
+arena still counts them), the per-warp active vector of a given mask
+object is identity-cached, the depth-1 all-true mask short-circuits
+every reshape-reduce, and counter accumulation is journaled per call and
+folded into :class:`CycleCounters` lazily on ``ctx.counters`` access
+(finalized once per launch).  Their results are pinned by recorded
+digests: ``tests/gpusim/goldens/primitives.json`` (randomized primitive
+programs) and ``tests/approx/goldens/equivalence.json`` (full
+application runs).
 
 Invariants callers must respect:
 
@@ -148,6 +150,10 @@ class GridContext:
         self._base_mask = self._mask_stack[0]
         self._uniform_active = np.ones(self.num_warps, dtype=bool)
         self._uniform_active.setflags(write=False)
+        #: Shared read-only all-False lane mask (a thread-level decision's
+        #: ``forced`` and ``denied``).
+        self._no_lanes = np.zeros(self.total_threads, dtype=bool)
+        self._no_lanes.setflags(write=False)
         self._active_cache: dict[int, tuple] = {}
         self._active_slot = 0
 

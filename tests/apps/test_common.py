@@ -19,7 +19,11 @@ from repro.approx.base import (
     TAFParams,
     Technique,
 )
-from repro.errors import ConfigurationError, UnsupportedApproximationError
+from repro.errors import (
+    ConfigurationError,
+    UnknownBenchmarkError,
+    UnsupportedApproximationError,
+)
 
 
 class TestRegistry:
@@ -39,6 +43,16 @@ class TestRegistry:
     def test_unknown_benchmark(self):
         with pytest.raises(KeyError):
             get_benchmark("hpcg")
+
+    def test_unknown_benchmark_is_a_plain_message_configuration_error(self):
+        caught = None
+        try:
+            get_benchmark("hpcg")
+        except KeyError as exc:  # lookups against BENCHMARKS still catch it
+            caught = exc
+        assert isinstance(caught, UnknownBenchmarkError)
+        assert isinstance(caught, ConfigurationError)
+        assert str(caught).startswith("unknown benchmark 'hpcg'; known: [")
 
     def test_problem_overrides_merge(self):
         app = get_benchmark("lulesh", problem={"mesh": 6})

@@ -36,9 +36,11 @@ class TestRun:
         ]) == 0
         assert "perfo:" in capsys.readouterr().out
 
-    def test_unknown_app_raises(self):
-        with pytest.raises(KeyError):
-            main(["run", "hpcg"])
+    def test_unknown_app_raises(self, capsys):
+        assert main(["run", "hpcg"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown benchmark 'hpcg'; known: [")
+        assert err.count("\n") == 1
 
 
 class TestSweep:
