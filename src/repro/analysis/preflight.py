@@ -36,7 +36,7 @@ from repro.gpusim.kernel import round_up
 from repro.harness.runner import RunRecord
 from repro.harness.sweep import SweepPoint
 
-#: Signature the executor's ``preflight=`` hook expects.
+#: Signature of the hook :func:`make_preflight` returns.
 PreflightFn = Callable[..., "RunRecord | None"]
 
 
@@ -119,7 +119,8 @@ def preflight_point(
 
 
 def make_preflight(problems: dict | None = None) -> PreflightFn:
-    """A ``preflight=`` hook bound to the sweep's per-app problem overrides."""
+    """The hook ``SweepConfig(preflight=True)`` runs on each pending
+    point, bound to the sweep's per-app problem overrides."""
 
     def hook(app_name, device, point, site=None):
         return preflight_point(

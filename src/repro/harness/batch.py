@@ -3,8 +3,10 @@
 :meth:`BatchEngine.submit` is the single way jobs get evaluated.  An
 engine holds one parent :class:`~repro.harness.runner.ExperimentRunner`
 (the baseline cache and the in-process executor), one in-memory record
-cache keyed by :class:`~repro.harness.database.RecordKey`, and — for
-``workers > 1`` — one kept-alive :class:`WorkerPool`.  ``submit`` returns
+cache keyed by :class:`~repro.harness.database.RecordKey`, and — from
+the first call with ``workers > 1`` — one kept-alive :class:`WorkerPool`.
+Parent, in-process and pool runners are all
+``ExperimentRunner(problems=, seed=)``.  ``submit`` returns
 a :class:`BatchStream` that serves every slot it can without simulating
 (the engine cache, the checkpoint, the static preflight, the variant
 cache, duplicates of an earlier slot), then evaluates the rest in
@@ -58,10 +60,6 @@ TARGET_CHUNK_SECONDS = 0.8
 #: as infeasible (a chunk that reliably kills workers must not respawn
 #: forever).
 MAX_POOL_RESPAWNS = 3
-
-
-def _default_factory(problems: dict | None, seed: int) -> ExperimentRunner:
-    return ExperimentRunner(problems=problems, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -161,13 +159,13 @@ class AdaptiveChunker:
 # ----------------------------------------------------------------------
 # Retry wrapper.  Shared by in-process and pool evaluation.
 def run_point_with_retry(
-    runner,
+    runner: ExperimentRunner,
     app: str,
     device: str | DeviceSpec,
     point: SweepPoint,
     site: str | None = None,
     retries: int = 1,
-    rebuild: Callable[[], object] | None = None,
+    rebuild: Callable[[], ExperimentRunner] | None = None,
     sanitize: bool = False,
 ) -> RunRecord:
     """``runner.run_point`` hardened for sweep duty.
@@ -185,9 +183,6 @@ def run_point_with_retry(
     update whatever slot the caller reuses across points (the
     :class:`_WorkerState`, a closure variable) so later points get the
     fresh instance."""
-    # ``sanitize`` is forwarded only when set, so stub runners whose
-    # run_point lacks the keyword keep working.
-    kwargs = {"sanitize": True} if sanitize else {}
     last: Exception | None = None
     for attempt in range(max(0, retries) + 1):
         if attempt and rebuild is not None:
@@ -196,7 +191,7 @@ def run_point_with_retry(
             except Exception:  # noqa: BLE001 — keep the old instance over losing the point
                 pass
         try:
-            return runner.run_point(app, device, point, site=site, **kwargs)
+            return runner.run_point(app, device, point, site=site, sanitize=sanitize)
         except Exception as exc:  # noqa: BLE001 — sweep must survive anything
             last = exc
     return _failed_record(
@@ -231,25 +226,24 @@ class _WorkerState:
     outlives any one batch's baseline set); they accumulate in
     ``baselines``, so a retry rebuild re-primes every baseline seen."""
 
-    def __init__(self, factory: Callable, args: tuple, runner=None) -> None:
-        self.factory, self.args = factory, args
+    def __init__(
+        self, problems: dict, seed: int, runner: ExperimentRunner | None = None
+    ) -> None:
+        self.problems, self.seed = problems, seed
         self.baselines: dict = {}
         #: Baseline computes of runners a rebuild replaced.
         self.retired_computes = 0
-        self.runner = runner
-        if runner is None:
-            self.rebuild()
+        self.runner = runner or ExperimentRunner(problems=problems, seed=seed)
 
-    def rebuild(self):
+    def rebuild(self) -> ExperimentRunner:
         """Replace a possibly-poisoned runner with a fresh, primed one."""
-        self.retired_computes += getattr(self.runner, "baseline_computes", 0)
-        self.runner = self.factory(*self.args)
-        if self.baselines and hasattr(self.runner, "prime_baselines"):
-            self.runner.prime_baselines(self.baselines)
+        self.retired_computes += self.runner.baseline_computes
+        self.runner = ExperimentRunner(problems=self.problems, seed=self.seed)
+        self.runner.prime_baselines(self.baselines)
         return self.runner
 
     def _computes(self) -> int:
-        return self.retired_computes + getattr(self.runner, "baseline_computes", 0)
+        return self.retired_computes + self.runner.baseline_computes
 
     def run(
         self,
@@ -267,8 +261,7 @@ class _WorkerState:
         first, so a failed attempt never leaves a stale one behind."""
         if baselines:
             self.baselines.update(baselines)
-            if hasattr(self.runner, "prime_baselines"):
-                self.runner.prime_baselines(baselines)
+            self.runner.prime_baselines(baselines)
         before = self._computes()
         t0 = time.monotonic()
         records, windows = [], []
@@ -277,7 +270,7 @@ class _WorkerState:
                 self.runner, job.app, job.device, job.point, site=job.site,
                 retries=retries, rebuild=self.rebuild, sanitize=sanitize,
             ))
-            windows.append(getattr(self.runner, "last_window", None))
+            windows.append(self.runner.last_window)
         return records, time.monotonic() - t0, self._computes() - before, windows
 
 
@@ -285,9 +278,9 @@ class _WorkerState:
 _WORKER: _WorkerState | None = None
 
 
-def _init_batch_worker(factory: Callable, args: tuple) -> None:
+def _init_batch_worker(problems: dict, seed: int) -> None:
     global _WORKER
-    _WORKER = _WorkerState(factory, args)
+    _WORKER = _WorkerState(problems, seed)
 
 
 def _run_chunk(*args) -> tuple[list, float, int, list]:
@@ -309,14 +302,10 @@ class WorkerPool:
     """
 
     def __init__(
-        self,
-        max_workers: int,
-        factory: Callable = _default_factory,
-        args: tuple = (None, 2023),
+        self, max_workers: int, problems: dict | None = None, seed: int = 2023
     ) -> None:
         self.max_workers = max(1, int(max_workers))
-        self.factory = factory
-        self.args = args
+        self.problems, self.seed = problems or {}, seed
         self.spawns = 0
         self.respawns = 0
         self._executor: ProcessPoolExecutor | None = None
@@ -326,7 +315,7 @@ class WorkerPool:
             self._executor = ProcessPoolExecutor(
                 max_workers=self.max_workers,
                 initializer=_init_batch_worker,
-                initargs=(self.factory, self.args),
+                initargs=(self.problems, self.seed),
             )
             self.spawns += 1
         return self._executor
@@ -467,7 +456,7 @@ class BatchStream:
     — then resolves shared baselines and, on a pool, dispatches the first
     chunks, so independent streams on one engine overlap.  A job taken for
     dispatch is first looked up in the engine's :class:`ThresholdMemo`
-    (stock runner only) and served from a sibling when its threshold and
+    and served from a sibling when its threshold and
     items per thread cannot change a single decision.  One round rule
     serves both paths: a job whose chain has a job in flight is held until
     that job completes, then checked in job order, so a pool serves
@@ -480,10 +469,12 @@ class BatchStream:
     with the pool's.  :meth:`records` / :meth:`report` drain the stream
     and return the job-ordered result, byte-identical to a blocking run.
 
-    ``config.workers > 1`` runs on the engine's kept-alive pool (or on a
-    transient pool of the stream's own when the engine has none); otherwise
-    jobs run in-process on the engine's runner.  Both complete chunks
-    through the same :meth:`_complete`.
+    ``config.preflight`` runs the static analyzer
+    (:func:`repro.analysis.preflight.make_preflight` on the engine's
+    problems).  ``config.workers > 1`` runs on the engine's one kept-alive
+    pool (:meth:`BatchEngine.pool_for`; a stream never owns a pool);
+    otherwise jobs run in-process on the engine's runner.  Both complete
+    chunks through the same :meth:`_complete`.
     """
 
     def __init__(
@@ -496,7 +487,6 @@ class BatchStream:
         self.jobs = list(jobs)
         self._engine = engine
         self._t0 = time.monotonic()
-        stock = engine.runner_factory is None
 
         self._slot_keys = [engine._key(job, cfg.sanitize) for job in self.jobs]
         self._slots_by_key: dict[RecordKey, list[int]] = {}
@@ -540,13 +530,12 @@ class BatchStream:
         # Static preflight: vet pending jobs in the parent (cheap — no
         # simulation) and divert the statically infeasible ones straight to
         # the results, so the pool only ever sees points that might run.
-        pre = cfg.preflight
         pruned: list[tuple[RecordKey, RunRecord]] = []
-        if pre:
-            if pre is True:
-                from repro.analysis.preflight import make_preflight
+        if cfg.preflight:
+            # Looked up per call, so a patched ``make_preflight`` is seen.
+            from repro.analysis.preflight import make_preflight
 
-                pre = make_preflight(engine.problems)
+            pre = make_preflight(engine.problems)
             survivors: OrderedDict[RecordKey, BatchJob] = OrderedDict()
             for key, job in pending.items():
                 rec = pre(job.app, job.device, job.point, site=job.site)
@@ -559,10 +548,9 @@ class BatchStream:
 
         # Content-hash variant cache: identical lowered configurations from
         # *other* campaigns (different checkpoint files, figures, apps) are
-        # served without simulating.  Only sound for the stock runner — a
-        # custom runner_factory may not be content-deterministic.
+        # served without simulating.
         self.variant_hits = 0
-        self._vcache = cfg.variant_cache if stock else None
+        self._vcache = cfg.variant_cache
         vhits: list[tuple[RecordKey, RunRecord]] = []
         if self._vcache is not None:
             fresh_pending: OrderedDict[RecordKey, BatchJob] = OrderedDict()
@@ -578,11 +566,10 @@ class BatchStream:
         # Baseline pre-resolution: every unique (app, device) among the
         # pending jobs, computed exactly once in the engine's runner and
         # shipped to workers alongside their chunks (a persistent pool
-        # outlives any one batch).  A custom runner factory may not build
-        # an ExperimentRunner at all, so it gets no shared baselines.
+        # outlives any one batch).
         self.baseline_runs = 0
         self._group_baselines: dict[tuple, dict] = {}
-        if stock and pending:
+        if pending:
             src = engine.runner
             pairs: OrderedDict[tuple, BatchJob] = OrderedDict()
             for key, job in pending.items():
@@ -625,16 +612,13 @@ class BatchStream:
             self._done[key] = rec
             self._notify(key, rec)
 
-        # Sibling reuse is exact only for the content-deterministic
-        # stock runner, like the variant cache.
         self.reused = 0
-        self._memo = engine.threshold_memo if stock else None
+        self._memo = engine.threshold_memo
         self._memo_keys: dict[RecordKey, RecordKey] = {}
-        if self._memo is not None:
-            for key, job in pending.items():
-                mkey = ThresholdMemo.key(job.point, key)
-                if mkey is not None:
-                    self._memo_keys[key] = mkey
+        for key, job in pending.items():
+            mkey = ThresholdMemo.key(job.point, key)
+            if mkey is not None:
+                self._memo_keys[key] = mkey
         #: Sibling rounds: the chains with a job in flight, each with the
         #: jobs held back until that job completes, in job order.
         self._held: dict[RecordKey, list[tuple[RecordKey, BatchJob]]] = {}
@@ -657,19 +641,11 @@ class BatchStream:
         self._inflight: dict = {}
         self._respawns_left = MAX_POOL_RESPAWNS
         self._pool: WorkerPool | None = None
-        self._owns_pool = False
         self._local: _WorkerState | None = None
         if self._workers > 1 and pending:
-            self._pool = engine.pool
-            if self._pool is None:
-                self._pool = WorkerPool(
-                    self._workers, engine._factory, engine.factory_args
-                )
-                self._owns_pool = True
+            self._pool = engine.pool_for(self._workers)
         else:
-            self._local = _WorkerState(
-                engine._factory, engine.factory_args, engine.runner
-            )
+            self._local = _WorkerState(engine.problems, engine.seed, engine.runner)
         self._yielded = 0
         self._finished = False
         if self._pool is not None:
@@ -938,8 +914,6 @@ class BatchStream:
         self.elapsed = time.monotonic() - self._t0
         if self._writer is not None:
             self._writer.close()
-        if self._owns_pool:
-            self._pool.shutdown()
         stats = self._engine.stats
         stats.executed += self.evaluated
         stats.skipped += self.skipped
@@ -988,8 +962,8 @@ class EngineStats:
     #: Baselines recomputed by the evaluating runners (0 when sharing
     #: works).
     worker_baseline_runs: int = 0
-    #: Process pools spawned for this engine (1 for a whole session once
-    #: warm; crash respawns add to it).
+    #: Process pools spawned by this engine's one pool (1 for a whole
+    #: session; crash respawns add to it).
     pool_spawns: int = 0
     #: Pools respawned after a worker crash broke the executor.
     pool_respawns: int = 0
@@ -1003,17 +977,15 @@ class BatchEngine:
     in-process executor), one in-memory record cache keyed by
     :class:`~repro.harness.database.RecordKey` — so *independent callers*
     (Fig 6 and Fig 7, a search and a figure) share overlapping points
-    instead of simulating them twice — and, for ``config.workers > 1``, one
-    kept-alive :class:`WorkerPool` reused by every :meth:`submit`, so
-    consecutive batches amortize the pool spawn (``stats.pool_spawns``
-    asserts it).
+    instead of simulating them twice — and one :class:`WorkerPool`,
+    created on the first :meth:`submit` whose config has ``workers > 1``
+    and reused by every later one, so consecutive batches amortize the
+    pool spawn (``stats.pool_spawns`` counts every spawn).
     ``close()`` (or the context manager) releases the pool.
 
-    ``runner_factory(*factory_args)`` builds the runners (parent and pool
-    workers alike); it must be a picklable top-level callable for a pool.
-    The default builds ``ExperimentRunner(problems=problems, seed=seed)``.
-    A custom factory disables baseline sharing and the variant cache (its
-    runner may not be an :class:`ExperimentRunner` at all).
+    Every runner — the parent, an in-process stream's, a pool worker's —
+    is ``ExperimentRunner(problems=problems, seed=seed)``; ``runner``
+    supplies the parent (its problems and seed then win).
     """
 
     def __init__(
@@ -1023,8 +995,6 @@ class BatchEngine:
         seed: int = 2023,
         config: SweepConfig | None = None,
         runner: ExperimentRunner | None = None,
-        runner_factory: Callable[..., ExperimentRunner] | None = None,
-        factory_args: tuple | None = None,
     ) -> None:
         self.config = config if config is not None else SweepConfig()
         if runner is not None:
@@ -1032,13 +1002,7 @@ class BatchEngine:
         #: The problems and seed this engine simulates with.
         self.problems = problems or {}
         self.seed = seed
-        self.runner_factory = runner_factory
-        self._factory = runner_factory or _default_factory
-        self.factory_args = (
-            tuple(factory_args) if factory_args is not None
-            else (self.problems, self.seed)
-        )
-        self.runner = runner or self._factory(*self.factory_args)
+        self.runner = runner or ExperimentRunner(problems=self.problems, seed=seed)
         self.stats = EngineStats()
         self._problems_json = shared_fields(seed, self.problems)["problems"]
         self._cache: dict[RecordKey, RunRecord] = {}
@@ -1047,11 +1011,8 @@ class BatchEngine:
         #: Windows of this engine's simulated TAF/iACT/perforation points.
         self.threshold_memo = ThresholdMemo()
         self._dev_names: dict[str, str] = {}
-        self.pool: WorkerPool | None = (
-            WorkerPool(self.config.workers, self._factory, self.factory_args)
-            if self.config.workers > 1
-            else None
-        )
+        #: The engine's one pool, created by :meth:`pool_for`.
+        self.pool: WorkerPool | None = None
         self._closed = False
 
     def check_matches(self, problems: dict | None, seed: int) -> None:
@@ -1113,6 +1074,12 @@ class BatchEngine:
         """An append writer on ``path`` that keeps its index current (see
         :meth:`checkpoint_index`)."""
         return CheckpointWriter(path, shared, self.checkpoint_index(path, shared))
+
+    def pool_for(self, workers: int) -> WorkerPool:
+        """The engine's pool, created with ``workers`` processes on first use."""
+        if self.pool is None:
+            self.pool = WorkerPool(workers, self.problems, self.seed)
+        return self.pool
 
     def _sync_pool_stats(self) -> None:
         if self.pool is not None:
@@ -1207,11 +1174,6 @@ def run_sweep_parallel(
     cfg = engine.config.merged(config)
     try:
         if cfg.prune:
-            if engine.runner_factory is not None:
-                raise ValueError(
-                    "SweepConfig(prune=...) requires the stock runner; "
-                    "an engine with a runner_factory is not supported"
-                )
             from repro.harness import pruning
 
             return pruning.run_sweep_pruned(

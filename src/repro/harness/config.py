@@ -24,8 +24,9 @@ class SweepConfig:
     several calls cannot drift mid-session.
     """
 
-    #: Process-pool workers; ``<= 1`` runs in-process (byte-identical
-    #: records either way).
+    #: Process-pool workers; ``<= 1`` runs in-process, ``> 1`` on the
+    #: engine's one pool (created with this many workers on first use).
+    #: Records are byte-identical either way.
     workers: int = 1
     #: JSONL / ``.jsonl.gz`` file records stream into and resume from.
     checkpoint: str | Path | None = None
@@ -37,9 +38,11 @@ class SweepConfig:
     #: :class:`~repro.harness.reporting.SweepProgress` — accepted uniformly
     #: by every entry point.
     progress: bool | Callable = False
-    #: Static preflight: ``True`` for the stock analyzer, or a callable
-    #: ``(app, device, point, site=...) -> RunRecord | None``.
-    preflight: bool | Callable = False
+    #: Static preflight: ``True`` records each statically infeasible point
+    #: without simulating it
+    #: (:func:`repro.analysis.preflight.make_preflight` on the engine's
+    #: problems).
+    preflight: bool = False
     #: Run every point under ApproxSan, storing the violation report in
     #: ``record.extra["approxsan"]`` (timings unaffected).
     sanitize: bool = False
@@ -53,6 +56,11 @@ class SweepConfig:
     variant_cache: object | None = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.preflight, bool):
+            raise TypeError(
+                f"SweepConfig.preflight takes a bool, not "
+                f"{type(self.preflight).__name__}"
+            )
         if self.variant_cache is not None:
             from repro.harness.pruning import VariantCache
 

@@ -126,6 +126,28 @@ def _decode(obj):
 _RECORD_FIELDS = tuple(f.name for f in fields(RunRecord))
 
 
+def _header_line(shared: dict | None) -> str:
+    """A checkpoint's first line: the schema version and ``shared``."""
+    return json.dumps({SCHEMA_KEY: CHECKPOINT_SCHEMA_VERSION, **(shared or {})})
+
+
+def replace_lines(path: str | Path, lines: Iterable[str], gz: bool = False) -> None:
+    """Write ``lines`` to ``path`` atomically, one per line (gzip when
+    ``gz``): into a same-directory temp file, then :func:`os.replace`, so
+    a save interrupted midway leaves the previous file whole."""
+    dest = Path(path)
+    dest.parent.mkdir(parents=True, exist_ok=True)
+    tmp = dest.with_name(f".{dest.name}.tmp")
+    try:
+        with gzip.open(tmp, "wt", encoding="utf-8") if gz else tmp.open("w") as fh:
+            for line in lines:
+                fh.write(line + "\n")
+        os.replace(tmp, dest)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def dumps_record(record: RunRecord) -> str:
     """One strict-JSON line for a record (non-finite floats sentinelled).
 
@@ -181,8 +203,7 @@ class CheckpointWriter:
                     if fh.read(1) != b"\n":
                         self._fh.write("\n")
         if not existing:
-            header = {SCHEMA_KEY: CHECKPOINT_SCHEMA_VERSION, **(shared or {})}
-            self._fh.write(json.dumps(header) + "\n")
+            self._fh.write(_header_line(shared) + "\n")
             self._fh.flush()
 
     def write(self, record: RunRecord | Iterable[RunRecord]) -> None:
@@ -401,14 +422,13 @@ class ResultsDB:
 
     # ------------------------------------------------------------------
     def save(self, path: str | Path) -> None:
-        """Persist as JSON Lines (strict JSON, see :func:`dumps_record`).
+        """Persist as JSON Lines (strict JSON, see :func:`dumps_record`),
+        atomically (:func:`replace_lines`).
 
         A ``.jsonl.gz`` path writes gzip-compressed lines."""
-        p = Path(path)
-        fh = gzip.open(p, "wt", encoding="utf-8") if _is_gz(p) else p.open("w")
-        with fh:
-            for r in self.records:
-                fh.write(dumps_record(r) + "\n")
+        replace_lines(
+            path, (dumps_record(r) for r in self.records), gz=_is_gz(path)
+        )
 
     @classmethod
     def load(cls, path: str | Path) -> "ResultsDB":
@@ -485,10 +505,9 @@ def compact_checkpoint(
     for rec in db.records:
         latest[RecordKey.of_record(rec, db.shared)] = rec
     dest = Path(output) if output is not None else src
-    tmp = dest.with_name(f".{dest.stem}.compact{dest.suffix}")
-    if tmp.exists():
-        tmp.unlink()
-    with CheckpointWriter(tmp, db.shared) as writer:
-        writer.write(list(latest.values()))
-    os.replace(tmp, dest)
+    replace_lines(
+        dest,
+        [_header_line(db.shared), *map(dumps_record, latest.values())],
+        gz=_is_gz(dest),
+    )
     return len(latest), len(db.records) - len(latest)

@@ -43,7 +43,7 @@ from typing import Iterable
 
 from repro.gpusim.device import DeviceSpec, get_device
 from repro.harness.config import SweepConfig
-from repro.harness.database import RecordKey, _decode, _encode
+from repro.harness.database import RecordKey, _decode, _encode, replace_lines
 from repro.harness.runner import RunRecord
 from repro.harness.sweep import LEVEL_ORDER, SweepPoint
 
@@ -223,21 +223,15 @@ class VariantCache:
         return len(self._records)
 
     def save(self, path: str | Path | None = None) -> Path:
-        """Write every cached record to ``path`` (default: the load path)."""
+        """Write every cached record to ``path`` (default: the load path),
+        atomically (:func:`~repro.harness.database.replace_lines`)."""
         dest = Path(path) if path is not None else self.path
         if dest is None:
             raise ValueError("VariantCache.save: no path given or configured")
-        if dest.parent != Path(""):
-            dest.parent.mkdir(parents=True, exist_ok=True)
-        with dest.open("w") as fh:
-            for key, rec in self._records.items():
-                fh.write(
-                    json.dumps(
-                        {"key": key, "record": _encode(rec.to_dict())},
-                        allow_nan=False,
-                    )
-                    + "\n"
-                )
+        replace_lines(dest, (
+            json.dumps({"key": key, "record": _encode(rec.to_dict())}, allow_nan=False)
+            for key, rec in self._records.items()
+        ))
         return dest
 
     def load(self, path: str | Path) -> int:

@@ -49,8 +49,7 @@ def format_progress(p: SweepProgress) -> str:
 
 def format_engine_stats(stats) -> str:
     """One summary line for a :class:`~repro.harness.batch.EngineStats`."""
-    spawns = getattr(stats, "pool_spawns", 0)
-    respawns = getattr(stats, "pool_respawns", 0)
+    spawns, respawns = stats.pool_spawns, stats.pool_respawns
     pool = ""
     if spawns:
         pool = f"; {spawns} pool spawn{'s' if spawns != 1 else ''}"

@@ -29,18 +29,19 @@ def _points():
     ]
 
 
-class _CountingRunner(ExperimentRunner):
-    """Counts simulator entries (class-level: workers==1 shares the process)."""
+@pytest.fixture
+def simulated(monkeypatch):
+    """Labels of the points that reach ``ExperimentRunner.run_point``
+    (in-process sweeps only: a pool worker's calls stay in the worker)."""
+    labels = []
+    real = ExperimentRunner.run_point
 
-    calls = 0
+    def run_point(self, app, device, point, **kwargs):
+        labels.append(point.label())
+        return real(self, app, device, point, **kwargs)
 
-    def run_point(self, app, device, point, site=None):
-        type(self).calls += 1
-        return super().run_point(app, device, point, site=site)
-
-
-def _counting_factory(problems, seed):
-    return _CountingRunner(problems=problems, seed=seed)
+    monkeypatch.setattr(ExperimentRunner, "run_point", run_point)
+    return labels
 
 
 @pytest.fixture(scope="module")
@@ -228,47 +229,35 @@ class TestExecutorIntegration:
         assert notes[0].startswith("preflight HPAC020:")
         assert notes[1].startswith("preflight HPAC023:")
 
-    def test_pruned_points_never_reach_simulator(self):
-        _CountingRunner.calls = 0
+    def test_pruned_points_never_reach_simulator(self, simulated):
         engine = BatchEngine(
-            problems=PROBLEMS, config=SweepConfig(preflight=True),
-            runner_factory=_counting_factory,
+            problems=PROBLEMS, config=SweepConfig(preflight=True)
         )
         report = run_sweep_parallel(
             "blackscholes", "v100_small", _points(), engine=engine
         )
-        assert _CountingRunner.calls == 2  # only the feasible TAF points
+        # Only the feasible TAF points.
+        assert simulated == [_points()[0].label(), _points()[2].label()]
         assert report.evaluated == 2 and report.pruned == 2
 
-    def test_disabled_preflight_simulates_everything(self):
-        _CountingRunner.calls = 0
-        engine = BatchEngine(problems=PROBLEMS, runner_factory=_counting_factory)
+    def test_disabled_preflight_simulates_everything(self, simulated):
+        engine = BatchEngine(problems=PROBLEMS)
         report = run_sweep_parallel(
             "blackscholes", "v100_small", _points(), engine=engine
         )
-        assert _CountingRunner.calls == len(_points())
+        assert simulated == [pt.label() for pt in _points()]
         assert report.pruned == 0
 
     def test_custom_preflight_callable(self):
-        from repro.harness.runner import RunRecord
-
+        # A hook is not a preflight: it fails loudly instead of quietly
+        # running the static analyzer.
         def veto_iact(app, device, point, site=None):
-            if point.technique != "iact":
-                return None
-            return RunRecord(
-                app=app, device="stub", technique=point.technique,
-                params=dict(point.params), level=point.level,
-                items_per_thread=point.items_per_thread,
-                feasible=False, note="preflight STUB",
-            )
+            return None
 
-        report = run_sweep_parallel(
-            "blackscholes", "v100_small", _points(),
-            problems=PROBLEMS, config=SweepConfig(preflight=veto_iact),
-        )
-        assert report.pruned == 2
-        assert all(r.note == "preflight STUB"
-                   for r in report.records if not r.feasible)
+        with pytest.raises(TypeError, match="preflight takes a bool"):
+            SweepConfig(preflight=veto_iact)
+        with pytest.raises(TypeError, match="preflight takes a bool"):
+            SweepConfig().replace(preflight=veto_iact)
 
     def test_pruned_records_checkpointed(self, tmp_path):
         ck = tmp_path / "sweep.jsonl"

@@ -39,12 +39,9 @@ def _jobs():
     return jobs
 
 
-def _report(jobs, runner_factory=None, **cfg):
+def _report(jobs, **cfg):
     """Drain one ``submit`` on a fresh engine into its report."""
-    with BatchEngine(
-        problems=PROBLEMS, config=SweepConfig(**cfg),
-        runner_factory=runner_factory,
-    ) as engine:
+    with BatchEngine(problems=PROBLEMS, config=SweepConfig(**cfg)) as engine:
         return engine.submit(jobs).report()
 
 
@@ -75,16 +72,6 @@ class TestHeterogeneousBatch:
         # 2 apps × 2 devices among the pending jobs — exactly once each.
         assert report.baseline_runs == 4
         assert report.worker_baseline_runs == 0
-
-    def test_custom_factory_skips_baseline_sharing(self, serial_records):
-        # A custom runner factory may not build an ExperimentRunner, so it
-        # gets no parent-resolved baselines.
-        report = _report(_jobs(), runner_factory=ExperimentRunner, workers=2)
-        assert report.baseline_runs == 0
-        assert report.worker_baseline_runs >= 4  # every pair, per worker
-        assert [r.to_dict() for r in report.records] == [
-            r.to_dict() for r in serial_records
-        ]
 
     def test_duplicate_jobs_collapse(self, serial_records):
         jobs = _jobs()

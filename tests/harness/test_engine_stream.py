@@ -16,8 +16,9 @@ from collections import deque
 import pytest
 
 from repro.harness import batch
-from repro.harness.batch import BatchEngine, BatchJob
+from repro.harness.batch import BatchEngine, BatchJob, run_sweep_parallel
 from repro.harness.config import SweepConfig
+from repro.harness.database import dumps_record
 from repro.harness.runner import ExperimentRunner
 from repro.harness.sweep import SweepPoint
 
@@ -117,6 +118,41 @@ class TestPersistentPool:
             assert eng.stats.executed == 5
             assert eng.stats.pool_spawns == 1
             assert eng.stats.pool_respawns == 0
+
+    def test_pruned_pool_sweep_on_serial_engine_spawns_one_pool(
+        self, monkeypatch
+    ):
+        # A pool sweep on an engine built for in-process work: every
+        # lattice wave is one submit, and all of them share the engine's
+        # one pool, which its stats count.
+        pts = [
+            SweepPoint("iact", {"tsize": ts, "threshold": t}, "thread", 8)
+            for ts in (2, 4)
+            for t in (0.5, 1.0, 2.0, 5.0, 10.0, 50.0)
+        ]
+        cfg = SweepConfig(workers=2, prune=10.0)
+        serial = run_sweep_parallel(
+            "kmeans", "v100_small", pts, problems=PROBLEMS,
+            config=cfg.replace(workers=1),
+        )
+        spawned = []
+
+        class CountingExecutor(batch.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                spawned.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(batch, "ProcessPoolExecutor", CountingExecutor)
+        with BatchEngine(problems=PROBLEMS) as eng:
+            pooled = run_sweep_parallel(
+                "kmeans", "v100_small", pts, config=cfg, engine=eng
+            )
+            assert pooled.extra["waves"] > 1
+            assert len(spawned) == 1
+            assert eng.stats.pool_spawns == 1
+        assert [dumps_record(r) for r in pooled.records] == [
+            dumps_record(r) for r in serial.records
+        ]
 
     def test_crashed_worker_pool_respawned(self, blocking_dicts):
         with BatchEngine(

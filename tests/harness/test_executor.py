@@ -182,30 +182,28 @@ class _FailingRunner:
     def __init__(self):
         self.calls = 0
 
-    def run_point(self, app, device, point, site=None):
+    def run_point(self, app, device, point, site=None, sanitize=False):
         self.calls += 1
         raise RuntimeError("injected worker crash")
 
 
-class _FlakyRunner(ExperimentRunner):
-    """Real runner that crashes on first contact with each point.
+def _make_flaky(monkeypatch):
+    """Make every ``ExperimentRunner`` crash on first contact with each point.
 
-    ``_seen`` is class-level — i.e. per *process*, not per instance — so
-    the crash looks like transient worker state, and the retry's freshly
-    rebuilt runner (the poisoned-runner defence) succeeds as a real
-    transient failure would."""
+    ``seen`` is per *process*, not per instance (pool workers fork with the
+    patch and an empty set), so the crash looks like transient worker
+    state, and the retry's freshly rebuilt runner (the poisoned-runner
+    defence) succeeds as a real transient failure would."""
+    seen = set()
+    real = ExperimentRunner.run_point
 
-    _seen: set = set()
-
-    def run_point(self, app, device, point, site=None):
-        if point.label() not in self._seen:
-            self._seen.add(point.label())
+    def run_point(self, app, device, point, **kwargs):
+        if point.label() not in seen:
+            seen.add(point.label())
             raise OSError("transient failure")
-        return super().run_point(app, device, point, site=site)
+        return real(self, app, device, point, **kwargs)
 
-
-def _flaky_factory(problems, seed):
-    return _FlakyRunner(problems=problems, seed=seed)
+    monkeypatch.setattr(ExperimentRunner, "run_point", run_point)
 
 
 class TestRetry:
@@ -219,17 +217,18 @@ class TestRetry:
         assert "WorkerError after 3 attempts" in rec.note
         assert "injected worker crash" in rec.note
 
-    def test_transient_failure_retried_to_success(self):
-        flaky = _FlakyRunner(problems=PROBLEMS)
+    def test_transient_failure_retried_to_success(self, monkeypatch):
+        _make_flaky(monkeypatch)
         rec = run_point_with_retry(
-            flaky, "blackscholes", "v100_small", _points()[0], retries=1
+            ExperimentRunner(problems=PROBLEMS), "blackscholes", "v100_small",
+            _points()[0], retries=1,
         )
         assert rec.feasible
 
-    def test_sweep_survives_worker_exceptions(self, serial_records):
+    def test_sweep_survives_worker_exceptions(self, serial_records, monkeypatch):
+        _make_flaky(monkeypatch)
         with BatchEngine(
             problems=PROBLEMS, config=SweepConfig(workers=2, retries=1),
-            runner_factory=_flaky_factory,
         ) as engine:
             report = run_sweep_parallel(
                 "blackscholes", "v100_small", _points(), engine=engine
@@ -273,10 +272,13 @@ class TestRetry:
         assert bad.calls == 2
         assert not rec.feasible and "WorkerError" in rec.note
 
-    def test_no_retries_aborts_into_infeasible_records(self):
+    def test_no_retries_aborts_into_infeasible_records(self, monkeypatch):
+        def crash(self, *args, **kwargs):
+            raise RuntimeError("injected worker crash")
+
+        monkeypatch.setattr(ExperimentRunner, "run_point", crash)
         engine = BatchEngine(
-            config=SweepConfig(workers=1, retries=0),
-            runner_factory=lambda: _FailingRunner(), factory_args=(),
+            problems=PROBLEMS, config=SweepConfig(workers=1, retries=0)
         )
         report = run_sweep_parallel(
             "blackscholes", "v100_small", _points()[:2], engine=engine

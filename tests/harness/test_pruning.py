@@ -171,13 +171,6 @@ class TestPrunedSweepEquivalence:
         )
         assert rep.extra["qoi_bound"] == DEFAULT_QOI_BOUND
 
-    def test_prune_rejects_custom_factory(self, grid):
-        engine = BatchEngine(problems=PROBLEMS, runner_factory=ExperimentRunner)
-        with pytest.raises(ValueError, match="stock runner"):
-            run_sweep_parallel(
-                "kmeans", "v100_small", grid[:2],
-                config=SweepConfig(prune=0.1), engine=engine,
-            )
 
 
 def chain_grid():

@@ -288,18 +288,6 @@ class TestEngineReuse:
             dumps_record(r) for r in reference
         ]
 
-    def test_custom_runner_factory_reuses_nothing(self):
-        # The stock runner reuses on this grid (see the test above).
-        pts = _grid("lulesh")
-        with BatchEngine(
-            runner_factory=ExperimentRunner, factory_args=(PROBLEMS, 2023)
-        ) as engine:
-            report = engine.submit(
-                [BatchJob("lulesh", "amd_small", pt) for pt in pts]
-            ).report()
-        assert report.reused == 0 and engine.stats.reused == 0
-        assert report.evaluated == len(pts)
-
     def test_sanitized_sweep_matches_plain_loop(self):
         runner = ExperimentRunner(problems=PROBLEMS)
         pts = _grid("blackscholes")
