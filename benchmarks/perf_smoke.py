@@ -71,9 +71,9 @@ from repro.harness.figures import (  # noqa: E402
     fig7_lulesh,
     fig12_kmeans,
 )
-from repro.harness.database import dumps_record  # noqa: E402
+from repro.harness.database import dumps_record, record_status  # noqa: E402
 from repro.harness.batch import run_sweep_parallel  # noqa: E402
-from repro.harness.pruning import VariantCache, is_pruned_record  # noqa: E402
+from repro.harness.pruning import VariantCache  # noqa: E402
 from repro.harness.runner import ExperimentRunner  # noqa: E402
 from repro.harness.sweep import SweepPoint  # noqa: E402
 
@@ -205,7 +205,7 @@ def main() -> int:
         config=SweepConfig(prune=PRUNE_BOUND, workers=PRUNE_WORKERS),
     )
     pooled_sweep_seconds = time.monotonic() - t0
-    # (chunk points, points not yet dispatched) per chunk, every wave.
+    # (chunk points, points not yet dispatched) per chunk.
     chunk_log = pooled_sweep.extra["dispatch_log"]
     over_cap = [
         (n, left) for n, left in chunk_log
@@ -224,7 +224,7 @@ def main() -> int:
             json.dumps([r.app, r.technique, r.params, r.level], sort_keys=True)
         ] == dumps_record(r)
         for r in pruned_sweep.records
-        if not is_pruned_record(r)
+        if record_status(r) != "pruned"
     )
     # Variant cache: two passes over the full grid through one cache — the
     # second must be served entirely from it.
@@ -371,7 +371,6 @@ def main() -> int:
             "full_points_evaluated": full_sweep.evaluated,
             "pruned_points_evaluated": pruned_sweep.evaluated,
             "lattice_pruned": pruned_sweep.extra.get("lattice_pruned"),
-            "waves": pruned_sweep.extra.get("waves"),
             "evaluated_ratio": round(prune_ratio, 4),
             "full_seconds": round(full_sweep_seconds, 3),
             "pruned_seconds": round(pruned_sweep_seconds, 3),

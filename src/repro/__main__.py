@@ -459,10 +459,10 @@ def main(argv: list[str] | None = None) -> int:
                               "diagnostic code) without simulating")
     p_sweep.add_argument("--prune", action="store_true",
                          help="subsumption-lattice pruning: once a point's "
-                              "error exceeds --max-error, its un-evaluated "
-                              "more-aggressive descendants are recorded as "
-                              "'pruned' rows (naming the ancestor) without "
-                              "simulating")
+                              "error exceeds --max-error, every "
+                              "more-aggressive point of its lattice group is "
+                              "recorded as a 'pruned' row (naming the "
+                              "ancestor) without simulating")
     p_sweep.add_argument("--variant-cache", default=None, metavar="FILE",
                          help="JSONL content-hash record cache shared "
                               "across campaigns; identical configurations "

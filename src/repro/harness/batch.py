@@ -8,10 +8,11 @@ the first call with ``workers > 1`` — one kept-alive :class:`WorkerPool`.
 Parent, in-process and pool runners are all
 ``ExperimentRunner(problems=, seed=)``.  ``submit`` returns
 a :class:`BatchStream` that serves every slot it can without simulating
-(the engine cache, the checkpoint, the static preflight, the variant
-cache, duplicates of an earlier slot), then evaluates the rest in
-chunks — one job each in-process, adaptively sized on a pool — and
-yields records as they complete.
+(the engine cache, the checkpoint, duplicates of an earlier slot, and —
+as each job is popped — lattice pruning, the static preflight, the
+variant cache and sibling reuse), evaluates the rest in chunks — one
+job each in-process, adaptively sized on a pool — and yields records as
+they complete.
 The blocking helpers (:meth:`BatchEngine.run_jobs`,
 :meth:`BatchEngine.run_point`, :func:`run_sweep_parallel`) are drains of
 the same stream, so streamed and blocking record sets are identical by
@@ -44,6 +45,13 @@ from repro.harness.database import (
     check_shared,
     shared_fields,
 )
+from repro.harness.pruning import (
+    DEFAULT_QOI_BOUND,
+    PRUNED_NOTE_PREFIX,
+    lattice_order,
+    pruned_record,
+    violates,
+)
 from repro.harness.reporting import SweepProgress, format_progress
 from repro.harness.runner import ExperimentRunner, RunRecord
 from repro.harness.sweep import SweepPoint
@@ -52,7 +60,7 @@ from repro.harness.sweep import SweepPoint
 #: deliberately small so the controller gets feedback after little work.
 INITIAL_CHUNK_SIZE = 2
 MIN_CHUNK_SIZE = 1
-MAX_CHUNK_SIZE = 64
+MAX_CHUNK_SIZE = 8
 #: Wall-clock one adaptively-sized chunk should cost once a job group's
 #: throughput is known.
 TARGET_CHUNK_SECONDS = 0.8
@@ -74,7 +82,9 @@ class BatchJob:
 
 @dataclass
 class BatchReport:
-    """Outcome of one drained :class:`BatchStream` (or pruned sweep)."""
+    """Outcome of one drained :class:`BatchStream`; ``extra`` carries its
+    ``dispatch_log``, ``pool_respawns``, ``lattice_pruned`` and
+    ``qoi_bound`` (``None`` unpruned)."""
 
     #: One record per input job, in job order (checkpointed + fresh; a
     #: deduplicated slot shares its record with the slot it collapsed into).
@@ -450,31 +460,45 @@ def _relabel(record: RunRecord, point: SweepPoint) -> RunRecord:
 class BatchStream:
     """Records of one :meth:`BatchEngine.submit` call, yielded as they land.
 
-    Construction resolves job identities and serves every slot it can
-    without simulating — the engine's session cache, the checkpoint, the
-    static preflight, the variant cache, and duplicates of an earlier slot
-    — then resolves shared baselines and, on a pool, dispatches the first
-    chunks, so independent streams on one engine overlap.  A job taken for
-    dispatch is first looked up in the engine's :class:`ThresholdMemo`
-    and served from a sibling when its threshold and
-    items per thread cannot change a single decision.  One round rule
-    serves both paths: a job whose chain has a job in flight is held until
-    that job completes, then checked in job order, so a pool serves
-    exactly what in-process does (in-process, one job at a time, nothing
-    is ever held; on a pool, a stream of one chain runs one job at a
-    time).  Early-resolved slots yield first, in job order; fresh
-    evaluations yield as their chunk completes — one job per chunk
-    in-process, adaptively sized on a pool — while checkpoint writes and
-    progress callbacks absorb them, so a consumer overlaps its own work
-    with the pool's.  :meth:`records` / :meth:`report` drain the stream
-    and return the job-ordered result, byte-identical to a blocking run.
+    Construction resolves identity only: slots the engine's session cache
+    or the checkpoint already hold are served at once (and yield first, in
+    job order), a duplicate of an earlier slot shares its record, and the
+    remaining jobs queue per (app, device) in job order.  With
+    ``config.prune`` set, one :class:`~repro.harness.pruning.SweepLattice`
+    per (app, device, site) spans the stream's unique keys, and each queue
+    is sorted by (lattice height, job order), so every job comes after its
+    ancestors.
 
-    ``config.preflight`` runs the static analyzer
-    (:func:`repro.analysis.preflight.make_preflight` on the engine's
-    problems).  ``config.workers > 1`` runs on the engine's one kept-alive
-    pool (:meth:`BatchEngine.pool_for`; a stream never owns a pool);
-    otherwise jobs run in-process on the engine's runner.  Both complete
-    chunks through the same :meth:`_complete`.
+    A queued job meets one decision ladder when it is popped
+    (:meth:`_next_chunk`):
+
+    1. its :class:`ThresholdMemo` chain is busy with another job: it is
+       held behind that job;
+    2. a lattice ancestor has no record yet: it is held on that ancestor,
+       and its chain is busy with it;
+    3. an ancestor violates the QoI bound: a ``pruned`` row naming the
+       least aggressive violator
+       (:func:`~repro.harness.pruning.pruned_record`);
+    4. ``config.preflight`` finds it statically infeasible
+       (:func:`repro.analysis.preflight.make_preflight` on the engine's
+       problems): the preflight's row;
+    5. ``config.variant_cache`` holds its record;
+    6. a chain sibling's window admits it: that record, re-labelled;
+    7. otherwise it is dispatched, and its chain is busy until it lands.
+
+    Any record that lands releases the jobs held on its key, in held
+    order, to the front of their queue.  In-process a chunk is one job
+    that lands before the next pop, so nothing is ever held; on a pool the
+    holds make each chain meet the memo in that same order, so a pool
+    evaluates, reuses and prunes exactly what in-process does.  Rows of
+    steps 3-5 are written and yielded like evaluated ones, but count
+    neither as ``evaluated`` nor enter the variant cache.  Fresh records
+    yield as their chunk completes — one job per chunk in-process,
+    adaptively sized on the engine's one pool (``config.workers > 1``,
+    :meth:`BatchEngine.pool_for`) — while checkpoint writes and progress
+    callbacks absorb them, so a consumer overlaps its own work with the
+    pool's.  :meth:`records` / :meth:`report` drain the stream and return
+    the job-ordered result, byte-identical to a blocking run.
     """
 
     def __init__(
@@ -527,111 +551,75 @@ class BatchStream:
         engine.stats.cache_hits += self.cache_hits
         engine.stats.deduped += self.deduped
 
-        # Static preflight: vet pending jobs in the parent (cheap — no
-        # simulation) and divert the statically infeasible ones straight to
-        # the results, so the pool only ever sees points that might run.
-        pruned: list[tuple[RecordKey, RunRecord]] = []
+        queued = list(pending.items())
+        #: Each pending key's lattice ancestors, least aggressive first.
+        self._ancestors: dict[RecordKey, list[RecordKey]] = {}
+        self.qoi_bound: float | None = None
+        if cfg.prune:
+            self.qoi_bound = (
+                DEFAULT_QOI_BOUND if cfg.prune is True else float(cfg.prune)
+            )
+            heights, self._ancestors = lattice_order({
+                key: self.jobs[slots[0]].point
+                for key, slots in self._slots_by_key.items()
+            })
+            queued.sort(key=lambda kj: heights[kj[0]])
+        self._preflight = None
         if cfg.preflight:
-            # Looked up per call, so a patched ``make_preflight`` is seen.
+            # Looked up per stream, so a patched ``make_preflight`` is seen.
             from repro.analysis.preflight import make_preflight
 
-            pre = make_preflight(engine.problems)
-            survivors: OrderedDict[RecordKey, BatchJob] = OrderedDict()
-            for key, job in pending.items():
-                rec = pre(job.app, job.device, job.point, site=job.site)
-                if rec is None:
-                    survivors[key] = job
-                else:
-                    pruned.append((key, rec))
-            pending = survivors
-        self.pruned = len(pruned)
-
-        # Content-hash variant cache: identical lowered configurations from
-        # *other* campaigns (different checkpoint files, figures, apps) are
-        # served without simulating.
-        self.variant_hits = 0
+            self._preflight = make_preflight(engine.problems)
         self._vcache = cfg.variant_cache
-        vhits: list[tuple[RecordKey, RunRecord]] = []
-        if self._vcache is not None:
-            fresh_pending: OrderedDict[RecordKey, BatchJob] = OrderedDict()
-            for key, job in pending.items():
-                rec = self._vcache.get(key)
-                if rec is None:
-                    fresh_pending[key] = job
-                else:
-                    vhits.append((key, rec))
-            pending = fresh_pending
-            self.variant_hits = len(vhits)
-
-        # Baseline pre-resolution: every unique (app, device) among the
-        # pending jobs, computed exactly once in the engine's runner and
-        # shipped to workers alongside their chunks (a persistent pool
-        # outlives any one batch).
-        self.baseline_runs = 0
-        self._group_baselines: dict[tuple, dict] = {}
-        if pending:
-            src = engine.runner
-            pairs: OrderedDict[tuple, BatchJob] = OrderedDict()
-            for key, job in pending.items():
-                pairs.setdefault((key.app, key.device), job)
-            before = src.baseline_computes
-            for job in pairs.values():
-                src.baseline(job.app, job.device)
-            self.baseline_runs = src.baseline_computes - before
-            engine.stats.baseline_runs += self.baseline_runs
-            for cache_key, result in src.export_baselines().items():
-                pair = (cache_key[0], cache_key[1])
-                if pair in pairs:
-                    self._group_baselines.setdefault(pair, {})[cache_key] = result
 
         progress = cfg.progress
         if progress is True:
             progress = lambda p: print(format_progress(p), file=sys.stderr)  # noqa: E731
         self._report_progress = progress if callable(progress) else None
 
-        self._writer = (
-            engine.open_checkpoint(cfg.checkpoint, shared)
-            if cfg.checkpoint is not None else None
-        )
-        self.evaluated = self._feasible = self._infeasible = 0
-        self.worker_baseline_runs = 0
+        self._writer = None
+        if cfg.checkpoint is not None:
+            self._writer = engine.open_checkpoint(cfg.checkpoint, shared)
+            # Slots the engine cache served go into this checkpoint too, so
+            # the file resumes the whole call in a new process.
+            cached = [rec for key, rec in self._done.items() if key not in index]
+            if cached:
+                self._writer.write(cached)
+        self.evaluated = self.reused = self.pruned = self.lattice_pruned = 0
+        self.variant_hits = self._resolved = self._feasible = 0
+        self.baseline_runs = self.worker_baseline_runs = 0
         self.pool_respawns = 0
         self.elapsed = 0.0
+        #: Per (app, device): the parent's baselines shipped with its chunks,
+        #: resolved when the group first dispatches.
+        self._group_baselines: dict[tuple, dict] = {}
 
         # Early-resolved slots yield first, in job order.
         self._ready: deque[int] = deque()
         for key in list(self._done):
             self._notify(key, self._done[key])
-        # Preflight rows, then variant-cache hits (from other campaigns'
-        # caches), are written into *this* checkpoint to keep it
-        # self-contained.
-        early = pruned + vhits
-        if early and self._writer is not None:
-            self._writer.write([rec for _key, rec in early])
-        for key, rec in early:
-            self._done[key] = rec
-            self._notify(key, rec)
 
-        self.reused = 0
         self._memo = engine.threshold_memo
         self._memo_keys: dict[RecordKey, RecordKey] = {}
-        for key, job in pending.items():
+        for key, job in queued:
             mkey = ThresholdMemo.key(job.point, key)
             if mkey is not None:
                 self._memo_keys[key] = mkey
-        #: Sibling rounds: the chains with a job in flight, each with the
-        #: jobs held back until that job completes, in job order.
+        #: Blocking key -> the jobs held on it, in held order.
         self._held: dict[RecordKey, list[tuple[RecordKey, BatchJob]]] = {}
+        #: Memo chain -> the job it is busy with (in flight, or held on an
+        #: ancestor).
+        self._busy: dict[RecordKey, RecordKey] = {}
 
         # Group pending jobs by (app, device), taken round-robin: the
         # adaptive controller's unit of throughput on a pool, and the
         # runner's unit of app-cache locality.
         self._chunker = AdaptiveChunker(target_seconds=TARGET_CHUNK_SECONDS)
         self._groups: OrderedDict[tuple, deque] = OrderedDict()
-        for key, job in pending.items():
+        for key, job in queued:
             self._groups.setdefault((key.app, key.device), deque()).append((key, job))
         self._total_pending = len(pending)
-        #: Points neither dispatched nor served (held ones included), and
+        #: Points neither dispatched nor resolved (held ones included), and
         #: ``(chunk points, such points when it was sized)`` per chunk (one
         #: job in-process), in dispatch order.
         self._undispatched = len(pending)
@@ -652,48 +640,114 @@ class BatchStream:
             self._fill()
 
     # -- bookkeeping ----------------------------------------------------
-    def _notify(self, key: tuple, record: RunRecord) -> None:
+    def _notify(self, key: RecordKey, record: RunRecord) -> None:
         self._ready.extend(self._slots_by_key.get(key, ()))
-        self._engine._cache[key] = record
+        # A pruned row is a verdict under this stream's bound, not the
+        # point's record: later calls on the engine must not reuse it.
+        if not (record.note or "").startswith(PRUNED_NOTE_PREFIX):
+            self._engine._cache[key] = record
 
-    def _absorb(self, keys: list[tuple], records: list[RunRecord]) -> None:
+    def _land(
+        self, keys: list[RecordKey], records: list[RunRecord], evaluated: bool = True
+    ) -> None:
+        """Take in resolved jobs: checkpoint, count and yield their records,
+        and release what they held (:meth:`_release`)."""
         if self._writer is not None:
             self._writer.write(records)
         for key, rec in zip(keys, records):
             self._done[key] = rec
-            self.evaluated += 1
+            self._resolved += 1
             self._feasible += rec.feasible
-            self._infeasible += not rec.feasible
-            if self._vcache is not None and not (rec.note or "").startswith(
-                ("WorkerError", "WorkerCrash")
-            ):
-                # Crash/retry-exhaustion records reflect machine state, not
-                # the configuration's content — never cache them.
-                self._vcache.put(key, rec)
+            if evaluated:
+                self.evaluated += 1
+                if self._vcache is not None and not (rec.note or "").startswith(
+                    ("WorkerError", "WorkerCrash")
+                ):
+                    # Crash/retry-exhaustion records reflect machine state,
+                    # not the configuration's content — never cache them.
+                    self._vcache.put(key, rec)
             self._notify(key, rec)
+        self._release(keys)
         if self._report_progress is not None:
             self._report_progress(
                 SweepProgress(
                     total=self._total_pending,
-                    done=self.evaluated,
+                    done=self._resolved,
                     feasible=self._feasible,
-                    infeasible=self._infeasible,
+                    infeasible=self._resolved - self._feasible,
                     skipped=self.skipped,
                     elapsed=time.monotonic() - self._t0,
                     deduped=self.deduped,
                 )
             )
 
-    def _next_chunk(self) -> tuple[tuple, list[tuple], list[BatchJob]]:
-        """Pop the next chunk ``(group, keys, jobs)``, round-robin across
-        groups for fair mixing.
+    def _release(self, keys: list[RecordKey]) -> None:
+        """Free what ``keys`` blocked once their records landed (or their
+        chunk was abandoned): the jobs held on them go back to the front of
+        their queue, in held order, and their chains are no longer busy."""
+        held = []
+        for key in keys:
+            held += self._held.pop(key, ())
+            mkey = self._memo_keys.get(key)
+            if mkey is not None and self._busy.get(mkey) == key:
+                del self._busy[mkey]
+        if held:
+            key = held[0][0]
+            self._groups.setdefault((key.app, key.device), deque()).extendleft(
+                reversed(held)
+            )
 
-        A popped job whose :class:`ThresholdMemo` chain has a job in flight
-        is held until that job completes (:meth:`_release`); otherwise
-        sibling reuse serves it here, right before the chunk would run it,
-        or the chunk takes it and its chain becomes busy.  So a chain meets
-        the memo one job at a time, in job order, exactly as in-process,
-        and no chunk carries two jobs of one chain."""
+    def _blocker(self, key: RecordKey) -> RecordKey | None:
+        """The key a popped job must wait for (ladder steps 1-2), if any."""
+        mkey = self._memo_keys.get(key)
+        owner = self._busy.get(mkey, key)
+        if owner != key:
+            return owner
+        for anc in self._ancestors.get(key, ()):
+            if anc not in self._done:
+                if mkey is not None:
+                    self._busy[mkey] = key
+                return anc
+        return None
+
+    def _serve(self, key: RecordKey, job: BatchJob) -> tuple[RunRecord, bool] | None:
+        """The record ladder steps 3-6 give a popped job without
+        simulating it, and whether it counts as evaluated; ``None`` when
+        it must run."""
+        bound = self.qoi_bound
+        if bound is not None:
+            for anc in self._ancestors[key]:
+                rec = self._done[anc]
+                if violates(rec, bound):
+                    self.lattice_pruned += 1
+                    return pruned_record(
+                        key.app, key.device, job.point, anc.label,
+                        float(rec.error), bound,
+                    ), False
+        if self._preflight is not None:
+            rec = self._preflight(job.app, job.device, job.point, site=job.site)
+            if rec is not None:
+                self.pruned += 1
+                return rec, False
+        if self._vcache is not None:
+            rec = self._vcache.get(key)
+            if rec is not None:
+                self.variant_hits += 1
+                return rec, False
+        mkey = self._memo_keys.get(key)
+        if mkey is not None:
+            rec = self._memo.get(mkey, job.point)
+            if rec is not None:
+                self.reused += 1
+                return rec, True
+        return None
+
+    def _next_chunk(self) -> tuple[tuple, list[RecordKey], list[BatchJob]]:
+        """Pop the next chunk ``(group, keys, jobs)``, round-robin across
+        groups for fair mixing, each popped job through the decision
+        ladder.  So a chain meets the memo one job at a time, in queue
+        order, exactly as in-process, and no chunk carries two jobs of
+        one chain."""
         group = next(iter(self._groups))
         queue = self._groups[group]
         left = self._undispatched
@@ -708,19 +762,19 @@ class BatchStream:
         keys, jobs = [], []
         while queue and len(jobs) < size:
             key, job = queue.popleft()
+            blocker = self._blocker(key)
+            if blocker is not None:
+                self._held.setdefault(blocker, []).append((key, job))
+                continue
+            self._undispatched -= 1
+            served = self._serve(key, job)
+            if served is not None:
+                rec, evaluated = served
+                self._land([key], [rec], evaluated)
+                continue
             mkey = self._memo_keys.get(key)
             if mkey is not None:
-                if mkey in self._held:
-                    self._held[mkey].append((key, job))
-                    continue
-                rec = self._memo.get(mkey, job.point)
-                if rec is not None:
-                    self._undispatched -= 1
-                    self.reused += 1
-                    self._absorb([key], [rec])
-                    continue
-                self._held[mkey] = []
-            self._undispatched -= 1
+                self._busy[mkey] = key
             keys.append(key)
             jobs.append(job)
         if jobs:
@@ -732,25 +786,28 @@ class BatchStream:
             del self._groups[group]
         return group, keys, jobs
 
-    def _release(self, group: tuple, keys: list[tuple]) -> None:
-        """Free the chains of ``keys``, a chunk that completed or was
-        abandoned: their held jobs go back to the front of ``group``'s
-        queue, in job order, to be memo-checked like any popped job."""
-        held = []
-        for key in keys:
-            mkey = self._memo_keys.get(key)
-            if mkey is not None:
-                held += self._held.pop(mkey, ())
-        if held:
-            self._groups.setdefault(group, deque()).extendleft(reversed(held))
-
     # -- dispatch -------------------------------------------------------
     def _run_args(self, group: tuple, jobs: list[BatchJob]) -> tuple:
         """Arguments of :meth:`_WorkerState.run` for one chunk of ``group``."""
         cfg = self.config
-        return jobs, cfg.retries, self._group_baselines.get(group), cfg.sanitize
+        baselines = self._group_baselines.get(group)
+        if baselines is None:
+            # Computed once in the engine's runner and shipped with the
+            # group's chunks (a persistent pool outlives any one batch).
+            src = self._engine.runner
+            before = src.baseline_computes
+            src.baseline(jobs[0].app, jobs[0].device)
+            runs = src.baseline_computes - before
+            self.baseline_runs += runs
+            self._engine.stats.baseline_runs += runs
+            baselines = self._group_baselines[group] = {
+                cache_key: result
+                for cache_key, result in src.export_baselines().items()
+                if (cache_key[0], cache_key[1]) == group
+            }
+        return jobs, cfg.retries, baselines, cfg.sanitize
 
-    def _dispatch(self, group: tuple, keys: list[tuple], jobs: list[BatchJob]) -> None:
+    def _dispatch(self, group: tuple, keys: list[RecordKey], jobs: list[BatchJob]) -> None:
         try:
             fut = self._pool.submit(_run_chunk, *self._run_args(group, jobs))
         except Exception:  # noqa: BLE001 — broken pool surfaces at submit too
@@ -782,14 +839,13 @@ class BatchStream:
                 f"WorkerCrash: process pool broke {MAX_POOL_RESPAWNS + 1} "
                 f"times; chunk abandoned"
             )
-            for group, keys, jobs, _gen in casualties:
-                self._absorb(keys, [
+            for _group, keys, jobs, _gen in casualties:
+                self._land(keys, [
                     _failed_record(j.app, j.device, j.point, why) for j in jobs
                 ])
-                self._release(group, keys)
 
-    def _complete(self, group: tuple, keys: list[tuple], result: tuple) -> None:
-        """Absorb one evaluated chunk: what :meth:`_WorkerState.run`
+    def _complete(self, group: tuple, keys: list[RecordKey], result: tuple) -> None:
+        """Land one evaluated chunk: what :meth:`_WorkerState.run`
         returned, in-process or in a pool worker."""
         records, seconds, computes, windows = result
         for key, rec, window in zip(keys, records, windows):
@@ -799,8 +855,7 @@ class BatchStream:
         self.worker_baseline_runs += computes
         if self._pool is not None:  # only pool chunks are sized
             self._chunker.observe(group, len(keys), seconds)
-        self._absorb(keys, records)
-        self._release(group, keys)
+        self._land(keys, records)
 
     def _pump(self) -> bool:
         """Advance the batch one step; False when no work remains."""
@@ -888,6 +943,8 @@ class BatchStream:
             extra={
                 "dispatch_log": list(self.dispatch_log),
                 "pool_respawns": self.pool_respawns,
+                "lattice_pruned": self.lattice_pruned,
+                "qoi_bound": self.qoi_bound,
             },
         )
 
@@ -902,6 +959,7 @@ class BatchStream:
             return
         self._groups.clear()
         self._held.clear()
+        self._busy.clear()
         while self._inflight:
             if not self._pump():
                 break
@@ -1159,11 +1217,11 @@ def run_sweep_parallel(
     transient engine is built from ``problems``, ``seed`` and ``config``
     and closed on return.
 
-    The resolved policy is decided once, here: ``prune`` runs the
-    lattice-pruned driver (:func:`repro.harness.pruning.run_sweep_pruned`;
-    the records of every point it evaluates are byte-identical to an
-    unpruned sweep's); otherwise the points are one
-    :meth:`BatchEngine.submit`.  See :class:`~repro.harness.config.SweepConfig`
+    The policy is resolved once, here, and the points are one
+    :meth:`BatchEngine.submit` (through
+    :func:`repro.harness.pruning.run_sweep_pruned` when ``prune`` is set;
+    the records of every point a pruned sweep evaluates are byte-identical
+    to an unpruned sweep's).  See :class:`~repro.harness.config.SweepConfig`
     for the policy fields (workers, checkpoint, retries, progress,
     preflight, sanitize, prune, variant cache)."""
     owned = engine is None

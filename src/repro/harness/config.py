@@ -4,7 +4,7 @@ Every way of evaluating work — ``ExperimentRunner.run_sweep``,
 :func:`repro.harness.batch.run_sweep_parallel`,
 :meth:`repro.harness.batch.BatchEngine.submit`, the figures, the searches
 and the CLI — takes its execution policy as one frozen :class:`SweepConfig`,
-so a policy decided once holds everywhere.
+so a policy chosen once holds everywhere.
 """
 
 from __future__ import annotations
@@ -46,9 +46,11 @@ class SweepConfig:
     #: Run every point under ApproxSan, storing the violation report in
     #: ``record.extra["approxsan"]`` (timings unaffected).
     sanitize: bool = False
-    #: Subsumption-lattice pruning for sweeps: ``True`` prunes un-evaluated
-    #: descendants of points violating the default 10% QoI bound; a float
-    #: sets the bound.  See :mod:`repro.harness.pruning`.
+    #: Subsumption-lattice pruning, applied by every
+    #: :meth:`~repro.harness.batch.BatchEngine.submit`: a point with a less
+    #: aggressive lattice ancestor whose error exceeds the QoI bound is
+    #: recorded as ``pruned`` without simulating.  ``True`` uses the default
+    #: 10% bound; a float sets the bound.  See :mod:`repro.harness.pruning`.
     prune: bool | float = False
     #: Content-hash record cache shared across campaigns: a
     #: :class:`repro.harness.pruning.VariantCache` instance.  Its owner

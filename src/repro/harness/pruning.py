@@ -7,17 +7,19 @@ aggressive along any axis — a higher TAF/iACT threshold, a denser
 perforation pattern, a coarser AC-state hierarchy level — can only admit
 more approximation.  A point that already violates its QoI bound therefore
 implies (under that monotonicity) that every more-aggressive descendant
-violates it too, so simulating the descendants buys nothing.  Two
+violates it too, so simulating those points buys nothing.  Two
 components exploit that structure:
 
 * :class:`SweepLattice` — the subsumption lattice over sweep points.
   Points that agree on every non-aggressiveness parameter form a chain
   group; within a group, point *q* descends from *p* when *q*'s
-  aggressiveness vector dominates *p*'s.  :func:`run_sweep_pruned`
-  evaluates the lattice in ancestor-first waves and, the moment a point's
-  error exceeds the bound, records every un-evaluated descendant as a
-  ``pruned`` checkpoint row naming the violating ancestor — the same
-  mechanism preflight uses for ``infeasible`` rows, so resume, merge, and
+  aggressiveness vector dominates *p*'s.  With ``SweepConfig.prune`` set,
+  every :class:`~repro.harness.batch.BatchStream` queues its jobs by
+  lattice height (:func:`lattice_order`), holds a job until each of its
+  ancestors has a record, and records a job with a bound-violating ancestor as a
+  ``pruned`` checkpoint row naming the least aggressive violator
+  (:func:`pruned_record`) — the same mechanism preflight uses for
+  ``infeasible`` rows, so resume, merge, and
   :class:`~repro.harness.database.ResultsDB` work unchanged.
 * :class:`VariantCache` — a content-hash record cache keyed on the sha256
   of a record's :class:`~repro.harness.database.RecordKey`, so identical
@@ -36,12 +38,11 @@ from the simulated set, replacing them with ``pruned`` markers.
 from __future__ import annotations
 
 import json
-import time
 from collections import OrderedDict
 from pathlib import Path
 from typing import Iterable
 
-from repro.gpusim.device import DeviceSpec, get_device
+from repro.gpusim.device import DeviceSpec
 from repro.harness.config import SweepConfig
 from repro.harness.database import RecordKey, _decode, _encode, replace_lines
 from repro.harness.runner import RunRecord
@@ -78,36 +79,28 @@ def aggression_axes(point: SweepPoint) -> list[tuple[str, int]]:
     return []
 
 
-def aggression_vector(
-    point: SweepPoint, include_level: bool = True
-) -> tuple[float, ...] | None:
-    """Sortable aggressiveness coordinates, or ``None`` when the point has
-    no recognized axes (such points form singleton lattice groups)."""
-    axes = aggression_axes(point)
+def aggression_vector(point: SweepPoint) -> tuple[float, ...] | None:
+    """Sortable aggressiveness coordinates, the hierarchy level last, or
+    ``None`` when an axis value is not a number (such points form
+    singleton lattice groups)."""
     coords: list[float] = []
-    for name, sign in axes:
+    for name, sign in aggression_axes(point):
         val = point.params.get(name)
         if not isinstance(val, (int, float)) or isinstance(val, bool):
             return None
         coords.append(sign * float(val))
-    if include_level:
-        coords.append(float(LEVEL_ORDER.get(point.level, -1)))
-    if not coords:
-        return None
+    coords.append(float(LEVEL_ORDER.get(point.level, -1)))
     return tuple(coords)
 
 
-def _base_key(point: SweepPoint, include_level: bool) -> tuple:
+def _base_key(point: SweepPoint) -> tuple:
     """Everything a point's identity holds *except* its aggressiveness
     coordinates — two points compare only when these match."""
     axis_names = {name for name, _sign in aggression_axes(point)}
     fixed = tuple(
         sorted((k, v) for k, v in point.params.items() if k not in axis_names)
     )
-    key = (point.technique, fixed, point.items_per_thread)
-    if not include_level:
-        key += (point.level,)
-    return key
+    return (point.technique, fixed, point.items_per_thread)
 
 
 def _dominates(a: tuple, b: tuple) -> bool:
@@ -121,65 +114,65 @@ class SweepLattice:
 
     Points sharing a :func:`_base_key` form one group; within a group the
     partial order is elementwise dominance of :func:`aggression_vector`.
-    Points with no recognized axes (or non-numeric axis values) are
-    singletons — never pruned, never pruning anything.
+    Points with non-numeric axis values are singletons — never pruned,
+    never pruning anything.  A point's height is the length of the longest
+    chain of ancestors below it, so every ancestor is lower.
     """
 
-    def __init__(
-        self, points: Iterable[SweepPoint], include_level: bool = True
-    ) -> None:
-        self.points: list[SweepPoint] = []
+    def __init__(self, points: Iterable[SweepPoint]) -> None:
         self._vec: dict[str, tuple | None] = {}
-        self._groups: dict[tuple, list[SweepPoint]] = OrderedDict()
-        self._group_of: dict[str, tuple] = {}
-        seen: set[str] = set()
+        groups: dict[tuple, list[SweepPoint]] = OrderedDict()
         for n, pt in enumerate(points):
             label = pt.label()
-            if label in seen:
+            if label in self._vec:
                 continue
-            seen.add(label)
-            self.points.append(pt)
-            vec = aggression_vector(pt, include_level)
-            self._vec[label] = vec
+            vec = self._vec[label] = aggression_vector(pt)
             # Unordered points get a unique group so they stand alone.
-            key = (
-                _base_key(pt, include_level) if vec is not None else ("·", n)
-            )
-            self._groups.setdefault(key, []).append(pt)
-            self._group_of[label] = key
+            key = _base_key(pt) if vec is not None else ("·", n)
+            groups.setdefault(key, []).append(pt)
         self._ancestors: dict[str, list[SweepPoint]] = {}
-        self._descendants: dict[str, list[SweepPoint]] = {}
-        for group in self._groups.values():
-            for pt in group:
-                label = pt.label()
-                vec = self._vec[label]
-                anc: list[SweepPoint] = []
-                desc: list[SweepPoint] = []
-                if vec is not None:
-                    for other in group:
-                        if other is pt:
-                            continue
-                        ovec = self._vec[other.label()]
-                        if _dominates(ovec, vec):
-                            anc.append(other)
-                        elif _dominates(vec, ovec):
-                            desc.append(other)
-                self._ancestors[label] = anc
-                self._descendants[label] = desc
-
-    def __len__(self) -> int:
-        return len(self.points)
+        self._height: dict[str, int] = {}
+        for group in groups.values():
+            # Lexicographic order extends dominance, so each point's
+            # ancestors precede it, least aggressive first.
+            group.sort(key=lambda p: (self._vec[p.label()], p.label()))
+            for i, pt in enumerate(group):
+                vec = self._vec[pt.label()]
+                anc = [a for a in group[:i] if _dominates(self._vec[a.label()], vec)]
+                self._ancestors[pt.label()] = anc
+                self._height[pt.label()] = 1 + max(
+                    (self._height[a.label()] for a in anc), default=-1
+                )
 
     def vector(self, point: SweepPoint) -> tuple | None:
         return self._vec.get(point.label())
 
     def ancestors(self, point: SweepPoint) -> list[SweepPoint]:
-        """Strictly less-aggressive points of the same group."""
+        """Strictly less-aggressive points of the same group, least
+        aggressive first (by vector, then label)."""
         return self._ancestors.get(point.label(), [])
 
-    def descendants(self, point: SweepPoint) -> list[SweepPoint]:
-        """Strictly more-aggressive points of the same group."""
-        return self._descendants.get(point.label(), [])
+    def height(self, point: SweepPoint) -> int:
+        """The longest chain of :meth:`ancestors` below ``point``."""
+        return self._height[point.label()]
+
+
+def lattice_order(
+    points: dict[RecordKey, SweepPoint],
+) -> tuple[dict[RecordKey, int], dict[RecordKey, list[RecordKey]]]:
+    """Each key's lattice height and its ancestors' keys (least aggressive
+    first), from one :class:`SweepLattice` per (app, device, site)."""
+    by_run: dict[tuple, dict[str, RecordKey]] = {}
+    for key in points:
+        by_run.setdefault((key.app, key.device, key.site), {})[key.label] = key
+    heights: dict[RecordKey, int] = {}
+    ancestors: dict[RecordKey, list[RecordKey]] = {}
+    for keys in by_run.values():
+        lattice = SweepLattice(points[key] for key in keys.values())
+        for key in keys.values():
+            heights[key] = lattice.height(points[key])
+            ancestors[key] = [keys[a.label()] for a in lattice.ancestors(points[key])]
+    return heights, ancestors
 
 
 # ---------------------------------------------------------------------------
@@ -288,21 +281,14 @@ def pruned_record(
     )
 
 
-def is_pruned_record(record: RunRecord) -> bool:
-    """True for rows written by :func:`pruned_record`."""
-    return not record.feasible and (record.note or "").startswith(
-        PRUNED_NOTE_PREFIX
-    )
-
-
-def _violates(record: RunRecord, bound: float) -> bool:
+def violates(record: RunRecord, bound: float) -> bool:
     """A feasible record whose error exceeds the QoI bound (non-finite
     errors count: a diverged run certainly violates)."""
     return bool(record.feasible) and not (float(record.error) <= bound)
 
 
 # ---------------------------------------------------------------------------
-# The pruned sweep driver
+# The pruned sweep
 # ---------------------------------------------------------------------------
 def run_sweep_pruned(
     app: str,
@@ -313,140 +299,12 @@ def run_sweep_pruned(
     engine,
     site: str | None = None,
 ):
-    """Execute ``points`` with lattice pruning on ``engine``; returns the same
-    :class:`~repro.harness.batch.BatchReport` shape as
-    :func:`~repro.harness.batch.run_sweep_parallel`, which calls this with
-    its fully resolved ``config``.
+    """Execute ``points`` on ``engine`` under ``config`` (whose ``prune``
+    is set) as one :meth:`~repro.harness.batch.BatchEngine.submit`; returns
+    its :class:`~repro.harness.batch.BatchReport`.
+    :func:`~repro.harness.batch.run_sweep_parallel` calls this with its
+    fully resolved ``config``; the stream does the pruning."""
+    from repro.harness.batch import BatchJob
 
-    The lattice is evaluated in ancestor-first waves.  Before each wave,
-    every ready point with a bound-violating evaluated ancestor is recorded
-    as a ``pruned`` checkpoint row (never simulated); the surviving wave is
-    submitted through the engine.  Records for evaluated points are byte-identical to
-    the unpruned sweep's — pruning only substitutes rows for points it
-    skips.
-
-    ``config.checkpoint`` is managed *here* (resumed from the engine's
-    index of the file by :class:`~repro.harness.database.RecordKey`, each
-    decided row appended in wave order and added to that index); waves are
-    submitted with the checkpoint stripped from their config so the engine
-    does not double-write.
-    """
-    from repro.harness.batch import BatchJob, BatchReport
-
-    cfg = config
-    bound = DEFAULT_QOI_BOUND if cfg.prune is True else float(cfg.prune)
-    dev_name = get_device(device).name
-    t0 = time.monotonic()
-
-    unique: "OrderedDict[str, SweepPoint]" = OrderedDict()
-    for pt in points:
-        unique.setdefault(pt.label(), pt)
-    lattice = SweepLattice(unique.values())
-
-    # Resume: checkpoint rows (evaluated, preflight, and prior pruned rows
-    # alike) are trusted decisions.
-    decided: dict[str, RunRecord] = {}
-    writer = None
-    if cfg.checkpoint is not None:
-        shared = engine.shared(site, cfg.sanitize)
-        writer = engine.open_checkpoint(cfg.checkpoint, shared)
-        for label, pt in unique.items():
-            key = engine._key(BatchJob(app, device, pt, site=site), cfg.sanitize)
-            if key in writer.index:
-                decided[label] = writer.index[key]
-    skipped = len(decided)
-
-    # Waves run without the checkpoint (managed here) and without prune
-    # (pruning is this driver).
-    wave_cfg = cfg.replace(checkpoint=None, prune=False)
-
-    evaluated = preflight_pruned = lattice_pruned = variant_hits = 0
-    reused = waves = 0
-    dispatch_log: list[tuple[int, int]] = []
-    try:
-        while True:
-            undecided = [
-                pt for label, pt in unique.items() if label not in decided
-            ]
-            if not undecided:
-                break
-            ready = [
-                pt
-                for pt in undecided
-                if all(
-                    a.label() in decided for a in lattice.ancestors(pt)
-                )
-            ]
-            if not ready:  # pragma: no cover - partial orders are acyclic
-                raise RuntimeError("pruned sweep stalled: no ready points")
-
-            wave: list[SweepPoint] = []
-            for pt in ready:
-                violators = [
-                    a
-                    for a in lattice.ancestors(pt)
-                    if _violates(decided[a.label()], bound)
-                ]
-                if violators:
-                    # Deterministic provenance: the least aggressive
-                    # violating ancestor — the subtree's original root.
-                    violators.sort(
-                        key=lambda a: (lattice.vector(a), a.label())
-                    )
-                    root = violators[0]
-                    rec = pruned_record(
-                        app,
-                        dev_name,
-                        pt,
-                        root.label(),
-                        float(decided[root.label()].error),
-                        bound,
-                    )
-                    decided[pt.label()] = rec
-                    lattice_pruned += 1
-                    if writer is not None:
-                        writer.write(rec)
-                else:
-                    wave.append(pt)
-            if not wave:
-                waves += 1
-                continue
-
-            rep = engine.submit(
-                [BatchJob(app, device, pt, site=site) for pt in wave],
-                config=wave_cfg,
-            ).report()
-            evaluated += rep.evaluated
-            reused += rep.reused
-            skipped += rep.skipped
-            preflight_pruned += rep.pruned
-            variant_hits += rep.variant_hits
-            dispatch_log += rep.extra["dispatch_log"]
-            for pt, rec in zip(wave, rep.records):
-                decided[pt.label()] = rec
-                if writer is not None:
-                    writer.write(rec)
-            waves += 1
-    finally:
-        if writer is not None:
-            writer.close()
-
-    return BatchReport(
-        records=[decided[pt.label()] for pt in points],
-        evaluated=evaluated,
-        skipped=skipped,
-        deduped=len(points) - len(unique),
-        pruned=preflight_pruned,
-        variant_hits=variant_hits,
-        reused=reused,
-        elapsed=time.monotonic() - t0,
-        checkpoint=(
-            str(cfg.checkpoint) if cfg.checkpoint is not None else None
-        ),
-        extra={
-            "lattice_pruned": lattice_pruned,
-            "waves": waves,
-            "qoi_bound": bound,
-            "dispatch_log": dispatch_log,
-        },
-    )
+    jobs = [BatchJob(app, device, pt, site=site) for pt in points]
+    return engine.submit(jobs, config=config).report()

@@ -108,7 +108,7 @@ class TestAdaptiveChunker:
         assert c.next_size(("app", "dev")) == 2
 
     def test_fast_group_grows_toward_target(self):
-        c = AdaptiveChunker(target_seconds=1.0)
+        c = AdaptiveChunker(target_seconds=1.0, max_size=64)
         c.observe("g", points=20, seconds=0.5)  # 40 pts/s
         assert c.next_size("g") == 40
 
@@ -123,7 +123,7 @@ class TestAdaptiveChunker:
         assert c.next_size("g") == 64
 
     def test_rates_smoothed_per_group(self):
-        c = AdaptiveChunker(target_seconds=1.0, smoothing=0.5)
+        c = AdaptiveChunker(target_seconds=1.0, max_size=64, smoothing=0.5)
         c.observe("a", points=10, seconds=1.0)  # 10 pts/s
         c.observe("a", points=30, seconds=1.0)  # EMA: 20 pts/s
         assert c.next_size("a") == 20
@@ -199,6 +199,21 @@ class TestBatchEngine:
         assert engine.stats.executed == len(jobs)  # nothing re-simulated
         assert [r.to_dict() for r in again] == [
             r.to_dict() for r in serial_records
+        ]
+
+    def test_checkpoint_holds_cache_served_slots(self, tmp_path):
+        # Slots the engine cache serves are written to the call's
+        # checkpoint too, so a new engine resumes the whole call from it.
+        ck = str(tmp_path / "ck.jsonl")
+        jobs = _jobs()
+        with BatchEngine(problems=PROBLEMS) as engine:
+            engine.run_jobs(jobs[:2])
+            first = engine.submit(jobs, SweepConfig(checkpoint=ck)).records()
+        with BatchEngine(problems=PROBLEMS) as fresh:
+            report = fresh.submit(jobs, SweepConfig(checkpoint=ck)).report()
+        assert report.evaluated == 0 and report.skipped == len(jobs)
+        assert [dumps_record(r) for r in report.records] == [
+            dumps_record(r) for r in first
         ]
 
     def test_session_wide_baselines_exactly_once(self):

@@ -122,9 +122,8 @@ class TestPersistentPool:
     def test_pruned_pool_sweep_on_serial_engine_spawns_one_pool(
         self, monkeypatch
     ):
-        # A pool sweep on an engine built for in-process work: every
-        # lattice wave is one submit, and all of them share the engine's
-        # one pool, which its stats count.
+        # A pool sweep on an engine built for in-process work runs on the
+        # engine's one pool, which its stats count.
         pts = [
             SweepPoint("iact", {"tsize": ts, "threshold": t}, "thread", 8)
             for ts in (2, 4)
@@ -147,7 +146,7 @@ class TestPersistentPool:
             pooled = run_sweep_parallel(
                 "kmeans", "v100_small", pts, config=cfg, engine=eng
             )
-            assert pooled.extra["waves"] > 1
+            assert pooled.extra["lattice_pruned"] == serial.extra["lattice_pruned"]
             assert len(spawned) == 1
             assert eng.stats.pool_spawns == 1
         assert [dumps_record(r) for r in pooled.records] == [

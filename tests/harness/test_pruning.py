@@ -21,7 +21,6 @@ from repro.harness.pruning import (
     VariantCache,
     aggression_axes,
     aggression_vector,
-    is_pruned_record,
 )
 from repro.harness.runner import ExperimentRunner, RunRecord
 from repro.harness.sweep import SweepPoint
@@ -31,6 +30,10 @@ PROBLEMS = {"kmeans": {"num_obs": 2048, "max_iters": 8}}
 
 def _label(rec):
     return SweepPoint.of_record(rec).label()
+
+
+def _is_pruned(rec):
+    return record_status(rec) == "pruned"
 
 
 def taf_grid():
@@ -99,22 +102,31 @@ class TestLattice:
         vt, vw = aggression_vector(t), aggression_vector(w)
         assert vt[-1] < vw[-1]
 
-    def test_descendants_within_group_only(self, grid):
+    def test_ancestors_within_group_only(self, grid):
         lat = SweepLattice(grid)
         root = next(pt for pt in grid if not lat.ancestors(pt))
-        # Ancestry is symmetric: every descendant of a root sees that root
-        # among its ancestors, and never crosses base-key groups.
-        descendants = lat.descendants(root)
-        assert descendants
-        for d in descendants:
-            assert root.label() in {a.label() for a in lat.ancestors(d)}
+        below = [pt for pt in grid if root in lat.ancestors(pt)]
+        assert below
+        # An ancestor shares every non-axis parameter and is strictly less
+        # aggressive; a point sits one above its highest ancestor.
+        for pt in grid:
+            ancestors = lat.ancestors(pt)
+            for a in ancestors:
+                assert (a.params["hsize"], a.params["psize"]) == (
+                    pt.params["hsize"], pt.params["psize"]
+                )
+                va, vp = lat.vector(a), lat.vector(pt)
+                assert all(x <= y for x, y in zip(va, vp)) and va != vp
+            assert lat.height(pt) == 1 + max(
+                (lat.height(a) for a in ancestors), default=-1
+            )
 
     def test_unordered_points_isolated(self):
         pts = [SweepPoint("sc", {"rate": r}) for r in (1, 2)]
         lat = SweepLattice(pts)
         for p in pts:
             assert not lat.ancestors(p)
-            assert not lat.descendants(p)
+            assert lat.height(p) == 0
 
 
 class TestPrunedSweepEquivalence:
@@ -124,7 +136,7 @@ class TestPrunedSweepEquivalence:
     def test_survivors_byte_identical(self, full_report, pruned_report):
         full = {_label(r): dumps_record(r) for r in full_report.records}
         for rec in pruned_report.records:
-            if is_pruned_record(rec):
+            if _is_pruned(rec):
                 continue
             assert dumps_record(rec) == full[_label(rec)]
 
@@ -132,9 +144,9 @@ class TestPrunedSweepEquivalence:
         labels = {p.label() for p in grid}
         evaluated = {
             _label(r) for r in pruned_report.records
-            if not is_pruned_record(r)
+            if not _is_pruned(r)
         }
-        pruned = [r for r in pruned_report.records if is_pruned_record(r)]
+        pruned = [r for r in pruned_report.records if _is_pruned(r)]
         assert pruned, "bound 0.10 must prune something on this grid"
         for rec in pruned:
             anc = rec.extra["pruned_by"]
@@ -146,7 +158,7 @@ class TestPrunedSweepEquivalence:
     def test_pruned_ancestor_actually_violates(self, full_report, pruned_report):
         by_label = {_label(r): r for r in full_report.records}
         for rec in pruned_report.records:
-            if is_pruned_record(rec):
+            if _is_pruned(rec):
                 anc = by_label[rec.extra["pruned_by"]]
                 assert anc.feasible and anc.error > 0.10
 
@@ -154,10 +166,9 @@ class TestPrunedSweepEquivalence:
         extra = pruned_report.extra
         assert extra["qoi_bound"] == 0.10
         assert extra["lattice_pruned"] == sum(
-            1 for r in pruned_report.records if is_pruned_record(r)
+            1 for r in pruned_report.records if _is_pruned(r)
         )
         assert pruned_report.evaluated + extra["lattice_pruned"] == len(grid)
-        assert extra["waves"] >= 1
 
     def test_records_in_input_order(self, grid, pruned_report):
         assert [_label(r) for r in pruned_report.records] == [
@@ -219,6 +230,25 @@ class TestEnginePolicy:
         ]
 
 
+    def test_submit_honors_prune(self, grid, pruned_report, full_report):
+        jobs = [BatchJob("kmeans", "v100_small", pt) for pt in grid]
+        with BatchEngine(problems=PROBLEMS) as engine:
+            rep = engine.submit(jobs, SweepConfig(prune=0.10)).report()
+            # Pruned rows are verdicts under one bound: an unpruned call on
+            # the same engine evaluates those points instead of reusing them.
+            again = engine.submit(jobs).report()
+        assert rep.evaluated == 4
+        assert sum(_is_pruned(r) for r in rep.records) == 28
+        assert rep.extra["lattice_pruned"] == 28
+        assert [dumps_record(r) for r in rep.records] == [
+            dumps_record(r) for r in pruned_report.records
+        ]
+        assert again.evaluated == 28
+        assert [dumps_record(r) for r in again.records] == [
+            dumps_record(r) for r in full_report.records
+        ]
+
+
 class TestPrunedCheckpointResume:
     def test_resume_skips_everything(self, grid, tmp_path):
         ck = str(tmp_path / "ck.jsonl")
@@ -251,7 +281,7 @@ class TestPrunedCheckpointResume:
             p.label() for p in grid
         }
         assert db.status_counts()["pruned"] == sum(
-            1 for r in r2.records if is_pruned_record(r)
+            1 for r in r2.records if _is_pruned(r)
         )
 
     def test_matches_uncheckpointed_run(self, grid, tmp_path, pruned_report):
@@ -387,7 +417,7 @@ class TestRaggedParamKeys:
         evaluated = [
             (dumps_record(a), dumps_record(b))
             for a, b in zip(pruned.records, plain.records)
-            if not is_pruned_record(a)
+            if not _is_pruned(a)
         ]
         assert evaluated
         assert all(a == b for a, b in evaluated)

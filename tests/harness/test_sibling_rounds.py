@@ -17,6 +17,8 @@ from repro.harness import batch
 from repro.harness.batch import BatchEngine, BatchJob, run_sweep_parallel
 from repro.harness.config import SweepConfig
 from repro.harness.database import dumps_record
+from repro.harness.pruning import SweepLattice
+from repro.harness.runner import ExperimentRunner
 from repro.harness.sweep import SweepPoint, table2_space
 
 SMALL = {"blackscholes": {"num_options": 512, "num_runs": 1}}
@@ -53,8 +55,23 @@ def _chunks_seen(monkeypatch):
     return seen
 
 
+def _heights(points):
+    """Each point's lattice height: one above its highest ancestor."""
+    lattice = SweepLattice(points)
+    heights = {}
+
+    def height(pt):
+        if pt.label() not in heights:
+            heights[pt.label()] = 1 + max(
+                (height(a) for a in lattice.ancestors(pt)), default=-1
+            )
+        return heights[pt.label()]
+
+    return {pt.label(): height(pt) for pt in points}
+
+
 class TestPoolMatchesInProcess:
-    def test_pruned_table2_sweep_counts_and_records(self):
+    def test_pruned_table2_sweep_counts_and_records(self, monkeypatch):
         bench = get_benchmark("blackscholes")
         points = table2_space(
             "taf", "v100_small", threshold_scale=bench.taf_threshold_scale
@@ -70,8 +87,25 @@ class TestPoolMatchesInProcess:
                 )
                 return report, engine.stats.reused
 
-        serial, serial_reused = sweep(1)
+        simulated = []
+        with monkeypatch.context() as m:
+            run_point = ExperimentRunner.run_point
+
+            def recording(runner, app, device, point, **kwargs):
+                simulated.append(point.label())
+                return run_point(runner, app, device, point, **kwargs)
+
+            m.setattr(ExperimentRunner, "run_point", recording)
+            serial, serial_reused = sweep(1)
         pooled, pooled_reused = sweep(2)
+        # In-process, points simulate in (lattice height, grid position)
+        # order: every ancestor is decided before its descendants.
+        heights = _heights(points)
+        rank = {pt.label(): (heights[pt.label()], i) for i, pt in enumerate(points)}
+        assert len({heights[label] for label in simulated}) > 1
+        assert [rank[label] for label in simulated] == sorted(
+            rank[label] for label in simulated
+        )
         assert serial.reused > 0
         assert (pooled.evaluated, pooled.reused) == (serial.evaluated, serial.reused)
         assert pooled_reused == serial_reused
