@@ -1,28 +1,28 @@
 """Shared fixtures for the figure benches.
 
-One session-scoped :class:`ExperimentRunner` caches the accurate baselines
-across figures, matching how the paper's harness reuses its non-approximated
-reference runs.  The session :class:`BatchEngine` wraps it: figures route
-their simulation grids through the batch layer, so overlapping grids (Fig 6
-and Fig 7 share the LULESH points) evaluate once per session.
+One session-scoped :class:`BatchEngine` evaluates every figure's
+simulation grid, so overlapping grids (Fig 6 and Fig 7 share the LULESH
+points) evaluate once per session.  Its runner (``engine.runner``) caches
+the accurate baselines across figures and the benches' direct
+``run_point`` calls, matching how the paper's harness reuses its
+non-approximated reference runs.
 """
 
 import pytest
 
 from repro.harness.batch import BatchEngine
-from repro.harness.runner import ExperimentRunner
 
 
 @pytest.fixture(scope="session")
-def runner():
-    return ExperimentRunner()
-
-
-@pytest.fixture(scope="session")
-def engine(runner):
-    eng = BatchEngine(runner=runner)
+def engine():
+    eng = BatchEngine()
     yield eng
     eng.close()
+
+
+@pytest.fixture(scope="session")
+def runner(engine):
+    return engine.runner
 
 
 def emit(title: str, body: str) -> None:

@@ -3,18 +3,17 @@
 Run as a script (``python benchmarks/perf_smoke.py``).  Three measurements:
 
 1. **Serial vs batched Fig 6** — times the quick-effort Fig 6 grid on the
-   "serial" path (the figure's own in-process engine around a runner) and
-   through a :class:`BatchEngine` at ``min(4, cpu_count)`` workers, and
-   verifies the outputs are identical.
+   "serial" path (an in-process engine) and through a :class:`BatchEngine`
+   at ``min(4, cpu_count)`` workers, and verifies the outputs are identical.
 2. **Persistent pool across a session** — the same engine then serves
    Fig 7 and Fig 12, i.e. three consecutive figure batches through one
    engine.  ``stats.pool_spawns`` must stay at 1: the whole session pays
    the process-pool spawn cost exactly once.
 3. **Streamed vs blocking consumption** — the same explicit job list runs
-   through ``engine.run_jobs`` (a drained ``submit``: nothing until
-   everything) and ``engine.submit`` iterated directly (records as chunks
-   complete), recording
-   time-to-first-record against the blocking wall-clock.
+   through ``engine.submit(jobs).records()`` (a drained stream: nothing
+   until everything) and ``engine.submit`` iterated directly (records as
+   chunks complete), recording time-to-first-record against the blocking
+   wall-clock.
 4. **Lattice pruning + variant cache** — a Table-2-style kmeans TAF
    sub-grid swept full (in-process) vs ``prune=0.10``, recording
    points-evaluated on both paths and asserting every surviving record is
@@ -134,12 +133,12 @@ def main() -> int:
     workers = min(4, max(2, os.cpu_count() or 1))
     cfg = SweepConfig(workers=workers)
 
-    runner = ExperimentRunner()
-    t0 = time.monotonic()
-    serial = fig6_best_speedup(runner=runner)
-    serial_seconds = time.monotonic() - t0
+    with BatchEngine() as serial_engine:
+        t0 = time.monotonic()
+        serial = fig6_best_speedup(engine=serial_engine)
+        serial_seconds = time.monotonic() - t0
     serial_points = len(serial.db)
-    serial_baselines = runner.baseline_computes
+    serial_baselines = serial_engine.runner.baseline_computes
 
     # One persistent engine for the whole "session": Fig 6, then Fig 7
     # (re-sweeps the LULESH grid Fig 6 evaluated — served from cache),
@@ -159,7 +158,7 @@ def main() -> int:
     jobs = _stream_jobs()
     with BatchEngine(config=cfg) as eng_block:
         t0 = time.monotonic()
-        blocking_records = eng_block.run_jobs(jobs)
+        blocking_records = eng_block.submit(jobs).records()
         blocking_seconds = time.monotonic() - t0
     with BatchEngine(config=cfg) as eng_stream:
         streamed_records = []
@@ -272,7 +271,7 @@ def main() -> int:
             f"across 3 figure batches (must be exactly 1)"
         )
     if not streamed_identical:
-        failures.append("streamed record set differs from blocking run_jobs")
+        failures.append("streamed record set differs from the blocking drain")
     if not survivors_identical:
         failures.append(
             "pruned sweep altered a surviving record (must be byte-identical "

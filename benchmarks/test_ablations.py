@@ -21,6 +21,7 @@ from repro.approx.base import IACTParams, RegionSpec, TAFParams, Technique
 from repro.gpusim.device import nvidia_v100
 from repro.gpusim.memory import global_memory_fraction_for_tables
 from repro.gpusim.occupancy import blocks_resident_per_sm
+from repro.harness.batch import BatchJob
 from repro.harness.search import evolutionary_search, random_search
 from repro.harness.sweep import SweepPoint
 
@@ -199,7 +200,7 @@ def test_ablation_clock_vs_round_robin(benchmark, runner):
     assert out["clock"] == pytest.approx(out["round_robin"], rel=0.15)
 
 
-def test_ablation_smart_search_vs_exhaustive(benchmark, runner):
+def test_ablation_smart_search_vs_exhaustive(benchmark, engine):
     """§4.2: budgeted search reaches the exhaustive optimum's
     neighbourhood at a fraction of the cost."""
     space = [
@@ -211,17 +212,19 @@ def test_ablation_smart_search_vs_exhaustive(benchmark, runner):
     ]
 
     def run():
-        exhaustive = runner.run_sweep("blackscholes", "v100_small", space)
+        exhaustive = engine.submit(
+            [BatchJob("blackscholes", "v100_small", pt) for pt in space]
+        ).records()
         best_ex = max(
             (r for r in exhaustive if r.feasible and r.error <= 0.10),
             key=lambda r: r.reported_speedup,
         )
         evo = evolutionary_search(
-            runner, "blackscholes", "v100_small", "taf",
+            engine, "blackscholes", "v100_small", "taf",
             budget=len(space) // 3, space=space,
         )
         rand = random_search(
-            runner, "blackscholes", "v100_small", "taf",
+            engine, "blackscholes", "v100_small", "taf",
             budget=len(space) // 3, space=space,
         )
         return best_ex, evo, rand

@@ -40,14 +40,13 @@ def test_fig7_lulesh_scatter(benchmark, engine):
 def test_fini_less_error_than_ini(benchmark, engine):
     """Fig 7 / §4.1: 'fini perforation induces less error than ini'."""
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)  # register with --benchmark-only
+    from repro.harness.batch import BatchJob
     from repro.harness.sweep import SweepPoint
 
     errs = {}
     for kind in ("ini", "fini"):
-        rec = engine.run_point(
-            "lulesh", "v100_small",
-            SweepPoint("perfo", {"kind": kind, "skip_percent": 50}, "thread", 8),
-        )
+        pt = SweepPoint("perfo", {"kind": kind, "skip_percent": 50}, "thread", 8)
+        rec = engine.submit([BatchJob("lulesh", "v100_small", pt)]).records()[0]
         errs[kind] = rec.error
     emit("Fig 7 — ini vs fini at 50% skip",
          f"ini error:  {100 * errs['ini']:10.3f}%\n"

@@ -21,8 +21,8 @@ from repro.harness.figures import (
 
 
 @pytest.fixture(scope="module")
-def fig6(runner):
-    return fig6_best_speedup(runner=runner)
+def fig6(engine):
+    return fig6_best_speedup(engine=engine)
 
 
 def test_insight1_significant_speedups_app_specific_tradeoffs(benchmark, fig6):

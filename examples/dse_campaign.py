@@ -12,17 +12,16 @@ Run:  python examples/dse_campaign.py [app] [device]
 
 import sys
 
+from repro.harness.batch import run_sweep_parallel
 from repro.harness.database import ResultsDB
 from repro.harness.figures import candidates
 from repro.harness.reporting import format_record, format_records_table
-from repro.harness.runner import ExperimentRunner
 
 
 def main() -> None:
     app = sys.argv[1] if len(sys.argv) > 1 else "lavamd"
     device = sys.argv[2] if len(sys.argv) > 2 else "v100_small"
 
-    runner = ExperimentRunner()
     db = ResultsDB()
 
     print(f"Sweeping {app} on {device} ...")
@@ -30,7 +29,7 @@ def main() -> None:
         points = candidates(app, technique, effort="quick")
         if not points:
             continue
-        records = runner.run_sweep(app, device, points)
+        records = run_sweep_parallel(app, device, points).records
         db.add(records)
         print(f"  {technique}: {len(records)} configurations "
               f"({sum(not r.feasible for r in records)} infeasible)")

@@ -18,7 +18,8 @@ Run:  python examples/sensitivity_and_search.py
 """
 
 from repro import get_benchmark
-from repro.harness.runner import ExperimentRunner
+from repro.harness.batch import BatchEngine, BatchJob
+from repro.harness.database import ResultsDB
 from repro.harness.search import evolutionary_search
 from repro.harness.sensitivity import analyze_sensitivity, format_sensitivity
 from repro.harness.sweep import SweepPoint
@@ -36,9 +37,6 @@ def main() -> None:
         print()
 
     print("== 2. How should it be approximated? ==\n")
-    runner = ExperimentRunner(
-        problems={"blackscholes": {"num_options": 8192, "num_runs": 4}}
-    )
     space = [
         SweepPoint("taf", {"hsize": h, "psize": p, "threshold": t}, "thread", ipt)
         for h in (1, 2, 5)
@@ -46,15 +44,17 @@ def main() -> None:
         for t in (0.3, 0.9, 3.0)
         for ipt in (1, 2, 8)
     ]
-    exhaustive = runner.run_sweep("blackscholes", "v100_small", space)
-    best_ex = max(
-        (r for r in exhaustive if r.feasible and r.error <= 0.10),
-        key=lambda r: r.reported_speedup,
-    )
-    evo = evolutionary_search(
-        runner, "blackscholes", "v100_small", "taf",
-        budget=len(space) // 4, space=space,
-    )
+    with BatchEngine(
+        problems={"blackscholes": {"num_options": 8192, "num_runs": 4}}
+    ) as engine:
+        exhaustive = engine.submit(
+            [BatchJob("blackscholes", "v100_small", pt) for pt in space]
+        ).records()
+        best_ex = ResultsDB(exhaustive).best_speedup(max_error=0.10)
+        evo = evolutionary_search(
+            engine, "blackscholes", "v100_small", "taf",
+            budget=len(space) // 4, space=space,
+        )
     print(f"exhaustive sweep : {len(space):3d} evaluations -> "
           f"{best_ex.reported_speedup:5.2f}x @ {best_ex.error_percent:.3f}% error")
     print(f"evolutionary     : {evo.evaluations:3d} evaluations -> "

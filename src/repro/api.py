@@ -350,32 +350,37 @@ def search(
     ``config`` is the evaluation policy, passed to the strategy whole:
     ``workers`` fans evaluations across a process pool, ``checkpoint``
     records every evaluation and resumes them on a rerun; ``engine``
-    reuses a persistent one.  Results are identical at any worker count."""
-    from repro.harness.runner import ExperimentRunner
+    reuses a persistent one, else one is built for the call and closed on
+    return.  Results are identical at any worker count."""
+    from repro.harness.batch import BatchEngine
     from repro.harness.search import evolutionary_search, random_search
 
     request = _build(SearchRequest, request, args, fields)
-    if engine is not None:
-        # The engine simulates with its own problems and seed.
-        engine.check_matches(request.problems, engine.runner.seed)
-        runner = engine.runner
+    owned = engine is None
+    if owned:
+        engine = BatchEngine(problems=request.problems, config=config)
     else:
-        runner = ExperimentRunner(problems=request.problems)
-    target = (runner, request.app, request.device, request.technique)
+        # The engine simulates with its own problems and seed.
+        engine.check_matches(request.problems, engine.seed)
+    target = (engine, request.app, request.device, request.technique)
     common = dict(
         budget=request.budget, max_error=request.max_error,
         threshold_scale=request.threshold_scale, seed=request.seed,
         space=list(request.space) if request.space else None,
-        config=config, engine=engine,
+        config=config,
     )
-    if request.strategy == "random":
-        inner = random_search(*target, **common)
-    elif request.strategy == "evolutionary":
-        inner = evolutionary_search(
-            *target, population=request.population, **common
-        )
-    else:
-        raise ValueError(f"unknown search strategy {request.strategy!r}")
+    try:
+        if request.strategy == "random":
+            inner = random_search(*target, **common)
+        elif request.strategy == "evolutionary":
+            inner = evolutionary_search(
+                *target, population=request.population, **common
+            )
+        else:
+            raise ValueError(f"unknown search strategy {request.strategy!r}")
+    finally:
+        if owned:
+            engine.close()
     return SearchResult(result=inner, request=request)
 
 
@@ -396,7 +401,6 @@ def figures(
     in)."""
     from repro.harness import figures as F
     from repro.harness.batch import BatchEngine
-    from repro.harness.runner import ExperimentRunner
 
     request = _build(FiguresRequest, request, args, fields)
     sim_figs = {
@@ -414,9 +418,7 @@ def figures(
         raise ValueError(f"unknown figure(s): {', '.join(unknown)}")
     owned = engine is None
     if owned:
-        engine = BatchEngine(
-            config=config, runner=ExperimentRunner(seed=request.seed)
-        )
+        engine = BatchEngine(seed=request.seed, config=config)
     out: dict = {}
     try:
         for name in wanted:

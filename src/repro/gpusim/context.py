@@ -64,7 +64,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from repro.errors import ConfigurationError, SimulatedDeadlockError
+from repro.errors import LaunchError, SimulatedDeadlockError
 from repro.gpusim.arena import ScratchArena
 from repro.gpusim.cost import CycleCounters
 from repro.gpusim.device import MEMORY_SEGMENT_BYTES, DeviceSpec
@@ -76,6 +76,47 @@ from repro.gpusim.shared import SharedMemoryPool
 #: its entry is live; the cache is cleared before its 16th insertion, so a
 #: rotation slot is never overwritten while a live entry still points at it.
 _ACTIVE_CACHE_SLOTS = 16
+
+
+def validate_launch(
+    device: DeviceSpec,
+    num_blocks: int,
+    threads_per_block: int,
+    shared_capacity: int | None = None,
+) -> None:
+    """Reject launch shapes the device cannot schedule.
+
+    ``shared_capacity`` is the requested per-block shared-memory budget
+    (the runtime's AC carve-out, footnote 2); a request above the device's
+    per-block limit can never be scheduled, so it fails here at launch
+    validation instead of surfacing later as an allocation error — or not
+    at all, for kernels that never fill the budget.
+    """
+    if num_blocks <= 0:
+        raise LaunchError(f"num_blocks must be positive, got {num_blocks}")
+    if threads_per_block <= 0:
+        raise LaunchError(f"threads_per_block must be positive, got {threads_per_block}")
+    if threads_per_block > device.max_threads_per_block:
+        raise LaunchError(
+            f"threads_per_block {threads_per_block} exceeds device limit "
+            f"{device.max_threads_per_block}"
+        )
+    if threads_per_block % device.warp_size:
+        raise LaunchError(
+            f"threads_per_block {threads_per_block} is not a multiple of the "
+            f"warp size {device.warp_size}"
+        )
+    if shared_capacity is not None:
+        if shared_capacity < 0:
+            raise LaunchError(
+                f"shared_capacity must be non-negative, got {shared_capacity}"
+            )
+        if shared_capacity > device.shared_mem_per_block:
+            raise LaunchError(
+                f"shared_capacity {shared_capacity} B exceeds the device "
+                f"shared-memory limit of {device.shared_mem_per_block} B "
+                f"per block"
+            )
 
 
 class GridContext:
@@ -90,18 +131,7 @@ class GridContext:
         shared_capacity: int | None = None,
         sanitizer=None,
     ) -> None:
-        if num_blocks <= 0 or threads_per_block <= 0:
-            raise ConfigurationError("grid and block sizes must be positive")
-        if threads_per_block % device.warp_size:
-            raise ConfigurationError(
-                f"threads_per_block ({threads_per_block}) must be a multiple "
-                f"of the warp size ({device.warp_size})"
-            )
-        if threads_per_block > device.max_threads_per_block:
-            raise ConfigurationError(
-                f"threads_per_block ({threads_per_block}) exceeds the device "
-                f"limit ({device.max_threads_per_block})"
-            )
+        validate_launch(device, num_blocks, threads_per_block, shared_capacity)
         self.device = device
         self.num_blocks = int(num_blocks)
         self.threads_per_block = int(threads_per_block)

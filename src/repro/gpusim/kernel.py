@@ -2,7 +2,8 @@
 
 A kernel is a Python callable ``fn(ctx, **params)`` operating on the lane
 vectors of a :class:`~repro.gpusim.context.GridContext`.  :func:`launch`
-builds the context, validates the configuration against device limits, runs
+builds the context (which validates the configuration against device
+limits, :func:`~repro.gpusim.context.validate_launch`), runs
 the body, and returns a :class:`KernelResult` bundling the timing breakdown
 with the raw counters, so callers (the OpenMP runtime, the DSE harness,
 tests) never touch simulator internals.
@@ -13,8 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from repro.errors import LaunchError
-from repro.gpusim.context import GridContext
+from repro.gpusim.context import GridContext, validate_launch  # noqa: F401 (re-export)
 from repro.gpusim.cost import CycleCounters
 from repro.gpusim.device import DeviceSpec
 from repro.gpusim.memory import DeviceMemory
@@ -40,47 +40,6 @@ def round_up(value: int, multiple: int) -> int:
     return ((int(value) + multiple - 1) // multiple) * multiple
 
 
-def validate_launch(
-    device: DeviceSpec,
-    num_blocks: int,
-    threads_per_block: int,
-    shared_capacity: int | None = None,
-) -> None:
-    """Reject launch shapes the device cannot schedule.
-
-    ``shared_capacity`` is the requested per-block shared-memory budget
-    (the runtime's AC carve-out, footnote 2); a request above the device's
-    per-block limit can never be scheduled, so it fails here at launch
-    validation instead of surfacing later as an allocation error — or not
-    at all, for kernels that never fill the budget.
-    """
-    if num_blocks <= 0:
-        raise LaunchError(f"num_blocks must be positive, got {num_blocks}")
-    if threads_per_block <= 0:
-        raise LaunchError(f"threads_per_block must be positive, got {threads_per_block}")
-    if threads_per_block > device.max_threads_per_block:
-        raise LaunchError(
-            f"threads_per_block {threads_per_block} exceeds device limit "
-            f"{device.max_threads_per_block}"
-        )
-    if threads_per_block % device.warp_size:
-        raise LaunchError(
-            f"threads_per_block {threads_per_block} is not a multiple of the "
-            f"warp size {device.warp_size}"
-        )
-    if shared_capacity is not None:
-        if shared_capacity < 0:
-            raise LaunchError(
-                f"shared_capacity must be non-negative, got {shared_capacity}"
-            )
-        if shared_capacity > device.shared_mem_per_block:
-            raise LaunchError(
-                f"shared_capacity {shared_capacity} B exceeds the device "
-                f"shared-memory limit of {device.shared_mem_per_block} B "
-                f"per block"
-            )
-
-
 def launch(
     fn: Callable[..., Any],
     device: DeviceSpec,
@@ -104,7 +63,6 @@ def launch(
     cross-launch happens-before engine (the simulator still executes
     launches serially; timing and counters are unaffected).
     """
-    validate_launch(device, num_blocks, threads_per_block, shared_capacity)
     ctx = GridContext(
         device,
         num_blocks,

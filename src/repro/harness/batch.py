@@ -13,10 +13,9 @@ as each job is popped — lattice pruning, the static preflight, the
 variant cache and sibling reuse), evaluates the rest in chunks — one
 job each in-process, adaptively sized on a pool — and yields records as
 they complete.
-The blocking helpers (:meth:`BatchEngine.run_jobs`,
-:meth:`BatchEngine.run_point`, :func:`run_sweep_parallel`) are drains of
-the same stream, so streamed and blocking record sets are identical by
-construction.
+Blocking callers drain the stream (``submit(jobs).records()`` or
+``.report()``, as :func:`run_sweep_parallel` does), so streamed and
+blocking record sets are identical by construction.
 
 An in-process stream (``workers <= 1``) runs the same code and produces
 byte-identical records (the simulation is deterministic per seed).
@@ -1041,9 +1040,8 @@ class BatchEngine:
     pool spawn (``stats.pool_spawns`` counts every spawn).
     ``close()`` (or the context manager) releases the pool.
 
-    Every runner — the parent, an in-process stream's, a pool worker's —
-    is ``ExperimentRunner(problems=problems, seed=seed)``; ``runner``
-    supplies the parent (its problems and seed then win).
+    Every runner — the parent (:attr:`runner`), an in-process stream's, a
+    pool worker's — is ``ExperimentRunner(problems=problems, seed=seed)``.
     """
 
     def __init__(
@@ -1052,15 +1050,12 @@ class BatchEngine:
         problems: dict | None = None,
         seed: int = 2023,
         config: SweepConfig | None = None,
-        runner: ExperimentRunner | None = None,
     ) -> None:
         self.config = config if config is not None else SweepConfig()
-        if runner is not None:
-            problems, seed = runner.problems, runner.seed
         #: The problems and seed this engine simulates with.
         self.problems = problems or {}
         self.seed = seed
-        self.runner = runner or ExperimentRunner(problems=self.problems, seed=seed)
+        self.runner = ExperimentRunner(problems=self.problems, seed=seed)
         self.stats = EngineStats()
         self._problems_json = shared_fields(seed, self.problems)["problems"]
         self._cache: dict[RecordKey, RunRecord] = {}
@@ -1164,20 +1159,6 @@ class BatchEngine:
         ``None`` means the engine's own.  Callers that overlay a partial
         policy resolve ``engine.config.merged(theirs)`` first."""
         return BatchStream(self, jobs, self.config if config is None else config)
-
-    def run_jobs(self, jobs: list[BatchJob]) -> list[RunRecord]:
-        """Evaluate ``jobs``, returning one record per job in job order."""
-        return self.submit(jobs).records()
-
-    def run_point(
-        self,
-        app: str,
-        device: str | DeviceSpec,
-        point: SweepPoint,
-        site: str | None = None,
-    ) -> RunRecord:
-        """Drop-in for :meth:`ExperimentRunner.run_point` through the engine."""
-        return self.run_jobs([BatchJob(app, device, point, site=site)])[0]
 
     def close(self) -> None:
         """Release the persistent pool (cache and stats stay readable)."""

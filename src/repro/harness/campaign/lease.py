@@ -70,13 +70,6 @@ class Lease:
         return cls(**data)
 
 
-def write_atomic(path: Path, payload: dict) -> None:
-    """Write ``payload`` as JSON via a same-directory tmp file + rename."""
-    tmp = path.with_name(f".{path.name}.tmp.{os.getpid()}")
-    tmp.write_text(json.dumps(payload, sort_keys=True) + "\n")
-    os.replace(tmp, path)
-
-
 def create_exclusive(path: Path, payload: dict) -> bool:
     """Create ``path`` with ``payload`` iff it does not exist.
 

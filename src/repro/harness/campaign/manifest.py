@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.harness.campaign.queue import FileQueue
-from repro.harness.database import shared_fields
+from repro.harness.database import replace_lines, shared_fields
 from repro.harness.sweep import SweepPoint
 
 #: Version of the campaign.json / shard-payload format.
@@ -320,8 +320,6 @@ class CampaignManifest:
 
     def refresh(self, queue: FileQueue | None = None) -> dict:
         """Re-snapshot queue state into ``campaign.json``; returns it."""
-        from repro.harness.campaign.lease import write_atomic
-
         queue = queue or self.queue()
         snapshot = {
             "version": CAMPAIGN_SCHEMA_VERSION,
@@ -332,5 +330,5 @@ class CampaignManifest:
             "lease_table": queue.table(),
             "progress": self.progress(queue),
         }
-        write_atomic(self.path, snapshot)
+        replace_lines(self.path, [json.dumps(snapshot, sort_keys=True)])
         return snapshot

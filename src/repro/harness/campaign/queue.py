@@ -31,6 +31,7 @@ wrap this same directory protocol without changing workers.
 
 from __future__ import annotations
 
+import json
 import os
 import time
 from dataclasses import dataclass
@@ -41,8 +42,8 @@ from repro.harness.campaign.lease import (
     LeaseLost,
     create_exclusive,
     read_json,
-    write_atomic,
 )
+from repro.harness.database import replace_lines
 
 #: Subdirectories a queue root contains.
 QUEUE_DIRS = ("jobs", "leases", "tombs", "done")
@@ -219,22 +220,23 @@ class FileQueue:
             granted_at=claim.lease.granted_at,
             heartbeat_at=self.clock(),
         )
-        write_atomic(self._lease_path(claim.job), lease.to_dict())
+        replace_lines(
+            self._lease_path(claim.job),
+            [json.dumps(lease.to_dict(), sort_keys=True)],
+        )
         return Claim(job=claim.job, payload=claim.payload, lease=lease)
 
     def complete(self, claim: Claim, records: int = 0) -> None:
         """Mark the job done under the claim's fence and drop the lease."""
         self._verify(claim)
-        write_atomic(
-            self._done_path(claim.job),
-            {
-                "job": claim.job,
-                "fence": claim.lease.fence,
-                "owner": claim.lease.owner,
-                "records": int(records),
-                "completed_at": self.clock(),
-            },
-        )
+        done = {
+            "job": claim.job,
+            "fence": claim.lease.fence,
+            "owner": claim.lease.owner,
+            "records": int(records),
+            "completed_at": self.clock(),
+        }
+        replace_lines(self._done_path(claim.job), [json.dumps(done, sort_keys=True)])
         try:
             os.remove(self._lease_path(claim.job))
         except FileNotFoundError:

@@ -1,10 +1,9 @@
 """Unified sweep configuration: one frozen policy object for every entry point.
 
-Every way of evaluating work — ``ExperimentRunner.run_sweep``,
-:func:`repro.harness.batch.run_sweep_parallel`,
-:meth:`repro.harness.batch.BatchEngine.submit`, the figures, the searches
-and the CLI — takes its execution policy as one frozen :class:`SweepConfig`,
-so a policy chosen once holds everywhere.
+Every way of evaluating work — :meth:`repro.harness.batch.BatchEngine.submit`
+and what runs on it (:func:`repro.harness.batch.run_sweep_parallel`, the
+figures, the searches and the CLI) — takes its execution policy as one
+frozen :class:`SweepConfig`, so a policy chosen once holds everywhere.
 """
 
 from __future__ import annotations

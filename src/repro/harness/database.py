@@ -134,10 +134,12 @@ def _header_line(shared: dict | None) -> str:
 def replace_lines(path: str | Path, lines: Iterable[str], gz: bool = False) -> None:
     """Write ``lines`` to ``path`` atomically, one per line (gzip when
     ``gz``): into a same-directory temp file, then :func:`os.replace`, so
-    a save interrupted midway leaves the previous file whole."""
+    a save interrupted midway leaves the previous file whole.  The temp
+    name carries the pid, so processes rewriting one file (campaign
+    workers refreshing ``campaign.json``) never share a temp file."""
     dest = Path(path)
     dest.parent.mkdir(parents=True, exist_ok=True)
-    tmp = dest.with_name(f".{dest.name}.tmp")
+    tmp = dest.with_name(f".{dest.name}.tmp.{os.getpid()}")
     try:
         with gzip.open(tmp, "wt", encoding="utf-8") if gz else tmp.open("w") as fh:
             for line in lines:

@@ -8,14 +8,13 @@ switches to the thinned Table-2 grids and ``effort="paper"`` to the full
 grids (hours).
 
 Every simulation-backed figure builds its whole ``device × app ×
-technique × point`` grid as one job list and evaluates it through the
-batch layer (:mod:`repro.harness.batch`): the given
-:class:`~repro.harness.batch.BatchEngine` carries the policy (a pool of
-workers, shared baselines, adaptive chunks), and passing one engine to
-several figures dedupes their overlapping points (Fig 6 and Fig 7 share
-the LULESH grid).  Without an engine each figure builds an in-process one
-around the given runner; the records are byte-identical to one
-``run_point`` per job either way.
+technique × point`` grid as one job list and evaluates it as one
+``engine.submit(jobs).records()`` on the required ``engine`` (a
+:class:`~repro.harness.batch.BatchEngine`): the engine carries the policy
+(a pool of workers, shared baselines, adaptive chunks), and passing one
+engine to several figures dedupes their overlapping points (Fig 6 and
+Fig 7 share the LULESH grid).  The records are byte-identical to one
+``run_point`` per job.
 
 The curated candidate grids below were chosen exactly the way the paper's
 users would use the HPAC-Offload harness: sweep, look at the database, keep
@@ -24,7 +23,7 @@ the parameter regions that matter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +34,7 @@ from repro.gpusim.memory import global_memory_fraction_for_tables
 from repro.harness.batch import BatchEngine, BatchJob
 from repro.harness.database import ResultsDB
 from repro.harness.metrics import geomean_speedup, r_squared
-from repro.harness.runner import ExperimentRunner, RunRecord
+from repro.harness.runner import RunRecord
 from repro.harness.sweep import SweepPoint, table2_space
 
 #: Devices used by the figure benches: 1/10-scale V100 and MI250X.
@@ -146,23 +145,6 @@ def candidates(app: str, technique: str, effort: str = "quick") -> list[SweepPoi
 
 
 # ---------------------------------------------------------------------------
-# Batch-layer plumbing shared by every simulation-backed figure.
-# ---------------------------------------------------------------------------
-def _eval(
-    jobs: list[BatchJob],
-    runner: ExperimentRunner | None,
-    engine: BatchEngine | None,
-) -> list[RunRecord]:
-    """Evaluate a figure's job list on the given engine, or on an
-    in-process one around ``runner`` that is closed once the records are
-    in."""
-    if engine is not None:
-        return engine.run_jobs(jobs)
-    with BatchEngine(runner=runner or ExperimentRunner()) as owned:
-        return owned.run_jobs(jobs)
-
-
-# ---------------------------------------------------------------------------
 # Fig 3 — global memory needed for per-thread memo tables
 # ---------------------------------------------------------------------------
 @dataclass
@@ -238,8 +220,8 @@ def fig6_best_speedup(
     devices: dict[str, str] | None = None,
     max_error: float = 0.10,
     effort: str = "quick",
-    runner: ExperimentRunner | None = None,
-    engine: BatchEngine | None = None,
+    *,
+    engine: BatchEngine,
 ) -> Fig6Result:
     """Highest speedup with error < 10% for every benchmark (Fig 6)."""
     apps = apps or FIG6_APPS
@@ -254,16 +236,13 @@ def fig6_best_speedup(
                 pts = candidates(app, tech, effort)
                 cells.append((dkey, app, tech, len(jobs), len(pts)))
                 jobs.extend(BatchJob(app, dev, pt) for pt in pts)
-    results = _eval(jobs, runner, engine)
+    results = engine.submit(jobs).records()
     db = ResultsDB()
     best: dict = {}
     for dkey, app, tech, offset, count in cells:
         records = results[offset : offset + count]
         db.add(records)
-        ok = [r for r in records if r.feasible and r.error <= max_error]
-        best[(dkey, app, tech)] = (
-            max(ok, key=lambda r: r.reported_speedup) if ok else None
-        )
+        best[(dkey, app, tech)] = ResultsDB(records).best_speedup(max_error)
     geo = {}
     for dkey in devices:
         per_app = []
@@ -287,11 +266,9 @@ class ScatterResult:
     records: dict  # (device_key, technique) -> list[RunRecord]
 
     def best_under(self, device_key: str, technique: str, max_error: float = 0.10):
-        ok = [
-            r for r in self.records.get((device_key, technique), [])
-            if r.feasible and r.error <= max_error
-        ]
-        return max(ok, key=lambda r: r.reported_speedup) if ok else None
+        return ResultsDB(
+            self.records.get((device_key, technique), [])
+        ).best_speedup(max_error)
 
 
 def _scatter_jobs(
@@ -315,12 +292,12 @@ def _slice_cells(cells: list[tuple], results: list[RunRecord]) -> dict:
 
 def fig7_lulesh(
     effort: str = "quick",
-    runner: ExperimentRunner | None = None,
-    engine: BatchEngine | None = None,
+    *,
+    engine: BatchEngine,
 ) -> ScatterResult:
     """LULESH speedup/error scatter for TAF, iACT, perforation (Fig 7)."""
     cells, jobs = _scatter_jobs("lulesh", ("taf", "iact", "perfo"), effort)
-    records = _slice_cells(cells, _eval(jobs, runner, engine))
+    records = _slice_cells(cells, engine.submit(jobs).records())
     return ScatterResult(app="lulesh", records=records)
 
 
@@ -337,8 +314,8 @@ class Fig8Result:
 def fig8_binomial(
     effort: str = "quick",
     items: list[int] | None = None,
-    runner: ExperimentRunner | None = None,
-    engine: BatchEngine | None = None,
+    *,
+    engine: BatchEngine,
 ) -> Fig8Result:
     """Binomial Options TAF/iACT results and the Fig-8c trade-off curve."""
     items = items or [2, 4, 8, 16, 32, 64, 128, 256, 512]
@@ -349,7 +326,7 @@ def fig8_binomial(
             BatchJob("binomial", dev, _taf(2, 32, 0.3, "team", ipt))
             for ipt in items
         )
-    results = _eval(jobs, runner, engine)
+    results = engine.submit(jobs).records()
     records = _slice_cells(cells, results)
     sweep: dict = {}
     offset = scatter_len
@@ -375,14 +352,14 @@ class Fig9Result:
 
 def fig9_leukocyte_minife(
     effort: str = "quick",
-    runner: ExperimentRunner | None = None,
-    engine: BatchEngine | None = None,
+    *,
+    engine: BatchEngine,
 ) -> Fig9Result:
     cells, jobs = _scatter_jobs("leukocyte", ("taf", "iact"), effort)
     scatter_len = len(jobs)
     minife_pts = candidates("minife", "taf", effort)
     jobs.extend(BatchJob("minife", NVIDIA, pt) for pt in minife_pts)
-    results = _eval(jobs, runner, engine)
+    results = engine.submit(jobs).records()
     return Fig9Result(
         leukocyte=ScatterResult(
             app="leukocyte", records=_slice_cells(cells, results)
@@ -404,13 +381,12 @@ class Fig10Result:
 def fig10_blackscholes(
     effort: str = "quick",
     thresholds: list[float] | None = None,
-    runner: ExperimentRunner | None = None,
-    engine: BatchEngine | None = None,
+    *,
+    engine: BatchEngine,
 ) -> Fig10Result:
     """Blackscholes on AMD (kernel-only) and the Fig-10c threshold study."""
     # The study below runs in the parent, on the runner backing the batch.
-    if runner is None:
-        runner = engine.runner if engine is not None else ExperimentRunner()
+    runner = engine.runner
     thresholds = thresholds or [0.1, 0.3, 0.6, 1.0, 3.0, 20.0]
     cells, jobs = _scatter_jobs("blackscholes", ("taf", "iact"), effort)
     scatter_len = len(jobs)
@@ -418,7 +394,7 @@ def fig10_blackscholes(
     jobs.extend(
         BatchJob("blackscholes", AMD, _taf(5, 512, T, ipt=8)) for T in thresholds
     )
-    results = _eval(jobs, runner, engine)
+    results = engine.submit(jobs).records()
     records = _slice_cells(cells, results)
     study = {}
     # The quantile comparison needs the raw QoI vectors, not records, so it
@@ -455,8 +431,8 @@ class Fig11Result:
 def fig11_lavamd(
     effort: str = "quick",
     thresholds: list[float] | None = None,
-    runner: ExperimentRunner | None = None,
-    engine: BatchEngine | None = None,
+    *,
+    engine: BatchEngine,
 ) -> Fig11Result:
     """LavaMD TAF/iACT results and the warp-vs-thread pairing of Fig 11c."""
     thresholds = thresholds or [0.008, 0.009, 0.01, 0.012]
@@ -466,7 +442,7 @@ def fig11_lavamd(
     for T, h, ps in combos:
         jobs.append(BatchJob("lavamd", AMD, _taf(h, ps, T, "thread", 1)))
         jobs.append(BatchJob("lavamd", AMD, _taf(h, ps, T, "warp", 1)))
-    results = _eval(jobs, runner, engine)
+    results = engine.submit(jobs).records()
     pairs = []
     for i, (T, h, ps) in enumerate(combos):
         t_rec = results[scatter_len + 2 * i]
@@ -499,11 +475,11 @@ class Fig12Result:
 
 def fig12_kmeans(
     effort: str = "quick",
-    runner: ExperimentRunner | None = None,
-    engine: BatchEngine | None = None,
+    *,
+    engine: BatchEngine,
 ) -> Fig12Result:
     cells, jobs = _scatter_jobs("kmeans", ("taf", "iact"), effort)
-    records = _slice_cells(cells, _eval(jobs, runner, engine))
+    records = _slice_cells(cells, engine.submit(jobs).records())
     points = []
     for recs in records.values():
         for r in recs:

@@ -21,7 +21,6 @@ from repro.apps.common import AppResult, Benchmark
 from repro.approx.base import ThresholdWindow
 from repro.errors import ReproError, SharedMemoryError, UnsupportedApproximationError
 from repro.gpusim.device import DeviceSpec, get_device
-from repro.harness.config import SweepConfig
 from repro.harness.metrics import convergence_speedup, error, speedup
 from repro.harness.sweep import SweepPoint
 
@@ -73,7 +72,9 @@ class RunRecord:
 
 
 class ExperimentRunner:
-    """Runs sweep points for benchmarks on devices, caching baselines."""
+    """Simulates one sweep point at a time (:meth:`run_point`), caching
+    baselines; every multi-point evaluation is a
+    :meth:`~repro.harness.batch.BatchEngine.submit`."""
 
     def __init__(self, problems: dict[str, dict] | None = None, seed: int = 2023) -> None:
         #: Per-app problem overrides (e.g. smaller meshes for quick tests).
@@ -208,51 +209,3 @@ class ExperimentRunner:
                 )
         self.last_window = result.threshold_window
         return record
-
-    def run_sweep(
-        self,
-        app_name: str,
-        device: str | DeviceSpec,
-        points: list[SweepPoint],
-        site: str | None = None,
-        *,
-        config: "SweepConfig | None" = None,
-        engine=None,
-    ) -> list[RunRecord]:
-        """Run a list of sweep points, returning all records in input order.
-
-        Execution policy lives in ``config`` (a frozen
-        :class:`~repro.harness.config.SweepConfig`): ``workers > 1`` fans
-        the points out across a process pool; ``checkpoint`` streams
-        completed records to a JSONL file and skips points already recorded
-        there, so an interrupted sweep resumes where it stopped;
-        ``preflight`` statically vets each point first
-        (:mod:`repro.analysis.preflight`) and records the provably
-        infeasible ones without simulating them; ``progress`` is ``True``
-        for a stderr line or a callable receiving
-        :class:`~repro.harness.reporting.SweepProgress`.
-
-        Every sweep runs through :func:`~repro.harness.batch.run_sweep_parallel`:
-        on ``engine`` (a persistent :class:`~repro.harness.batch.BatchEngine`)
-        when given, else on a transient engine around this runner, so its
-        baseline cache is shared, duplicate points simulate once and
-        threshold or items-per-thread siblings are served by reuse."""
-        from repro.harness.batch import BatchEngine, run_sweep_parallel
-
-        owned = None
-        if engine is None:
-            engine = owned = BatchEngine(runner=self, config=config)
-        try:
-            return run_sweep_parallel(
-                app_name,
-                device,
-                points,
-                site=site,
-                problems=self.problems,
-                seed=self.seed,
-                config=config,
-                engine=engine,
-            ).records
-        finally:
-            if owned is not None:
-                owned.close()

@@ -12,10 +12,12 @@ same :class:`~repro.harness.sweep.SweepPoint` space:
   keep the best configurations under the error budget, mutate one axis at
   a time toward grid neighbours, and resample when stuck.
 
-Both evaluate through :meth:`repro.harness.batch.BatchEngine.submit` — on
-the caller's persistent engine, or on one built around the runner with the
-caller's :class:`~repro.harness.config.SweepConfig` (workers, checkpoint,
-preflight, ...).  The evolutionary loop is *streaming*: it keeps
+Both take the :class:`~repro.harness.batch.BatchEngine` to evaluate on as
+their first argument and evaluate through its
+:meth:`~repro.harness.batch.BatchEngine.submit`, under the caller's
+:class:`~repro.harness.config.SweepConfig` (workers, checkpoint,
+preflight, ...) overlaid on the engine's own policy.  The evolutionary
+loop is *streaming*: it keeps
 ``population`` single-job streams in flight and proposes the next
 offspring the moment a result is consumed, instead of barriering per
 generation — and because it consumes the streams strictly in submission
@@ -39,7 +41,7 @@ from repro.gpusim.device import DeviceSpec
 from repro.harness.batch import BatchEngine, BatchJob
 from repro.harness.config import SweepConfig
 from repro.harness.database import ResultsDB
-from repro.harness.runner import ExperimentRunner, RunRecord
+from repro.harness.runner import RunRecord
 from repro.harness.sweep import SweepPoint, table2_space
 
 
@@ -66,7 +68,7 @@ def _objective(record: RunRecord, max_error: float) -> float:
 
 
 def random_search(
-    runner: ExperimentRunner,
+    engine: BatchEngine,
     app: str,
     device: str | DeviceSpec,
     technique: str,
@@ -76,17 +78,13 @@ def random_search(
     seed: int = 7,
     space: list[SweepPoint] | None = None,
     config: SweepConfig | None = None,
-    engine: BatchEngine | None = None,
 ) -> SearchResult:
     """Uniform sampling of the Table-2 grid without replacement.
 
-    The whole sample is known up front, so it is evaluated as one sweep
-    under ``config`` (workers, checkpoint, preflight, ...); results are
-    identical at any worker count because the simulation is deterministic
-    per seed.  ``engine`` reuses a persistent
-    :class:`~repro.harness.batch.BatchEngine` — its warm worker pool and
-    session record cache — instead of building one for this call, with
-    ``config`` overlaid on its policy."""
+    The whole sample is known up front, so it is evaluated as one
+    ``engine`` sweep under ``config`` (workers, checkpoint, preflight,
+    ...); results are identical at any worker count because the
+    simulation is deterministic per seed."""
     rng = np.random.default_rng(seed)
     points = list(
         space
@@ -97,9 +95,10 @@ def random_search(
     rng.shuffle(points)
     sample = points[: int(budget)]
     db = ResultsDB()
-    records = runner.run_sweep(
-        app, device, sample, config=config, engine=engine
-    )
+    records = engine.submit(
+        [BatchJob(app, device, pt) for pt in sample],
+        engine.config.merged(config),
+    ).records()
     best, best_score = None, -float("inf")
     for rec in records:
         db.add(rec)
@@ -132,7 +131,7 @@ def _neighbors(point: SweepPoint, space: list[SweepPoint]) -> list[SweepPoint]:
 
 
 def evolutionary_search(
-    runner: ExperimentRunner,
+    engine: BatchEngine,
     app: str,
     device: str | DeviceSpec,
     technique: str,
@@ -142,7 +141,6 @@ def evolutionary_search(
     population: int = 3,
     seed: int = 7,
     space: list[SweepPoint] | None = None,
-    engine: BatchEngine | None = None,
     config: SweepConfig | None = None,
 ) -> SearchResult:
     """Steady-state (μ+λ) evolutionary search over the Table-2 grid.
@@ -160,9 +158,8 @@ def evolutionary_search(
     parallel runs produce identical records.
 
     ``config`` is the evaluation policy (workers, checkpoint, preflight,
-    ...): every stream runs under it, overlaid on ``engine``'s policy when
-    an engine is given, so a checkpoint records every proposal and a rerun
-    resumes them.
+    ...): every stream runs under it, overlaid on ``engine``'s policy, so
+    a checkpoint records every proposal and a rerun resumes them.
     """
     rng = np.random.default_rng(seed)
     points = list(
@@ -173,9 +170,6 @@ def evolutionary_search(
     )
     db = ResultsDB()
     seen: set[str] = set()
-    owned_engine = None
-    if engine is None:
-        engine = owned_engine = BatchEngine(config=config, runner=runner)
     cfg = engine.config.merged(config)
 
     def propose_one(parent: SweepPoint | None) -> SweepPoint | None:
@@ -238,8 +232,6 @@ def evolutionary_search(
     finally:
         for _pt, stream in in_flight:
             stream.close()
-        if owned_engine is not None:
-            owned_engine.close()
 
     best = db.best_speedup(max_error=max_error)
     if best is None and len(db):

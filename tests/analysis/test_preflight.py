@@ -278,11 +278,12 @@ class TestExecutorIntegration:
         assert again.pruned == 0 and again.evaluated == 0
 
     def test_runner_run_sweep_preflight_kwarg(self, baseline):
-        runner = ExperimentRunner(problems=PROBLEMS)
-        records = runner.run_sweep(
-            "blackscholes", "v100_small", _points(),
-            config=SweepConfig(preflight=True),
-        )
+        # ``preflight`` overlaid on a caller's engine.
+        with BatchEngine(problems=PROBLEMS) as engine:
+            records = run_sweep_parallel(
+                "blackscholes", "v100_small", _points(),
+                config=SweepConfig(preflight=True), engine=engine,
+            ).records
         assert [dumps_record(r) for r in records if r.feasible] == [
             dumps_record(r) for r in baseline if r.feasible
         ]

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError, SimulatedDeadlockError
+from repro.errors import ConfigurationError, LaunchError, SimulatedDeadlockError
 from repro.gpusim.context import GridContext
-from repro.gpusim.device import nvidia_v100
+from repro.gpusim.device import get_device, nvidia_v100
 
 
 @pytest.fixture
@@ -53,6 +53,15 @@ class TestValidation:
     def test_rejects_zero_blocks(self, dev):
         with pytest.raises(ConfigurationError):
             GridContext(dev, 0, 128)
+
+    def test_rejects_shared_capacity_over_device_limit(self):
+        # The same launch check as ``launch``: a per-block shared-memory
+        # budget the device cannot schedule is refused at construction.
+        small = get_device("v100_small")
+        with pytest.raises(LaunchError, match="shared"):
+            GridContext(
+                small, 2, 64, shared_capacity=4 * small.shared_mem_per_block
+            )
 
 
 class TestMasks:

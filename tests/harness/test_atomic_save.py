@@ -1,14 +1,19 @@
 """Saves replace their file atomically.
 
-``ResultsDB.save`` and ``VariantCache.save`` write a same-directory temp
-file and ``os.replace`` it onto the destination, so a save that fails
-midway (here: an encoder that raises after two lines) leaves the previous
-file whole, with every record it held, and no temp file behind.
+``ResultsDB.save``, ``VariantCache.save`` and the campaign's
+``campaign.json`` refresh write a same-directory temp file and
+``os.replace`` it onto the destination, so a save that fails midway (here:
+an encoder that raises after two lines, or a failing ``os.replace``)
+leaves the previous file whole, with every record it held, and no temp
+file behind.
 """
+
+import os
 
 import pytest
 
 from repro.harness import database, pruning
+from repro.harness.campaign import CampaignSpec, load_campaign, split_campaign
 from repro.harness.database import RecordKey, ResultsDB, dumps_record
 from repro.harness.pruning import VariantCache
 from repro.harness.runner import RunRecord
@@ -78,3 +83,24 @@ def test_interrupted_variant_cache_save_keeps_the_previous_file(
     for rec in _records(5):
         assert dumps_record(reloaded.get(_key(rec))) == dumps_record(rec)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["vc.jsonl"]
+
+
+def test_failed_campaign_refresh_keeps_the_previous_manifest(
+    tmp_path, monkeypatch
+):
+    camp = tmp_path / "c"
+    split_campaign(camp, CampaignSpec(app="blackscholes", technique="taf"))
+    manifest = load_campaign(camp)
+    before = manifest.path.read_bytes()
+    real = os.replace
+
+    def replace(src, dst):
+        if os.fspath(dst) == os.fspath(manifest.path):
+            raise OSError("disk went away")
+        return real(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    with pytest.raises(OSError, match="disk went away"):
+        manifest.refresh()
+    assert manifest.path.read_bytes() == before
+    assert [p.name for p in camp.iterdir() if ".tmp" in p.name] == []

@@ -7,6 +7,8 @@ collapse to one evaluation, and every figure entry point produces
 identical results through the engine.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -192,9 +194,9 @@ class TestBatchEngine:
     def test_cross_call_cache(self, serial_records):
         engine = BatchEngine(problems=PROBLEMS, config=SweepConfig(workers=1))
         jobs = _jobs()
-        first = engine.run_jobs(jobs)
+        first = engine.submit(jobs).records()
         assert engine.stats.executed == len(jobs)
-        again = engine.run_jobs(jobs)
+        again = engine.submit(jobs).records()
         assert engine.stats.cache_hits == len(jobs)
         assert engine.stats.executed == len(jobs)  # nothing re-simulated
         assert [r.to_dict() for r in again] == [
@@ -207,7 +209,7 @@ class TestBatchEngine:
         ck = str(tmp_path / "ck.jsonl")
         jobs = _jobs()
         with BatchEngine(problems=PROBLEMS) as engine:
-            engine.run_jobs(jobs[:2])
+            engine.submit(jobs[:2]).records()
             first = engine.submit(jobs, SweepConfig(checkpoint=ck)).records()
         with BatchEngine(problems=PROBLEMS) as fresh:
             report = fresh.submit(jobs, SweepConfig(checkpoint=ck)).report()
@@ -218,19 +220,9 @@ class TestBatchEngine:
 
     def test_session_wide_baselines_exactly_once(self):
         engine = BatchEngine(problems=PROBLEMS, config=SweepConfig(workers=1))
-        engine.run_jobs(_jobs()[:3])  # first call touches 3 of the 4 pairs
-        engine.run_jobs(_jobs())  # second call reuses them
+        engine.submit(_jobs()[:3]).records()  # first call touches 3 of the 4 pairs
+        engine.submit(_jobs()).records()  # second call reuses them
         assert engine.stats.baseline_runs == 4
-
-    def test_run_point_helper(self):
-        engine = BatchEngine(problems=PROBLEMS, config=SweepConfig(workers=1))
-        pt = _taf(1, 4, 0.3)
-        rec = engine.run_point("blackscholes", "v100_small", pt)
-        recs = engine.run_jobs(
-            [BatchJob("blackscholes", "v100_small", p) for p in (pt, _taf(2, 8, 0.3))]
-        )
-        assert recs[0].to_dict() == rec.to_dict()
-        assert engine.stats.cache_hits == 1
 
     def test_sanitize_is_part_of_job_identity(self):
         # A sanitized submit after a plain one on the same engine must run
@@ -241,11 +233,11 @@ class TestBatchEngine:
             "blackscholes", "v100_small", jobs[0].point, sanitize=True
         )
         with BatchEngine(problems=PROBLEMS) as engine:
-            plain = engine.run_jobs(jobs)[0]
+            plain = engine.submit(jobs).records()[0]
             sanitized = engine.submit(
                 jobs, config=SweepConfig(sanitize=True)
             ).records()[0]
-            again = engine.run_jobs(jobs)[0]
+            again = engine.submit(jobs).records()[0]
             assert engine.stats.executed == 2
             assert engine.stats.cache_hits == 1
         assert "approxsan" not in plain.extra
@@ -268,7 +260,9 @@ class TestBatchEngine:
         # Across calls: the session cache never serves another site's record.
         with BatchEngine(problems=problems) as engine:
             across = [
-                dumps_record(engine.run_point("lulesh", "v100_small", pt, site=s))
+                dumps_record(engine.submit(
+                    [BatchJob("lulesh", "v100_small", pt, site=s)]
+                ).records()[0])
                 for s in sites
             ]
             assert engine.stats.cache_hits == 0
@@ -283,8 +277,10 @@ class TestBatchEngine:
         assert within == direct
 
     def test_parallel_engine_matches_serial(self, serial_records):
-        engine = BatchEngine(problems=PROBLEMS, config=SweepConfig(workers=2))
-        records = engine.run_jobs(_jobs())
+        with BatchEngine(
+            problems=PROBLEMS, config=SweepConfig(workers=2)
+        ) as engine:
+            records = engine.submit(_jobs()).records()
         assert [r.to_dict() for r in records] == [
             r.to_dict() for r in serial_records
         ]
@@ -308,18 +304,19 @@ SMALL_PROBLEMS = {
 class _RunPointEngine:
     """The figures' reference: a plain ``run_point`` loop on ``runner``.
 
-    Figures touch only ``engine.runner`` and ``engine.run_jobs``, so this
-    stub evaluates every job with one direct simulation — no dedupe, no
-    session cache, no sibling reuse."""
+    Figures touch only ``engine.runner`` and ``engine.submit(jobs).records()``,
+    so this stub evaluates every job with one direct simulation — no dedupe,
+    no session cache, no sibling reuse."""
 
     def __init__(self, runner):
         self.runner = runner
 
-    def run_jobs(self, jobs):
-        return [
+    def submit(self, jobs):
+        records = [
             self.runner.run_point(j.app, j.device, j.point, site=j.site)
             for j in jobs
         ]
+        return SimpleNamespace(records=lambda: records)
 
 
 @pytest.fixture(scope="module")
@@ -405,9 +402,10 @@ class TestFigureEquivalence:
 
     def test_fig7_parallel_matches_serial(self, fig_reference):
         serial = F.fig7_lulesh(engine=fig_reference)
-        par = F.fig7_lulesh(
-            engine=BatchEngine(problems=SMALL_PROBLEMS, config=SweepConfig(workers=2))
-        )
+        with BatchEngine(
+            problems=SMALL_PROBLEMS, config=SweepConfig(workers=2)
+        ) as engine:
+            par = F.fig7_lulesh(engine=engine)
         assert _scatter_dicts(serial) == _scatter_dicts(par)
 
 
@@ -423,31 +421,31 @@ class TestEvolutionaryBatch:
 
     def test_parallel_matches_serial(self):
         kwargs = dict(budget=10, seed=5, space=self._space())
-        serial = evolutionary_search(
-            ExperimentRunner(problems=PROBLEMS),
-            "blackscholes", "v100_small", "taf", **kwargs,
-        )
-        par = evolutionary_search(
-            ExperimentRunner(problems=PROBLEMS),
-            "blackscholes", "v100_small", "taf",
-            config=SweepConfig(workers=2), **kwargs,
-        )
+        with BatchEngine(problems=PROBLEMS) as engine:
+            serial = evolutionary_search(
+                engine, "blackscholes", "v100_small", "taf", **kwargs,
+            )
+        with BatchEngine(problems=PROBLEMS) as engine:
+            par = evolutionary_search(
+                engine, "blackscholes", "v100_small", "taf",
+                config=SweepConfig(workers=2), **kwargs,
+            )
         assert [r.to_dict() for r in par.db] == [r.to_dict() for r in serial.db]
         assert par.best.to_dict() == serial.best.to_dict()
 
     def test_shared_engine_reuses_search_points(self):
         engine = BatchEngine(problems=PROBLEMS, config=SweepConfig(workers=1))
         first = evolutionary_search(
-            engine.runner, "blackscholes", "v100_small", "taf",
-            budget=8, seed=5, space=self._space(), engine=engine,
+            engine, "blackscholes", "v100_small", "taf",
+            budget=8, seed=5, space=self._space(),
         )
         executed = engine.stats.executed
         assert executed == first.evaluations
         # Same seed, same space: the second search's proposals are the same
         # points, and every one is served from the engine cache.
         evolutionary_search(
-            engine.runner, "blackscholes", "v100_small", "taf",
-            budget=8, seed=5, space=self._space(), engine=engine,
+            engine, "blackscholes", "v100_small", "taf",
+            budget=8, seed=5, space=self._space(),
         )
         assert engine.stats.executed == executed
         assert engine.stats.cache_hits >= first.evaluations

@@ -45,7 +45,7 @@ def _jobs(n=6):
 @pytest.fixture(scope="module")
 def blocking_dicts():
     with BatchEngine(problems=PROBLEMS, config=SweepConfig(workers=2)) as eng:
-        return [r.to_dict() for r in eng.run_jobs(_jobs())]
+        return [r.to_dict() for r in eng.submit(_jobs()).records()]
 
 
 class TestStreaming:
@@ -54,7 +54,7 @@ class TestStreaming:
             problems=PROBLEMS, config=SweepConfig(workers=2)
         ) as eng:
             streamed = [r.to_dict() for r in eng.submit(_jobs())]
-            # records() (what run_jobs drains) is job-ordered and must be
+            # records() (what a blocking caller drains) is job-ordered and must be
             # byte-identical to the blocking path; direct iteration yields
             # the same set in readiness order.
             ordered = [r.to_dict() for r in eng.submit(_jobs()).records()]
@@ -96,7 +96,7 @@ class TestStreaming:
         with BatchEngine(
             problems=PROBLEMS, config=SweepConfig(workers=2)
         ) as eng:
-            eng.run_jobs(_jobs(2))
+            eng.submit(_jobs(2)).records()
             stream = eng.submit(_jobs(2) + _jobs(4))
             # Both cached slots yield without touching the pool again.
             assert next(stream) is not None
@@ -110,11 +110,11 @@ class TestPersistentPool:
         with BatchEngine(
             problems=PROBLEMS, config=SweepConfig(workers=2)
         ) as eng:
-            eng.run_jobs(_jobs(2))
-            eng.run_jobs(_jobs(4)[2:])
-            eng.run_jobs(
+            eng.submit(_jobs(2)).records()
+            eng.submit(_jobs(4)[2:]).records()
+            eng.submit(
                 [BatchJob("kmeans", "v100_small", _taf(1, 7, 0.9, ipt=8))]
-            )
+            ).records()
             assert eng.stats.executed == 5
             assert eng.stats.pool_spawns == 1
             assert eng.stats.pool_respawns == 0
@@ -157,10 +157,10 @@ class TestPersistentPool:
         with BatchEngine(
             problems=PROBLEMS, config=SweepConfig(workers=2)
         ) as eng:
-            eng.run_jobs(_jobs(1))  # spawn the pool
+            eng.submit(_jobs(1)).records()  # spawn the pool
             for pid in list(eng.pool._executor._processes):
                 os.kill(pid, signal.SIGKILL)
-            records = eng.run_jobs(_jobs())
+            records = eng.submit(_jobs()).records()
             assert eng.stats.pool_respawns >= 1
             assert all(r.feasible for r in records)
             assert [r.to_dict() for r in records] == blocking_dicts
@@ -178,7 +178,7 @@ class TestPersistentPool:
         with BatchEngine(
             problems=PROBLEMS, config=SweepConfig(workers=2)
         ) as eng:
-            eng.run_jobs(jobs[:1])  # spawn the pool
+            eng.submit(jobs[:1]).records()  # spawn the pool
             for pid in list(eng.pool._executor._processes):
                 os.kill(pid, signal.SIGKILL)
             first, second = eng.submit(jobs[:3]), eng.submit(jobs[3:])

@@ -69,10 +69,12 @@ class TestEquivalence:
         ]
 
     def test_run_sweep_parallel_kwarg(self, serial_records):
-        runner = ExperimentRunner(problems=PROBLEMS)
-        records = runner.run_sweep(
-            "blackscholes", "v100_small", _points(), config=SweepConfig(workers=2)
-        )
+        # ``workers`` overlaid on a caller's in-process engine.
+        with BatchEngine(problems=PROBLEMS) as engine:
+            records = run_sweep_parallel(
+                "blackscholes", "v100_small", _points(),
+                config=SweepConfig(workers=2), engine=engine,
+            ).records
         assert [r.to_dict() for r in records] == [
             r.to_dict() for r in serial_records
         ]
@@ -87,7 +89,7 @@ class TestEquivalence:
 
 
 class TestRunSweepDelegates:
-    """``ExperimentRunner.run_sweep`` evaluates through the engine, so a
+    """A sweep under the default config evaluates through the engine, so a
     threshold chain is served by sibling reuse and a duplicate point
     simulates once — with every record equal to a direct ``run_point``."""
 
@@ -112,9 +114,9 @@ class TestRunSweepDelegates:
             return real(self, *args, **kwargs)
 
         monkeypatch.setattr(ExperimentRunner, "run_point", counting)
-        records = ExperimentRunner(problems=self.KMEANS).run_sweep(
-            "kmeans", "v100_small", points
-        )
+        records = run_sweep_parallel(
+            "kmeans", "v100_small", points, problems=self.KMEANS
+        ).records
         assert len(calls) < len(points)
         assert [dumps_record(r) for r in records] == expected
 

@@ -22,7 +22,7 @@ from repro.harness.pruning import (
     aggression_axes,
     aggression_vector,
 )
-from repro.harness.runner import ExperimentRunner, RunRecord
+from repro.harness.runner import RunRecord
 from repro.harness.sweep import SweepPoint
 
 PROBLEMS = {"kmeans": {"num_obs": 2048, "max_iters": 8}}
@@ -363,16 +363,14 @@ class TestVariantCache:
         vc = VariantCache()
         job = BatchJob("kmeans", "v100_small", grid[0])
         eng = BatchEngine(
-            config=SweepConfig(variant_cache=vc),
-            runner=ExperimentRunner(problems=PROBLEMS),
+            problems=PROBLEMS, config=SweepConfig(variant_cache=vc)
         )
         try:
             eng.submit([job]).records()
         finally:
             eng.close()
         eng2 = BatchEngine(
-            config=SweepConfig(variant_cache=vc),
-            runner=ExperimentRunner(problems=PROBLEMS),
+            problems=PROBLEMS, config=SweepConfig(variant_cache=vc)
         )
         try:
             recs = eng2.submit([job]).records()

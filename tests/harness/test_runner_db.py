@@ -3,6 +3,7 @@
 import pytest
 
 from repro.harness.database import ResultsDB
+from repro.harness.batch import run_sweep_parallel
 from repro.harness.runner import ExperimentRunner, RunRecord
 from repro.harness.sweep import SweepPoint
 
@@ -49,12 +50,14 @@ class TestRunner:
         assert not rec.feasible
         assert "Unsupported" in rec.note
 
-    def test_run_sweep_returns_all(self, runner):
+    def test_run_sweep_returns_all(self):
         pts = [
             SweepPoint("taf", {"hsize": 1, "psize": 4, "threshold": t}, "thread", 2)
             for t in (0.0, 0.3)
         ]
-        recs = runner.run_sweep("blackscholes", "v100_small", pts)
+        recs = run_sweep_parallel(
+            "blackscholes", "v100_small", pts, problems=BS_PROBLEM
+        ).records
         assert len(recs) == 2
 
     def test_baseline_recomputed_when_problem_changes(self):

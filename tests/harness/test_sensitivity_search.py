@@ -3,8 +3,8 @@
 import pytest
 
 from repro.apps import get_benchmark
+from repro.harness.batch import BatchEngine
 from repro.harness.config import SweepConfig
-from repro.harness.runner import ExperimentRunner
 from repro.harness.search import _neighbors, evolutionary_search, random_search
 from repro.harness.sensitivity import (
     SiteSensitivity,
@@ -54,11 +54,13 @@ class TestSensitivity:
         assert "approximate" in out and "protect" in out
 
 
-@pytest.fixture(scope="module")
-def runner():
-    return ExperimentRunner(
-        problems={"blackscholes": {"num_options": 4096, "num_runs": 4}}
-    )
+PROBLEMS = {"blackscholes": {"num_options": 4096, "num_runs": 4}}
+
+
+@pytest.fixture
+def engine():
+    with BatchEngine(problems=PROBLEMS) as eng:
+        yield eng
 
 
 def _small_space():
@@ -108,25 +110,25 @@ class TestNeighbors:
 
 
 class TestSearch:
-    def test_random_search_respects_budget(self, runner):
+    def test_random_search_respects_budget(self, engine):
         res = random_search(
-            runner, "blackscholes", "v100_small", "taf",
+            engine, "blackscholes", "v100_small", "taf",
             budget=6, space=_small_space(),
         )
         assert res.evaluations == 6
         assert len(res.db) == 6
 
-    def test_random_search_finds_speedup_in_small_space(self, runner):
+    def test_random_search_finds_speedup_in_small_space(self, engine):
         res = random_search(
-            runner, "blackscholes", "v100_small", "taf",
+            engine, "blackscholes", "v100_small", "taf",
             budget=18, space=_small_space(),
         )
         assert res.best is not None
         assert res.best_speedup > 1.0
 
-    def test_evolutionary_no_duplicate_evaluations(self, runner):
+    def test_evolutionary_no_duplicate_evaluations(self, engine):
         res = evolutionary_search(
-            runner, "blackscholes", "v100_small", "taf",
+            engine, "blackscholes", "v100_small", "taf",
             budget=12, space=_small_space(),
         )
         labels = set()
@@ -136,43 +138,44 @@ class TestSearch:
             assert key not in labels
             labels.add(key)
 
-    def test_evolutionary_beats_or_matches_tiny_random(self, runner):
+    def test_evolutionary_beats_or_matches_tiny_random(self, engine):
         rand = random_search(
-            runner, "blackscholes", "v100_small", "taf",
+            engine, "blackscholes", "v100_small", "taf",
             budget=12, space=_small_space(), seed=5,
         )
         evo = evolutionary_search(
-            runner, "blackscholes", "v100_small", "taf",
+            engine, "blackscholes", "v100_small", "taf",
             budget=12, space=_small_space(), seed=5,
         )
         assert evo.best_speedup >= rand.best_speedup * 0.8
 
-    def test_search_far_cheaper_than_exhaustive(self, runner):
+    def test_search_far_cheaper_than_exhaustive(self, engine):
         space = _small_space()
         res = evolutionary_search(
-            runner, "blackscholes", "v100_small", "taf",
+            engine, "blackscholes", "v100_small", "taf",
             budget=10, space=space,
         )
         assert res.evaluations < len(space)
 
-    def test_random_search_parallel_matches_serial(self, runner):
+    def test_random_search_parallel_matches_serial(self, engine):
         serial = random_search(
-            runner, "blackscholes", "v100_small", "taf",
+            engine, "blackscholes", "v100_small", "taf",
             budget=8, space=_small_space(), seed=11,
         )
-        par = random_search(
-            runner, "blackscholes", "v100_small", "taf",
-            budget=8, space=_small_space(), seed=11,
-            config=SweepConfig(workers=2),
-        )
+        with BatchEngine(problems=PROBLEMS) as fresh:
+            par = random_search(
+                fresh, "blackscholes", "v100_small", "taf",
+                budget=8, space=_small_space(), seed=11,
+                config=SweepConfig(workers=2),
+            )
         assert [r.to_dict() for r in par.db] == [r.to_dict() for r in serial.db]
         assert par.best.to_dict() == serial.best.to_dict()
 
-    def test_infeasible_points_do_not_crash_search(self, runner):
+    def test_infeasible_points_do_not_crash_search(self, engine):
         # iACT corners of Table 2 overflow shared memory; the search must
         # absorb them as infeasible records.
         res = random_search(
-            runner, "blackscholes", "v100_small", "iact", budget=8,
+            engine, "blackscholes", "v100_small", "iact", budget=8,
             threshold_scale=0.3,
         )
         assert res.evaluations == 8

@@ -3,7 +3,7 @@
 One frozen config object threads through every entry point; the old
 loose keywords raise ``TypeError``; and ``progress`` accepts
 ``bool | Callable[[SweepProgress], None]`` uniformly, firing per point on
-every in-process path, ``run_sweep`` included.
+every in-process path, ``run_sweep_parallel`` included.
 """
 
 import dataclasses
@@ -14,7 +14,6 @@ import pytest
 from repro.harness import batch
 from repro.harness.batch import BatchEngine, BatchJob, run_sweep_parallel
 from repro.harness.config import SweepConfig
-from repro.harness.runner import ExperimentRunner
 from repro.harness.sweep import SweepPoint
 
 PROBLEMS = {"blackscholes": {"num_options": 2048, "num_runs": 4}}
@@ -74,12 +73,6 @@ class TestRemovedShims:
                 ),
                 id="run_sweep_parallel",
             ),
-            pytest.param(
-                lambda: ExperimentRunner(problems=PROBLEMS).run_sweep(
-                    "blackscholes", "v100_small", _points(), checkpoint="ck.jsonl"
-                ),
-                id="runner.run_sweep",
-            ),
         ],
     )
     def test_loose_kwarg_raises(self, call):
@@ -95,19 +88,17 @@ class TestRemovedShims:
 
 class TestProgressUnification:
     def test_serial_run_sweep_accepts_callable(self):
-        runner = ExperimentRunner(problems=PROBLEMS)
         snaps = []
-        runner.run_sweep(
-            "blackscholes", "v100_small", _points(),
+        run_sweep_parallel(
+            "blackscholes", "v100_small", _points(), problems=PROBLEMS,
             config=SweepConfig(progress=snaps.append),
         )
         assert [p.done for p in snaps] == [1, 2, 3]
         assert all(p.total == 3 for p in snaps)
 
     def test_serial_run_sweep_progress_true(self, capsys):
-        runner = ExperimentRunner(problems=PROBLEMS)
-        runner.run_sweep(
-            "blackscholes", "v100_small", _points(1),
+        run_sweep_parallel(
+            "blackscholes", "v100_small", _points(1), problems=PROBLEMS,
             config=SweepConfig(progress=True),
         )
         assert "1/1" in capsys.readouterr().err
@@ -136,7 +127,7 @@ class TestProgressUnification:
             problems=PROBLEMS,
             config=SweepConfig(workers=1, progress=snaps.append),
         ) as eng:
-            eng.run_jobs(
+            eng.submit(
                 [BatchJob("blackscholes", "v100_small", p) for p in _points()]
-            )
+            ).records()
         assert [p.done for p in snaps] == [1, 2, 3]

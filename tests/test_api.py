@@ -36,11 +36,9 @@ class TestRunPoint:
         pt = SweepPoint(
             "taf", {"hsize": 1, "psize": 4, "threshold": 0.3}, "thread", 2
         )
-        runner = ExperimentRunner(problems=PROBLEMS)
-        rec = api.run_point(
-            "blackscholes", point=pt, engine=BatchEngine(runner=runner)
-        ).record
-        assert rec.to_dict() == runner.run_point(
+        with BatchEngine(problems=PROBLEMS) as engine:
+            rec = api.run_point("blackscholes", point=pt, engine=engine).record
+        assert rec.to_dict() == ExperimentRunner(problems=PROBLEMS).run_point(
             "blackscholes", "v100_small", pt
         ).to_dict()
 

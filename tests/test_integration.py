@@ -12,7 +12,6 @@ from repro import (
     mape,
 )
 from repro.approx.base import Technique
-from repro.harness.runner import ExperimentRunner
 from repro.harness.sweep import SweepPoint
 
 
@@ -106,16 +105,17 @@ class TestCrossDevice:
 
 class TestHarnessEndToEnd:
     def test_sweep_database_queries_agree_with_records(self):
-        runner = ExperimentRunner(
-            problems={"kmeans": {"num_obs": 4096, "max_iters": 20}}
-        )
         pts = [
             SweepPoint("taf", {"hsize": 1, "psize": p, "threshold": 0.9}, "thread", 8)
             for p in (3, 7)
         ]
+        from repro.harness.batch import run_sweep_parallel
         from repro.harness.database import ResultsDB
 
-        db = ResultsDB(runner.run_sweep("kmeans", "v100_small", pts))
+        db = ResultsDB(run_sweep_parallel(
+            "kmeans", "v100_small", pts,
+            problems={"kmeans": {"num_obs": 4096, "max_iters": 20}},
+        ).records)
         best = db.best_speedup(max_error=1.0)
         assert best is not None
         assert best.reported_speedup == max(
