@@ -32,15 +32,15 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from repro.api import SweepRequest  # noqa: E402
 from repro.harness.campaign import (  # noqa: E402
-    CampaignSpec,
     WorkerKilled,
     campaign_status,
     merge_campaign,
     run_worker,
     split_campaign,
 )
-from repro.harness.database import CheckpointWriter  # noqa: E402
+from repro.harness.database import CheckpointWriter, shared_fields  # noqa: E402
 from repro.harness.runner import ExperimentRunner  # noqa: E402
 
 OUT = Path(__file__).resolve().parent.parent / "BENCH_harness.json"
@@ -50,7 +50,7 @@ TTL = 2.0  # short lease so the reclaim happens within the smoke budget
 
 
 def main() -> int:
-    spec = CampaignSpec(
+    spec = SweepRequest(
         app="blackscholes", technique="taf", effort="quick", problems=PROBLEMS
     )
     points = spec.resolve_points()
@@ -61,7 +61,8 @@ def main() -> int:
     t0 = time.perf_counter()
     runner = ExperimentRunner(problems=spec.problems, seed=spec.seed)
     serial_path = root / "serial.jsonl"
-    with CheckpointWriter(serial_path, spec.shared()) as w:
+    shared = shared_fields(spec.seed, spec.problems, spec.site, spec.sanitize)
+    with CheckpointWriter(serial_path, shared) as w:
         for pt in points:
             w.write(runner.run_point(spec.app, spec.device, pt))
     serial_s = time.perf_counter() - t0

@@ -2,9 +2,9 @@
 the commands and their flags.
 
 Thin rendering wrappers over the stable :mod:`repro.api` facade.  Each
-subcommand fills the matching frozen request (:class:`repro.api.PointRequest`,
-:class:`~repro.api.SweepRequest`, :class:`~repro.api.SearchRequest`,
-:class:`~repro.api.FiguresRequest`, :class:`~repro.api.CampaignSpec`) and
+subcommand fills the matching frozen request — :class:`repro.api.PointRequest`,
+:class:`~repro.api.SweepRequest` (also for ``campaign split``),
+:class:`~repro.api.SearchRequest` or :class:`~repro.api.FiguresRequest` — and
 its :class:`~repro.harness.config.SweepConfig` by field name from the flags
 the user passed — an absent flag leaves the dataclass default in force, so
 an invocation and the library call with the same arguments build the same
@@ -330,7 +330,7 @@ def cmd_campaign(args) -> int:
 
     if args.action == "split":
         out = api.campaign_split(
-            args.dir, _request(api.CampaignSpec, args),
+            args.dir, _request(api.SweepRequest, args),
             **_passed(args, "shards"),
         )
         result = out.result

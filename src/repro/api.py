@@ -2,9 +2,9 @@
 
 The CLI, scripts, and the campaign fabric all speak the same vocabulary:
 
-* Requests — :class:`PointRequest`, :class:`SweepRequest`,
-  :class:`SearchRequest`, :class:`FiguresRequest`, and (for distributed
-  runs) :class:`~repro.harness.campaign.CampaignSpec` — are frozen
+* Requests — :class:`PointRequest`, :class:`SweepRequest` (also the
+  spec of a distributed campaign, :func:`campaign_split`),
+  :class:`SearchRequest`, :class:`FiguresRequest` — are frozen
   dataclasses carrying a ``version`` stamp, and the one declaration of
   every field and its default.  Build one, pass it to the matching
   function (``sweep(request=...)``) or to :func:`execute`, which
@@ -129,7 +129,8 @@ class SweepRequest(_Request):
 
     ``points`` pins the grid explicitly (a tuple of
     :class:`~repro.harness.sweep.SweepPoint`); otherwise the curated
-    ``technique`` candidate grid at ``effort`` (quick/full/paper)."""
+    ``technique`` candidate grid at ``effort`` (quick/full/paper).
+    ``sanitize`` runs every point under ApproxSan."""
 
     app: str
     device: str = "v100_small"
@@ -139,7 +140,16 @@ class SweepRequest(_Request):
     site: str | None = None
     problems: dict | None = None
     seed: int = 2023
+    sanitize: bool = False
     version: int = API_VERSION
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "SweepRequest":
+        """Inverse of ``dataclasses.asdict(request)``."""
+        from repro.harness.sweep import SweepPoint
+
+        points = tuple(SweepPoint.from_dict(p) for p in data.get("points") or ())
+        return cls(**{**data, "points": points})
 
     def resolve_points(self) -> "list[SweepPoint]":
         if self.points:
@@ -287,21 +297,16 @@ def run_point(
     **fields)``; or pass a ready ``request``.  A ready
     :class:`~repro.harness.sweep.SweepPoint` in ``point`` replaces the
     request's technique/params/level/items per thread.  The point is a
-    one-point sweep, so ``config`` and ``engine`` mean what they mean for
-    :func:`sweep`; ``request.sanitize`` runs it under ApproxSan.  The
+    one-point :func:`sweep` of the request's other fields, so ``config``
+    and ``engine`` mean what they mean there.  The
     :class:`~repro.harness.runner.RunRecord` is ``result.record``."""
-    from repro.harness.batch import run_sweep_parallel
-    from repro.harness.config import SweepConfig
-
     request = _build(PointRequest, request, args, fields)
-    pt = point if point is not None else request.resolve_point()
-    if request.sanitize:
-        config = (config or SweepConfig()).replace(sanitize=True)
-    report = run_sweep_parallel(
-        request.app, request.device, [pt],
+    report = sweep(
+        request.app, request.device,
+        points=(point if point is not None else request.resolve_point(),),
         site=request.site, problems=request.problems, seed=request.seed,
-        config=config, engine=engine,
-    )
+        sanitize=request.sanitize, config=config, engine=engine,
+    ).report
     return PointResult(record=report.records[0], request=request)
 
 
@@ -317,11 +322,14 @@ def sweep(
     The *what* is ``SweepRequest(*args, **fields)`` (or a ready
     ``request``); the *how* — workers, checkpoint, retries, progress,
     preflight — lives in ``config``/``engine`` and never changes the
-    records.  The :class:`~repro.harness.batch.BatchReport` is
-    ``result.report``."""
+    records.  ``request.sanitize`` runs the points under ApproxSan.  The
+    :class:`~repro.harness.batch.BatchReport` is ``result.report``."""
     from repro.harness.batch import run_sweep_parallel
+    from repro.harness.config import SweepConfig
 
     request = _build(SweepRequest, request, args, fields)
+    if request.sanitize:
+        config = (config or SweepConfig()).replace(sanitize=True)
     report = run_sweep_parallel(
         request.app,
         request.device,
@@ -457,7 +465,7 @@ def execute(
         return figures(request=request, config=config, engine=engine)
     raise TypeError(
         f"execute() takes a request dataclass, not {type(request).__name__} "
-        f"(campaign specs go through campaign_split/campaign_work/"
+        f"(campaigns go through campaign_split/campaign_work/"
         f"campaign_merge, which need a directory)"
     )
 
@@ -471,7 +479,7 @@ class CampaignSplitResult(ApiResult):
     :class:`~repro.harness.campaign.SplitResult`."""
 
     result: object
-    spec: object = None
+    request: SweepRequest | None = None
 
     def to_payload(self) -> dict:
         return _json_safe(asdict(self.result))
@@ -521,20 +529,21 @@ class CampaignStatusResult(ApiResult):
 
 def campaign_split(
     directory: str,
-    spec: "object | None" = None,
+    request: SweepRequest | None = None,
     *,
     shards: int = 2,
     **fields,
 ) -> CampaignSplitResult:
-    """Partition the point space of ``spec`` — a ready
-    :class:`~repro.harness.campaign.CampaignSpec`, or ``CampaignSpec(
-    **fields)`` — into ``shards`` shard jobs under ``directory``.  See the
-    campaign package docs for the lease/heartbeat/merge contract."""
-    from repro.harness.campaign import CampaignSpec, split_campaign
+    """Partition the point space of the sweep ``request`` — a ready
+    :class:`SweepRequest`, or ``SweepRequest(**fields)`` — into ``shards``
+    shard jobs under ``directory``.  See the campaign package docs for the
+    lease/heartbeat/merge contract."""
+    from repro.harness.campaign import split_campaign
 
-    spec = _build(CampaignSpec, spec, (), fields)
+    request = _build(SweepRequest, request, (), fields)
     return CampaignSplitResult(
-        result=split_campaign(directory, spec, shards=shards), spec=spec
+        result=split_campaign(directory, request, shards=shards),
+        request=request,
     )
 
 
@@ -825,22 +834,11 @@ def lint(
     return LintResult(diagnostics=diags)
 
 
-def __getattr__(name: str):
-    # Lazy re-export: ``repro.api.CampaignSpec`` without importing the
-    # campaign fabric (and the engine layer under it) at module load.
-    if name == "CampaignSpec":
-        from repro.harness.campaign import CampaignSpec
-
-        return CampaignSpec
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
     "API_VERSION",
     "ApiResult",
     "AppSanitizeReport",
     "CampaignMergeResult",
-    "CampaignSpec",
     "CampaignSplitResult",
     "CampaignStatusResult",
     "CampaignWorkResult",

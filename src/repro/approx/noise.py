@@ -15,6 +15,8 @@ free in simulated time (it is an analysis instrument, not an optimization).
 
 from __future__ import annotations
 
+import zlib
+
 import numpy as np
 
 from repro.approx.base import NoiseParams, RegionSpec, RegionStats
@@ -42,12 +44,13 @@ def noise_invoke(
     values = values.copy()
 
     # Deterministic per-invocation noise: key the stream on the region name,
-    # the seed, and a per-launch invocation counter.
+    # the seed, and a per-launch invocation counter (crc32, not ``hash``:
+    # ``str`` hashes are salted per process).
     key = ("noise_counter", spec.name)
     counter = ctx.region_state.get(key, 0)
     ctx.region_state[key] = counter + 1
     rng = np.random.default_rng(
-        abs(hash((spec.name, params.seed, counter))) % (2**63)
+        [zlib.crc32(spec.name.encode()), params.seed, counter]
     )
     xi = rng.standard_normal(values.shape)
     values[m] *= 1.0 + params.rel_sigma * xi[m]

@@ -38,10 +38,8 @@ The primitives do near-zero allocations in steady state: temporaries live
 in a per-launch :class:`~repro.gpusim.arena.ScratchArena` (the TAF and
 iACT runtimes bind theirs from it once per launch and region, and the
 arena still counts them), the per-warp active vector of a given mask
-object is identity-cached, the depth-1 all-true mask short-circuits
-every reshape-reduce, and counter accumulation is journaled per call and
-folded into :class:`CycleCounters` lazily on ``ctx.counters`` access
-(finalized once per launch).  Their results are pinned by recorded
+object is identity-cached, and the depth-1 all-true mask short-circuits
+every reshape-reduce.  Their results are pinned by recorded
 digests: ``tests/gpusim/goldens/primitives.json`` (randomized primitive
 programs) and ``tests/approx/goldens/equivalence.json`` (full
 application runs).
@@ -165,7 +163,8 @@ class GridContext:
 
         #: Cycles accumulated by each warp (timing-model input).
         self.warp_cycles = np.zeros(self.num_warps, dtype=np.float64)
-        self._counters = CycleCounters()
+        #: Public cycle counters; every primitive charges them as it runs.
+        self.counters = CycleCounters()
         self._mask_stack: list[np.ndarray] = [
             np.ones(self.total_threads, dtype=bool)
         ]
@@ -173,10 +172,8 @@ class GridContext:
         #: keep region state across invocations.
         self.region_state: dict = {}
 
-        #: The arena holds every steady-state temporary; the journal holds
-        #: deferred ``(counter_field, delta)`` contributions in call order.
+        #: The arena holds every steady-state temporary.
         self.arena = ScratchArena()
-        self._journal: list[tuple[str, float]] = []
         self._base_mask = self._mask_stack[0]
         self._uniform_active = np.ones(self.num_warps, dtype=bool)
         self._uniform_active.setflags(write=False)
@@ -186,30 +183,6 @@ class GridContext:
         self._no_lanes.setflags(write=False)
         self._active_cache: dict[int, tuple] = {}
         self._active_slot = 0
-
-    # ------------------------------------------------------------------
-    # counters (deferred finalization)
-    # ------------------------------------------------------------------
-    @property
-    def counters(self) -> CycleCounters:
-        """Public cycle counters.
-
-        Per-call contributions are journaled and folded in **in call
-        order** here — bit-identical to eager accumulation,
-        because the same floats are added in the same sequence.  Reading
-        mid-kernel (as Binomial's barrier-elision adjustment does) flushes
-        everything journaled so far, so direct mutation of the returned
-        object interleaves exactly as it would eagerly.
-        """
-        if self._journal:
-            self._counters.apply_journal(self._journal)
-            self._journal.clear()
-        return self._counters
-
-    @counters.setter
-    def counters(self, value: CycleCounters) -> None:
-        self._journal.clear()
-        self._counters = value
 
     # ------------------------------------------------------------------
     # masks / divergence
@@ -330,7 +303,7 @@ class GridContext:
         active, count = self._active_info(mask)
         cyc = float(n) * self.device.alu_cycles
         self._charge_warps_counted(cyc, active, count)
-        self._journal.append(("alu_cycles", cyc * count))
+        self.counters.alu_cycles += cyc * count
 
     def flops_per_lane(self, n_per_lane: np.ndarray, mask: np.ndarray | None = None) -> None:
         """Charge a per-lane variable FLOP count; warps pay their max lane.
@@ -348,14 +321,14 @@ class GridContext:
         cyc = arena.buf("fpl_cyc", (self.num_warps,), np.float64)
         np.multiply(per_warp, self.device.alu_cycles, out=cyc)
         self.warp_cycles += cyc
-        self._journal.append(("alu_cycles", float(cyc.sum())))
+        self.counters.alu_cycles += float(cyc.sum())
 
     def sfu(self, n: float, mask: np.ndarray | None = None) -> None:
         """Charge ``n`` special-function ops (exp/log/sqrt/...) per lane."""
         active, count = self._active_info(mask)
         cyc = float(n) * self.device.sfu_cycles
         self._charge_warps_counted(cyc, active, count)
-        self._journal.append(("sfu_cycles", cyc * count))
+        self.counters.sfu_cycles += cyc * count
 
     # ------------------------------------------------------------------
     # global memory
@@ -380,11 +353,11 @@ class GridContext:
         )
         self.warp_cycles += cyc
         ntx = int(txns.sum())
-        j = self._journal
-        j.append(("mem_cycles", float(cyc.sum())))
-        j.append(("global_transactions", ntx))
-        j.append(("dram_bytes", ntx * MEMORY_SEGMENT_BYTES))
-        j.append(("global_accesses", 1))
+        c = self.counters
+        c.mem_cycles += float(cyc.sum())
+        c.global_transactions += ntx
+        c.dram_bytes += ntx * MEMORY_SEGMENT_BYTES
+        c.global_accesses += 1
 
     def global_read(
         self, arr: np.ndarray, idx: np.ndarray, mask: np.ndarray | None = None
@@ -490,11 +463,11 @@ class GridContext:
         ntx_warp = int(round(txns_per_warp))
         cyc = txns_per_warp * self.device.mem_txn_cycles
         self._charge_warps_counted(cyc, active, count)
-        j = self._journal
-        j.append(("mem_cycles", cyc * count))
-        j.append(("global_transactions", ntx_warp * count))
-        j.append(("dram_bytes", ntx_warp * count * MEMORY_SEGMENT_BYTES))
-        j.append(("global_accesses", 1))
+        c = self.counters
+        c.mem_cycles += cyc * count
+        c.global_transactions += ntx_warp * count
+        c.dram_bytes += ntx_warp * count * MEMORY_SEGMENT_BYTES
+        c.global_accesses += 1
 
     # ------------------------------------------------------------------
     # shared memory traffic
@@ -504,9 +477,9 @@ class GridContext:
         active, count = self._active_info(mask)
         cyc = float(n) * self.device.shared_cycles
         self._charge_warps_counted(cyc, active, count)
-        j = self._journal
-        j.append(("shared_cycles", cyc * count))
-        j.append(("shared_accesses", 1))
+        c = self.counters
+        c.shared_cycles += cyc * count
+        c.shared_accesses += 1
 
     def shared_table_write(
         self,
@@ -538,9 +511,9 @@ class GridContext:
         active, count = self._active_info(mask)
         cyc = float(n) * self.device.intrinsic_cycles
         self._charge_warps_counted(cyc, active, count)
-        j = self._journal
-        j.append(("intrinsic_cycles", cyc * count))
-        j.append(("intrinsics", 1))
+        c = self.counters
+        c.intrinsic_cycles += cyc * count
+        c.intrinsics += 1
 
     def _ballot_counts(self, pred: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
         """Ballot without the per-lane broadcast: per-warp counts
@@ -658,9 +631,9 @@ class GridContext:
             active, count = self._active_info(mask)
         cyc = self.device.barrier_cycles
         self._charge_warps_counted(cyc, active, count)
-        j = self._journal
-        j.append(("barrier_cycles", cyc * count))
-        j.append(("barriers", 1))
+        c = self.counters
+        c.barrier_cycles += cyc * count
+        c.barriers += 1
         if self.sanitizer is not None:
             # Synchronizing boundary: the race detector opens a new epoch.
             self.sanitizer.on_barrier()
@@ -670,9 +643,9 @@ class GridContext:
         active, count = self._active_info(mask)
         cyc = float(n) * self.device.atomic_cycles
         self._charge_warps_counted(cyc, active, count)
-        j = self._journal
-        j.append(("atomic_cycles", cyc * count))
-        j.append(("atomics", 1))
+        c = self.counters
+        c.atomic_cycles += cyc * count
+        c.atomics += 1
 
     def _block_counts(self, pred: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
         """:meth:`block_count` without the per-lane broadcast:

@@ -73,18 +73,6 @@ class CycleCounters:
             return 0.0
         return self.mem_cycles / total
 
-    def apply_journal(self, entries) -> None:
-        """Fold deferred ``(field, delta)`` contributions, in order.
-
-        The context journals each charge instead of touching the
-        counter fields eagerly; replaying the journal in append order adds
-        the exact same floats in the exact same sequence, so the result is
-        bit-identical to eager accumulation (float addition is
-        order-sensitive, append order preserves it).
-        """
-        for name, delta in entries:
-            setattr(self, name, getattr(self, name) + delta)
-
     def merge(self, other: "CycleCounters") -> None:
         """Accumulate another counter record into this one."""
         self.alu_cycles += other.alu_cycles

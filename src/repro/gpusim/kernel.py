@@ -80,9 +80,6 @@ def launch(
             sanitizer.end_launch()
     else:
         value = fn(ctx, **(params or {}))
-    # ``ctx.counters`` finalizes the context's deferred journal: every
-    # per-call contribution folds into the public counters here, once per
-    # launch, in call order (bit-identical to eager accumulation).
     counters = ctx.counters
     timing = time_kernel(
         device,

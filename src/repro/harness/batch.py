@@ -42,11 +42,11 @@ from repro.harness.database import (
     RecordKey,
     ResultsDB,
     check_shared,
+    record_status,
     shared_fields,
 )
 from repro.harness.pruning import (
     DEFAULT_QOI_BOUND,
-    PRUNED_NOTE_PREFIX,
     lattice_order,
     pruned_record,
     violates,
@@ -54,6 +54,11 @@ from repro.harness.pruning import (
 from repro.harness.reporting import SweepProgress, format_progress
 from repro.harness.runner import ExperimentRunner, RunRecord
 from repro.harness.sweep import SweepPoint
+
+#: Record statuses no cache keeps: a ``pruned`` row is a verdict under one
+#: stream's bound and an ``error`` row reflects machine state, so neither
+#: is the configuration's record for a later call to reuse.
+UNCACHEABLE = ("pruned", "error")
 
 #: Chunk size used for a group before any throughput has been observed —
 #: deliberately small so the controller gets feedback after little work.
@@ -641,9 +646,7 @@ class BatchStream:
     # -- bookkeeping ----------------------------------------------------
     def _notify(self, key: RecordKey, record: RunRecord) -> None:
         self._ready.extend(self._slots_by_key.get(key, ()))
-        # A pruned row is a verdict under this stream's bound, not the
-        # point's record: later calls on the engine must not reuse it.
-        if not (record.note or "").startswith(PRUNED_NOTE_PREFIX):
+        if record_status(record) not in UNCACHEABLE:
             self._engine._cache[key] = record
 
     def _land(
@@ -659,11 +662,8 @@ class BatchStream:
             self._feasible += rec.feasible
             if evaluated:
                 self.evaluated += 1
-                if self._vcache is not None and not (rec.note or "").startswith(
-                    ("WorkerError", "WorkerCrash")
-                ):
-                    # Crash/retry-exhaustion records reflect machine state,
-                    # not the configuration's content — never cache them.
+                if (self._vcache is not None
+                        and record_status(rec) not in UNCACHEABLE):
                     self._vcache.put(key, rec)
             self._notify(key, rec)
         self._release(keys)

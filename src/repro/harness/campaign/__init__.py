@@ -5,9 +5,9 @@ paper's Table-2 reality — 57,288 configurations, up to 988 GPU-hours per
 benchmark (§4) — by splitting a sweep's point space into shard jobs that
 any number of plain engine sessions work through a file-backed queue:
 
-* :func:`split_campaign` partitions a :class:`CampaignSpec`'s points into
-  shard manifests keyed by point label and writes the ``campaign.json``
-  ledger;
+* :func:`split_campaign` partitions the points of a sweep's
+  :class:`~repro.api.SweepRequest` (the campaign's *spec*) into shard
+  manifests keyed by point label and writes the ``campaign.json`` ledger;
 * :class:`~repro.harness.campaign.worker.CampaignWorker` sessions claim
   shards under leases with heartbeats (:mod:`.queue`, :mod:`.lease`), so
   a dead worker's unfinished shard is reclaimed after its TTL and
@@ -28,16 +28,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.api import SweepRequest
 from repro.harness.campaign.lease import Lease, LeaseError, LeaseLost
 from repro.harness.campaign.manifest import (
     CAMPAIGN_SCHEMA_VERSION,
     CampaignError,
     CampaignManifest,
-    CampaignSpec,
     campaign_paths,
     init_campaign,
     load_campaign,
     shard_path,
+    spec_hash,
 )
 from repro.harness.campaign.queue import Claim, FileQueue
 from repro.harness.campaign.worker import (
@@ -52,6 +53,7 @@ from repro.harness.database import (
     CheckpointWriter,
     MergeStats,
     ResultsDB,
+    shared_fields,
 )
 from repro.harness.sweep import SweepPoint
 
@@ -59,7 +61,6 @@ __all__ = [
     "CAMPAIGN_SCHEMA_VERSION",
     "CampaignError",
     "CampaignManifest",
-    "CampaignSpec",
     "CampaignStatus",
     "CampaignWorker",
     "Claim",
@@ -79,6 +80,7 @@ __all__ = [
     "merge_campaign",
     "run_worker",
     "shard_path",
+    "spec_hash",
     "split_campaign",
     "strip_tag",
     "tag_record",
@@ -146,7 +148,7 @@ class CampaignStatus:
 # ---------------------------------------------------------------------------
 def split_campaign(
     directory: str | Path,
-    spec: CampaignSpec,
+    spec: SweepRequest,
     shards: int = 2,
     clock=None,
 ) -> SplitResult:
@@ -159,7 +161,7 @@ def split_campaign(
     manifest = init_campaign(directory, spec, shards=shards, clock=clock)
     return SplitResult(
         directory=str(directory),
-        spec_hash=spec.spec_hash(),
+        spec_hash=spec_hash(spec),
         shards=len(manifest.shard_meta),
         points=sum(m["points"] for m in manifest.shard_meta.values()),
         jobs=sorted(manifest.shard_meta),
@@ -260,7 +262,8 @@ def merge_campaign(
     out_path = Path(output) if output is not None else campaign_paths(directory)[3]
     if out_path.exists():
         out_path.unlink()  # clean header, no stale append
-    with CheckpointWriter(out_path, spec.shared()) as writer:
+    shared = shared_fields(spec.seed, spec.problems, spec.site, spec.sanitize)
+    with CheckpointWriter(out_path, shared) as writer:
         writer.write(ordered)
     manifest.refresh(queue=queue)
     return MergeResult(

@@ -5,10 +5,10 @@ point list — split into shard jobs that any number of machines work
 through the file queue.  Three invariants make a Table-2-scale run
 globally resumable from any mix of machines:
 
-* the :class:`CampaignSpec` is canonical and hashed: every worker loads
-  the spec from the campaign directory and refuses to run against a
-  manifest whose hash disagrees (a silently edited spec would break the
-  byte-identity contract);
+* the campaign's :class:`~repro.api.SweepRequest` (its *spec*) is
+  canonical and hashed: every worker loads the spec from the campaign
+  directory and refuses to run against a manifest whose hash disagrees
+  (a silently edited spec would break the byte-identity contract);
 * the unit of distribution is the **existing checkpoint record** — each
   shard lists the point labels it owns (under one spec, a label is a
   whole :class:`~repro.harness.database.RecordKey`) — so no new wire
@@ -30,12 +30,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
+from repro.api import SweepRequest
 from repro.harness.campaign.queue import FileQueue
-from repro.harness.database import replace_lines, shared_fields
-from repro.harness.sweep import SweepPoint
+from repro.harness.database import replace_lines
 
 #: Version of the campaign.json / shard-payload format.
 CAMPAIGN_SCHEMA_VERSION = 1
@@ -50,109 +50,10 @@ class CampaignError(RuntimeError):
     """Campaign-level protocol violations (bad spec, incomplete merge)."""
 
 
-@dataclass(frozen=True)
-class CampaignSpec:
-    """Frozen, versioned identity of one campaign's work.
-
-    This is the request object the campaign CLI, :mod:`repro.api`, the
-    split tool, and every worker all consume — *what* to run.  Execution
-    policy (workers per box, TTLs) deliberately lives elsewhere: two
-    machines may run the same spec with different policies, and the
-    records must not care.
-
-    ``points`` pins the grid explicitly (a tuple of point dicts, the
-    JSONL shape of :class:`~repro.harness.sweep.SweepPoint`); when empty,
-    the curated ``technique`` grid at ``effort`` is resolved — the same
-    rule :func:`repro.api.sweep` applies.
-    """
-
-    app: str
-    device: str = "v100_small"
-    technique: str | None = None
-    effort: str = "quick"
-    points: tuple = ()
-    site: str | None = None
-    seed: int = 2023
-    problems: dict | None = None
-    sanitize: bool = False
-    version: int = CAMPAIGN_SCHEMA_VERSION
-
-    def __post_init__(self) -> None:
-        if self.version != CAMPAIGN_SCHEMA_VERSION:
-            raise CampaignError(
-                f"unsupported campaign spec version {self.version!r} "
-                f"(this build speaks {CAMPAIGN_SCHEMA_VERSION})"
-            )
-        if not self.points and self.technique is None:
-            raise CampaignError("CampaignSpec needs points= or technique=")
-        # Normalize list inputs so equal specs hash equally.
-        if isinstance(self.points, list):
-            object.__setattr__(self, "points", tuple(self.points))
-
-    # -- identity -------------------------------------------------------
-    def to_dict(self) -> dict:
-        return {
-            "app": self.app,
-            "device": self.device,
-            "technique": self.technique,
-            "effort": self.effort,
-            "points": [dict(p) for p in self.points],
-            "site": self.site,
-            "seed": self.seed,
-            "problems": self.problems,
-            "sanitize": self.sanitize,
-            "version": self.version,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CampaignSpec":
-        data = dict(data)
-        data["points"] = tuple(data.get("points") or ())
-        return cls(**data)
-
-    def canonical_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, allow_nan=False)
-
-    def spec_hash(self) -> str:
-        """sha256 of the canonical spec — the campaign's global identity."""
-        return hashlib.sha256(self.canonical_json().encode()).hexdigest()
-
-    def shared(self) -> dict:
-        """The checkpoint header fields of the spec's records."""
-        return shared_fields(self.seed, self.problems, self.site, self.sanitize)
-
-    # -- work -----------------------------------------------------------
-    def resolve_points(self) -> list[SweepPoint]:
-        """The campaign's ordered point list (the serial sweep order)."""
-        if self.points:
-            return [
-                SweepPoint(
-                    p["technique"],
-                    dict(p["params"]),
-                    level=p.get("level", "thread"),
-                    items_per_thread=p.get("items_per_thread", 8),
-                )
-                for p in self.points
-            ]
-        from repro.harness.figures import candidates
-
-        pts = candidates(self.app, self.technique, self.effort)
-        if not pts:
-            raise CampaignError(
-                f"no candidate grid for {self.app}/{self.technique} "
-                f"at effort {self.effort!r}"
-            )
-        return pts
-
-    @staticmethod
-    def point_dict(point: SweepPoint) -> dict:
-        """The JSONL shape of one point (what ``points=`` tuples hold)."""
-        return {
-            "technique": point.technique,
-            "params": dict(point.params),
-            "level": point.level,
-            "items_per_thread": point.items_per_thread,
-        }
+def spec_hash(request: SweepRequest) -> str:
+    """sha256 of the canonical request — the campaign's global identity."""
+    canonical = json.dumps(asdict(request), sort_keys=True, allow_nan=False)
+    return hashlib.sha256(canonical.encode()).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +97,7 @@ def partition_labels(n_points: int, shards: int) -> list[tuple[int, int]]:
 
 def init_campaign(
     directory: str | Path,
-    spec: CampaignSpec,
+    spec: SweepRequest,
     shards: int = 2,
     clock=None,
 ) -> "CampaignManifest":
@@ -204,7 +105,8 @@ def init_campaign(
 
     Partitions the spec's resolved point list into ``shards`` contiguous
     jobs keyed by point label and registers each as an immutable queue
-    job.  Idempotent re-init of
+    job.  A spec without points or technique, or with an empty candidate
+    grid, raises :class:`CampaignError`.  Idempotent re-init of
     the same spec is an error — resume by just pointing workers at the
     directory."""
     manifest_path, queue_root, shard_dir, _ = campaign_paths(directory)
@@ -213,9 +115,16 @@ def init_campaign(
             f"{manifest_path}: campaign already initialised; "
             f"point workers at it to resume, or choose a new directory"
         )
+    if not spec.points and spec.technique is None:
+        raise CampaignError("a campaign needs points= or technique=")
+    points = spec.resolve_points()
+    if not points:
+        raise CampaignError(
+            f"no candidate grid for {spec.app}/{spec.technique} "
+            f"at effort {spec.effort!r}"
+        )
     Path(directory).mkdir(parents=True, exist_ok=True)
     shard_dir.mkdir(parents=True, exist_ok=True)
-    points = spec.resolve_points()
     from repro.gpusim.device import get_device
 
     device_name = get_device(spec.device).name
@@ -227,11 +136,11 @@ def init_campaign(
         payload = {
             "job": job,
             "version": CAMPAIGN_SCHEMA_VERSION,
-            "spec_hash": spec.spec_hash(),
+            "spec_hash": spec_hash(spec),
             "app": spec.app,
             "device": spec.device,
             "site": spec.site,
-            "points": [CampaignSpec.point_dict(p) for p in block],
+            "points": [asdict(p) for p in block],
             "labels": [p.label() for p in block],
         }
         queue.add(job, payload)
@@ -262,8 +171,11 @@ def load_campaign(directory: str | Path, clock=None) -> "CampaignManifest":
             f"{manifest_path}: campaign schema {data.get('version')!r} "
             f"unsupported (this build speaks {CAMPAIGN_SCHEMA_VERSION})"
         )
-    spec = CampaignSpec.from_dict(data["spec"])
-    if spec.spec_hash() != data["spec_hash"]:
+    try:
+        spec = SweepRequest.from_dict(data["spec"])
+    except ValueError as exc:
+        raise CampaignError(f"{manifest_path}: stored spec: {exc}") from None
+    if spec_hash(spec) != data["spec_hash"]:
         raise CampaignError(
             f"{manifest_path}: spec hash mismatch — the stored spec was "
             f"edited after split; records would not be comparable"
@@ -289,7 +201,7 @@ class CampaignManifest:
     newest snapshot simply wins."""
 
     directory: str
-    spec: CampaignSpec
+    spec: SweepRequest
     shard_meta: dict = field(default_factory=dict)
     device_name: str = ""
     _clock: object = None
@@ -323,8 +235,8 @@ class CampaignManifest:
         queue = queue or self.queue()
         snapshot = {
             "version": CAMPAIGN_SCHEMA_VERSION,
-            "spec": self.spec.to_dict(),
-            "spec_hash": self.spec.spec_hash(),
+            "spec": asdict(self.spec),
+            "spec_hash": spec_hash(self.spec),
             "device_name": self.device_name,
             "shards": self.shard_meta,
             "lease_table": queue.table(),

@@ -36,6 +36,7 @@ from repro.harness.campaign.manifest import (
     CampaignManifest,
     load_campaign,
     shard_path,
+    spec_hash,
 )
 from repro.harness.campaign.queue import Claim, FileQueue
 from repro.harness.database import CheckpointWriter, ResultsDB
@@ -95,9 +96,10 @@ class WorkerReport:
 class CampaignWorker:
     """One worker process's view of a campaign (see module docstring).
 
+    ``spec`` is the campaign's :class:`~repro.api.SweepRequest`.
     ``engine`` defaults to a fresh single-process
-    :class:`~repro.harness.batch.BatchEngine` built from the campaign
-    spec's ``problems`` and ``seed`` — the configuration a serial sweep of
+    :class:`~repro.harness.batch.BatchEngine` built from the spec's
+    ``problems`` and ``seed`` — the configuration a serial sweep of
     the same spec would use, which is what keeps worker records
     byte-identical to serial ones.  A given engine must simulate the same
     (else :class:`~repro.errors.EngineMismatchError`).  Shards run with
@@ -132,20 +134,12 @@ class CampaignWorker:
 
     # ------------------------------------------------------------------
     def _points_of(self, payload: dict) -> list[SweepPoint]:
-        if payload.get("spec_hash") != self.spec.spec_hash():
+        if payload.get("spec_hash") != spec_hash(self.spec):
             raise CampaignError(
                 f"{payload.get('job')}: shard was split from a different "
                 f"spec than {self.manifest.path} now holds"
             )
-        return [
-            SweepPoint(
-                p["technique"],
-                dict(p["params"]),
-                level=p.get("level", "thread"),
-                items_per_thread=p.get("items_per_thread", 8),
-            )
-            for p in payload["points"]
-        ]
+        return [SweepPoint.from_dict(p) for p in payload["points"]]
 
     def _prior_records(self, job: str) -> dict[str, RunRecord]:
         """Latest record per label already in the shard file (any fence)."""

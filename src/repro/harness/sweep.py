@@ -75,6 +75,13 @@ class SweepPoint:
         return cached
 
     @classmethod
+    def from_dict(cls, data: dict) -> "SweepPoint":
+        """Inverse of ``dataclasses.asdict(point)``, the JSONL shape of a
+        point; a missing ``level`` or ``items_per_thread`` takes its
+        default."""
+        return cls(**{**data, "params": dict(data["params"])})
+
+    @classmethod
     def of_record(cls, record) -> "SweepPoint":
         """Reconstruct the point a :class:`~repro.harness.runner.RunRecord`
         was run at — the checkpoint identity used to resume sweeps.  Params

@@ -1,7 +1,7 @@
 """Shared machinery for the full-application equivalence matrix.
 
 The simulator core (scratch arena, uniform-mask short-circuits, analytic
-coalescing, deferred counter finalization) promises **byte identity** with
+coalescing) promises **byte identity** with
 the recorded goldens: every QoI array, kernel timing, counter, and
 region-stat it produces must equal the recorded run bit for bit.  This
 module digests a full application run into one hash so the matrix test and

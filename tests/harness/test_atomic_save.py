@@ -12,8 +12,9 @@ import os
 
 import pytest
 
+from repro.api import SweepRequest
 from repro.harness import database, pruning
-from repro.harness.campaign import CampaignSpec, load_campaign, split_campaign
+from repro.harness.campaign import load_campaign, split_campaign
 from repro.harness.database import RecordKey, ResultsDB, dumps_record
 from repro.harness.pruning import VariantCache
 from repro.harness.runner import RunRecord
@@ -89,7 +90,7 @@ def test_failed_campaign_refresh_keeps_the_previous_manifest(
     tmp_path, monkeypatch
 ):
     camp = tmp_path / "c"
-    split_campaign(camp, CampaignSpec(app="blackscholes", technique="taf"))
+    split_campaign(camp, SweepRequest(app="blackscholes", technique="taf"))
     manifest = load_campaign(camp)
     before = manifest.path.read_bytes()
     real = os.replace

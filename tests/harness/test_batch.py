@@ -203,6 +203,27 @@ class TestBatchEngine:
             r.to_dict() for r in serial_records
         ]
 
+    def test_error_rows_are_not_reused(self, monkeypatch):
+        # A point that exhausted its retries reflects machine state, not
+        # the configuration: a later submit on the engine runs it again.
+        real = ExperimentRunner.run_point
+        calls = []
+
+        def run_point(self, *args, **kwargs):
+            calls.append(1)
+            if len(calls) <= 2:
+                raise OSError("injected failure")
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(ExperimentRunner, "run_point", run_point)
+        jobs = _jobs()[:1]
+        with BatchEngine(problems=PROBLEMS, config=SweepConfig(retries=1)) as engine:
+            first = engine.submit(jobs).records()
+            assert first[0].note.startswith("WorkerError")
+            again = engine.submit(jobs).records()
+            assert engine.stats.cache_hits == 0
+        assert again[0].feasible and len(calls) == 3
+
     def test_checkpoint_holds_cache_served_slots(self, tmp_path):
         # Slots the engine cache serves are written to the call's
         # checkpoint too, so a new engine resumes the whole call from it.

@@ -5,9 +5,9 @@ import json
 
 import pytest
 
+from repro.api import SweepRequest
 from repro.harness.campaign import (
     CampaignError,
-    CampaignSpec,
     FileQueue,
     LeaseLost,
     WorkerKilled,
@@ -18,10 +18,11 @@ from repro.harness.campaign import (
     merge_campaign,
     run_worker,
     shard_path,
+    spec_hash,
     split_campaign,
     tag_record,
 )
-from repro.harness.database import CheckpointWriter, ResultsDB
+from repro.harness.database import CheckpointWriter, ResultsDB, shared_fields
 from repro.harness.runner import ExperimentRunner
 
 PROBLEMS = {"blackscholes": {"num_options": 2048, "num_runs": 2}}
@@ -32,7 +33,12 @@ def make_spec(**overrides):
         app="blackscholes", technique="taf", effort="quick", problems=PROBLEMS
     )
     kwargs.update(overrides)
-    return CampaignSpec(**kwargs)
+    return SweepRequest(**kwargs)
+
+
+def shared(spec):
+    """The checkpoint header fields of the spec's records."""
+    return shared_fields(spec.seed, spec.problems, spec.site, spec.sanitize)
 
 
 class FakeClock:
@@ -52,7 +58,7 @@ def serial_checkpoint(spec, path):
     """The reference: a serial sweep's checkpoint of the spec's points,
     behind the header of the spec's seed, problems, site and sanitize."""
     runner = ExperimentRunner(problems=spec.problems, seed=spec.seed)
-    with CheckpointWriter(path, spec.shared()) as w:
+    with CheckpointWriter(path, shared(spec)) as w:
         for pt in spec.resolve_points():
             w.write(
                 runner.run_point(spec.app, spec.device, pt, site=spec.site)
@@ -146,7 +152,7 @@ class TestSplitAndManifest:
         q = manifest.queue()
         for job in q.jobs():
             payload = q.payload(job)
-            assert payload["spec_hash"] == spec.spec_hash()
+            assert payload["spec_hash"] == spec_hash(spec)
             labels.extend(payload["labels"])
         assert labels == [p.label() for p in spec.resolve_points()]
 
@@ -164,13 +170,34 @@ class TestSplitAndManifest:
         with pytest.raises(CampaignError, match="hash mismatch"):
             load_campaign(tmp_path / "c")
 
-    def test_spec_needs_points_or_technique(self):
+    def test_spec_needs_points_or_technique(self, tmp_path):
         with pytest.raises(CampaignError, match="points= or technique="):
-            CampaignSpec(app="blackscholes")
+            split_campaign(tmp_path / "c", SweepRequest(app="blackscholes"))
+        assert not (tmp_path / "c").exists()
 
-    def test_spec_version_gate(self):
+    def test_empty_grid_is_refused_at_split(self, tmp_path):
+        with pytest.raises(CampaignError, match="no candidate grid"):
+            split_campaign(tmp_path / "c", make_spec(technique="perfo"))
+        assert not (tmp_path / "c").exists()
+
+    def test_spec_version_gate(self, tmp_path):
+        split_campaign(tmp_path / "c", make_spec())
+        path = campaign_paths(tmp_path / "c")[0]
+        data = json.loads(path.read_text())
+        data["spec"]["version"] = 99  # written by another build
+        path.write_text(json.dumps(data))
         with pytest.raises(CampaignError, match="version"):
-            make_spec(version=99)
+            load_campaign(tmp_path / "c")
+
+    def test_spec_hashes_are_pinned(self):
+        # A campaign's identity is the sha256 of its request's canonical
+        # JSON; these are the hashes of campaigns split by earlier builds.
+        assert spec_hash(SweepRequest(app="kmeans", technique="taf")) == (
+            "c0dfeda2b763b7e7ec1e294a87432eecc2842156ac2fba6415140746514e9f40"
+        )
+        assert spec_hash(make_spec(problems={
+            "blackscholes": {"num_options": 4096, "num_runs": 4},
+        })) == "309d7b2fa95c084fa3e00089e89089397c10c5541bf9384e6e41c9aca3777efb"
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +315,7 @@ class TestCallerEngine:
         merged = ResultsDB.load(merge_campaign(camp).output)
         assert len(merged) == len(spec.resolve_points())
         assert all("approxsan" in rec.extra for rec in merged)
-        assert merged.shared == spec.shared()
+        assert merged.shared == shared(spec)
 
     @pytest.mark.parametrize("field", ["seed", "problems"])
     def test_engine_of_another_seed_or_problems_is_refused(self, tmp_path, field):

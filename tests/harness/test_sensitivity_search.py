@@ -1,5 +1,10 @@
 """Tests for the §4.2 automation: sensitivity analysis and smart search."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.apps import get_benchmark
@@ -46,6 +51,26 @@ class TestSensitivity:
         assert [(r.site, r.qoi_error) for r in a] == [
             (r.site, r.qoi_error) for r in b
         ]
+
+    def test_deterministic_across_processes(self):
+        """Noise streams must not depend on the per-process ``str`` hash
+        salt: two interpreters with different hash seeds agree."""
+        script = (
+            "from repro.apps import get_benchmark\n"
+            "from repro.harness.sensitivity import analyze_sensitivity\n"
+            "app = get_benchmark('lulesh', problem={'mesh': 8, 'time_steps': 10})\n"
+            "for r in analyze_sensitivity(app, rel_sigma=0.05):\n"
+            "    print(r.site, repr(r.qoi_error))\n"
+        )
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        outs = []
+        for hash_seed in ("0", "7"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+            outs.append(subprocess.run(
+                [sys.executable, "-c", script], env=env, check=True,
+                capture_output=True, text=True,
+            ).stdout)
+        assert outs[0] and outs[0] == outs[1]
 
     def test_format(self):
         out = format_sensitivity(

@@ -95,6 +95,16 @@ class TestSweep:
             r.to_dict() for r in report.records
         ]
 
+    def test_sanitize_request_runs_under_approxsan(self):
+        pts = [SweepPoint("taf", {"hsize": 1, "psize": 4, "threshold": 0.3},
+                          "thread", 2)]
+        report = api.sweep(
+            "blackscholes", points=pts, problems=PROBLEMS, sanitize=True
+        ).report
+        assert report.records and all(
+            "approxsan" in rec.extra for rec in report.records
+        )
+
     def test_needs_points_or_technique(self):
         with pytest.raises(ValueError):
             api.sweep("kmeans")

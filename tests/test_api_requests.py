@@ -33,11 +33,14 @@ class TestRequestObjects:
             with pytest.raises(ValueError, match="version"):
                 cls(version=99, **kwargs)
 
-    def test_campaign_spec_reexported(self):
-        spec = api.CampaignSpec(app="kmeans", technique="taf")
-        assert spec.spec_hash() == api.CampaignSpec(
-            app="kmeans", technique="taf"
-        ).spec_hash()
+    def test_campaign_spec_is_a_sweep_request(self, tmp_path):
+        from repro.harness.campaign import load_campaign
+
+        grid = api.SweepRequest(app="kmeans", technique="taf").resolve_points()
+        spec = api.SweepRequest(app="kmeans", points=grid[:2])
+        split = api.campaign_split(str(tmp_path / "camp"), spec)
+        assert split.request is spec
+        assert load_campaign(tmp_path / "camp").spec == spec
 
     def test_sweep_request_resolves_curated_grid(self):
         req = api.SweepRequest(app="kmeans", technique="taf")
@@ -198,7 +201,7 @@ class TestApiResultProtocol:
 class TestCampaignFacade:
     def test_split_work_merge_status(self, tmp_path):
         camp = tmp_path / "camp"
-        spec = api.CampaignSpec(
+        spec = api.SweepRequest(
             app="blackscholes", technique="taf", problems=PROBLEMS
         )
         split = api.campaign_split(str(camp), spec, shards=2)
@@ -216,7 +219,7 @@ class TestCampaignFacade:
         camp = tmp_path / "camp"
         api.campaign_split(
             str(camp),
-            api.CampaignSpec(
+            api.SweepRequest(
                 app="blackscholes", technique="taf", problems=PROBLEMS
             ),
             shards=2,

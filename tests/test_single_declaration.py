@@ -79,7 +79,7 @@ class TestCliLibraryParity:
             ["campaign", "split", camp, "--app", "kmeans", "--technique", "taf"],
         )
         assert call.args_ == (
-            camp, api.CampaignSpec(app="kmeans", technique="taf")
+            camp, api.SweepRequest(app="kmeans", technique="taf")
         )
         assert call.kwargs == {}
 
@@ -122,7 +122,7 @@ class TestCliLibraryParity:
         (api.sweep, api.SweepRequest),
         (api.search, api.SearchRequest),
         (api.figures, api.FiguresRequest),
-        (api.campaign_split, api.CampaignSpec),
+        (api.campaign_split, api.SweepRequest),
     ],
     ids=["run_point", "sweep", "search", "figures", "campaign_split"],
 )
