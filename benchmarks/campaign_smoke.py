@@ -6,11 +6,14 @@ timed end-to-end:
 1. a serial checkpointed sweep of the quick-effort blackscholes TAF grid
    is the byte reference;
 2. the same spec is split into 2 shard jobs; worker A is killed after
-   writing two records (no release, no completion — the lease just goes
-   silent); after the TTL, worker B reclaims the dead shard, re-emits A's
-   orphaned records under its own fence, and finishes the campaign;
-3. the merge rejects A's superseded-fence records and must produce a
-   file **byte-identical** to the serial checkpoint.
+   writing two records to its fence-1 shard file (no release, no
+   completion — the lease just goes silent); after the TTL, worker B
+   reclaims the dead shard under fence 2, seeds its own shard file with
+   A's compacted one, re-emits A's records from that checkpoint, and
+   finishes the campaign;
+3. the merge reads only B's completion-fence file, counts A's
+   superseded-fence records as stale, and must produce a file
+   **byte-identical** to the serial checkpoint.
 
 Recorded into the ``"campaign"`` section of ``BENCH_harness.json``
 (load-and-update — ``perf_smoke.py`` owns the rest of the file): serial

@@ -523,7 +523,8 @@ class BatchStream:
         engine.stats.submitted += len(self.jobs)
 
         # Records from earlier calls on this engine, then checkpointed
-        # jobs, are trusted and never dispatched.
+        # jobs, are trusted and never dispatched.  A checkpoint's ``error``
+        # rows (machine state, not the point's outcome) run again.
         index: dict[RecordKey, RunRecord] = {}
         if cfg.checkpoint is not None:
             sites = {job.site for job in self.jobs} or {None}
@@ -534,13 +535,17 @@ class BatchStream:
                 )
             shared = engine.shared(*sites, cfg.sanitize)
             index = engine.checkpoint_index(cfg.checkpoint, shared)
+        resumable = {
+            key for key in self._slots_by_key
+            if key in index and record_status(index[key]) != "error"
+        }
         self._done: dict[RecordKey, RunRecord] = {}
         self.cache_hits = self.skipped = 0
         for key, slots in self._slots_by_key.items():
             if key in engine._cache:
                 self._done[key] = engine._cache[key]
                 self.cache_hits += len(slots)
-            elif key in index:
+            elif key in resumable:
                 self._done[key] = index[key]
                 self.skipped += len(slots)
 
@@ -586,7 +591,9 @@ class BatchStream:
             self._writer = engine.open_checkpoint(cfg.checkpoint, shared)
             # Slots the engine cache served go into this checkpoint too, so
             # the file resumes the whole call in a new process.
-            cached = [rec for key, rec in self._done.items() if key not in index]
+            cached = [
+                rec for key, rec in self._done.items() if key not in resumable
+            ]
             if cached:
                 self._writer.write(cached)
         self.evaluated = self.reused = self.pruned = self.lattice_pruned = 0
@@ -1151,9 +1158,10 @@ class BatchEngine:
         calls on this engine are reused for the same key only.
         ``checkpoint`` (a JSONL or ``.jsonl.gz`` file, shared across any mix
         of apps and devices) satisfies previously-run jobs by the same key
-        without simulating.  One file holds one (seed, problems, site,
-        sanitize), in its header: jobs of several sites, or a file of
-        another identity, raise :class:`~repro.errors.EngineMismatchError`.
+        without simulating; its ``error`` rows run again.  One file holds
+        one (seed, problems, site, sanitize), in its header: jobs of
+        several sites, or a file of another identity, raise
+        :class:`~repro.errors.EngineMismatchError`.
 
         ``config`` is the complete policy for this call, used as given;
         ``None`` means the engine's own.  Callers that overlay a partial

@@ -7,17 +7,21 @@ any number of plain engine sessions work through a file-backed queue:
 
 * :func:`split_campaign` partitions the points of a sweep's
   :class:`~repro.api.SweepRequest` (the campaign's *spec*) into shard
-  manifests keyed by point label and writes the ``campaign.json`` ledger;
+  manifests keyed by point label and writes the ``campaign.json`` ledger
+  once;
 * :class:`~repro.harness.campaign.worker.CampaignWorker` sessions claim
-  shards under leases with heartbeats (:mod:`.queue`, :mod:`.lease`), so
-  a dead worker's unfinished shard is reclaimed after its TTL and
-  re-issued under a higher fencing token;
-* :func:`merge_campaign` folds the shard JSONLs back into one
-  :class:`~repro.harness.database.ResultsDB` — rejecting records whose
-  fence is not the one their job *completed* under (a stalled worker's
-  late writes), deduplicating and conflict-counting the rest — and
-  writes them in canonical spec order, producing a file **byte-identical**
-  to a serial sweep's checkpoint of the same points.
+  shards under leases with heartbeats (:mod:`.queue`, :mod:`.lease`) and
+  run each claim as one checkpointed sweep into
+  ``shards/<job>.<fence>.jsonl``, so a dead worker's unfinished shard is
+  reclaimed after its TTL, re-issued under a higher fencing token, and
+  resumed from the dead worker's file;
+* :func:`merge_campaign` folds each done job's completion-fence file
+  back into one :class:`~repro.harness.database.ResultsDB` — checking its
+  header against the spec, counting the records of the job's other fence
+  files (a dead or stalled worker's writes) as stale, deduplicating and
+  conflict-counting the rest — and writes them in canonical spec order,
+  producing a file **byte-identical** to a serial sweep's checkpoint of
+  the same points.
 
 The contract tested end-to-end (two workers, one killed mid-shard): kill,
 reclaim, re-issue, merge — and the merged bytes equal the serial bytes.
@@ -29,6 +33,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.api import SweepRequest
+from repro.errors import EngineMismatchError
 from repro.harness.campaign.lease import Lease, LeaseError, LeaseLost
 from repro.harness.campaign.manifest import (
     CAMPAIGN_SCHEMA_VERSION,
@@ -37,6 +42,7 @@ from repro.harness.campaign.manifest import (
     campaign_paths,
     init_campaign,
     load_campaign,
+    shard_files,
     shard_path,
     spec_hash,
 )
@@ -46,8 +52,6 @@ from repro.harness.campaign.worker import (
     CampaignWorker,
     WorkerKilled,
     WorkerReport,
-    strip_tag,
-    tag_record,
 )
 from repro.harness.database import (
     CheckpointWriter,
@@ -82,8 +86,6 @@ __all__ = [
     "shard_path",
     "spec_hash",
     "split_campaign",
-    "strip_tag",
-    "tag_record",
 ]
 
 
@@ -108,8 +110,8 @@ class MergeResult:
     merged: int
     #: Cross-shard dedupe/conflict accounting (:class:`MergeStats`).
     stats: MergeStats
-    #: Records rejected because their fence was not the completion fence
-    #: of their job — late writes from stalled/superseded workers.
+    #: Records in a done job's files of other fences than its completion
+    #: fence — writes of dead, stalled or superseded workers.
     rejected_stale: int = 0
     shards_merged: list = field(default_factory=list)
     #: Unfinished shards excluded by a partial (``strict=False``) merge.
@@ -125,7 +127,7 @@ class MergeResult:
 
 @dataclass
 class CampaignStatus:
-    """Snapshot of a campaign's ledger (:func:`campaign_status`)."""
+    """Snapshot of a campaign's queue (:func:`campaign_status`)."""
 
     directory: str
     spec_hash: str
@@ -192,17 +194,19 @@ def merge_campaign(
     strict: bool = True,
     clock=None,
 ) -> MergeResult:
-    """Fold the campaign's shard JSONLs into one canonical checkpoint.
+    """Fold the campaign's shard files into one canonical checkpoint.
 
-    For every *completed* job, accept exactly the records tagged with the
-    fence the job finished under — anything else in the shard file (a
-    predecessor's pre-steal writes, a stalled worker's post-steal writes)
-    is counted in ``rejected_stale`` and dropped.  Accepted records have
-    their campaign tag popped (restoring the exact bytes a serial sweep
-    would have written), are deduplicated/conflict-resolved across shards
-    via :meth:`ResultsDB.merge`, and are written to ``output`` in the
-    spec's canonical point order behind the spec's checkpoint header —
-    the same file a serial checkpointed sweep of the spec produces.
+    For every *completed* job, accept exactly the records of the file of
+    the fence the job finished under; the records in its files of other
+    fences (a predecessor's pre-steal writes, a stalled worker's
+    post-steal writes) are counted in ``rejected_stale``.  Each accepted
+    file is loaded behind its header, which must hold the spec's seed,
+    problems, site and sanitize flag (else
+    :class:`~repro.errors.EngineMismatchError`); its records are
+    deduplicated/conflict-resolved across shards via
+    :meth:`ResultsDB.merge` and written to ``output`` in the spec's
+    canonical point order behind the spec's checkpoint header — the same
+    file a serial checkpointed sweep of the spec produces.
 
     ``strict=True`` (default) demands a finished campaign: an unfinished
     shard or an uncovered label raises :class:`CampaignError`.
@@ -210,7 +214,9 @@ def merge_campaign(
     manifest = load_campaign(directory, clock=clock)
     queue = manifest.queue()
     spec = manifest.spec
+    shared = shared_fields(spec.seed, spec.problems, spec.site, spec.sanitize)
     db = ResultsDB()
+    db.shared = shared
     stats = MergeStats()
     rejected_stale = 0
     shards_merged: list[str] = []
@@ -225,24 +231,21 @@ def merge_campaign(
                 )
             shards_skipped.append(job)
             continue
-        path = shard_path(directory, job)
-        if not path.exists():
+        files = shard_files(directory, job)
+        path = files.pop(fence, None)
+        if path is None:
             raise CampaignError(
                 f"{job}: marked done under fence {fence} but "
-                f"{path} does not exist"
+                f"{shard_path(directory, job, fence)} does not exist"
             )
-        accepted = []
-        for rec in ResultsDB.load(path).records:
-            clean, tag = strip_tag(rec)
-            if (
-                tag is None
-                or tag.get("job") != job
-                or int(tag.get("fence", -1)) != fence
-            ):
-                rejected_stale += 1
-                continue
-            accepted.append(clean)
-        stats += db.merge(accepted)
+        shard = ResultsDB.load(path)
+        if shard.shared is None:
+            raise EngineMismatchError(
+                f"{path}: holds no header with its seed, problems, site "
+                f"and sanitize flag"
+            )
+        stats += db.merge(shard)
+        rejected_stale += sum(len(ResultsDB.load(p)) for p in files.values())
         shards_merged.append(job)
 
     by_label = {SweepPoint.of_record(r).label(): r for r in db.records}
@@ -262,10 +265,8 @@ def merge_campaign(
     out_path = Path(output) if output is not None else campaign_paths(directory)[3]
     if out_path.exists():
         out_path.unlink()  # clean header, no stale append
-    shared = shared_fields(spec.seed, spec.problems, spec.site, spec.sanitize)
     with CheckpointWriter(out_path, shared) as writer:
         writer.write(ordered)
-    manifest.refresh(queue=queue)
     return MergeResult(
         directory=str(directory),
         output=str(out_path),
@@ -279,13 +280,13 @@ def merge_campaign(
 
 
 def campaign_status(directory: str | Path, clock=None) -> CampaignStatus:
-    """Re-snapshot and return the campaign ledger (lease table included)."""
+    """Snapshot the campaign's queue (lease table included)."""
     manifest = load_campaign(directory, clock=clock)
-    snapshot = manifest.refresh()
+    queue = manifest.queue()
     return CampaignStatus(
         directory=str(directory),
-        spec_hash=snapshot["spec_hash"],
-        progress=snapshot["progress"],
-        shards=snapshot["shards"],
-        lease_table=snapshot["lease_table"],
+        spec_hash=spec_hash(manifest.spec),
+        progress=manifest.progress(queue),
+        shards=manifest.shard_meta,
+        lease_table=queue.table(),
     )

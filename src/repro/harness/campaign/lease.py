@@ -9,11 +9,12 @@ tolerance hangs off two rules:
   atomically renamed into a tombstone carrying its fence, and the next
   claimer takes ``fence + 1`` — so a dead shard's unfinished points are
   reclaimed and re-issued rather than lost;
-* every record a worker writes is tagged with the fence it held at the
-  time, and the merge only accepts records carrying the fence the job was
-  *completed* under — so a stalled worker that wakes up after its lease
-  was stolen can keep appending to its shard file, harmlessly: its late
-  records are fenced out (see :func:`repro.harness.campaign.merge_campaign`).
+* every claim writes its records to its own shard file, named by the
+  fence it holds, and the merge reads only the file of the fence the job
+  was *completed* under — so a stalled worker that wakes up after its
+  lease was stolen can keep appending to its superseded file, harmlessly:
+  its late records are fenced out (see
+  :func:`repro.harness.campaign.merge_campaign`).
 
 Everything here is plain JSON files manipulated with the two POSIX
 primitives whose atomicity the design leans on: ``open(O_CREAT|O_EXCL)``
@@ -28,8 +29,10 @@ import os
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
+from repro.errors import HarnessError
 
-class LeaseError(RuntimeError):
+
+class LeaseError(HarnessError):
     """Base class for lease-protocol violations."""
 
 

@@ -9,21 +9,21 @@ globally resumable from any mix of machines:
   canonical and hashed: every worker loads the spec from the campaign
   directory and refuses to run against a manifest whose hash disagrees
   (a silently edited spec would break the byte-identity contract);
-* the unit of distribution is the **existing checkpoint record** — each
-  shard lists the point labels it owns (under one spec, a label is a
-  whole :class:`~repro.harness.database.RecordKey`) — so no new wire
-  format exists anywhere;
-* ``campaign.json`` snapshots spec hash, shard states, the lease table,
-  and progress after every state change, so ``campaign status`` answers
-  from one file and a cold machine can decide whether to join, merge, or
-  walk away without scanning shards.
+* the unit of distribution is the **existing checkpoint** — each shard
+  lists the point labels it owns (under one spec, a label is a whole
+  :class:`~repro.harness.database.RecordKey`), and each claim of a shard
+  is one engine checkpoint behind the spec's checked header — so no new
+  wire format exists anywhere;
+* ``campaign.json`` is written once, at split: the schema version, the
+  spec, its hash and each shard's slice.  Shard states, leases and
+  progress live in the queue, which ``campaign status`` reads.
 
 Directory layout (everything under one root)::
 
-    campaign.json        the ledger (this module)
-    queue/               the work-stealing queue (jobs/leases/tombs/done)
-    shards/<job>.jsonl   records written by workers, fence-tagged
-    merged.jsonl         default merge output
+    campaign.json               the ledger (this module)
+    queue/                      the work-stealing queue (jobs/leases/tombs/done)
+    shards/<job>.<fence>.jsonl  the checkpoint of one claim, named by its fence
+    merged.jsonl                default merge output
 """
 
 from __future__ import annotations
@@ -34,11 +34,14 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from repro.api import SweepRequest
+from repro.errors import HarnessError
+from repro.gpusim.device import get_device
 from repro.harness.campaign.queue import FileQueue
 from repro.harness.database import replace_lines
 
-#: Version of the campaign.json / shard-payload format.
-CAMPAIGN_SCHEMA_VERSION = 1
+#: Version of the campaign.json / shard-payload / shard-file layout.
+#: Version 1 wrote one fence-tagged ``shards/<job>.jsonl`` per job.
+CAMPAIGN_SCHEMA_VERSION = 2
 
 #: Subdirectory names under a campaign root.
 QUEUE_DIR = "queue"
@@ -46,7 +49,7 @@ SHARD_DIR = "shards"
 MERGED_NAME = "merged.jsonl"
 
 
-class CampaignError(RuntimeError):
+class CampaignError(HarnessError):
     """Campaign-level protocol violations (bad spec, incomplete merge)."""
 
 
@@ -68,8 +71,19 @@ def campaign_paths(directory: str | Path) -> tuple[Path, Path, Path, Path]:
     )
 
 
-def shard_path(directory: str | Path, job: str) -> Path:
-    return Path(directory) / SHARD_DIR / f"{job}.jsonl"
+def shard_path(directory: str | Path, job: str, fence: int) -> Path:
+    """The checkpoint the claim of ``job`` under ``fence`` writes."""
+    return Path(directory) / SHARD_DIR / f"{job}.{fence}.jsonl"
+
+
+def shard_files(directory: str | Path, job: str) -> dict[int, Path]:
+    """Every shard file of ``job``, by fence."""
+    files = {}
+    for path in (Path(directory) / SHARD_DIR).glob(f"{job}.*.jsonl"):
+        fence = path.name[len(job) + 1:-len(".jsonl")]
+        if fence.isdigit():
+            files[int(fence)] = path
+    return files
 
 
 def _shard_job_id(index: int) -> str:
@@ -106,7 +120,8 @@ def init_campaign(
     Partitions the spec's resolved point list into ``shards`` contiguous
     jobs keyed by point label and registers each as an immutable queue
     job.  A spec without points or technique, or with an empty candidate
-    grid, raises :class:`CampaignError`.  Idempotent re-init of
+    grid, raises :class:`CampaignError`; an unknown device raises before
+    anything is written.  Idempotent re-init of
     the same spec is an error — resume by just pointing workers at the
     directory."""
     manifest_path, queue_root, shard_dir, _ = campaign_paths(directory)
@@ -123,11 +138,8 @@ def init_campaign(
             f"no candidate grid for {spec.app}/{spec.technique} "
             f"at effort {spec.effort!r}"
         )
-    Path(directory).mkdir(parents=True, exist_ok=True)
+    get_device(spec.device)
     shard_dir.mkdir(parents=True, exist_ok=True)
-    from repro.gpusim.device import get_device
-
-    device_name = get_device(spec.device).name
     queue = FileQueue(queue_root, **({"clock": clock} if clock else {}))
     shard_meta: dict[str, dict] = {}
     for idx, (start, stop) in enumerate(partition_labels(len(points), shards)):
@@ -150,12 +162,15 @@ def init_campaign(
             "slice": [start, stop],
         }
     manifest = CampaignManifest(
-        directory=str(directory),
-        spec=spec,
-        shard_meta=shard_meta,
-        device_name=device_name,
+        directory=str(directory), spec=spec, shard_meta=shard_meta
     )
-    manifest.refresh(queue=queue)
+    ledger = {
+        "version": CAMPAIGN_SCHEMA_VERSION,
+        "spec": asdict(spec),
+        "spec_hash": spec_hash(spec),
+        "shards": shard_meta,
+    }
+    replace_lines(manifest_path, [json.dumps(ledger, sort_keys=True)])
     return manifest
 
 
@@ -181,10 +196,7 @@ def load_campaign(directory: str | Path, clock=None) -> "CampaignManifest":
             f"edited after split; records would not be comparable"
         )
     manifest = CampaignManifest(
-        directory=str(directory),
-        spec=spec,
-        shard_meta=data.get("shards", {}),
-        device_name=data.get("device_name", ""),
+        directory=str(directory), spec=spec, shard_meta=data["shards"]
     )
     if clock is not None:
         manifest._clock = clock
@@ -193,17 +205,14 @@ def load_campaign(directory: str | Path, clock=None) -> "CampaignManifest":
 
 @dataclass
 class CampaignManifest:
-    """The ``campaign.json`` ledger: spec + shard states + lease table.
+    """The ``campaign.json`` ledger: the spec and each shard's slice.
 
-    The mutable half (shard states, lease snapshot, progress) is a
-    *snapshot* regenerated from the queue on every :meth:`refresh` and
-    written atomically, so concurrent writers cannot corrupt it — the
-    newest snapshot simply wins."""
+    It never changes after split; the campaign's mutable state (shard
+    states, leases, progress) is the queue's (:meth:`queue`)."""
 
     directory: str
     spec: SweepRequest
     shard_meta: dict = field(default_factory=dict)
-    device_name: str = ""
     _clock: object = None
 
     @property
@@ -229,18 +238,3 @@ class CampaignManifest:
             int(meta.get("points", 0)) for meta in self.shard_meta.values()
         )
         return states
-
-    def refresh(self, queue: FileQueue | None = None) -> dict:
-        """Re-snapshot queue state into ``campaign.json``; returns it."""
-        queue = queue or self.queue()
-        snapshot = {
-            "version": CAMPAIGN_SCHEMA_VERSION,
-            "spec": asdict(self.spec),
-            "spec_hash": spec_hash(self.spec),
-            "device_name": self.device_name,
-            "shards": self.shard_meta,
-            "lease_table": queue.table(),
-            "progress": self.progress(queue),
-        }
-        replace_lines(self.path, [json.dumps(snapshot, sort_keys=True)])
-        return snapshot

@@ -20,8 +20,8 @@ to exactly one winner:
 * **steal**: rename an *expired* lease to its tombstone — one renamer
   wins, everyone else moves on — after which the job is claimable again;
 * **complete**: re-verify ownership, write ``done/<job>.json`` carrying
-  the fence, remove the lease.  The done fence is the only fence the
-  merge accepts records under.
+  the fence, remove the lease.  The done fence names the only shard file
+  the merge reads.
 
 The queue is *work-stealing* in the idle-worker-pulls sense: nothing
 assigns jobs; every worker scans ``jobs/`` (cheapest-first by sorted id)
@@ -51,7 +51,8 @@ QUEUE_DIRS = ("jobs", "leases", "tombs", "done")
 
 @dataclass
 class Claim:
-    """A successfully claimed job: its payload plus the lease held."""
+    """A successfully claimed job: its payload plus the lease held, whose
+    fence names the shard file the claim writes."""
 
     job: str
     payload: dict
@@ -158,8 +159,8 @@ class FileQueue:
 
         Scans jobs in sorted id order (or just ``job``); for each: skip if
         done; steal its lease if expired; then race to create the lease
-        file.  The returned :class:`Claim` carries the fencing token every
-        record written under it must be tagged with."""
+        file.  The returned :class:`Claim` carries the fencing token that
+        names the shard file every record written under it goes to."""
         now = self.clock()
         for candidate in [job] if job is not None else self.jobs():
             if self.is_done(candidate):
@@ -209,8 +210,8 @@ class FileQueue:
         """Refresh the claim's liveness window; returns the updated claim.
 
         Raises :class:`LeaseLost` when the lease was stolen — the worker
-        must stop: any record it writes from here on carries a superseded
-        fence and will be rejected by the merge."""
+        must stop: any record it writes from here on goes to a superseded
+        fence's file, which the merge does not read."""
         self._verify(claim)
         lease = Lease(
             job=claim.lease.job,

@@ -1,32 +1,32 @@
-"""Campaign workers: claim shards, evaluate points, write fenced records.
+"""Campaign workers: claim shards, run each as one checkpointed sweep.
 
 A worker is a plain :class:`~repro.harness.batch.BatchEngine` session
 pointed at a campaign directory.  It loops: claim a shard job from the
-queue, evaluate that shard's points, append each record to the shard's
-JSONL tagged with the claim's fencing token, heartbeat between points,
-and mark the job done.  Nothing about the evaluation itself is
+queue, run that shard's points as one
+:meth:`~repro.harness.batch.BatchEngine.submit` whose checkpoint is the
+claim's own file, ``shards/<job>.<fence>.jsonl``, heartbeat after every
+record, and mark the job done.  Nothing about the evaluation itself is
 campaign-specific — the engine runs the exact serial path a local sweep
-runs, so the records are byte-identical to a serial sweep's (the
-equivalence the merge asserts).
+runs, behind the spec's checkpoint header, so the records are
+byte-identical to a serial sweep's (the equivalence the merge asserts).
 
 Crash tolerance is the lease protocol's job, not the worker's:
 
 * a worker that dies mid-shard simply stops heartbeating; after the TTL
-  the next claimer steals the lease under a higher fence, **re-emits**
-  the dead worker's already-written records under its own fence (content
-  byte-identical — only the tag differs), evaluates the remainder, and
-  completes;
+  the next claimer steals the lease under a higher fence, seeds its own
+  file with the compacted file of the newest earlier fence, and resumes
+  from it: the dead worker's records are served as checkpoint rows
+  (**re-emitted**, byte-identical), the remainder is evaluated;
 * a worker that *stalls* (GC pause, NFS hang) and wakes after its lease
-  was stolen may keep appending to the shard file — harmlessly.  Its
-  next heartbeat raises :class:`~repro.harness.campaign.lease.LeaseLost`
-  and the records it wrote meanwhile carry a superseded fence, which the
-  merge rejects against the job's completion fence.
+  was stolen can only append to its own, superseded file — harmlessly.
+  Its next heartbeat raises
+  :class:`~repro.harness.campaign.lease.LeaseLost`, and the merge reads
+  only the file of the fence the job was completed under.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
 from pathlib import Path
 
 from repro.harness.batch import BatchEngine, BatchJob
@@ -35,12 +35,12 @@ from repro.harness.campaign.manifest import (
     CampaignError,
     CampaignManifest,
     load_campaign,
+    shard_files,
     shard_path,
     spec_hash,
 )
 from repro.harness.campaign.queue import Claim, FileQueue
-from repro.harness.database import CheckpointWriter, ResultsDB
-from repro.harness.runner import RunRecord
+from repro.harness.database import compact_checkpoint
 from repro.harness.sweep import SweepPoint
 
 #: Default lease TTL (seconds): how long a silent worker is trusted.
@@ -56,28 +56,6 @@ class WorkerKilled(RuntimeError):
     exact crash the fabric must absorb."""
 
 
-def tag_record(record: RunRecord, fence: int, job: str, owner: str) -> RunRecord:
-    """Copy of ``record`` carrying the campaign fence tag.
-
-    The tag is appended as the **last** key of ``extra`` (any stale tag
-    is stripped first), so popping it at merge time restores the
-    original key order — and therefore the original serialized bytes
-    (:func:`~repro.harness.database.dumps_record` preserves insertion
-    order).  The input record is never mutated: engine record caches
-    share record objects across callers."""
-    data = record.to_dict()
-    data["extra"].pop("campaign", None)
-    data["extra"]["campaign"] = {"fence": fence, "job": job, "worker": owner}
-    return RunRecord(**data)
-
-
-def strip_tag(record: RunRecord) -> tuple[RunRecord, dict | None]:
-    """Inverse of :func:`tag_record`: (untagged copy, the tag or None)."""
-    data = record.to_dict()
-    tag = data["extra"].pop("campaign", None)
-    return RunRecord(**data), tag
-
-
 @dataclass
 class WorkerReport:
     """What one :meth:`CampaignWorker.run` loop accomplished."""
@@ -85,8 +63,8 @@ class WorkerReport:
     owner: str
     jobs_done: int = 0
     evaluated: int = 0
-    #: Records inherited from a dead predecessor and re-issued under our
-    #: fence (content-identical, new tag).
+    #: Records inherited from a dead predecessor's file and served from
+    #: the checkpoint they seed (content-identical).
     reemitted: int = 0
     records_written: int = 0
     leases_lost: int = 0
@@ -141,54 +119,48 @@ class CampaignWorker:
             )
         return [SweepPoint.from_dict(p) for p in payload["points"]]
 
-    def _prior_records(self, job: str) -> dict[str, RunRecord]:
-        """Latest record per label already in the shard file (any fence)."""
-        path = shard_path(self.directory, job)
-        if not path.exists():
-            return {}
-        prior: dict[str, RunRecord] = {}
-        for rec in ResultsDB.load(path).records:
-            prior[SweepPoint.of_record(rec).label()] = rec
-        return prior
-
     def process(self, claim: Claim, report: WorkerReport) -> int:
         """Evaluate one claimed shard; returns records written.
 
-        Points whose labels the shard file already holds (a predecessor's
-        work) are re-emitted under our fence without re-running; the rest
-        are one :meth:`~repro.harness.batch.BatchEngine.submit` stream,
-        written as its records land (on the engine's pool when it has
+        The claim's checkpoint starts as the compacted file of the job's
+        newest earlier fence, when there is one, so the predecessor's
+        records are served as ``skipped`` (counted as ``reemitted``);
+        the shard is one :meth:`~repro.harness.batch.BatchEngine.submit`
+        stream on that checkpoint (on the engine's pool when it has
         one).  The lease is heartbeated after every record, so a healthy
         worker's liveness window never depends on point runtime × shard
         size."""
         points = self._points_of(claim.payload)
-        prior = self._prior_records(claim.job)
-        held = [
-            strip_tag(prior[pt.label()])[0] for pt in points if pt.label() in prior
-        ]
+        checkpoint = shard_path(self.directory, claim.job, claim.lease.fence)
+        earlier = {
+            fence: path
+            for fence, path in shard_files(self.directory, claim.job).items()
+            if fence < claim.lease.fence
+        }
+        if earlier:
+            compact_checkpoint(earlier[max(earlier)], checkpoint)
         spec = self.spec
         stream = self.engine.submit(
-            [BatchJob(spec.app, spec.device, pt, site=spec.site)
-             for pt in points if pt.label() not in prior],
-            self.engine.config.replace(sanitize=spec.sanitize),
+            [BatchJob(spec.app, spec.device, pt, site=spec.site) for pt in points],
+            self.engine.config.replace(
+                sanitize=spec.sanitize, checkpoint=str(checkpoint)
+            ),
         )
         written = 0
         try:
-            with CheckpointWriter(shard_path(self.directory, claim.job)) as out:
-                for record in chain(held, stream):
-                    if written < len(held):
-                        report.reemitted += 1
-                    else:
-                        report.evaluated += 1
-                    out.write(
-                        tag_record(record, claim.lease.fence, claim.job, self.owner)
-                    )
-                    written += 1
-                    report.records_written += 1
-                    if self.on_point is not None:
-                        label = SweepPoint.of_record(record).label()
-                        self.on_point(self, claim, label)
-                    claim = self.queue.heartbeat(claim)
+            for record in stream:
+                # Checkpoint rows yield first, so the first ``skipped``
+                # records are the predecessor's.
+                if written < stream.skipped:
+                    report.reemitted += 1
+                else:
+                    report.evaluated += 1
+                written += 1
+                report.records_written += 1
+                if self.on_point is not None:
+                    label = SweepPoint.of_record(record).label()
+                    self.on_point(self, claim, label)
+                claim = self.queue.heartbeat(claim)
         finally:
             stream.close()
         return written
@@ -196,8 +168,8 @@ class CampaignWorker:
     def run(self, max_jobs: int | None = None) -> WorkerReport:
         """Claim-and-process until the queue is drained (or ``max_jobs``).
 
-        A lost lease abandons the current shard (its successor re-emits
-        whatever we wrote) and moves on to the next claim; any other
+        A lost lease abandons the current shard (its successor resumes
+        from whatever we wrote) and moves on to the next claim; any other
         exception propagates — a genuinely crashed worker must *not*
         release its lease, that is the TTL's job."""
         report = WorkerReport(owner=self.owner)
@@ -213,7 +185,6 @@ class CampaignWorker:
                 continue
             report.jobs_done += 1
             report.jobs.append(claim.job)
-            self.manifest.refresh(queue=self.queue)
         return report
 
     def close(self) -> None:

@@ -135,8 +135,8 @@ def replace_lines(path: str | Path, lines: Iterable[str], gz: bool = False) -> N
     """Write ``lines`` to ``path`` atomically, one per line (gzip when
     ``gz``): into a same-directory temp file, then :func:`os.replace`, so
     a save interrupted midway leaves the previous file whole.  The temp
-    name carries the pid, so processes rewriting one file (campaign
-    workers refreshing ``campaign.json``) never share a temp file."""
+    name carries the pid, so processes rewriting one file never share a
+    temp file."""
     dest = Path(path)
     dest.parent.mkdir(parents=True, exist_ok=True)
     tmp = dest.with_name(f".{dest.name}.tmp.{os.getpid()}")

@@ -16,7 +16,7 @@ from repro.harness import batch
 from repro.harness import figures as F
 from repro.harness.config import SweepConfig
 from repro.harness.batch import AdaptiveChunker, BatchEngine, BatchJob
-from repro.harness.database import dumps_record
+from repro.harness.database import ResultsDB, dumps_record
 from repro.harness.runner import ExperimentRunner
 from repro.harness.search import evolutionary_search
 from repro.harness.sweep import SweepPoint
@@ -223,6 +223,29 @@ class TestBatchEngine:
             again = engine.submit(jobs).records()
             assert engine.stats.cache_hits == 0
         assert again[0].feasible and len(calls) == 3
+
+    def test_checkpoint_error_rows_run_again(self, tmp_path, monkeypatch):
+        # A resumed checkpoint serves finished rows only: a point lost to
+        # a worker fault re-runs, and its record is appended.
+        ck = str(tmp_path / "ck.jsonl")
+        jobs = [BatchJob("blackscholes", "v100_small", _taf(h, 4, 0.3))
+                for h in (1, 2)]
+        real = ExperimentRunner.run_point
+
+        def crash(self, *args, **kwargs):
+            raise OSError("injected failure")
+
+        monkeypatch.setattr(ExperimentRunner, "run_point", crash)
+        cfg = SweepConfig(retries=0, checkpoint=ck)
+        with BatchEngine(problems=PROBLEMS) as engine:
+            first = engine.submit(jobs, cfg).report()
+        assert [r.note[:11] for r in first.records] == ["WorkerError"] * 2
+        monkeypatch.setattr(ExperimentRunner, "run_point", real)
+        with BatchEngine(problems=PROBLEMS) as engine:
+            again = engine.submit(jobs, cfg).report()
+        assert again.evaluated == 2 and again.skipped == 0
+        assert all(r.feasible for r in again.records)
+        assert len(ResultsDB.load(ck)) == 4
 
     def test_checkpoint_holds_cache_served_slots(self, tmp_path):
         # Slots the engine cache serves are written to the call's

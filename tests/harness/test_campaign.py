@@ -20,7 +20,6 @@ from repro.harness.campaign import (
     shard_path,
     spec_hash,
     split_campaign,
-    tag_record,
 )
 from repro.harness.database import CheckpointWriter, ResultsDB, shared_fields
 from repro.harness.runner import ExperimentRunner
@@ -189,6 +188,17 @@ class TestSplitAndManifest:
         with pytest.raises(CampaignError, match="version"):
             load_campaign(tmp_path / "c")
 
+    def test_first_layout_is_refused(self, tmp_path):
+        # Schema 1 wrote one fence-tagged shard file per job; this build
+        # would misread it, so it refuses the directory outright.
+        split_campaign(tmp_path / "c", make_spec())
+        path = campaign_paths(tmp_path / "c")[0]
+        data = json.loads(path.read_text())
+        data["version"] = 1
+        path.write_text(json.dumps(data))
+        with pytest.raises(CampaignError, match="campaign schema 1"):
+            load_campaign(tmp_path / "c")
+
     def test_spec_hashes_are_pinned(self):
         # A campaign's identity is the sha256 of its request's canonical
         # JSON; these are the hashes of campaigns split by earlier builds.
@@ -263,8 +273,33 @@ class TestCampaignEquivalence:
         result = merge_campaign(camp)
         assert result.rejected_stale == 0 and result.complete
         assert (camp / "merged.jsonl").read_bytes() == serial.read_bytes()
+        # Each claim's file is a checkpoint behind the spec's header.
+        for job in ("shard-0000", "shard-0001"):
+            assert ResultsDB.load(shard_path(camp, job, 1)).shared == shared(spec)
         # Resuming a finished campaign is a no-op.
         assert run_worker(camp, "c").jobs_done == 0
+
+    @pytest.mark.parametrize("header, match", [
+        (shared(make_spec(seed=7)), "seed=7"),
+        (None, "no header"),
+    ])
+    def test_shard_of_another_identity_is_refused_at_merge(
+        self, tmp_path, header, match
+    ):
+        from repro.errors import EngineMismatchError
+
+        spec = make_spec()
+        camp = tmp_path / "camp"
+        split_campaign(camp, spec, shards=2)
+        run_worker(camp, "a")
+        # A done file rewritten behind another seed's header, or none.
+        path = shard_path(camp, "shard-0001", 1)
+        db = ResultsDB.load(path)
+        path.unlink()
+        with CheckpointWriter(path, header) as w:
+            w.write(db.records)
+        with pytest.raises(EngineMismatchError, match=match):
+            merge_campaign(camp)
 
 
 class TestPoolWorker:
@@ -356,16 +391,13 @@ class TestLateWriterFencing:
         assert report.jobs_done == 1
 
         # The stalled worker wakes with no idea it was superseded and
-        # appends its records under the old fence.
+        # appends its records to its own, fence-1 checkpoint.
         runner = ExperimentRunner(problems=spec.problems, seed=spec.seed)
         points = spec.resolve_points()
-        with CheckpointWriter(shard_path(camp, stalled.job)) as w:
+        late = shard_path(camp, stalled.job, stalled.lease.fence)
+        with CheckpointWriter(late, shared(spec)) as w:
             for pt in points[:2]:
-                rec = runner.run_point(spec.app, spec.device, pt)
-                w.write(
-                    tag_record(rec, stalled.lease.fence, stalled.job,
-                               "stalled")
-                )
+                w.write(runner.run_point(spec.app, spec.device, pt))
         # Its heartbeat (and completion) now fail — the fence moved on.
         with pytest.raises(LeaseLost):
             queue.heartbeat(stalled)
@@ -376,22 +408,6 @@ class TestLateWriterFencing:
         assert result.rejected_stale == 2  # the late fence-1 records
         assert result.merged == len(points) and result.complete
         assert (camp / "merged.jsonl").read_bytes() == serial.read_bytes()
-
-    def test_untagged_records_are_rejected(self, tmp_path):
-        spec = make_spec()
-        camp = tmp_path / "camp"
-        split_campaign(camp, spec, shards=1)
-        run_worker(camp, "a")
-        # Someone hand-appends an untagged record to the shard file.
-        db = ResultsDB.load(shard_path(camp, "shard-0000"))
-        from repro.harness.campaign.worker import strip_tag
-
-        clean, _ = strip_tag(db.records[0])
-        with CheckpointWriter(shard_path(camp, "shard-0000")) as w:
-            w.write(clean)
-        result = merge_campaign(camp)
-        assert result.rejected_stale == 1
-        assert result.merged == len(spec.resolve_points())
 
 
 class TestPartialMerge:

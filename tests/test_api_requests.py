@@ -267,7 +267,17 @@ class TestCampaignCLI:
         assert main(["campaign", "split", camp, "--app", "kmeans",
                      "--technique", "taf"]) == 0
         capsys.readouterr()
-        from repro.harness.campaign import CampaignError
+        assert main(["campaign", "merge", camp]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: shard-0000: not completed")
+        assert "Traceback" not in err
 
-        with pytest.raises(CampaignError, match="not completed"):
-            main(["campaign", "merge", camp])
+    def test_campaign_errors_print_one_line(self, capsys, tmp_path):
+        # A campaign mistake is a ReproError: one ``error:`` line, no
+        # traceback (the quick perforation grid of blackscholes is empty).
+        camp = str(tmp_path / "camp")
+        assert main(["campaign", "split", camp, "--app", "blackscholes",
+                     "--technique", "perfo"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith("error: ") and "no candidate grid" in err
